@@ -33,7 +33,11 @@ from .treedecomp import brute_treewidth, has_minor, width
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a NaN or an infinity here is a bug, not output."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ContractError(f"output is not strict JSON: {exc}") from None
 
 
 def _write(text: str, out) -> None:
@@ -55,7 +59,7 @@ def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -218,15 +222,13 @@ def cmd_minor_model(args) -> int:
              f"({len(host)} vertices)",
              f"branch sets = {len(model.branch_sets)}",
              f"edge paths = {len(model.edge_paths)}"]
+    confirmed = True
     if args.oracle:
         confirmed = has_minor(host, h)
         obj = {"model": obj, "oracle_minor": confirmed}
         lines.append(f"oracle minor check = {'pass' if confirmed else 'FAIL'}")
-        if not confirmed:
-            _emit(args, obj, lines)
-            return 3
     _emit(args, obj, lines)
-    return 0
+    return 0 if confirmed else 3
 
 
 def cmd_cover_pullback(args) -> int:

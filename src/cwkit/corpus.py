@@ -3,7 +3,9 @@
 Every operation is chosen from whatever the strict side conditions allow
 in the current state, so the output never needs repair: unions merge
 disjoint fragments, joins are only offered where a missing cross edge
-exists, recolors only between two colours that both appear.
+exists, recolors only between two colours that both appear.  The states
+are the expression core's, so the generator and the validator share one
+definition of each operation.
 """
 
 from __future__ import annotations
@@ -11,51 +13,7 @@ from __future__ import annotations
 import random
 
 from .errors import InputError
-from .expressions import CwExpr, Join, Leaf, Recolor, Union
-
-
-class _Segment:
-    """A fragment under construction plus its evaluated state."""
-
-    __slots__ = ("node", "colors", "edges")
-
-    def __init__(self, node, colors, edges):
-        self.node = node
-        self.colors = colors
-        self.edges = edges
-
-
-def _join_candidates(seg: _Segment):
-    by_color = {}
-    for v, c in seg.colors.items():
-        by_color.setdefault(c, []).append(v)
-    used = sorted(by_color)
-    out = []
-    for i, a in enumerate(used):
-        for b in used[i + 1:]:
-            pairs = ((min(u, w), max(u, w)) for u in by_color[a] for w in by_color[b])
-            if any(p not in seg.edges for p in pairs):
-                out.append((a, b))
-    return out
-
-
-def _recolor_candidates(seg: _Segment):
-    used = sorted(set(seg.colors.values()))
-    return [(a, b) for a in used for b in used if a != b]
-
-
-def _apply_join(seg: _Segment, a: int, b: int):
-    ca = [v for v, c in seg.colors.items() if c == a]
-    cb = [v for v, c in seg.colors.items() if c == b]
-    for u in ca:
-        for w in cb:
-            seg.edges.add((min(u, w), max(u, w)))
-    seg.node = Join(a, b, seg.node)
-
-
-def _apply_recolor(seg: _Segment, a: int, b: int):
-    seg.colors = {v: (b if c == a else c) for v, c in seg.colors.items()}
-    seg.node = Recolor(a, b, seg.node)
+from .expressions import CwExpr, Join, Leaf, Recolor, Union, _Semantics
 
 
 def random_strict_expr(rng: random.Random, palette: int, max_leaves: int) -> CwExpr:
@@ -64,50 +22,51 @@ def random_strict_expr(rng: random.Random, palette: int, max_leaves: int) -> CwE
         raise InputError("palette must be >= 1")
     if max_leaves < 1:
         raise InputError("need room for at least one leaf")
-    n_leaves = rng.randint(1, max_leaves)
-    segments = []
-    for i in range(n_leaves):
-        color = rng.randint(1, palette)
-        segments.append(_Segment(Leaf(f"v{i}", color), {f"v{i}": color}, set()))
+    core = _Semantics(palette)
+    segments = []  # (fragment, its state)
+    for i in range(rng.randint(1, max_leaves)):
+        leaf = Leaf(f"v{i}", rng.randint(1, palette))
+        segments.append((leaf, core.step(leaf, ())[0]))
 
     def merge_two():
         i, j = rng.sample(range(len(segments)), 2)
-        left, right = segments[i], segments[j]
-        merged = _Segment(Union(left.node, right.node),
-                          {**left.colors, **right.colors},
-                          left.edges | right.edges)
+        (left, left_state), (right, right_state) = segments[i], segments[j]
         for idx in sorted((i, j), reverse=True):
             del segments[idx]
-        segments.append(merged)
+        node = Union(left, right)
+        segments.append((node, core.step(node, (left_state, right_state))[0]))
 
-    def try_mutate(seg: _Segment) -> bool:
-        kind = rng.choice(("join", "join", "recolor"))
-        if kind == "join":
-            cands = _join_candidates(seg)
+    def try_mutate(idx: int) -> bool:
+        node, state = segments[idx]
+        used = sorted(state)
+        if rng.choice(("join", "join", "recolor")) == "join":
+            cands = [(a, b) for i, a in enumerate(used) for b in used[i + 1:]
+                     if next(core.new_edges(state, a, b), None) is not None]
             if not cands:
                 return False
             a, b = rng.choice(cands)
             if rng.random() < 0.5:
                 a, b = b, a
-            _apply_join(seg, a, b)
+            node = Join(a, b, node)
         else:
-            cands = _recolor_candidates(seg)
+            cands = [(a, b) for a in used for b in used if a != b]
             if not cands:
                 return False
-            _apply_recolor(seg, *rng.choice(cands))
+            node = Recolor(*rng.choice(cands), node)
+        segments[idx] = (node, core.step(node, (state,))[0])
         return True
 
     while len(segments) > 1:
         move = rng.choices(("union", "mutate"), weights=(2, 3))[0]
         if move == "mutate":
-            if not try_mutate(segments[rng.randrange(len(segments))]):
+            if not try_mutate(rng.randrange(len(segments))):
                 merge_two()
         else:
             merge_two()
     for _ in range(rng.randint(1, 5)):
-        if not try_mutate(segments[0]):
+        if not try_mutate(0):
             break
-    return CwExpr(palette, segments[0].node)
+    return CwExpr(palette, segments[0][0])
 
 
 def generate_corpus(seed: int, count: int, max_palette: int, max_leaves: int):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .decomposition import CheckResult, VerificationReport
+from .decomposition import VerificationReport, _verdict
 from .errors import ContractError, InputError
 from .graphs import (INFINITE, Graph, connected_components, set_distance,
                      weak_diameter)
@@ -26,8 +26,8 @@ class ControlDilation:
     slope: float
 
     def __post_init__(self):
-        if self.slope <= 0:
-            raise InputError("dilation needs slope > 0")
+        if not math.isfinite(self.slope) or self.slope <= 0:
+            raise InputError(f"dilation needs a finite slope > 0, got {self.slope}")
 
     def __call__(self, r):
         return self.slope * r
@@ -70,41 +70,27 @@ def validate_cover(g: Graph, cf: CoverFamily) -> VerificationReport:
                 raise InputError(f"cover mentions unknown vertex {v!r}")
         covered |= s
     missing = sorted(set(g.vertices) - covered)
-    coverage = CheckResult("coverage", not missing,
-                           None if not missing else f"uncovered vertices {missing[:5]}")
 
-    sep_ok, sep_wit = True, None
-    for idx, coll in enumerate(cf.collections):
-        for i, a in enumerate(coll):
-            for b in coll[i + 1:]:
-                if not a.isdisjoint(b):
-                    sep_ok, sep_wit = False, f"collection {idx} has overlapping sets"
-                    break
-                if set_distance(g, a, b) <= cf.r:
-                    sep_ok = False
-                    sep_wit = (f"collection {idx}: sets at distance "
-                               f"{set_distance(g, a, b)} <= scale {cf.r}")
-                    break
-            if not sep_ok:
-                break
-        if not sep_ok:
-            break
-    separation = CheckResult("separation", sep_ok, sep_wit)
+    def too_close():
+        for idx, coll in enumerate(cf.collections):
+            for i, a in enumerate(coll):
+                for b in coll[i + 1:]:
+                    if not a.isdisjoint(b):
+                        yield f"collection {idx} has overlapping sets"
+                    elif (d := set_distance(g, a, b)) <= cf.r:
+                        yield f"collection {idx}: sets at distance {d} <= scale {cf.r}"
 
-    diam_ok, diam_wit = True, None
-    for idx, coll in enumerate(cf.collections):
-        for s in coll:
-            d = weak_diameter(g, s)
-            if d > cf.diameter_bound:
-                diam_ok = False
-                diam_wit = (f"collection {idx}: set of size {len(s)} has weak "
-                            f"diameter {d} > bound {cf.diameter_bound}")
-                break
-        if not diam_ok:
-            break
-    diameter = CheckResult("diameter", diam_ok, diam_wit)
+    def too_wide():
+        for idx, coll in enumerate(cf.collections):
+            for s in coll:
+                if (d := weak_diameter(g, s)) > cf.diameter_bound:
+                    yield (f"collection {idx}: set of size {len(s)} has weak "
+                           f"diameter {d} > bound {cf.diameter_bound}")
 
-    return VerificationReport((coverage, separation, diameter))
+    return VerificationReport((
+        _verdict("coverage", [f"uncovered vertices {missing[:5]}"] if missing else []),
+        _verdict("separation", too_close()),
+        _verdict("diameter", too_wide())))
 
 
 def cover_by_components(g: Graph, r) -> CoverFamily:
@@ -125,6 +111,8 @@ def pullback_cover(f: QiMap, cover: CoverFamily, r, dilation) -> CoverFamily:
     bound is c*dilation(2*c*r) + c*c*r; the construction is checked against
     the sharper value c*dilation(c*r + c) + c*c before returning.
     """
+    if not math.isfinite(r):
+        raise InputError(f"pullback scale must be finite, got {r}")
     if r < 1:
         raise InputError("pullback scale must be >= 1")
     c = f.c

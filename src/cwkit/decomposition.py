@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from collections.abc import Mapping
 
 from .errors import ContractError, InputError
-from .expressions import (CwExpr, Join, Leaf, Recolor, Union, fold_postorder,
-                          validate_strict)
-from .graphs import (ColoredGraph, Graph, Partition, is_dominated, quotient)
+from .expressions import (CwExpr, Join, Leaf, Recolor, Union, _find,
+                          _Semantics, fold_postorder, validate_strict)
+from .graphs import (ColoredGraph, Graph, Partition, _connected_within, is_dominated,
+                     quotient)
 from .treedecomp import TreeDecomposition, is_tree, td_from_json_dict, td_to_dot, td_to_json_dict
 
 # Why each strictness rule matters to the construction below; quoted in the
@@ -32,7 +33,6 @@ _RULE_WHY = {
     "OP2_J_UNUSED": "the rainbow bag must already hold a part of the target colour",
     "OP3_NO_NEW_EDGE": "a join must add an edge so both colour classes are nonempty "
                        "and each merged part gains a domination witness",
-    "EMPTY_OPERAND": "every operand must contribute at least one part",
 }
 
 
@@ -46,101 +46,80 @@ class DecompositionResult:
     rainbow_node: int
 
 
-class _State:
-    __slots__ = ("parts", "colors", "nodes", "edges", "bags", "rainbow")
-
-    def __init__(self, parts, colors, nodes, edges, bags, rainbow):
-        self.parts = parts      # pid -> frozenset of vertices
-        self.colors = colors    # pid -> colour
-        self.nodes = nodes      # list of tree node ids (ints)
-        self.edges = edges      # list of (node, node)
-        self.bags = bags        # node -> frozenset of pids
-        self.rainbow = rainbow  # node id
-
-
 def decompose(e: CwExpr) -> DecompositionResult:
     """The partition plus quotient tree decomposition for a strict expression.
 
-    Deterministic: tree nodes are numbered in creation order, merged parts
-    are named merge(<colour>,<counter>), and the rainbow bag prefers parts
-    from the left operand's bag and then the smallest part id.
+    Deterministic: tree nodes are numbered in left-to-right postorder, merged
+    parts are named merge(<colour>,<counter>) in join order, and the rainbow
+    bag prefers parts from the left operand's bag and then the smallest part
+    id.  One fold over the expression; it stops at the first broken strict
+    rule and raises with validate_strict's first violation.
     """
-    report = validate_strict(e)
-    if not report.strict_valid:
-        v = report.first()
-        why = _RULE_WHY.get(v.rule, "required by the construction")
-        raise ContractError(f"expression is not strict: {v} ({why})")
-
-    node_counter = itertools.count()
+    core = _Semantics(e.k)
+    names = {}       # part -> part id
+    bags = []        # tree node -> parts, resolved to part ids at the end
+    tree_edges = []
     merge_counter = itertools.count()
 
-    def step(node, child_states):
+    # Each folded value is (state, rainbow node, the rainbow bag's parts by colour).
+    def step(node, kids):
+        states = tuple(kid[0] for kid in kids)
+        if isinstance(node, Join):
+            colors = (node.color_a, node.color_b)
+            sizes = [len(states[0].get(c, ())) for c in colors]
+        st, broken = core.step(node, states)
+        if broken:
+            v = validate_strict(e).first()
+            why = _RULE_WHY.get(v.rule, "required by the construction")
+            raise ContractError(f"expression is not strict: {v} ({why})")
         if isinstance(node, Leaf):
-            t = next(node_counter)
-            pid = node.vertex
-            return _State({pid: frozenset([pid])}, {pid: node.color},
-                          [t], [], {t: frozenset([pid])}, t)
+            part = st[node.color][0]
+            names[part] = node.vertex
+            bags.append([part])
+            return st, len(bags) - 1, {node.color: [part]}
         if isinstance(node, Union):
-            left, right = child_states
-            parts = dict(left.parts)
-            parts.update(right.parts)
-            colors = dict(left.colors)
-            colors.update(right.colors)
-            if len(parts) != len(left.parts) + len(right.parts):
-                raise ContractError("part id collision across union operands")
-            q = next(node_counter)
-            nodes = left.nodes + right.nodes + [q]
-            edges = left.edges + right.edges + [(q, left.rainbow), (q, right.rainbow)]
-            bags = dict(left.bags)
-            bags.update(right.bags)
-            chosen = []
-            left_bag = left.bags[left.rainbow]
-            right_bag = right.bags[right.rainbow]
-            for color in sorted(set(colors.values())):
-                cands = sorted(p for p in left_bag if colors[p] == color)
-                if not cands:
-                    cands = sorted(p for p in right_bag if colors[p] == color)
-                chosen.append(cands[0])
-            bags[q] = frozenset(chosen)
-            return _State(parts, colors, nodes, edges, bags, q)
-        st = child_states[0]
+            (_, left, left_rb), (_, right, right_rb) = kids
+            q = len(bags)
+            tree_edges.extend(((q, left), (q, right)))
+            chosen = {c: min(left_rb.get(c) or right_rb[c], key=names.get)
+                      for c in sorted(st)}
+            bags.append(list(chosen.values()))
+            return st, q, {c: [p] for c, p in chosen.items()}
+        _, rainbow, rb = kids[0]
         if isinstance(node, Recolor):
-            colors = {p: (node.new_color if c == node.old_color else c)
-                      for p, c in st.colors.items()}
-            return _State(st.parts, colors, st.nodes, st.edges, st.bags, st.rainbow)
-        # Join: fuse each of the two colour classes into a single part.
-        rewrite = {}
-        parts = dict(st.parts)
-        colors = dict(st.colors)
-        for color in (node.color_a, node.color_b):
-            members = sorted(p for p, c in st.colors.items() if c == color)
-            if not members:
+            moved = rb.pop(node.old_color, None)
+            if moved:
+                rb.setdefault(node.new_color, []).extend(moved)
+            return st, rainbow, rb
+        # Join: the core fused each of the two colour classes into one part.
+        for color, size in zip(colors, sizes):
+            if not size:
                 raise ContractError(f"join colour {color} has no parts; strictness should "
                                     "have guaranteed a nonempty class")
-            if len(members) == 1:
-                continue
-            merged_id = f"merge({color},{next(merge_counter)})"
-            merged = frozenset().union(*(st.parts[p] for p in members))
-            for p in members:
-                del parts[p]
-                del colors[p]
-                rewrite[p] = merged_id
-            parts[merged_id] = merged
-            colors[merged_id] = color
-        rb = st.bags[st.rainbow]
-        for color in (node.color_a, node.color_b):
-            if not any(st.colors[p] == color for p in rb):
+        for color in colors:
+            if color not in rb:
                 raise ContractError(f"rainbow bag lost colour {color} before a join")
-        if rewrite:
-            bags = {t: frozenset(rewrite.get(p, p) for p in b) for t, b in st.bags.items()}
-        else:
-            bags = st.bags
-        return _State(parts, colors, st.nodes, st.edges, bags, st.rainbow)
+        for color, size in zip(colors, sizes):
+            if size > 1:
+                fused = st[color][0]
+                names[fused] = f"merge({color},{next(merge_counter)})"
+                rb[color] = [fused]
+        return st, rainbow, rb
 
-    final = fold_postorder(e.root, step)
-    tree = Graph(final.nodes, final.edges)
-    return DecompositionResult(Partition(final.parts), dict(final.colors),
-                               TreeDecomposition(tree, final.bags), final.rainbow)
+    final, rainbow, _ = fold_postorder(e.root, step)
+
+    parts, part_colors = {}, {}
+    for color, bucket in final.items():
+        for part in bucket:
+            pid = names[part]
+            if pid in parts:
+                raise ContractError("part id collision across union operands")
+            parts[pid] = frozenset(core.names[v] for v in part.members)
+            part_colors[pid] = color
+    tree = Graph(range(len(bags)), tree_edges)
+    resolved = {t: frozenset(names[_find(p)] for p in bag) for t, bag in enumerate(bags)}
+    return DecompositionResult(Partition(parts), part_colors,
+                               TreeDecomposition(tree, resolved), rainbow)
 
 
 # ------------------------------------------------------------ verification
@@ -177,6 +156,12 @@ class VerificationReport:
         }
 
 
+def _verdict(name: str, witnesses) -> CheckResult:
+    """The check called name: failed, with the first witness, if there is one."""
+    witness = next(iter(witnesses), None)
+    return CheckResult(name, witness is None, witness)
+
+
 def verify_result(g: ColoredGraph, result: DecompositionResult) -> VerificationReport:
     """Re-check every property of a decomposition against the graph itself.
 
@@ -185,131 +170,86 @@ def verify_result(g: ColoredGraph, result: DecompositionResult) -> VerificationR
     width bound, the rainbow bag, and per-colour subtree connectivity are
     all established from scratch.  Each failed check carries a witness.
     """
-    checks = []
     p = result.partition
     td = result.tree
+    vertices = set(g.graph.vertices)
+    missing, extra = sorted(vertices - p.vertices), sorted(p.vertices - vertices)
+    checks = [_verdict("partition_covers", [f"missing={missing[:3]} extra={extra[:3]}"]
+                       if missing or extra else [])]
 
-    covered = p.vertices == set(g.graph.vertices)
-    wit = None
-    if not covered:
-        missing = sorted(set(g.graph.vertices) - p.vertices)
-        extra = sorted(p.vertices - set(g.graph.vertices))
-        wit = f"missing={missing[:3]} extra={extra[:3]}"
-    checks.append(CheckResult("partition_covers", covered, wit))
-
-    actual_colors = {}
-    mono_ok, wit = True, None
+    actual_colors, mixed = {}, []
     for pid, members in p:
         cols = sorted({g.color_of(v) for v in members if g.graph.has_vertex(v)})
         actual_colors[pid] = cols[0] if len(cols) == 1 else None
-        if len(cols) != 1 and mono_ok:
-            mono_ok, wit = False, f"part {pid!r} has colours {cols}"
-    checks.append(CheckResult("parts_monochromatic", mono_ok, wit))
+        if len(cols) != 1:
+            mixed.append(f"part {pid!r} has colours {cols}")
+    checks.append(_verdict("parts_monochromatic", mixed))
 
-    labels_ok, wit = True, None
     if set(result.part_colors) != set(p.ids):
-        labels_ok = False
-        wit = "part_colors keys do not match the partition"
+        mislabelled = ["part_colors keys do not match the partition"]
     else:
-        for pid in p.ids:
-            if actual_colors.get(pid) != result.part_colors[pid]:
-                labels_ok = False
-                wit = (f"part {pid!r} labelled {result.part_colors[pid]} but its "
-                       f"vertices are coloured {actual_colors.get(pid)}")
-                break
-    checks.append(CheckResult("part_colors_match", labels_ok, wit))
+        mislabelled = (f"part {pid!r} labelled {result.part_colors[pid]} but its "
+                       f"vertices are coloured {actual_colors.get(pid)}"
+                       for pid in p.ids if actual_colors.get(pid) != result.part_colors[pid])
+    checks.append(_verdict("part_colors_match", mislabelled))
 
-    dom_ok, wit = True, None
-    for pid, members in p:
-        if not all(g.graph.has_vertex(v) for v in members):
-            dom_ok, wit = False, f"part {pid!r} has vertices outside the graph"
-            break
-        ok, _ = is_dominated(g.graph, members)
-        if not ok:
-            dom_ok, wit = False, f"part {pid!r} fits in no closed neighborhood"
-            break
-    checks.append(CheckResult("parts_dominated", dom_ok, wit))
+    def undominated():
+        for pid, members in p:
+            if not all(g.graph.has_vertex(v) for v in members):
+                yield f"part {pid!r} has vertices outside the graph"
+            elif not is_dominated(g.graph, members)[0]:
+                yield f"part {pid!r} fits in no closed neighborhood"
+    checks.append(_verdict("parts_dominated", undominated()))
 
-    tree_ok, wit = True, None
     if not is_tree(td.tree):
-        tree_ok = False
-        wit = f"not a tree: {len(td.tree)} nodes, {td.tree.num_edges()} edges"
+        bad_tree = [f"not a tree: {len(td.tree)} nodes, {td.tree.num_edges()} edges"]
     else:
         stray = sorted({pid for b in td.bags.values() for pid in b} - set(p.ids))
-        if stray:
-            tree_ok, wit = False, f"bags mention unknown part ids {stray[:3]}"
-    checks.append(CheckResult("tree_valid", tree_ok, wit))
+        bad_tree = [f"bags mention unknown part ids {stray[:3]}"] if stray else []
+    checks.append(_verdict("tree_valid", bad_tree))
+    if bad_tree or missing or extra:
+        why = "not evaluated: tree or partition invalid"
+        checks.extend(CheckResult(name, False, why) for name in (
+            "bag_subtrees", "edges_covered", "width_bound", "rainbow_bag", "color_subtrees"))
+        return VerificationReport(tuple(checks))
 
-    if tree_ok and covered:
-        q_graph, _ = quotient(g.graph, p)
-
-        td1_ok, wit = True, None
+    def scattered_parts():
         for pid in p.ids:
             nodes = {t for t, b in td.bags.items() if pid in b}
             if not nodes:
-                td1_ok, wit = False, f"part {pid!r} appears in no bag"
-                break
-            if not _connected_in(td, nodes):
-                td1_ok, wit = False, f"bags holding part {pid!r} are disconnected"
-                break
-        checks.append(CheckResult("bag_subtrees", td1_ok, wit))
+                yield f"part {pid!r} appears in no bag"
+            elif not _connected_within(td.tree, nodes):
+                yield f"bags holding part {pid!r} are disconnected"
+    checks.append(_verdict("bag_subtrees", scattered_parts()))
 
-        td2_ok, wit = True, None
-        for u, v in q_graph.edges:
-            if not any(u in b and v in b for b in td.bags.values()):
-                td2_ok, wit = False, f"quotient edge ({u!r}, {v!r}) in no bag"
-                break
-        checks.append(CheckResult("edges_covered", td2_ok, wit))
+    q_graph, _ = quotient(g.graph, p)
+    checks.append(_verdict("edges_covered", (
+        f"quotient edge ({u!r}, {v!r}) in no bag" for u, v in q_graph.edges
+        if not any(u in b and v in b for b in td.bags.values()))))
 
-        big = max(len(b) for b in td.bags.values())
-        width_ok = big <= g.k
-        checks.append(CheckResult(
-            "width_bound", width_ok,
-            None if width_ok else f"bag of {big} parts exceeds palette {g.k}"))
+    big = max(len(b) for b in td.bags.values())
+    checks.append(_verdict("width_bound",
+                           [f"bag of {big} parts exceeds palette {g.k}"] if big > g.k else []))
 
-        used = sorted(g.used_colors())
-        rb_ok, wit = True, None
-        if result.rainbow_node not in td.bags:
-            rb_ok, wit = False, f"rainbow node {result.rainbow_node!r} not in the tree"
-        else:
-            bag = td.bags[result.rainbow_node]
-            for color in used:
-                if not any(actual_colors.get(pid) == color for pid in bag):
-                    rb_ok, wit = False, f"rainbow bag holds no part of colour {color}"
-                    break
-        checks.append(CheckResult("rainbow_bag", rb_ok, wit))
+    used = sorted(g.used_colors())
+    if result.rainbow_node not in td.bags:
+        no_rainbow = [f"rainbow node {result.rainbow_node!r} not in the tree"]
+    else:
+        bag = td.bags[result.rainbow_node]
+        no_rainbow = (f"rainbow bag holds no part of colour {color}" for color in used
+                      if not any(actual_colors.get(pid) == color for pid in bag))
+    checks.append(_verdict("rainbow_bag", no_rainbow))
 
-        cs_ok, wit = True, None
+    def scattered_colors():
         for color in used:
             nodes = {t for t, b in td.bags.items()
                      if any(actual_colors.get(pid) == color for pid in b)}
             if not nodes:
-                cs_ok, wit = False, f"no bag holds a part of colour {color}"
-                break
-            if not _connected_in(td, nodes):
-                cs_ok, wit = False, f"bags holding colour {color} are disconnected"
-                break
-        checks.append(CheckResult("color_subtrees", cs_ok, wit))
-    else:
-        why = "not evaluated: tree or partition invalid"
-        for name in ("bag_subtrees", "edges_covered", "width_bound",
-                     "rainbow_bag", "color_subtrees"):
-            checks.append(CheckResult(name, False, why))
-
+                yield f"no bag holds a part of colour {color}"
+            elif not _connected_within(td.tree, nodes):
+                yield f"bags holding colour {color} are disconnected"
+    checks.append(_verdict("color_subtrees", scattered_colors()))
     return VerificationReport(tuple(checks))
-
-
-def _connected_in(td: TreeDecomposition, nodes: set) -> bool:
-    start = next(iter(nodes))
-    seen = {start}
-    stack = [start]
-    while stack:
-        t = stack.pop()
-        for s in td.tree.neighbors(t):
-            if s in nodes and s not in seen:
-                seen.add(s)
-                stack.append(s)
-    return len(seen) == len(nodes)
 
 
 # ---------------------------------------------------------------- interop

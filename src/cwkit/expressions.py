@@ -21,6 +21,7 @@ least one new edge.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from collections.abc import Mapping
@@ -106,21 +107,13 @@ def _children(node: Node) -> tuple:
     return (node.child,)
 
 
-def _rebuild(node: Node, children: tuple) -> Node:
-    if isinstance(node, Leaf):
-        return node
-    if isinstance(node, Union):
-        return Union(*children)
-    if isinstance(node, Recolor):
-        return Recolor(node.old_color, node.new_color, children[0])
-    return Join(node.color_a, node.color_b, children[0])
-
-
 def fold_postorder(root: Node, fn):
-    """fn(node, child_values) folded bottom-up with an explicit stack.
+    """fn(node, child_values) folded bottom-up, left to right, with an explicit stack.
 
     Deep expressions (long paths give linearly deep ASTs) must not hit the
     interpreter recursion limit, so no recursion anywhere in this module.
+    Each value goes to exactly one parent, even where one node object
+    occurs twice, so fn may consume the values it is given.
     """
     order = []
     stack = [root]
@@ -128,10 +121,13 @@ def fold_postorder(root: Node, fn):
         node = stack.pop()
         order.append(node)
         stack.extend(_children(node))
-    memo = {}
+    values = []
     for node in reversed(order):
-        memo[id(node)] = fn(node, tuple(memo[id(c)] for c in _children(node)))
-    return memo[id(root)]
+        cut = len(values) - len(_children(node))
+        kids = tuple(values[cut:])
+        del values[cut:]
+        values.append(fn(node, kids))
+    return values[0]
 
 
 def walk_with_paths(root: Node):
@@ -181,11 +177,11 @@ def _tokenize(text: str, first_line: int):
     return tokens
 
 
-def _want_int(value, what, k, line, col, check_range=True):
+def _want_int(value, what, k, line, col):
     if not re.fullmatch(r"\d+", value):
         raise ParseError(f"{what} must be an integer, got {value!r}", line, col)
     n = int(value)
-    if check_range and not 1 <= n <= k:
+    if not 1 <= n <= k:
         raise ParseError(f"{what} {n} out of range 1..{k}", line, col)
     return n
 
@@ -302,7 +298,11 @@ def format_expr(e: CwExpr) -> str:
 
 def read_cwx(path) -> CwExpr:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse(text)
 
 
 def write_cwx(path, e: CwExpr) -> None:
@@ -310,35 +310,189 @@ def write_cwx(path, e: CwExpr) -> None:
         fh.write(format_expr(e))
 
 
-# ------------------------------------------------------------- evaluation
+# -------------------------------------------------------------- semantics
 
-def _eval_step(node, child_states, strict_union=True):
-    """States are (colors dict, edge set of (u,v) u<v pairs)."""
-    if isinstance(node, Leaf):
-        return {node.vertex: node.color}, frozenset()
-    if isinstance(node, Union):
-        (lc, le), (rc, re_) = child_states
-        if strict_union:
-            shared = set(lc) & set(rc)
-            if shared:
-                raise InputError(f"duplicate vertex id {sorted(shared)[0]!r} across union operands")
-        colors = dict(lc)
-        colors.update(rc)
-        return colors, le | re_
-    (colors, edges) = child_states[0]
-    if isinstance(node, Recolor):
-        out = {v: (node.new_color if c == node.old_color else c) for v, c in colors.items()}
-        return out, edges
-    # Join
-    cls_a = [v for v, c in colors.items() if c == node.color_a]
-    cls_b = [v for v, c in colors.items() if c == node.color_b]
-    new = set()
-    for u in cls_a:
-        for w in cls_b:
-            e = (u, w) if u < w else (w, u)
-            if e not in edges:
-                new.add(e)
-    return colors, edges | frozenset(new)
+class _Part:
+    """Vertices kept together; up is the part a join fused this one into."""
+
+    __slots__ = ("members", "up")
+
+    def __init__(self, members: list):
+        self.members = members
+        self.up = None
+
+
+def _find(part: _Part) -> _Part:
+    """The live part that part has been fused into, halving the path."""
+    while part.up is not None:
+        if part.up.up is not None:
+            part.up = part.up.up
+        part = part.up
+    return part
+
+
+def _fuse(parts: list) -> _Part:
+    """One part holding every vertex of parts; the others point up to it."""
+    if len(parts) == 1:
+        return parts[0]
+    big = max(parts, key=lambda p: len(p.members))
+    fused = _Part(big.members)
+    for p in parts:
+        if p is not big:
+            fused.members.extend(p.members)
+        p.up = fused
+    return fused
+
+
+def _pour(state: dict, color: int, parts: list) -> None:
+    """Add parts to the bucket of color, moving the shorter list."""
+    have = state.get(color)
+    if have is None:
+        state[color] = parts
+    elif len(have) >= len(parts):
+        have.extend(parts)
+    else:
+        parts.extend(have)
+        state[color] = parts
+
+
+def _outside(k: int, kind: str, *colors) -> list:
+    """A COLOR_RANGE violation for each colour outside 1..k."""
+    return [(RULE_COLOR_RANGE, f"{kind} colour {c} outside 1..{k}")
+            for c in colors if not 1 <= c <= k]
+
+
+class _State(dict):
+    """A subexpression: each colour in use maps to its bucket, a list of parts."""
+
+    __slots__ = ("first",)  # the vertex of its leftmost leaf
+
+
+class _Semantics:
+    """The leaf, union, recolor and join steps of one fold.
+
+    Every state of the fold shares one vertex table, one adjacency and one
+    record of the part pairs a join has already connected completely.
+    Vertices are numbered by leaf, so a vertex id that occurs twice is two
+    vertices until the union that meets both copies.  That union raises
+    InputError, or with merge_duplicates keeps the right operand's copy,
+    which takes over the left copy's edges.  Steps consume their input
+    states, so the states must come from one left-to-right fold.
+    """
+
+    def __init__(self, k: int, merge_duplicates: bool = False):
+        self.k = k
+        self.merge_duplicates = merge_duplicates
+        self.names = []    # vertex -> vertex id
+        self.leaves = []   # vertex -> the part its leaf made
+        self.adj = []      # vertex -> set of adjacent vertices
+        self.done = set()  # (part, part) pairs with every edge present
+        self.last = {}     # vertex id -> its latest vertex
+        self.dups = []     # heap of (-earlier vertex, id) not yet met at a union
+
+    def leaf(self, node: Leaf) -> _State:
+        v = len(self.names)
+        part = _Part([v])
+        self.names.append(node.vertex)
+        self.leaves.append(part)
+        self.adj.append(set())
+        if node.vertex in self.last:
+            heapq.heappush(self.dups, (-self.last[node.vertex], node.vertex))
+        self.last[node.vertex] = v
+        state = _State({node.color: [part]})
+        state.first = v
+        return state
+
+    def union(self, left: _State, right: _State) -> _State:
+        # A pending pair whose earlier copy is in left has its later one in
+        # right: a pair inside one operand was met at a union below this one.
+        met = []
+        while self.dups and -self.dups[0][0] >= left.first:
+            met.append(heapq.heappop(self.dups))
+        if met and not self.merge_duplicates:
+            name = min(name for _, name in met)
+            raise InputError(f"duplicate vertex id {name!r} across union operands")
+        for neg, name in met:
+            self._merge_copy(left, -neg, self.last[name])
+        for color, parts in right.items():
+            _pour(left, color, parts)
+        return left
+
+    def _merge_copy(self, state: _State, v: int, keep: int) -> None:
+        """Drop vertex v from state; keep, the later copy, takes its edges."""
+        part = _find(self.leaves[v])
+        part.members.remove(v)
+        if not part.members:
+            color = next(c for c, parts in state.items() if part in parts)
+            state[color].remove(part)
+            if not state[color]:
+                del state[color]
+        for w in self.adj[v]:
+            self.adj[w].discard(v)
+            self.adj[w].add(keep)
+            self.adj[keep].add(w)
+        self.adj[v] = set()
+
+    def recolor(self, state: _State, old: int, new: int) -> tuple:
+        """Repaint old as new; whether old and new were in use before."""
+        parts = state.pop(old, None)
+        had_new = new in state
+        if parts is not None:
+            _pour(state, new, parts)
+        return parts is not None, had_new
+
+    def new_edges(self, state: _State, a: int, b: int):
+        """The vertex pairs a join of a and b would add, lazily."""
+        for p in state.get(a, ()):
+            for q in state.get(b, ()):
+                if (p, q) in self.done:
+                    continue
+                for u in p.members:
+                    near = self.adj[u]
+                    for w in q.members:
+                        if w not in near:
+                            yield u, w
+
+    def join(self, state: _State, a: int, b: int) -> bool:
+        """Join a and b and fuse each class into one part; whether an edge is new."""
+        added = list(self.new_edges(state, a, b))
+        for u, w in added:
+            self.adj[u].add(w)
+            self.adj[w].add(u)
+        if a in state and b in state:
+            p, q = _fuse(state[a]), _fuse(state[b])
+            state[a], state[b] = [p], [q]
+            self.done.update(((p, q), (q, p)))
+        return bool(added)
+
+    def step(self, node: Node, kids: tuple) -> tuple:
+        """(state after node, its broken strict rules as (rule, message) pairs).
+
+        A duplicated vertex id has no message here: its message names a path.
+        """
+        k = self.k
+        if isinstance(node, Leaf):
+            broken = _outside(k, "leaf", node.color)
+            if node.vertex in self.last:
+                broken.append((RULE_DUP_VERTEX, None))
+            return self.leaf(node), broken
+        if isinstance(node, Union):
+            return self.union(*kids), []
+        state = kids[0]
+        if isinstance(node, Recolor):
+            old, new = node.old_color, node.new_color
+            broken = _outside(k, "recolor", old, new)
+            had_old, had_new = self.recolor(state, old, new)
+            if not had_old:
+                broken.append((RULE_OP2_I_UNUSED, f"recolor source colour {old} unused below"))
+            if not had_new:
+                broken.append((RULE_OP2_J_UNUSED, f"recolor target colour {new} unused below"))
+            return state, broken
+        a, b = node.color_a, node.color_b
+        broken = _outside(k, "join", a, b)
+        if not self.join(state, a, b):
+            broken.append((RULE_OP3_NO_NEW_EDGE, f"join of colours {a},{b} adds no new edge"))
+        return state, broken
 
 
 def evaluate(e: CwExpr) -> ColoredGraph:
@@ -347,7 +501,12 @@ def evaluate(e: CwExpr) -> ColoredGraph:
     Raises InputError on duplicate leaf vertex ids or colours outside 1..k;
     strictness side conditions are validate_strict's business, not ours.
     """
-    colors, edges = fold_postorder(e.root, _eval_step)
+    core = _Semantics(e.k)
+    state = fold_postorder(e.root, lambda node, kids: core.step(node, kids)[0])
+    color = {v: c for c, parts in state.items() for part in parts for v in part.members}
+    colors = {name: color[v] for v, name in enumerate(core.names)}
+    edges = [(core.names[u], core.names[w])
+             for u, near in enumerate(core.adj) for w in near if u < w]
     return ColoredGraph(Graph(colors, edges), e.k, colors)
 
 
@@ -385,57 +544,37 @@ class ValidationReport:
 
 
 def validate_strict(e: CwExpr) -> ValidationReport:
-    """Check every structural rule; reports all violations, raises nothing."""
-    states = {}
+    """Check every structural rule; reports all violations, raises nothing.
 
-    def step(node, child_states):
-        st = _eval_step(node, child_states, strict_union=False)
-        states[id(node)] = st
-        return st
+    A vertex id that occurs twice takes the right operand's colour at the
+    union that meets both copies.  Violations come in preorder, outermost
+    first; the tree is walked for their paths only when there are some.
+    """
+    core = _Semantics(e.k, merge_duplicates=True)
+    found = {}  # id(node) -> its broken rules, the same at every occurrence
+
+    def step(node, kids):
+        state, broken = core.step(node, kids)
+        if broken:
+            found[id(node)] = broken
+        return state
 
     fold_postorder(e.root, step)
-
+    if not found:
+        return ValidationReport(())
     violations = []
     seen_leaves = {}
     for path, node in walk_with_paths(e.root):
+        violations.extend(Violation(path, rule, message)
+                          for rule, message in found.get(id(node), ())
+                          if rule != RULE_DUP_VERTEX)
         if isinstance(node, Leaf):
-            if not 1 <= node.color <= e.k:
-                violations.append(Violation(path, RULE_COLOR_RANGE,
-                                            f"leaf colour {node.color} outside 1..{e.k}"))
             if node.vertex in seen_leaves:
                 violations.append(Violation(path, RULE_DUP_VERTEX,
                                             f"vertex id {node.vertex!r} already introduced at "
                                             f"{render_path(seen_leaves[node.vertex])}"))
             else:
                 seen_leaves[node.vertex] = path
-        elif isinstance(node, Union):
-            for idx, kid in enumerate(_children(node)):
-                if not states[id(kid)][0]:
-                    violations.append(Violation(path + (idx,), RULE_EMPTY_OPERAND,
-                                                "union operand denotes the empty graph"))
-        elif isinstance(node, Recolor):
-            for c in (node.old_color, node.new_color):
-                if not 1 <= c <= e.k:
-                    violations.append(Violation(path, RULE_COLOR_RANGE,
-                                                f"recolor colour {c} outside 1..{e.k}"))
-            child_colors = set(states[id(node.child)][0].values())
-            if node.old_color not in child_colors:
-                violations.append(Violation(path, RULE_OP2_I_UNUSED,
-                                            f"recolor source colour {node.old_color} unused below"))
-            if node.new_color not in child_colors:
-                violations.append(Violation(path, RULE_OP2_J_UNUSED,
-                                            f"recolor target colour {node.new_color} unused below"))
-        else:  # Join
-            for c in (node.color_a, node.color_b):
-                if not 1 <= c <= e.k:
-                    violations.append(Violation(path, RULE_COLOR_RANGE,
-                                                f"join colour {c} outside 1..{e.k}"))
-            before = states[id(node.child)][1]
-            after = states[id(node)][1]
-            if after == before:
-                violations.append(Violation(path, RULE_OP3_NO_NEW_EDGE,
-                                            f"join of colours {node.color_a},{node.color_b} "
-                                            "adds no new edge"))
     return ValidationReport(tuple(violations))
 
 
@@ -477,37 +616,29 @@ def normalize(e: CwExpr) -> CwExpr:
 
     The input must evaluate successfully and keep colours within 1..k.
     """
+    core = _Semantics(e.k)
+
     def step(node, kids):
-        # Each folded value is (rewritten node, (colors, edges) state).
+        # Each folded value is (rewritten node, state).
+        state, broken = core.step(node, tuple(st for _, st in kids))
+        rules = {rule for rule, _ in broken}
+        if RULE_COLOR_RANGE in rules:
+            if isinstance(node, Leaf):
+                raise InputError(broken[0][1])
+            raise InputError(f"{type(node).__name__.lower()} colour outside the palette")
         if isinstance(node, Leaf):
-            if not 1 <= node.color <= e.k:
-                raise InputError(f"leaf colour {node.color} outside 1..{e.k}")
-            return node, _eval_step(node, ())
+            return node, state
         if isinstance(node, Union):
-            (ln, ls), (rn, rs) = kids
-            return Union(ln, rn), _eval_step(node, (ls, rs))
-        (cn, cs) = kids[0]
-        if isinstance(node, Recolor):
-            if not (1 <= node.old_color <= e.k and 1 <= node.new_color <= e.k):
-                raise InputError("recolor colour outside the palette")
-            used = set(cs[0].values())
-            if node.old_color not in used:
-                return cn, cs
-            if node.new_color not in used:
-                swap = {node.old_color: node.new_color, node.new_color: node.old_color}
-                pn = _permute_node(cn, swap)
-                pcolors = {v: swap.get(c, c) for v, c in cs[0].items()}
-                return pn, (pcolors, cs[1])
-            new = Recolor(node.old_color, node.new_color, cn)
-            return new, _eval_step(new, (cs,))
-        # Join
-        if not (1 <= node.color_a <= e.k and 1 <= node.color_b <= e.k):
-            raise InputError("join colour outside the palette")
-        new = Join(node.color_a, node.color_b, cn)
-        st = _eval_step(new, (cs,))
-        if st[1] == cs[1]:
-            return cn, cs
-        return new, st
+            return Union(kids[0][0], kids[1][0]), state
+        child = kids[0][0]
+        if rules & {RULE_OP2_I_UNUSED, RULE_OP3_NO_NEW_EDGE}:
+            return child, state
+        if isinstance(node, Join):
+            return Join(node.color_a, node.color_b, child), state
+        old, new = node.old_color, node.new_color
+        if RULE_OP2_J_UNUSED in rules:
+            return _permute_node(child, {old: new, new: old}), state
+        return Recolor(old, new, child), state
 
     root, _ = fold_postorder(e.root, step)
     return CwExpr(e.k, root)

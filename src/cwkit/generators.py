@@ -12,12 +12,13 @@ leaves the evaluated graph untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Mapping
+from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import ContractError, InputError
 from .expressions import CwExpr, Join, Leaf, Recolor, Union, normalize
-from .graphs import Graph, closed_r_neighborhood, set_distance
+from .graphs import Graph, _connected_within, closed_r_neighborhood, set_distance
 from .quasiiso import QiMap, check_qi
 
 
@@ -361,10 +362,7 @@ def build_minor_model(h: Graph, g: Graph, f: QiMap, c: float) -> MinorModel:
     z = c * (c + 1)
     cut = int(z)  # floor; z is integral for integral c
     balls = {v: closed_r_neighborhood(source, [v], z) for v in h.vertices}
-    stretches = {}
-    for e, seq in paths.items():
-        last = len(seq) - 1
-        stretches[e] = frozenset(seq[m] for m in range(cut, last - cut + 1))
+    stretches = {e: frozenset(seq[cut:len(seq) - cut]) for e, seq in paths.items()}
 
     def apart(a, b, label_a, label_b):
         d = set_distance(source, a, b)
@@ -373,13 +371,11 @@ def build_minor_model(h: Graph, g: Graph, f: QiMap, c: float) -> MinorModel:
                                 f"need >= {2 * z}")
 
     hv = sorted(h.vertices)
-    for i, v in enumerate(hv):
-        for w in hv[i + 1:]:
-            apart(balls[v], balls[w], f"ball({v!r})", f"ball({w!r})")
+    for v, w in combinations(hv, 2):
+        apart(balls[v], balls[w], f"ball({v!r})", f"ball({w!r})")
     he = sorted(paths)
-    for i, e in enumerate(he):
-        for e2 in he[i + 1:]:
-            apart(stretches[e], stretches[e2], f"stretch{e!r}", f"stretch{e2!r}")
+    for e, e2 in combinations(he, 2):
+        apart(stretches[e], stretches[e2], f"stretch{e!r}", f"stretch{e2!r}")
     for e in he:
         for v in hv:
             if v in e:
@@ -394,32 +390,18 @@ def build_minor_model(h: Graph, g: Graph, f: QiMap, c: float) -> MinorModel:
     branch_sets = {v: fatten(balls[v]) for v in hv}
     edge_paths = {e: fatten(stretches[e]) for e in he}
 
-    def connected(s, label):
-        inside = set(s)
-        start = next(iter(inside))
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w in inside and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(inside):
-            raise ContractError(f"{label} is disconnected in the host")
-
     for v in hv:
-        connected(branch_sets[v], f"model set of {v!r}")
+        if not _connected_within(g, branch_sets[v]):
+            raise ContractError(f"model set of {v!r} is disconnected in the host")
     for e in he:
-        connected(edge_paths[e], f"model path of {e!r}")
-    for i, v in enumerate(hv):
-        for w in hv[i + 1:]:
-            if not branch_sets[v].isdisjoint(branch_sets[w]):
-                raise ContractError(f"model sets of {v!r} and {w!r} intersect")
-    for i, e in enumerate(he):
-        for e2 in he[i + 1:]:
-            if not edge_paths[e].isdisjoint(edge_paths[e2]):
-                raise ContractError(f"model paths of {e!r} and {e2!r} intersect")
+        if not _connected_within(g, edge_paths[e]):
+            raise ContractError(f"model path of {e!r} is disconnected in the host")
+    for v, w in combinations(hv, 2):
+        if not branch_sets[v].isdisjoint(branch_sets[w]):
+            raise ContractError(f"model sets of {v!r} and {w!r} intersect")
+    for e, e2 in combinations(he, 2):
+        if not edge_paths[e].isdisjoint(edge_paths[e2]):
+            raise ContractError(f"model paths of {e!r} and {e2!r} intersect")
     for e in he:
         for v in hv:
             meets = not edge_paths[e].isdisjoint(branch_sets[v])

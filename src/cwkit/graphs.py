@@ -168,6 +168,21 @@ def is_connected(g: Graph) -> bool:
     return len(g) <= 1 or len(bfs_distances(g, [g.vertices[0]])) == len(g)
 
 
+def _connected_within(g: Graph, nodes) -> bool:
+    """Whether nodes is nonempty and induces a connected subgraph of g."""
+    if not nodes:
+        return False
+    start = next(iter(nodes))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w in nodes and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(nodes)
+
+
 def is_dominated(g: Graph, s: Iterable) -> tuple:
     """Whether some vertex w has s inside its closed neighborhood.
 
@@ -375,13 +390,14 @@ def _dot_quote(x) -> str:
     return '"' + str(x).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _dot(g: Graph, name: str, label) -> str:
+    """GraphViz text for g with label(v) shown on each vertex v."""
+    lines = [f"graph {name} {{"]
+    lines += [f"  {_dot_quote(v)} [label={_dot_quote(label(v))}];" for v in g.vertices]
+    lines += [f"  {_dot_quote(u)} -- {_dot_quote(v)};" for u, v in g.edges]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
 def graph_to_dot(g: Graph, colors: Mapping | None = None, name: str = "G") -> str:
     """GraphViz text for the graph; colour shown in the vertex label."""
-    lines = [f"graph {name} {{"]
-    for v in g.vertices:
-        label = f"{v}:{colors[v]}" if colors is not None else str(v)
-        lines.append(f"  {_dot_quote(v)} [label={_dot_quote(label)}];")
-    for u, v in g.edges:
-        lines.append(f"  {_dot_quote(u)} -- {_dot_quote(v)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(g, name, str if colors is None else lambda v: f"{v}:{colors[v]}")

@@ -12,6 +12,7 @@ sizes this library works at.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from collections.abc import Mapping
 
@@ -30,8 +31,9 @@ class QiMap:
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise InputError(f"quasi-isometry parameter must be positive, got {self.c}")
+        if not math.isfinite(self.c) or self.c <= 0:
+            raise InputError(f"quasi-isometry parameter must be positive and finite, "
+                             f"got {self.c}")
         object.__setattr__(self, "mapping", dict(self.mapping))
         if set(self.mapping) != set(self.source.vertices):
             raise InputError("map must be defined on exactly the source vertices")
@@ -60,6 +62,11 @@ def projection_map(g: Graph, p: Partition, c: float | None = None) -> QiMap:
     return QiMap(g, q, proj, c)
 
 
+def _finite_or_none(x):
+    """Strict JSON has no infinities: an unbounded or empty margin is null."""
+    return x if math.isfinite(x) else None
+
+
 def _all_pairs(g: Graph) -> dict:
     return {v: bfs_distances(g, [v]) for v in g.vertices}
 
@@ -82,8 +89,7 @@ class QiReport:
         return self.bounds_ok and self.density_ok
 
     def to_json_dict(self) -> dict:
-        def num(x):
-            return None if x == INFINITE else x
+        num = _finite_or_none
         return {
             "ok": self.ok,
             "c": self.c,
@@ -166,10 +172,10 @@ class PartitionQiReport:
             "c": self.c,
             "lower": {"ok": self.lower_ok,
                       "witness": list(self.lower_witness) if self.lower_witness else None,
-                      "worst_margin": self.worst_lower_margin},
+                      "worst_margin": _finite_or_none(self.worst_lower_margin)},
             "upper": {"ok": self.upper_ok,
                       "witness": list(self.upper_witness) if self.upper_witness else None,
-                      "worst_margin": self.worst_upper_margin},
+                      "worst_margin": _finite_or_none(self.worst_upper_margin)},
         }
 
 

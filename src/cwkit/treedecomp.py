@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from collections.abc import Mapping
 
 from .errors import InputError, SizeCapError
-from .graphs import Graph, _dot_quote, bfs_distances, is_connected
+from .graphs import Graph, _connected_within, _dot, is_connected
 
 DEFAULT_TREEWIDTH_CAP = 12
 DEFAULT_MINOR_HOST_CAP = 50
@@ -73,21 +73,6 @@ def width(td: TreeDecomposition) -> int:
     return max(len(b) for b in td.bags.values()) - 1
 
 
-def _subtree_connected(td: TreeDecomposition, nodes: set) -> bool:
-    if not nodes:
-        return False
-    start = next(iter(nodes))
-    seen = {start}
-    stack = [start]
-    while stack:
-        t = stack.pop()
-        for s in td.tree.neighbors(t):
-            if s in nodes and s not in seen:
-                seen.add(s)
-                stack.append(s)
-    return len(seen) == len(nodes)
-
-
 @dataclass(frozen=True)
 class TdReport:
     """Per-property outcome of validate_td, first counterexample each."""
@@ -130,18 +115,12 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdReport:
     """
     if not is_tree(td.tree):
         raise InputError("decomposition tree is not a tree")
-    subtrees_ok, subtree_witness = True, None
-    for v in g.vertices:
-        nodes = {t for t, b in td.bags.items() if v in b}
-        if not nodes or not _subtree_connected(td, nodes):
-            subtrees_ok, subtree_witness = False, v
-            break
-    coverage_ok, coverage_witness = True, None
-    for u, v in g.edges:
-        if not any(u in b and v in b for b in td.bags.values()):
-            coverage_ok, coverage_witness = False, (u, v)
-            break
-    return TdReport(width(td), subtrees_ok, subtree_witness, coverage_ok, coverage_witness)
+    split = next((v for v in g.vertices
+                  if not _connected_within(td.tree, {t for t, b in td.bags.items() if v in b})),
+                 None)
+    uncovered = next(((u, v) for u, v in g.edges
+                      if not any(u in b and v in b for b in td.bags.values())), None)
+    return TdReport(width(td), split is None, split, uncovered is None, uncovered)
 
 
 # --------------------------------------------------------------- treewidth
@@ -374,11 +353,4 @@ def td_from_json_dict(obj: Mapping) -> TreeDecomposition:
 
 
 def td_to_dot(td: TreeDecomposition, name: str = "decomposition") -> str:
-    lines = [f"graph {name} {{"]
-    for t in td.tree.vertices:
-        label = "{" + ", ".join(str(x) for x in sorted(td.bags[t])) + "}"
-        lines.append(f"  {_dot_quote(t)} [label={_dot_quote(label)}];")
-    for u, v in td.tree.edges:
-        lines.append(f"  {_dot_quote(u)} -- {_dot_quote(v)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(td.tree, name, lambda t: "{" + ", ".join(str(x) for x in sorted(td.bags[t])) + "}")

@@ -23,6 +23,13 @@ VACUOUS_TEXT = """cw k=2
 """
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and the infinities, as strict JSON does."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -81,6 +88,14 @@ class TestEval:
         code, _, err = run(capsys, "eval", k2_file, "--out", str(dest))
         assert code == 3
         assert err.startswith("error:")
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.cwx"
+        bad.write_bytes("cw k=1\n(v caf\u00e9 1)\n".encode("latin-1"))
+        code, out, err = run(capsys, "eval", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "UTF-8" in err
 
 
 class TestDecompose:
@@ -226,6 +241,22 @@ class TestQiCheck:
         assert code == 3
         assert "expression file" in err
 
+    def test_one_vertex_prints_strict_json(self, capsys, tmp_path):
+        path = tmp_path / "one.cwx"
+        path.write_text("cw k=1\n(v a 1)\n")
+        code, out, _ = run(capsys, "qi-check", str(path))
+        assert code == 0
+        bounds = strict_json(out)["qi"]["distance_bounds"]
+        assert bounds["worst_lower_margin"] is None
+        assert bounds["worst_upper_margin"] is None
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_c_exits_3(self, capsys, k2_file, bad):
+        code, out, err = run(capsys, "qi-check", k2_file, "--c", bad)
+        assert code == 3
+        assert out == ""
+        assert "finite" in err
+
 
 class TestMinorModel:
     def test_default_clique_pullback(self, capsys):
@@ -283,6 +314,13 @@ class TestCoverPullback:
     def test_bad_slope_exits_3(self, capsys, k2_file):
         code, _, _ = run(capsys, "cover-pullback", k2_file, "--slope", "0")
         assert code == 3
+
+    @pytest.mark.parametrize("flag", ["--r", "--slope"])
+    def test_infinite_scale_or_slope_exits_3(self, capsys, k2_file, flag):
+        code, out, err = run(capsys, "cover-pullback", k2_file, flag, "inf")
+        assert code == 3
+        assert out == ""
+        assert "finite" in err
 
 
 class TestTreewidth:

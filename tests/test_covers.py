@@ -35,6 +35,11 @@ class TestControlDilation:
             with pytest.raises(InputError, match="slope > 0"):
                 ControlDilation(bad)
 
+    def test_slope_must_be_finite(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InputError, match="finite"):
+                ControlDilation(bad)
+
 
 class TestCoverFamily:
     def test_canonicalization(self):
@@ -154,6 +159,13 @@ class TestPullback:
         with pytest.raises(InputError, match=">= 1"):
             pullback_cover(identity_qi(g), cover_by_components(g, 0), 0.5,
                            ControlDilation(1))
+
+    def test_scale_must_be_finite(self):
+        g = three_points()
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InputError, match="finite"):
+                pullback_cover(identity_qi(g), cover_by_components(g, 0), bad,
+                               ControlDilation(1))
 
     def test_target_cover_hypotheses_enforced(self):
         g = G(path_data(4))

@@ -1,0 +1,221 @@
+"""Byte-level golden outputs of the expression core, plus its memory growth.
+
+The digests below were recorded from the implementation that copied whole
+colour dicts at every node.  Each one is the sha256 of the canonical JSON
+(sorted keys, no whitespace) of a list of outputs, so any change to what
+evaluate, decompose, verify_result, validate_strict, normalize or the
+generators produce on these inputs shows up here.
+
+The non-strict inputs are seeded mutations of corpus expressions: a
+duplicated leaf id, one node object used as both union operands, a join
+that adds no edge, and a recolor from or to a colour unused below.
+"""
+
+import hashlib
+import json
+import random
+import tracemalloc
+
+from cwkit import (CwExpr, InputError, Join, Leaf, Recolor, Union, decompose,
+                   evaluate, format_expr, gen_path, generate_corpus,
+                   graph_to_json_dict, normalize, result_to_json_dict,
+                   validate_strict, verify_result)
+
+from test_acceptance import (COUNT, MAX_K, MAX_LEAVES, SEED, clique_cases,
+                             path_cases, spider_cases)
+
+GOLDEN = {
+    "corpus_evaluate":
+        "ed28cdda94f1e78e3a70225a0643051c037a55045368958586c4ddbd257c564d",
+    "corpus_decompose":
+        "052feb73eb1625c4e3f035a9f4626ce27779243c12a79ad7ae67b95029a27895",
+    "corpus_verify":
+        "c35077a2a8cca9b37a2508509d47547890fd85b5f714dbd49502a7002b8d918d",
+    "sweep_format":
+        "57e85e0de6caa213ddbd40be0a1664a780857658a652358832fe2d6d8017582f",
+    "sweep_evaluate":
+        "3dd0aa70d10cf0f4fd6f6cce7dbb9d328b74a419b6630b514ea3a7ecefa553fc",
+    "sweep_decompose":
+        "c8c103ade311add9cfbff1b1c01edfe64ff50f745dc35e29ff6d3a16576625d2",
+    "sweep_verify":
+        "ed0aa73fa7e90b6c656033f0daee7bc13caf5d2a1a3b435604c5449b78067202",
+    "mutant_validate":
+        "b832537c72a0eace71c65027b45aafda4556a2503362a2807634aac6f04ba929",
+    "mutant_normalize":
+        "bc8262213b80463e275f29f17d9364cb3aa0b0d414230c6fa2935cec31b78fa3",
+}
+
+MUTANT_SEED = 8081
+MUTANT_COUNT = 200
+
+
+def digest(items) -> str:
+    text = json.dumps(list(items), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def eval_json(e):
+    cg = evaluate(e)
+    return {"k": e.k, "graph": graph_to_json_dict(cg.graph, cg.colors)}
+
+
+def pipeline_digests(exprs, prefix):
+    evals, decomps, verdicts = [], [], []
+    for e in exprs:
+        cg = evaluate(e)
+        result = decompose(e)
+        evals.append(eval_json(e))
+        decomps.append(result_to_json_dict(result))
+        verdicts.append(verify_result(cg, result).to_json_dict())
+    return {f"{prefix}_evaluate": digest(evals),
+            f"{prefix}_decompose": digest(decomps),
+            f"{prefix}_verify": digest(verdicts)}
+
+
+# ------------------------------------------------------------- mutations
+
+def children(node):
+    if isinstance(node, Leaf):
+        return ()
+    if isinstance(node, Union):
+        return (node.left, node.right)
+    return (node.child,)
+
+
+def paths(node, path=()):
+    out = [(path, node)]
+    for i, kid in enumerate(children(node)):
+        out.extend(paths(kid, path + (i,)))
+    return out
+
+
+def replace(node, path, new):
+    if not path:
+        return new
+    kids = list(children(node))
+    kids[path[0]] = replace(kids[path[0]], path[1:], new)
+    if isinstance(node, Union):
+        return Union(*kids)
+    if isinstance(node, Recolor):
+        return Recolor(node.old_color, node.new_color, kids[0])
+    return Join(node.color_a, node.color_b, kids[0])
+
+
+def used_colors(node):
+    """The colours in use after node, derived from the definitions alone."""
+    if isinstance(node, Leaf):
+        return {node.color}
+    if isinstance(node, Union):
+        return used_colors(node.left) | used_colors(node.right)
+    below = used_colors(node.child)
+    if isinstance(node, Recolor) and node.old_color in below:
+        return (below - {node.old_color}) | {node.new_color}
+    return below
+
+
+def mutate(rng, e):
+    """One non-strict variant of e; the kind is picked by rng."""
+    nodes = paths(e.root)
+    kind = rng.choice(("dup", "shared", "join", "recolor"))
+    if kind == "dup":
+        leaves = [(p, n) for p, n in nodes if isinstance(n, Leaf)]
+        if len(leaves) >= 2:
+            (path, leaf), (_, other) = rng.sample(leaves, 2)
+            return kind, CwExpr(e.k, replace(e.root, path, Leaf(other.vertex, leaf.color)))
+        kind = "shared"
+    if kind == "shared":
+        path, node = rng.choice(nodes)
+        return kind, CwExpr(e.k, replace(e.root, path, Union(node, node)))
+    if kind == "join":
+        joins = [(p, n) for p, n in nodes if isinstance(n, Join)]
+        if joins:
+            path, node = rng.choice(joins)
+            return kind, CwExpr(e.k, replace(e.root, path,
+                                             Join(node.color_a, node.color_b, node)))
+        kind = "recolor"
+    path, node = rng.choice(nodes)
+    used = used_colors(node)
+    palette = range(1, e.k + 2)  # k + 1 is never used, so unused is nonempty
+    unused = [c for c in palette if c not in used]
+    if rng.random() < 0.5:
+        old = rng.choice(unused)
+        new = rng.choice([c for c in palette if c != old])
+    else:
+        old = rng.choice(sorted(used))
+        new = rng.choice(unused)
+    return kind, CwExpr(e.k, replace(e.root, path, Recolor(old, new, node)))
+
+
+def mutants():
+    rng = random.Random(MUTANT_SEED)
+    exprs = generate_corpus(SEED, COUNT, MAX_K, MAX_LEAVES)
+    return [mutate(rng, rng.choice(exprs)) for _ in range(MUTANT_COUNT)]
+
+
+def normalized_text(e):
+    try:
+        return format_expr(normalize(e))
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+# ----------------------------------------------------------------- tests
+
+def test_corpus_outputs_match_golden():
+    got = pipeline_digests(generate_corpus(SEED, COUNT, MAX_K, MAX_LEAVES), "corpus")
+    assert got == {k: v for k, v in GOLDEN.items() if k.startswith("corpus_")}
+
+
+def test_generator_outputs_match_golden():
+    sweeps = list(path_cases()) + list(spider_cases()) + list(clique_cases())
+    exprs = [case[1] for case in sweeps]
+    got = pipeline_digests(exprs, "sweep")
+    got["sweep_format"] = digest(format_expr(e) for e in exprs)
+    assert got == {k: v for k, v in GOLDEN.items() if k.startswith("sweep_")}
+
+
+def test_non_strict_reports_match_golden():
+    cases = mutants()
+    kinds = {kind for kind, _ in cases}
+    assert kinds == {"dup", "shared", "join", "recolor"}
+    assert not any(validate_strict(e).strict_valid for _, e in cases)
+    got = {
+        "mutant_validate": digest(validate_strict(e).to_json_dict() for _, e in cases),
+        "mutant_normalize": digest(normalized_text(e) for _, e in cases),
+    }
+    assert got == {k: v for k, v in GOLDEN.items() if k.startswith("mutant_")}
+
+
+def test_duplicate_id_takes_the_right_operands_colour():
+    e = CwExpr(3, Recolor(1, 3, Union(Leaf("a", 1), Leaf("a", 2))))
+    report = validate_strict(e).to_json_dict()
+    assert [(v["path"], v["rule"]) for v in report["violations"]] == [
+        ("root", "OP2_I_UNUSED"), ("root", "OP2_J_UNUSED"),
+        ("root[0][1]", "DUP_VERTEX")]
+
+
+def test_shared_operand_reports_every_occurrence():
+    x = Recolor(2, 1, Leaf("a", 1))
+    report = validate_strict(CwExpr(2, Union(x, x))).to_json_dict()
+    assert [(v["path"], v["rule"]) for v in report["violations"]] == [
+        ("root[0]", "OP2_I_UNUSED"), ("root[1]", "OP2_I_UNUSED"),
+        ("root[1][0]", "DUP_VERTEX")]
+
+
+def core_peak(length) -> int:
+    e = gen_path("x", "y", length, 3, 1, 2, 1)
+    tracemalloc.start()
+    try:
+        evaluate(e)
+        validate_strict(e)
+        decompose(e)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_core_memory_grows_linearly():
+    # Built as ASTs, never as text: format_expr itself grows quadratically
+    # with depth.  Twice the length should cost about twice the memory.
+    small, large = core_peak(1000), core_peak(2000)
+    assert large < 3 * small, (small, large)

@@ -28,6 +28,30 @@ class TestQiMapValidation:
             with pytest.raises(InputError, match="must be positive"):
                 QiMap(g, g, {"p0": "p0", "p1": "p1"}, bad)
 
+    def test_parameter_must_be_finite(self):
+        g = G(path_data(2))
+        m = identity_map(g)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InputError, match="finite"):
+                QiMap(g, g, {"p0": "p0", "p1": "p1"}, bad)
+            with pytest.raises(InputError, match="finite"):
+                m.with_c(bad)
+
+    def test_nan_no_longer_passes_a_collapse(self):
+        # an 8-vertex path sent to one vertex is no 1-quasi-isometry; at
+        # c = nan every comparison was false, so the check used to pass
+        g = G(path_data(8))
+        point = Graph(["z"], [])
+        collapse = {v: "z" for v in g.vertices}
+        assert not check_qi(QiMap(g, point, collapse, 1)).ok
+        with pytest.raises(InputError, match="finite"):
+            QiMap(g, point, collapse, float("nan"))
+
+    def test_map_file_with_non_finite_c_rejected(self):
+        g = G(path_data(2))
+        with pytest.raises(InputError, match="finite"):
+            qimap_from_json_dict({"f": {"p0": "p0", "p1": "p1"}, "c": "nan"}, g, g)
+
     def test_domain_must_equal_source_vertices(self):
         g = G(path_data(3))
         with pytest.raises(InputError, match="exactly the source"):
