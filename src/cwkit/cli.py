@@ -17,7 +17,7 @@ from .corpus import generate_corpus
 from .covers import (ControlDilation, CoverFamily, cover_by_components,
                      cover_from_json_dict, cover_to_json_dict, pullback_cover,
                      validate_cover)
-from .decomposition import (decompose, result_to_dot, result_to_json_dict,
+from .decomposition import (_decompose, decompose, result_to_dot, result_to_json_dict,
                             verify_result)
 from .errors import ContractError, InputError, ParseError, SizeCapError
 from .expressions import (evaluate, format_expr, normalize, read_cwx,
@@ -94,8 +94,7 @@ def cmd_decompose(args) -> int:
     e = read_cwx(args.file)
     if args.normalize:
         e = normalize(e)
-    result = decompose(e)
-    cg = evaluate(e)
+    result, cg = _decompose(e, with_graph=True)
     report = verify_result(cg, result)
     if args.dot:
         _write(result_to_dot(result), args.out)

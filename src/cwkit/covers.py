@@ -49,6 +49,9 @@ class CoverFamily:
                 if not s:
                     raise InputError("cover sets must be nonempty")
         object.__setattr__(self, "collections", canon)
+        for what, x in (("scale", self.r), ("diameter bound", self.diameter_bound)):
+            if isinstance(x, float) and math.isnan(x):
+                raise InputError(f"cover {what} must be a number, got NaN")
         if self.r < 0:
             raise InputError("cover scale must be >= 0")
 

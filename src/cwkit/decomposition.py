@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from collections.abc import Mapping
 
 from .errors import ContractError, InputError
-from .expressions import (CwExpr, Join, Leaf, Recolor, Union, _find,
+from .expressions import (CwExpr, Join, Leaf, Recolor, Union, _find, _graph_of,
                           _Semantics, fold_postorder, validate_strict)
 from .graphs import (ColoredGraph, Graph, Partition, _connected_within, is_dominated,
                      quotient)
-from .treedecomp import TreeDecomposition, is_tree, td_from_json_dict, td_to_dot, td_to_json_dict
+from .treedecomp import (TreeDecomposition, _holding, is_tree, td_from_json_dict, td_to_dot,
+                         td_to_json_dict)
 
 # Why each strictness rule matters to the construction below; quoted in the
 # error raised on non-strict input.
@@ -55,6 +56,11 @@ def decompose(e: CwExpr) -> DecompositionResult:
     id.  One fold over the expression; it stops at the first broken strict
     rule and raises with validate_strict's first violation.
     """
+    return _decompose(e, with_graph=False)[0]
+
+
+def _decompose(e: CwExpr, with_graph: bool) -> tuple:
+    """(decompose(e), and with_graph the coloured graph e denotes, else None), in one fold."""
     core = _Semantics(e.k)
     names = {}       # part -> part id
     bags = []        # tree node -> parts, resolved to part ids at the end
@@ -118,8 +124,9 @@ def decompose(e: CwExpr) -> DecompositionResult:
             part_colors[pid] = color
     tree = Graph(range(len(bags)), tree_edges)
     resolved = {t: frozenset(names[_find(p)] for p in bag) for t, bag in enumerate(bags)}
-    return DecompositionResult(Partition(parts), part_colors,
-                               TreeDecomposition(tree, resolved), rainbow)
+    result = DecompositionResult(Partition(parts), part_colors,
+                                 TreeDecomposition(tree, resolved), rainbow)
+    return result, _graph_of(core, final) if with_graph else None
 
 
 # ------------------------------------------------------------ verification
@@ -169,6 +176,7 @@ def verify_result(g: ColoredGraph, result: DecompositionResult) -> VerificationR
     the quotient is rebuilt, and the two tree decomposition properties, the
     width bound, the rainbow bag, and per-colour subtree connectivity are
     all established from scratch.  Each failed check carries a witness.
+    The bags are inverted once, so no check rescans every bag.
     """
     p = result.partition
     td = result.tree
@@ -213,19 +221,20 @@ def verify_result(g: ColoredGraph, result: DecompositionResult) -> VerificationR
             "bag_subtrees", "edges_covered", "width_bound", "rainbow_bag", "color_subtrees"))
         return VerificationReport(tuple(checks))
 
+    holding = _holding(td, p.ids)
+
     def scattered_parts():
         for pid in p.ids:
-            nodes = {t for t, b in td.bags.items() if pid in b}
-            if not nodes:
+            if not holding[pid]:
                 yield f"part {pid!r} appears in no bag"
-            elif not _connected_within(td.tree, nodes):
+            elif not _connected_within(td.tree, holding[pid]):
                 yield f"bags holding part {pid!r} are disconnected"
     checks.append(_verdict("bag_subtrees", scattered_parts()))
 
     q_graph, _ = quotient(g.graph, p)
     checks.append(_verdict("edges_covered", (
         f"quotient edge ({u!r}, {v!r}) in no bag" for u, v in q_graph.edges
-        if not any(u in b and v in b for b in td.bags.values()))))
+        if holding[u].isdisjoint(holding[v]))))
 
     big = max(len(b) for b in td.bags.values())
     checks.append(_verdict("width_bound",
@@ -240,10 +249,13 @@ def verify_result(g: ColoredGraph, result: DecompositionResult) -> VerificationR
                       if not any(actual_colors.get(pid) == color for pid in bag))
     checks.append(_verdict("rainbow_bag", no_rainbow))
 
+    holding_color = {}
+    for pid in p.ids:
+        holding_color.setdefault(actual_colors[pid], set()).update(holding[pid])
+
     def scattered_colors():
         for color in used:
-            nodes = {t for t, b in td.bags.items()
-                     if any(actual_colors.get(pid) == color for pid in b)}
+            nodes = holding_color.get(color)
             if not nodes:
                 yield f"no bag holds a part of colour {color}"
             elif not _connected_within(td.tree, nodes):

@@ -313,13 +313,18 @@ def write_cwx(path, e: CwExpr) -> None:
 # -------------------------------------------------------------- semantics
 
 class _Part:
-    """Vertices kept together; up is the part a join fused this one into."""
+    """Vertices kept together; up is the part a join fused this one into.
 
-    __slots__ = ("members", "up")
+    full[q] = (i, j) records that members[:i] and q.members[:j] are fully
+    joined; fusion only appends to members, so the record stays true.
+    """
+
+    __slots__ = ("members", "up", "full")
 
     def __init__(self, members: list):
         self.members = members
         self.up = None
+        self.full = {}
 
 
 def _find(part: _Part) -> _Part:
@@ -332,16 +337,15 @@ def _find(part: _Part) -> _Part:
 
 
 def _fuse(parts: list) -> _Part:
-    """One part holding every vertex of parts; the others point up to it."""
+    """The largest of parts, grown by the vertices of the others, which point up to it."""
     if len(parts) == 1:
         return parts[0]
     big = max(parts, key=lambda p: len(p.members))
-    fused = _Part(big.members)
     for p in parts:
         if p is not big:
-            fused.members.extend(p.members)
-        p.up = fused
-    return fused
+            big.members.extend(p.members)
+            p.up = big
+    return big
 
 
 def _pour(state: dict, color: int, parts: list) -> None:
@@ -371,8 +375,8 @@ class _State(dict):
 class _Semantics:
     """The leaf, union, recolor and join steps of one fold.
 
-    Every state of the fold shares one vertex table, one adjacency and one
-    record of the part pairs a join has already connected completely.
+    Every state of the fold shares one vertex table and one adjacency; the
+    parts record which of their vertex pairs a join has already connected.
     Vertices are numbered by leaf, so a vertex id that occurs twice is two
     vertices until the union that meets both copies.  That union raises
     InputError, or with merge_duplicates keeps the right operand's copy,
@@ -386,7 +390,6 @@ class _Semantics:
         self.names = []    # vertex -> vertex id
         self.leaves = []   # vertex -> the part its leaf made
         self.adj = []      # vertex -> set of adjacent vertices
-        self.done = set()  # (part, part) pairs with every edge present
         self.last = {}     # vertex id -> its latest vertex
         self.dups = []     # heap of (-earlier vertex, id) not yet met at a union
 
@@ -422,6 +425,9 @@ class _Semantics:
         """Drop vertex v from state; keep, the later copy, takes its edges."""
         part = _find(self.leaves[v])
         part.members.remove(v)
+        for q in part.full:  # the removal shifts the recorded prefixes
+            del q.full[part]
+        part.full.clear()
         if not part.members:
             color = next(c for c, parts in state.items() if part in parts)
             state[color].remove(part)
@@ -442,16 +448,20 @@ class _Semantics:
         return parts is not None, had_new
 
     def new_edges(self, state: _State, a: int, b: int):
-        """The vertex pairs a join of a and b would add, lazily."""
+        """The vertex pairs a join of a and b would add, lazily; recorded pairs are skipped."""
+        adj = self.adj
         for p in state.get(a, ()):
             for q in state.get(b, ()):
-                if (p, q) in self.done:
-                    continue
-                for u in p.members:
-                    near = self.adj[u]
-                    for w in q.members:
-                        if w not in near:
-                            yield u, w
+                i, j = p.full.get(q, (0, 0))
+                blocks = ((p.members[i:] if i else p.members, q.members),)
+                if i and j < len(q.members):
+                    blocks += ((p.members[:i], q.members[j:]),)
+                for us, ws in blocks:
+                    for u in us:
+                        near = adj[u]
+                        for w in ws:
+                            if w not in near:
+                                yield u, w
 
     def join(self, state: _State, a: int, b: int) -> bool:
         """Join a and b and fuse each class into one part; whether an edge is new."""
@@ -462,7 +472,8 @@ class _Semantics:
         if a in state and b in state:
             p, q = _fuse(state[a]), _fuse(state[b])
             state[a], state[b] = [p], [q]
-            self.done.update(((p, q), (q, p)))
+            p.full[q] = (len(p.members), len(q.members))
+            q.full[p] = (len(q.members), len(p.members))
         return bool(added)
 
     def step(self, node: Node, kids: tuple) -> tuple:
@@ -503,11 +514,16 @@ def evaluate(e: CwExpr) -> ColoredGraph:
     """
     core = _Semantics(e.k)
     state = fold_postorder(e.root, lambda node, kids: core.step(node, kids)[0])
+    return _graph_of(core, state)
+
+
+def _graph_of(core: _Semantics, state: _State) -> ColoredGraph:
+    """The coloured graph of a fold's final state."""
     color = {v: c for c, parts in state.items() for part in parts for v in part.members}
     colors = {name: color[v] for v, name in enumerate(core.names)}
     edges = [(core.names[u], core.names[w])
              for u, near in enumerate(core.adj) for w in near if u < w]
-    return ColoredGraph(Graph(colors, edges), e.k, colors)
+    return ColoredGraph(Graph(colors, edges), core.k, colors)
 
 
 # ------------------------------------------------------------- validation

@@ -187,17 +187,20 @@ def is_dominated(g: Graph, s: Iterable) -> tuple:
     """Whether some vertex w has s inside its closed neighborhood.
 
     Returns (True, w) with the smallest such witness, or (False, None).
+    Every witness lies in the closed neighborhood of each member, so the
+    witnesses are the intersection of those neighborhoods, started from the
+    member of smallest degree: O(sum of the members' degrees).
     """
     s = frozenset(s)
     if not s:
         raise InputError("is_dominated of an empty set")
+    v0 = min(s, key=g.degree)
+    common = set(g.closed_neighborhood(v0))
     for v in s:
-        if not g.has_vertex(v):
-            raise InputError(f"unknown vertex {v!r}")
-    for w in g.vertices:
-        if s <= g.closed_neighborhood(w):
-            return True, w
-    return False, None
+        if not common:
+            break
+        common &= g.closed_neighborhood(v)
+    return (True, min(common)) if common else (False, None)
 
 
 class ColoredGraph:

@@ -115,12 +115,20 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdReport:
     """
     if not is_tree(td.tree):
         raise InputError("decomposition tree is not a tree")
-    split = next((v for v in g.vertices
-                  if not _connected_within(td.tree, {t for t, b in td.bags.items() if v in b})),
-                 None)
-    uncovered = next(((u, v) for u, v in g.edges
-                      if not any(u in b and v in b for b in td.bags.values())), None)
+    holding = _holding(td, g.vertices)
+    split = next((v for v in g.vertices if not _connected_within(td.tree, holding[v])), None)
+    uncovered = next(((u, v) for u, v in g.edges if holding[u].isdisjoint(holding[v])), None)
     return TdReport(width(td), split is None, split, uncovered is None, uncovered)
+
+
+def _holding(td: TreeDecomposition, ids) -> dict:
+    """Each of ids -> the set of tree nodes whose bags hold it; one pass over the bags."""
+    holding = {x: set() for x in ids}
+    for t, bag in td.bags.items():
+        for x in bag:
+            if x in holding:
+                holding[x].add(t)
+    return holding
 
 
 # --------------------------------------------------------------- treewidth

@@ -322,6 +322,17 @@ class TestCoverPullback:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("key", ["r", "bound"])
+    def test_nan_cover_file_exits_3(self, capsys, tmp_path, k2_file, key):
+        cover = {"collections": [[["a"]], [["b"]]], "r": 0, "bound": 0}
+        cover[key] = float("nan")
+        cpath = tmp_path / "cover.json"
+        cpath.write_text(json.dumps(cover))  # writes the bare token NaN
+        code, out, err = run(capsys, "cover-pullback", k2_file, "--cover", str(cpath))
+        assert code == 3
+        assert out == ""
+        assert "NaN" in err and "Traceback" not in err
+
 
 class TestTreewidth:
     def test_graph_json(self, capsys, tmp_path):

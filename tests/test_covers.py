@@ -58,6 +58,20 @@ class TestCoverFamily:
         with pytest.raises(InputError, match="scale"):
             CoverFamily(([["a"]],), -1, 0)
 
+    def test_rejects_nan_scale_and_bound(self):
+        nan = float("nan")
+        with pytest.raises(InputError, match="scale must be a number"):
+            CoverFamily(([["a"], ["b"]],), nan, 0)
+        with pytest.raises(InputError, match="diameter bound must be a number"):
+            CoverFamily(([["a"]],), 1, nan)
+        with pytest.raises(InputError, match="NaN"):
+            cover_from_json_dict(json.loads('{"collections": [[["a"]]], "r": NaN, "bound": 0}'))
+
+    def test_infinite_scale_and_bound_still_allowed(self):
+        cf = cover_from_json_dict({"collections": [[["a"]]], "r": "infinite",
+                                   "bound": "infinite"})
+        assert cf.r == INFINITE and cf.diameter_bound == INFINITE
+
 
 class TestValidateCover:
     def test_separated_singletons_pass(self):

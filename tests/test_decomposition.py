@@ -6,12 +6,14 @@ import json
 import pytest
 
 from cwkit import (ColoredGraph, ContractError, Graph, InputError, Partition,
-                   TreeDecomposition, brute_treewidth, decompose, evaluate,
-                   gen_subdivided_clique, parse, quotient, random_strict_expr,
+                   TreeDecomposition, brute_treewidth, decompose, evaluate, gen_path,
+                   gen_spider, gen_subdivided_clique, parse, quotient, random_strict_expr,
                    result_from_json_dict, result_to_dot, result_to_json_dict,
                    verify_result, width)
 
 import random
+
+from helpers import naive_verify_result
 
 K2_TEXT = """cw k=2
 (join 1 2
@@ -275,6 +277,94 @@ class TestVerifyCatchesMutations:
             "partition_covers", "parts_monochromatic", "part_colors_match",
             "parts_dominated", "tree_valid", "bag_subtrees", "edges_covered",
             "width_bound", "rainbow_bag", "color_subtrees"]
+
+
+def mutants(result, rng):
+    """The result with one planted defect each: a part dropped from one bag, a
+    tree edge rewired, two part colours swapped, and a part split in two."""
+    bags = dict(result.tree.bags)
+    full = [t for t, b in bags.items() if b]
+    t = rng.choice(full)
+    bags[t] = bags[t] - {rng.choice(sorted(bags[t]))}
+    yield with_bags(result, bags)
+
+    tree = result.tree.tree
+    if tree.edges:
+        edges = list(tree.edges)
+        a, _ = edges.pop(rng.randrange(len(edges)))
+        c = rng.choice(tree.vertices)
+        if c != a:
+            edges.append((a, c))
+        yield dataclasses.replace(result, tree=TreeDecomposition(
+            Graph(tree.vertices, edges), dict(result.tree.bags)))
+
+    colors = dict(result.part_colors)
+    ids = sorted(colors)
+    p, q = rng.choice(ids), rng.choice(ids)
+    colors[p], colors[q] = colors[q], colors[p]
+    yield dataclasses.replace(result, part_colors=colors)
+
+    big = [pid for pid, members in result.partition if len(members) > 1]
+    if big:
+        pid = rng.choice(big)
+        members = sorted(result.partition.part(pid))
+        cut = rng.randint(1, len(members) - 1)
+        parts = result.partition.as_dict()
+        parts[pid], parts[f"{pid}~"] = members[:cut], members[cut:]
+        colors = dict(result.part_colors)
+        colors[f"{pid}~"] = colors[pid]
+        bags = {t: b | {f"{pid}~"} if pid in b and rng.random() < 0.5 else b
+                for t, b in result.tree.bags.items()}
+        yield dataclasses.replace(result, partition=Partition(parts), part_colors=colors,
+                                  tree=TreeDecomposition(result.tree.tree, bags))
+
+
+class TestAgainstNaiveVerifier:
+    """verify_result's witnesses, byte for byte, against one rescan per question."""
+
+    def cases(self):
+        rng = random.Random(2718)
+        for _ in range(60):
+            yield random_strict_expr(rng, palette=rng.randint(2, 5), max_leaves=18)
+        for length in (1, 2, 7, 20):
+            yield gen_path("x", "y", length, 3, 1, 2, 1)
+        yield gen_spider(3, [2, 3, 1])
+        yield gen_subdivided_clique(4, 1)
+
+    def test_witnesses_match(self):
+        rng = random.Random(31)
+        seen_failures = set()
+        for e in self.cases():
+            g, result = evaluate(e), decompose(e)
+            for candidate in (result, *mutants(result, rng)):
+                want = naive_verify_result(g, candidate)
+                got = verify_result(g, candidate).to_json_dict()
+                assert json.dumps(got) == json.dumps(want)
+                seen_failures.update(c["name"] for c in want["checks"] if not c["ok"])
+        # the mutants reach every check that can fail on a well-formed result
+        assert seen_failures >= {"part_colors_match", "tree_valid", "bag_subtrees",
+                                 "edges_covered", "rainbow_bag", "color_subtrees"}
+
+
+class TestScaling:
+    def test_verify_result_neighbor_calls_grow_linearly(self, monkeypatch):
+        calls = []
+        original = Graph.neighbors
+
+        def counted(self, v):
+            calls.append(None)
+            return original(self, v)
+
+        counts = []
+        for length in (1000, 2000):
+            e = gen_path("x", "y", length, 3, 1, 2, 1)
+            g, result = evaluate(e), decompose(e)
+            calls.clear()
+            monkeypatch.setattr(Graph, "neighbors", counted)
+            assert verify_result(g, result).ok
+            monkeypatch.setattr(Graph, "neighbors", original)
+            counts.append(len(calls))
+        assert counts[1] < 2.5 * counts[0], counts
 
 
 class TestInterop:

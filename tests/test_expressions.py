@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cwkit import (CwExpr, InputError, Join, Leaf, ParseError, Recolor, Union,
                    evaluate, format_expr, normalize, parse, permute_colors,
                    validate_strict)
+from cwkit import expressions
 from cwkit.corpus import random_strict_expr
 from cwkit.expressions import (RULE_COLOR_RANGE, RULE_DUP_VERTEX,
                                RULE_EMPTY_OPERAND, RULE_OP2_I_UNUSED,
@@ -163,6 +164,57 @@ class TestEvaluation:
         assert len(cg.graph) == 1200
         text = format_expr(e)
         assert format_expr(parse(text)) == text
+
+
+class _CountingSet(set):
+    """An adjacency set that counts membership tests: one per vertex pair examined."""
+
+    lookups = 0
+
+    def __contains__(self, v):
+        _CountingSet.lookups += 1
+        return super().__contains__(v)
+
+
+def refused_joins(m):
+    """p:1, q:2, z:3 joined 1-2 and 1-3, then m rounds adding a colour-1 leaf
+    and joining 1-3, then 1-2: each round fuses the big colour-1 part again."""
+    node = Join(1, 3, Join(1, 2, Union(Union(Leaf("p", 1), Leaf("q", 2)), Leaf("z", 3))))
+    for i in range(m):
+        node = Join(1, 2, Join(1, 3, Union(node, Leaf(f"x{i}", 1))))
+    return CwExpr(3, node)
+
+
+class TestJoinCost:
+    def pairs_examined(self, monkeypatch, e):
+        original = expressions._Semantics.leaf
+
+        def leaf(self, node):
+            state = original(self, node)
+            self.adj[-1] = _CountingSet()
+            return state
+
+        monkeypatch.setattr(expressions._Semantics, "leaf", leaf)
+        _CountingSet.lookups = 0
+        cg = evaluate(e)
+        monkeypatch.setattr(expressions._Semantics, "leaf", original)
+        return cg, _CountingSet.lookups
+
+    def test_refused_part_is_not_rescanned(self, monkeypatch):
+        counts = []
+        for m in (250, 500, 1000):
+            cg, pairs = self.pairs_examined(monkeypatch, refused_joins(m))
+            assert cg.graph.num_edges() == 2 + 2 * m
+            counts.append(pairs)
+        assert counts[1] < 2.5 * counts[0] and counts[2] < 2.5 * counts[1], counts
+
+    def test_verdicts_survive_a_duplicate_removed_from_a_joined_part(self):
+        # {a, b} is joined to c, then x joins the part; the right copy of a
+        # takes the left one's place, and the last join still adds x--c.
+        inner = Join(1, 2, Union(Union(Leaf("a", 1), Leaf("b", 1)), Leaf("c", 2)))
+        grown = Join(1, 3, Union(inner, Union(Leaf("x", 1), Leaf("z", 3))))
+        e = CwExpr(3, Join(1, 2, Union(grown, Leaf("a", 3))))
+        assert [v.rule for v in validate_strict(e).violations] == [RULE_DUP_VERTEX]
 
 
 class TestValidation:

@@ -14,7 +14,7 @@ from cwkit import (INFINITE, ColoredGraph, Graph, InputError, Partition,
                    singleton_partition, weak_diameter)
 from cwkit.errors import ContractError
 
-from helpers import cycle_data, floyd_warshall, path_data, star_data
+from helpers import cycle_data, floyd_warshall, naive_dominated, path_data, star_data
 
 
 def G(data):
@@ -142,6 +142,22 @@ class TestDomination:
             ok, _ = is_dominated(g, members)
             if ok:
                 assert weak_diameter(g, members) <= 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 14), st.floats(0.05, 0.95))
+    def test_matches_naive_oracle(self, seed, n, density):
+        rng = random.Random(seed)
+        vs = [f"v{i}" for i in range(n)]
+        es = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:] if rng.random() < density]
+        members = rng.sample(vs, rng.randint(1, min(n, 4)))
+        assert is_dominated(Graph(vs, es), members) == naive_dominated(vs, es, members)
+
+    def test_rejects_empty_and_unknown_sets(self):
+        g = G(path_data(3))
+        with pytest.raises(InputError, match="empty"):
+            is_dominated(g, [])
+        with pytest.raises(InputError, match="unknown vertex 'zz'"):
+            is_dominated(g, ["p0", "zz"])
 
 
 class TestColoredGraph:
