@@ -14,7 +14,7 @@ import os
 import sys
 
 from .corpus import generate_corpus
-from .covers import (ControlDilation, CoverFamily, cover_by_components,
+from .covers import (ControlDilation, cover_by_components,
                      cover_from_json_dict, cover_to_json_dict, pullback_cover,
                      validate_cover)
 from .decomposition import (_decompose, decompose, result_to_dot, result_to_json_dict,
@@ -154,8 +154,7 @@ def cmd_corpus(args) -> int:
     for i, e in enumerate(exprs):
         name = f"expr_{i:04d}.cwx"
         write_cwx(os.path.join(args.out_dir, name), e)
-        cg = evaluate(e)
-        result = decompose(e)
+        result, cg = _decompose(e, with_graph=True)
         report = verify_result(cg, result)
         tight = check_partqi_tight(cg.graph, result.partition)
         qi3 = check_qi(projection_map(cg.graph, result.partition).with_c(3))
@@ -195,9 +194,7 @@ def cmd_qi_check(args) -> int:
         return 0 if rep.ok else 3
     if not args.file:
         raise InputError("give an expression file, or --map with --source/--target")
-    e = read_cwx(args.file)
-    cg = evaluate(e)
-    result = decompose(e)
+    result, cg = _decompose(read_cwx(args.file), with_graph=True)
     m = projection_map(cg.graph, result.partition)
     if args.c is not None:
         m = m.with_c(args.c)
@@ -231,9 +228,7 @@ def cmd_minor_model(args) -> int:
 
 
 def cmd_cover_pullback(args) -> int:
-    e = read_cwx(args.file)
-    cg = evaluate(e)
-    result = decompose(e)
+    result, cg = _decompose(read_cwx(args.file), with_graph=True)
     m = projection_map(cg.graph, result.partition)
     r_target = m.c * args.r + m.c
     if args.cover:
@@ -248,8 +243,7 @@ def cmd_cover_pullback(args) -> int:
         slope = max(1.0, worst / r_target)
     dilation = ControlDilation(slope)
     pulled = pullback_cover(m, target_cover, args.r, dilation)
-    revalidation = validate_cover(
-        cg.graph, CoverFamily(pulled.collections, pulled.r, pulled.diameter_bound))
+    revalidation = validate_cover(cg.graph, pulled)
     obj = {"c": m.c, "scale": args.r, "target_scale": r_target, "slope": slope,
            "cover": cover_to_json_dict(pulled),
            "validation": revalidation.to_json_dict()}
@@ -261,12 +255,13 @@ def cmd_cover_pullback(args) -> int:
 
 
 def cmd_treewidth(args) -> int:
-    g, _ = _load_graph(args.file)
-    if args.quotient:
-        if not str(args.file).endswith(".cwx"):
+    if args.quotient and str(args.file).endswith(".cwx"):
+        result, cg = _decompose(read_cwx(args.file), with_graph=True)
+        g, _ = quotient(cg.graph, result.partition)
+    else:
+        g, _ = _load_graph(args.file)
+        if args.quotient:
             raise InputError("--quotient needs a .cwx input")
-        result = decompose(read_cwx(args.file))
-        g, _ = quotient(g, result.partition)
     tw = brute_treewidth(g, cap=args.cap)
     _emit(args, {"treewidth": tw, "vertices": len(g)},
           [f"treewidth = {tw}", f"vertices = {len(g)}"])

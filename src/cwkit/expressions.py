@@ -130,15 +130,35 @@ def fold_postorder(root: Node, fn):
     return values[0]
 
 
+class _Path:
+    """A node's path as a link to its parent's; iterating gives the child indices."""
+
+    __slots__ = ("parent", "index")
+
+    def __init__(self, parent, index: int):
+        self.parent, self.index = parent, index
+
+    def __iter__(self):
+        steps, link = [], self
+        while link:  # the root's path is the empty tuple
+            steps.append(link.index)
+            link = link.parent
+        return reversed(steps)
+
+
 def walk_with_paths(root: Node):
-    """Yield (path, node) preorder; path is a tuple of child indices."""
+    """Yield (path, node) preorder; path iterates the child indices from the root.
+
+    Paths are parent links, so the walk takes memory linear in the tree
+    whatever its depth; tuple(path) spells one out.
+    """
     stack = [((), root)]
     while stack:
         path, node = stack.pop()
         yield path, node
         kids = _children(node)
         for i in range(len(kids) - 1, -1, -1):
-            stack.append((path + (i,), kids[i]))
+            stack.append((_Path(path, i), kids[i]))
 
 
 def render_path(path: tuple) -> str:
@@ -415,29 +435,34 @@ class _Semantics:
         if met and not self.merge_duplicates:
             name = min(name for _, name in met)
             raise InputError(f"duplicate vertex id {name!r} across union operands")
-        for neg, name in met:
-            self._merge_copy(left, -neg, self.last[name])
+        if met:
+            self._merge_copies(left, met)
         for color, parts in right.items():
             _pour(left, color, parts)
         return left
 
-    def _merge_copy(self, state: _State, v: int, keep: int) -> None:
-        """Drop vertex v from state; keep, the later copy, takes its edges."""
-        part = _find(self.leaves[v])
-        part.members.remove(v)
-        for q in part.full:  # the removal shifts the recorded prefixes
-            del q.full[part]
-        part.full.clear()
-        if not part.members:
-            color = next(c for c, parts in state.items() if part in parts)
-            state[color].remove(part)
-            if not state[color]:
-                del state[color]
-        for w in self.adj[v]:
-            self.adj[w].discard(v)
-            self.adj[w].add(keep)
-            self.adj[keep].add(w)
-        self.adj[v] = set()
+    def _merge_copies(self, state: _State, met: list) -> None:
+        """Drop the earlier copy of each met duplicate from state; the latest copy takes its edges."""
+        drop = {}  # part -> its vertices to drop
+        for neg, name in met:
+            v, keep = -neg, self.last[name]
+            drop.setdefault(_find(self.leaves[v]), set()).add(v)
+            for w in self.adj[v]:
+                self.adj[w].discard(v)
+                self.adj[w].add(keep)
+                self.adj[keep].add(w)
+            self.adj[v] = set()
+        for part, gone in drop.items():
+            part.members = [u for u in part.members if u not in gone]
+            for q in part.full:  # the removal shifts the recorded prefixes
+                del q.full[part]
+            part.full.clear()
+        emptied = {part for part in drop if not part.members}
+        if emptied:
+            for color, parts in list(state.items()):
+                parts[:] = [p for p in parts if p not in emptied]
+                if not parts:
+                    del state[color]
 
     def recolor(self, state: _State, old: int, new: int) -> tuple:
         """Repaint old as new; whether old and new were in use before."""
@@ -579,18 +604,17 @@ def validate_strict(e: CwExpr) -> ValidationReport:
     if not found:
         return ValidationReport(())
     violations = []
-    seen_leaves = {}
+    seen_leaves = {}  # vertex id -> the path of its first leaf
     for path, node in walk_with_paths(e.root):
-        violations.extend(Violation(path, rule, message)
+        violations.extend(Violation(tuple(path), rule, message)
                           for rule, message in found.get(id(node), ())
                           if rule != RULE_DUP_VERTEX)
         if isinstance(node, Leaf):
-            if node.vertex in seen_leaves:
-                violations.append(Violation(path, RULE_DUP_VERTEX,
+            first = seen_leaves.setdefault(node.vertex, path)
+            if first is not path:
+                violations.append(Violation(tuple(path), RULE_DUP_VERTEX,
                                             f"vertex id {node.vertex!r} already introduced at "
-                                            f"{render_path(seen_leaves[node.vertex])}"))
-            else:
-                seen_leaves[node.vertex] = path
+                                            f"{render_path(first)}"))
     return ValidationReport(tuple(violations))
 
 

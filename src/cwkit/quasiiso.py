@@ -6,8 +6,10 @@ A map f between graphs is a c-quasi-isometry when for all x, y
 
 and every target vertex is within distance c of the image.  Infinite
 distances must match: a pair may be disconnected on both sides or neither.
-All checks below are exhaustive over vertex pairs, which is fine at the
-sizes this library works at.
+The tight projection bounds r/(c+1) - 1 <= r' <= r have the same shape, so
+both checks run one window scan over the source pairs.  It keeps one source
+BFS row at a time and one target row per image vertex, O(n + |image|*|target|)
+memory, and density is one multi-source BFS from the image.
 """
 
 from __future__ import annotations
@@ -57,8 +59,7 @@ def projection_map(g: Graph, p: Partition, c: float | None = None) -> QiMap:
     """
     q, proj = quotient(g, p)
     if c is None:
-        worst = max(weak_diameter(g, members) for _, members in p)
-        c = worst + 1
+        c = max(weak_diameter(g, members) for _, members in p) + 1
     return QiMap(g, q, proj, c)
 
 
@@ -67,8 +68,40 @@ def _finite_or_none(x):
     return x if math.isfinite(x) else None
 
 
-def _all_pairs(g: Graph) -> dict:
-    return {v: bfs_distances(g, [v]) for v in g.vertices}
+def _window(m: QiMap, a, b, g, d) -> tuple:
+    """Scan every source pair x < y against r/a - b <= r' <= g*r + d.
+
+    r and r' are the distances of x, y and of their images.  Returns the
+    worst lower and upper margins, max of r/a - b - r' and r' - g*r - d over
+    the pairs with both finite, then the first pair violating the lower
+    bound, the upper bound, and either.  A pair with exactly one of r, r'
+    infinite violates the bound that the infinity breaks.
+    """
+    f, vs = m.mapping, m.source.vertices
+    rows = {}  # image vertex -> its target BFS row
+    worst_lo = worst_up = -INFINITE
+    witnesses = [None, None, None]
+    for i, x in enumerate(vs):
+        dx = bfs_distances(m.source, [x])
+        tx = rows.get(f[x])
+        if tx is None:
+            tx = rows[f[x]] = bfs_distances(m.target, [f[x]])
+        for y in vs[i + 1:]:
+            r, rp = dx.get(y, INFINITE), tx.get(f[y], INFINITE)
+            if r == INFINITE or rp == INFINITE:
+                if r == rp:
+                    continue
+                hits, why = (r == INFINITE, rp == INFINITE), "one side disconnected, the other not"
+            else:
+                lo, up = r / a - b - rp, rp - g * r - d
+                worst_lo, worst_up = max(worst_lo, lo), max(worst_up, up)
+                if lo <= 0 and up <= 0:
+                    continue
+                hits, why = (lo > 0, up > 0), f"dist {r} maps to {rp}"
+            for k, hit in enumerate(hits + (True,)):
+                if hit and witnesses[k] is None:
+                    witnesses[k] = (x, y, why)
+    return (worst_lo, worst_up, *witnesses)
 
 
 @dataclass(frozen=True)
@@ -112,42 +145,12 @@ def check_qi(m: QiMap) -> QiReport:
     dist(fx,fy) - c*dist(x,y) - c.
     """
     c = m.c
-    sdist = _all_pairs(m.source)
-    tdist = _all_pairs(m.target)
-    vs = m.source.vertices
-
-    bounds_ok, witness = True, None
-    worst_lower = -INFINITE
-    worst_upper = -INFINITE
-    for i, x in enumerate(vs):
-        dx = sdist[x]
-        for y in vs[i + 1:]:
-            r = dx.get(y, INFINITE)
-            rp = tdist[m(x)].get(m(y), INFINITE)
-            if r == INFINITE or rp == INFINITE:
-                if r != rp and bounds_ok:
-                    bounds_ok = False
-                    witness = (x, y, "one side disconnected, the other not")
-                continue
-            lower = r / c - c - rp
-            upper = rp - c * r - c
-            worst_lower = max(worst_lower, lower)
-            worst_upper = max(worst_upper, upper)
-            if (lower > 0 or upper > 0) and bounds_ok:
-                bounds_ok = False
-                witness = (x, y, f"dist {r} maps to {rp}")
-
-    image = {m(v) for v in vs}
-    density_ok, dwitness, dworst = True, None, 0
-    for w in m.target.vertices:
-        dw = bfs_distances(m.target, [w])
-        near = min((dw[x] for x in image if x in dw), default=INFINITE)
-        dworst = max(dworst, near)
-        if near > c and density_ok:
-            density_ok = False
-            dwitness = w
-    return QiReport(c, bounds_ok, witness, density_ok, dwitness,
-                    worst_lower, worst_upper, dworst)
+    worst_lower, worst_upper, _, _, witness = _window(m, c, c, c, c)
+    near = bfs_distances(m.target, set(m.mapping.values()))  # one BFS: distance is symmetric
+    gaps = [near.get(w, INFINITE) for w in m.target.vertices]
+    far = [w for w, gap in zip(m.target.vertices, gaps) if gap > c]
+    return QiReport(c, witness is None, witness, not far, far[0] if far else None,
+                    worst_lower, worst_upper, max([0] + gaps))
 
 
 @dataclass(frozen=True)
@@ -186,37 +189,13 @@ def check_partqi_tight(g: Graph, p: Partition) -> PartitionQiReport:
     r/(c+1) - 1 <= r' <= r must hold.  Parts spanning several components
     have infinite weak diameter and are rejected.
     """
-    diameters = [weak_diameter(g, members) for _, members in p]
-    c = max(diameters)
+    c = max(weak_diameter(g, members) for _, members in p)
     if c == INFINITE:
         raise InputError("a part has infinite weak diameter (spans components)")
-    q, proj = quotient(g, p)
-    qdist = _all_pairs(q)
-    vs = g.vertices
-
-    lower_ok = upper_ok = True
-    lower_wit = upper_wit = None
-    worst_lower = worst_upper = -INFINITE
-    for i, x in enumerate(vs):
-        dx = bfs_distances(g, [x])
-        for y in vs[i:]:
-            r = dx.get(y, INFINITE)
-            if r == INFINITE:
-                continue
-            rp = qdist[proj[x]].get(proj[y], INFINITE)
-            if rp == INFINITE:
-                lower_ok, lower_wit = False, (x, y, "quotient disconnects the pair")
-                continue
-            lo = r / (c + 1) - 1 - rp
-            up = rp - r
-            worst_lower = max(worst_lower, lo)
-            worst_upper = max(worst_upper, up)
-            if lo > 0 and lower_ok:
-                lower_ok, lower_wit = False, (x, y, f"dist {r} maps to {rp}")
-            if up > 0 and upper_ok:
-                upper_ok, upper_wit = False, (x, y, f"dist {r} maps to {rp}")
-    return PartitionQiReport(c, lower_ok, lower_wit, upper_ok, upper_wit,
-                             worst_lower, worst_upper)
+    # The pairs x == y, left out of the scan, give margins -1.0 and 0.
+    lo, up, lo_wit, up_wit, _ = _window(projection_map(g, p, c + 1), c + 1, 1, 1, 0)
+    return PartitionQiReport(c, lo_wit is None, lo_wit, up_wit is None, up_wit,
+                             max(-1.0, lo), max(0, up))
 
 
 # ---------------------------------------------------------------- interop

@@ -207,6 +207,95 @@ def naive_td_ok(graph_vertices, graph_edges, tree_edges, bags):
     return True
 
 
+def _first_max(values):
+    """The largest value, the earliest one on ties (so int or float as it came)."""
+    best = float("-inf")
+    for x in values:
+        if x > best:
+            best = x
+    return best
+
+
+def _finite_or_none(x):
+    return x if x not in (float("inf"), float("-inf")) else None
+
+
+def naive_check_qi(source, target, mapping, c):
+    """check_qi's report as a JSON dict, from two Floyd-Warshall tables.
+
+    source and target are (vertices, edges) pairs.  Pairs x < y are taken in
+    sorted order; the witness is the first pair outside the window
+    dist/c - c <= dist' <= c*dist + c, or the first whose two distances are
+    not both finite or both infinite.
+    """
+    svs, tvs = sorted(source[0]), sorted(target[0])
+    sd = floyd_warshall(svs, source[1])
+    td = floyd_warshall(tvs, target[1])
+    lows, ups, bad = [], [], []
+    for i, x in enumerate(svs):
+        for y in svs[i + 1:]:
+            r, rp = sd[x].get(y), td[mapping[x]].get(mapping[y])
+            if r is None or rp is None:
+                if (r is None) != (rp is None):
+                    bad.append((x, y, "one side disconnected, the other not"))
+                continue
+            lows.append(r / c - c - rp)
+            ups.append(rp - c * r - c)
+            if lows[-1] > 0 or ups[-1] > 0:
+                bad.append((x, y, f"dist {r} maps to {rp}"))
+    image = {mapping[v] for v in svs}
+    near = [min((td[w][u] for u in image if u in td[w]), default=float("inf"))
+            for w in tvs]
+    far = [w for w, d in zip(tvs, near) if d > c]
+    bounds_ok, density_ok = not bad, not far
+    return {"ok": bounds_ok and density_ok, "c": c,
+            "distance_bounds": {"ok": bounds_ok,
+                                "witness": list(bad[0]) if bad else None,
+                                "worst_lower_margin": _finite_or_none(_first_max(lows)),
+                                "worst_upper_margin": _finite_or_none(_first_max(ups))},
+            "density": {"ok": density_ok, "witness": far[0] if far else None,
+                        "worst": _finite_or_none(_first_max([0] + near))}}
+
+
+def naive_check_partqi_tight(vertices, edges, parts):
+    """check_partqi_tight's report as a JSON dict, or None when a part spans components.
+
+    c is the largest weak diameter of a part; every pair x <= y at finite
+    distance r, with quotient distance r', must satisfy r/(c+1) - 1 <= r' <= r.
+    A quotient map never lengthens a distance, so r' is finite wherever r is.
+    """
+    vs = sorted(vertices)
+    dist = floyd_warshall(vs, edges)
+    diameters = [max(dist[a].get(b, float("inf")) for a in members for b in members)
+                 for members in parts.values()]
+    c = max(diameters)
+    if c == float("inf"):
+        return None
+    owner = {v: pid for pid, members in parts.items() for v in members}
+    qedges = {(owner[u], owner[w]) for u, w in edges if owner[u] != owner[w]}
+    qdist = floyd_warshall(sorted(parts), qedges)
+    lows, ups, lower_bad, upper_bad = [], [], [], []
+    for i, x in enumerate(vs):
+        for y in vs[i:]:
+            r = dist[x].get(y)
+            if r is None:
+                continue
+            rp = qdist[owner[x]][owner[y]]
+            lows.append(r / (c + 1) - 1 - rp)
+            ups.append(rp - r)
+            if lows[-1] > 0:
+                lower_bad.append((x, y, f"dist {r} maps to {rp}"))
+            if ups[-1] > 0:
+                upper_bad.append((x, y, f"dist {r} maps to {rp}"))
+    return {"ok": not lower_bad and not upper_bad, "c": c,
+            "lower": {"ok": not lower_bad,
+                      "witness": list(lower_bad[0]) if lower_bad else None,
+                      "worst_margin": _finite_or_none(_first_max(lows))},
+            "upper": {"ok": not upper_bad,
+                      "witness": list(upper_bad[0]) if upper_bad else None,
+                      "worst_margin": _finite_or_none(_first_max(ups))}}
+
+
 # ---------------------------------------------------------- graph builders
 
 def path_data(n, prefix="p"):
@@ -239,3 +328,19 @@ def grid_data(rows, cols):
             if j + 1 < cols:
                 es.append((f"g{i}.{j}", f"g{i}.{j + 1}"))
     return vs, es
+
+
+def random_graph_data(rng, prefix):
+    """1 to 9 vertices with edges at a random density, often disconnected."""
+    vs = [f"{prefix}{i}" for i in range(rng.randint(1, 9))]
+    p = rng.choice((0.2, 0.4, 0.7))
+    return vs, [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:] if rng.random() < p]
+
+
+def random_groups(rng, vertices):
+    """A random partition of vertices into at most half as many groups, keyed 0, 1, ..."""
+    k = rng.randint(1, max(1, len(vertices) // 2))
+    groups = {}
+    for v in vertices:
+        groups.setdefault(rng.randrange(k), set()).add(v)
+    return groups

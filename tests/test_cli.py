@@ -413,3 +413,27 @@ class TestExportDot:
         assert code == 0
         assert out == ""
         assert dest.read_text().startswith("graph ")
+
+
+DUPLICATE_TEXT = """cw k=2
+(join 1 2 (union (v a 1) (union (v b 2) (v a 2))))
+"""
+
+
+class TestOneFoldPerVerdict:
+    """Subcommands that decompose an expression report non-strict input alike."""
+
+    def test_duplicate_id_gets_the_decompose_message(self, capsys, tmp_path):
+        path = tmp_path / "dup.cwx"
+        path.write_text(DUPLICATE_TEXT)
+        code, out, want = run(capsys, "decompose", str(path))
+        assert (code, out) == (3, "")
+        assert want.startswith("error: expression is not strict: ")
+        for argv in (("qi-check",), ("cover-pullback",), ("treewidth", "--quotient")):
+            assert run(capsys, argv[0], str(path), *argv[1:]) == (3, "", want), argv
+
+    def test_quotient_reads_a_graph_file_before_rejecting_it(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        code, _, _ = run(capsys, "treewidth", str(path), "--quotient")
+        assert code == 2

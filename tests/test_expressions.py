@@ -1,6 +1,7 @@
 """Parsing, printing, evaluation, validation, normalization."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,6 +216,83 @@ class TestJoinCost:
         grown = Join(1, 3, Union(inner, Union(Leaf("x", 1), Leaf("z", 3))))
         e = CwExpr(3, Join(1, 2, Union(grown, Leaf("a", 3))))
         assert [v.rule for v in validate_strict(e).violations] == [RULE_DUP_VERTEX]
+
+
+class _CountingList(list):
+    """A part's member list that counts the members each removal or pass scans."""
+
+    scanned = 0
+
+    def remove(self, v):
+        _CountingList.scanned += self.index(v) + 1
+        super().remove(v)
+
+    def __iter__(self):
+        _CountingList.scanned += len(self)
+        return super().__iter__()
+
+
+def balanced_union(nodes):
+    while len(nodes) > 1:
+        nodes = [Union(*nodes[i:i + 2]) if i + 1 < len(nodes) else nodes[i]
+                 for i in range(0, len(nodes), 2)]
+    return nodes[0]
+
+
+def duplicated_hub_part(m):
+    """m colour-1 leaves joined to a hub, so one part, unioned with m colour-3 copies."""
+    hubbed = Join(1, 2, Union(balanced_union([Leaf(f"x{i}", 1) for i in range(m)]),
+                              Leaf("hub", 2)))
+    return CwExpr(3, Union(hubbed, balanced_union([Leaf(f"x{i}", 3) for i in range(m)])))
+
+
+def left_comb(m):
+    """A left comb of m colour-1 leaves under a recolor from the unused colour 2."""
+    node = Leaf("x0", 1)
+    for i in range(1, m):
+        node = Union(node, Leaf(f"x{i}", 1))
+    return CwExpr(2, Recolor(2, 1, node))
+
+
+class TestValidationCost:
+    def members_scanned(self, monkeypatch, e):
+        original = expressions._Semantics.leaf
+
+        def leaf(self, node):
+            state = original(self, node)
+            self.leaves[-1].members = _CountingList(self.leaves[-1].members)
+            return state
+
+        monkeypatch.setattr(expressions._Semantics, "leaf", leaf)
+        _CountingList.scanned = 0
+        report = validate_strict(e)
+        monkeypatch.setattr(expressions._Semantics, "leaf", original)
+        return report, _CountingList.scanned
+
+    def test_duplicates_leave_a_part_in_one_pass(self, monkeypatch):
+        counts = []
+        for m in (500, 1000, 2000):
+            report, scanned = self.members_scanned(monkeypatch, duplicated_hub_part(m))
+            assert [v.rule for v in report.violations] == [RULE_DUP_VERTEX] * m
+            counts.append(scanned)
+        assert counts[1] < 2.5 * counts[0] and counts[2] < 2.5 * counts[1], counts
+
+    @staticmethod
+    def peak(e):
+        tracemalloc.start()
+        try:
+            report = validate_strict(e)
+            return report, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_violation_paths_on_a_deep_comb_take_linear_memory(self):
+        small_report, small = self.peak(left_comb(2000))
+        large_report, large = self.peak(left_comb(4000))
+        assert [str(v) for v in large_report.violations] == [
+            "OP2_I_UNUSED at root: recolor source colour 2 unused below"]
+        assert small_report.violations[0].path == ()
+        assert large < 3 * small, (small, large)
 
 
 class TestValidation:

@@ -1,26 +1,35 @@
-"""Byte-level golden outputs of the expression core, plus its memory growth.
+"""Byte-level golden outputs of the expression core and the metric layer.
 
 The digests below were recorded from the implementation that copied whole
 colour dicts at every node.  Each one is the sha256 of the canonical JSON
 (sorted keys, no whitespace) of a list of outputs, so any change to what
 evaluate, decompose, verify_result, validate_strict, normalize or the
-generators produce on these inputs shows up here.
+generators produce on these inputs shows up here.  The metric-layer digests
+(the qi-check, cover-pullback and minor-model CLI output, and the tight
+projection bounds on random partitions) were recorded from the
+implementation that kept an all-pairs distance table per graph.
 
 The non-strict inputs are seeded mutations of corpus expressions: a
 duplicated leaf id, one node object used as both union operands, a join
 that adds no edge, and a recolor from or to a colour unused below.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import tracemalloc
 
-from cwkit import (CwExpr, InputError, Join, Leaf, Recolor, Union, decompose,
-                   evaluate, format_expr, gen_path, generate_corpus,
-                   graph_to_json_dict, normalize, result_to_json_dict,
-                   validate_strict, verify_result)
+import pytest
 
+from cwkit import (CwExpr, Graph, InputError, Join, Leaf, Partition, Recolor, Union,
+                   check_partqi_tight, decompose, evaluate, format_expr, gen_path,
+                   generate_corpus, graph_to_json_dict, normalize, result_to_json_dict,
+                   validate_strict, verify_result, write_cwx)
+from cwkit.cli import main
+
+from helpers import random_graph_data, random_groups
 from test_acceptance import (COUNT, MAX_K, MAX_LEAVES, SEED, clique_cases,
                              path_cases, spider_cases)
 
@@ -219,3 +228,113 @@ def test_core_memory_grows_linearly():
     # with depth.  Twice the length should cost about twice the memory.
     small, large = core_peak(1000), core_peak(2000)
     assert large < 3 * small, (small, large)
+
+
+# ---------------------------------------------------------- metric layer
+
+METRIC_GOLDEN = {
+    "qi_check":
+        "e76458a069f6f19666431a21f18c9e4d0e14166e2a3d3bd4c9785db10975aad6",
+    "qi_check_c_sweep":
+        "f4c11f106dddad33506130a7bbeafa60e463d9ada0a3b13ccc4a6a08e7e98ae3",
+    "qi_check_random_maps":
+        "eda5a1200d8039fe80d279e5936eb37392166b0cd66c6b1680719d2d5d4ac624",
+    "cover_pullback":
+        "24f513a642eb8a2f3648814240250523d4712f9c81afb36f6e7e4ddb6e3e6189",
+    "minor_model":
+        "3f5ab961f2dd3e84549bf739f1a0e0e5a2359537d2f2ac40131bbfea6f431f0f",
+    "tight_random_partitions":
+        "19c6786ea469698f4bd8ea1bd7376f73ee0b8c6fa3f1f1c789a7fa0217e89712",
+}
+
+MAP_SEED = 4242
+C_SWEEP = ("0.5", "1", "2", "3")
+
+
+def cli(*argv):
+    """[exit code, stdout, stderr] of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return [code, out.getvalue(), err.getvalue()]
+
+
+@pytest.fixture(scope="module")
+def metric_files(tmp_path_factory):
+    """Every 4th acceptance-corpus expression and every generator sweep, as .cwx files."""
+    root = tmp_path_factory.mktemp("metric")
+    sweeps = list(path_cases()) + list(spider_cases()) + list(clique_cases())
+    exprs = generate_corpus(SEED, COUNT, MAX_K, MAX_LEAVES)[::4] + [c[1] for c in sweeps]
+    files = []
+    for i, e in enumerate(exprs):
+        path = root / f"e{i:04d}.cwx"
+        write_cwx(path, e)
+        files.append(path)
+    return files
+
+
+def random_map_runs(root):
+    """qi-check --map on random graph pairs, random maps and a sweep of c."""
+    rng = random.Random(MAP_SEED)
+    runs = []
+    for i in range(150):
+        src = Graph(*random_graph_data(rng, "s"))
+        tgt = src if rng.random() < 0.3 else Graph(*random_graph_data(rng, "t"))
+        if tgt is src and rng.random() < 0.5:
+            f = {v: v for v in src.vertices}
+        else:
+            f = {v: rng.choice(tgt.vertices) for v in src.vertices}
+        c = rng.choice((0.5, 1, 1.5, 2, 3, 4))
+        paths = [root / f"{name}{i}.json" for name in ("s", "t", "m")]
+        for path, obj in zip(paths, (graph_to_json_dict(src), graph_to_json_dict(tgt),
+                                     {"f": f, "c": c})):
+            path.write_text(json.dumps(obj))
+        argv = ["qi-check", "--map", paths[2], "--source", paths[0], "--target", paths[1]]
+        if rng.random() < 0.5:
+            argv += ["--c", rng.choice(C_SWEEP)]
+        runs.append(cli(*argv))
+    return runs
+
+
+def random_partition_reports():
+    """check_partqi_tight on random partitions of corpus graphs, or its error."""
+    rng = random.Random(MAP_SEED)
+    reports = []
+    for e in generate_corpus(SEED, COUNT, MAX_K, MAX_LEAVES)[::8]:
+        g = evaluate(e).graph
+        for _ in range(3):
+            try:
+                p = Partition(random_groups(rng, g.vertices))
+                reports.append(check_partqi_tight(g, p).to_json_dict())
+            except InputError as exc:
+                reports.append(f"InputError: {exc}")
+    return reports
+
+
+def test_qi_check_output_matches_golden(metric_files):
+    got = {"qi_check": digest(cli("qi-check", f) for f in metric_files),
+           "qi_check_c_sweep": digest(cli("qi-check", f, "--c", c)
+                                      for f in metric_files[::3] for c in C_SWEEP)}
+    assert got == {k: METRIC_GOLDEN[k] for k in got}
+
+
+def test_qi_check_random_maps_match_golden(tmp_path):
+    got = digest(random_map_runs(tmp_path))
+    assert got == METRIC_GOLDEN["qi_check_random_maps"]
+
+
+def test_cover_pullback_output_matches_golden(metric_files):
+    runs = [cli("cover-pullback", f, *extra) for f in metric_files
+            for extra in ((), ("--r", "2"))]
+    assert digest(runs) == METRIC_GOLDEN["cover_pullback"]
+
+
+def test_minor_model_output_matches_golden():
+    runs = [cli("minor-model", "--n", n, "--times", t, "--c", c)
+            for n in (3, 4, 5) for t in (3, 5, 7, 9) for c in ("1", "2")]
+    assert digest(runs) == METRIC_GOLDEN["minor_model"]
+
+
+def test_tight_bounds_on_random_partitions_match_golden():
+    got = digest(random_partition_reports())
+    assert got == METRIC_GOLDEN["tight_random_partitions"]

@@ -5,12 +5,16 @@ import random
 
 import pytest
 
+import cwkit.quasiiso as quasiiso
 from cwkit import (Graph, InputError, Partition, QiMap, check_partqi_tight,
-                   check_qi, decompose, evaluate, projection_map,
+                   check_qi, decompose, evaluate, generate_corpus, projection_map,
                    qimap_from_json_dict, qimap_to_json_dict,
                    random_strict_expr, singleton_partition)
 
-from helpers import cycle_data, path_data
+from helpers import (cycle_data, naive_check_partqi_tight, naive_check_qi, path_data,
+                     random_graph_data, random_groups)
+from test_acceptance import (COUNT, MAX_K, MAX_LEAVES, SEED, clique_cases,
+                             path_cases, spider_cases)
 
 
 def G(data):
@@ -216,3 +220,99 @@ class TestInterop:
             qimap_from_json_dict({"c": 1}, g, g)
         with pytest.raises(InputError, match="not a source vertex"):
             qimap_from_json_dict({"f": {"zz": "p0"}, "c": 1}, g, g)
+
+
+def as_json(obj) -> str:
+    """JSON text, so an int and the equal float still differ."""
+    return json.dumps(obj, sort_keys=True)
+
+
+def graph_data(g):
+    return list(g.vertices), list(g.edges)
+
+
+class TestAgainstNaiveOracles:
+    """Both checks, byte for byte against the Floyd-Warshall oracles in helpers.py."""
+
+    C_VALUES = (None, 0.5, 1, 2, 3)
+
+    def assert_qi_agrees(self, m):
+        for c in self.C_VALUES:
+            mc = m if c is None else m.with_c(c)
+            want = naive_check_qi(graph_data(mc.source), graph_data(mc.target),
+                                  mc.mapping, mc.c)
+            assert as_json(check_qi(mc).to_json_dict()) == as_json(want)
+
+    def assert_tight_agrees(self, g, p):
+        want = naive_check_partqi_tight(g.vertices, g.edges, p.as_dict())
+        if want is None:
+            with pytest.raises(InputError, match="infinite weak diameter"):
+                check_partqi_tight(g, p)
+        else:
+            assert as_json(check_partqi_tight(g, p).to_json_dict()) == as_json(want)
+
+    def test_corpus_and_generator_projections(self):
+        sweeps = list(path_cases()) + list(spider_cases()) + list(clique_cases())
+        exprs = (generate_corpus(SEED, COUNT, MAX_K, MAX_LEAVES)[::10]
+                 + [case[1] for case in sweeps][::2])
+        for e in exprs:
+            g, result = evaluate(e).graph, decompose(e)
+            self.assert_qi_agrees(projection_map(g, result.partition))
+            self.assert_tight_agrees(g, result.partition)
+
+    def test_random_maps(self):
+        rng = random.Random(77)
+        verdicts = set()
+        for _ in range(300):
+            src = Graph(*random_graph_data(rng, "s"))
+            tgt = src if rng.random() < 0.3 else Graph(*random_graph_data(rng, "t"))
+            f = {v: rng.choice(tgt.vertices) for v in src.vertices}
+            m = QiMap(src, tgt, f, rng.choice((1, 2.0, 4)))
+            self.assert_qi_agrees(m)
+            verdicts.add(check_qi(m).bounds_ok)
+        assert verdicts == {True, False}
+
+    def test_random_partitions(self):
+        rng = random.Random(78)
+        for e in generate_corpus(SEED, COUNT, MAX_K, MAX_LEAVES)[::13]:
+            g = evaluate(e).graph
+            for _ in range(3):
+                p = Partition(random_groups(rng, g.vertices))
+                self.assert_tight_agrees(g, p)
+                self.assert_qi_agrees(projection_map(g, p, 1))
+
+    def test_one_sided_disconnection_in_either_direction(self):
+        joined, apart = Graph(["a", "b"], [("a", "b")]), Graph(["a", "b"], [])
+        for src, tgt in ((joined, apart), (apart, joined)):
+            m = QiMap(src, tgt, {"a": "a", "b": "b"}, 2)
+            want = naive_check_qi(graph_data(src), graph_data(tgt), m.mapping, 2)
+            assert as_json(check_qi(m).to_json_dict()) == as_json(want)
+            assert check_qi(m).bounds_witness == ("a", "b", "one side disconnected, the other not")
+
+    def test_one_sided_disconnection_breaks_the_bound_the_infinity_breaks(self):
+        # check_partqi_tight cannot meet this case, so _window is asked directly
+        joined, apart = Graph(["a", "b"], [("a", "b")]), Graph(["a", "b"], [])
+        bad = ("a", "b", "one side disconnected, the other not")
+        lo = quasiiso._window(QiMap(apart, joined, {"a": "a", "b": "b"}, 2), 3, 1, 1, 0)
+        up = quasiiso._window(QiMap(joined, apart, {"a": "a", "b": "b"}, 2), 3, 1, 1, 0)
+        inf = float("inf")
+        assert lo == (-inf, -inf, bad, None, bad)
+        assert up == (-inf, -inf, None, bad, bad)
+
+
+class TestBfsCount:
+    def test_one_row_per_source_vertex_and_image_vertex_plus_one(self, monkeypatch):
+        calls = []
+        real = quasiiso.bfs_distances
+
+        def counting(g, sources):
+            calls.append(g)
+            return real(g, sources)
+
+        monkeypatch.setattr(quasiiso, "bfs_distances", counting)
+        src, tgt = G(path_data(8)), G(path_data(12, "q"))
+        m = QiMap(src, tgt, {v: f"q{i // 3}" for i, v in enumerate(src.vertices)}, 3)
+        check_qi(m)
+        image = set(m.mapping.values())
+        assert sum(g is src for g in calls) == len(src)
+        assert sum(g is tgt for g in calls) == len(image) + 1  # one row each, one density BFS
