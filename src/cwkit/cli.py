@@ -157,7 +157,7 @@ def cmd_corpus(args) -> int:
         result, cg = _decompose(e, with_graph=True)
         report = verify_result(cg, result)
         tight = check_partqi_tight(cg.graph, result.partition)
-        qi3 = check_qi(projection_map(cg.graph, result.partition).with_c(3))
+        qi3 = check_qi(projection_map(cg.graph, result.partition, 3.0))
         ok = report.ok and tight.ok and qi3.ok
         failed = [c.name for c in report.failed()]
         if not tight.ok:
@@ -195,11 +195,13 @@ def cmd_qi_check(args) -> int:
     if not args.file:
         raise InputError("give an expression file, or --map with --source/--target")
     result, cg = _decompose(read_cwx(args.file), with_graph=True)
-    m = projection_map(cg.graph, result.partition)
+    # The tight check's c is the largest weak diameter of a part, so one
+    # more is the projection's default c: no second weak-diameter pass.
+    tight = check_partqi_tight(cg.graph, result.partition)
+    m = projection_map(cg.graph, result.partition, tight.c + 1)
     if args.c is not None:
         m = m.with_c(args.c)
     rep = check_qi(m)
-    tight = check_partqi_tight(cg.graph, result.partition)
     obj = {"c": m.c, "qi": rep.to_json_dict(),
            "tight_projection_bounds": tight.to_json_dict()}
     _emit(args, obj, [f"c = {m.c}",
@@ -238,8 +240,10 @@ def cmd_cover_pullback(args) -> int:
     if args.slope is not None:
         slope = args.slope
     else:
-        worst = max((weak_diameter(m.target, s) for s in target_cover.all_sets()),
-                    default=0)
+        # The components cover's bound is the largest weak diameter of its
+        # sets; a cover file's bound is not trusted, so its sets are measured.
+        worst = (max((weak_diameter(m.target, s) for s in target_cover.all_sets()),
+                     default=0) if args.cover else target_cover.diameter_bound)
         slope = max(1.0, worst / r_target)
     dilation = ControlDilation(slope)
     pulled = pullback_cover(m, target_cover, args.r, dilation)

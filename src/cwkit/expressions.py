@@ -167,153 +167,122 @@ def render_path(path: tuple) -> str:
 
 # ---------------------------------------------------------------- parsing
 
-_HEADER_RE = re.compile(r"^\s*cw\s+k\s*=\s*(\d+)\s*$")
+_BLANK_LINES_RE = re.compile(r"(?:[^\S\n]*\n)*")
+_HEADER_RE = re.compile(r"\s*cw\s+k\s*=\s*(\d+)\s*$")
+_TOKEN_RE = re.compile(r"[()]|[A-Za-z0-9_.-]+")
+_STRAY_RE = re.compile(r"[^\s()A-Za-z0-9_.-]")
+
+# operator -> (which of its arguments are atoms, the error when they are not)
+_SHAPES = {
+    "v": ((True, True), "leaf takes a vertex id and a colour"),
+    "union": ((False, False), "union takes exactly two subexpressions"),
+    "recolor": ((True, True, False), "recolor takes two colours and one subexpression"),
+    "join": ((True, True, False), "join takes two colours and one subexpression"),
+}
 
 
-def _tokenize(text: str, first_line: int):
-    tokens = []
-    line, col = first_line, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch in "()":
-            tokens.append((ch, None, line, col))
-            col += 1
-            i += 1
-        else:
-            m = _ID_RE.match(text, i)
-            if not m:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-            tokens.append(("atom", m.group(0), line, col))
-            col += len(m.group(0))
-            i = m.end()
-    return tokens
+def _error(message: str, text: str, at: int) -> ParseError:
+    """A ParseError at offset at of text; only "\\n" starts a line."""
+    return ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
 
 
-def _want_int(value, what, k, line, col):
-    if not re.fullmatch(r"\d+", value):
-        raise ParseError(f"{what} must be an integer, got {value!r}", line, col)
-    n = int(value)
-    if not 1 <= n <= k:
-        raise ParseError(f"{what} {n} out of range 1..{k}", line, col)
-    return n
-
-
-def _is_node(x) -> bool:
-    return isinstance(x, (Leaf, Union, Recolor, Join))
-
-
-def _finish_frame(frame, k) -> Node:
-    kind, line, col, args = frame
-    if kind == "v":
-        if len(args) != 2 or _is_node(args[0]) or _is_node(args[1]):
-            raise ParseError("leaf takes a vertex id and a colour", line, col)
-        (_, vval, _, _), (_, cval, cline, ccol) = args
-        color = _want_int(cval, "leaf colour", k, cline, ccol)
-        return Leaf(vval, color)
+def _node(op, args: list, k: int, text: str) -> Node:
+    """The node an operator token and its arguments (atom tokens or nodes) make."""
+    kind = op.group()
+    shape, message = _SHAPES[kind]
+    if tuple(isinstance(a, re.Match) for a in args) != shape:
+        raise _error(message, text, op.start())
     if kind == "union":
-        if len(args) != 2 or not all(_is_node(a) for a in args):
-            raise ParseError("union takes exactly two subexpressions", line, col)
-        return Union(args[0], args[1])
-    # recolor / join: two colour atoms then one subexpression
-    if (len(args) != 3 or _is_node(args[0]) or _is_node(args[1])
-            or not _is_node(args[2])):
-        raise ParseError(f"{kind} takes two colours and one subexpression", line, col)
-    (_, ival, iline, icol), (_, jval, jline, jcol) = args[0], args[1]
-    ci = _want_int(ival, f"{kind} colour", k, iline, icol)
-    cj = _want_int(jval, f"{kind} colour", k, jline, jcol)
-    if ci == cj:
-        raise ParseError(f"{kind} colours must differ, both are {ci}", jline, jcol)
-    if kind == "recolor":
-        return Recolor(ci, cj, args[2])
-    return Join(ci, cj, args[2])
+        return Union(*args)
+    what = "leaf" if kind == "v" else kind
+    colors = []
+    for atom in (args[1:] if kind == "v" else args[:2]):
+        value = atom.group()
+        if not value.isdigit():
+            raise _error(f"{what} colour must be an integer, got {value!r}", text, atom.start())
+        if not 1 <= int(value) <= k:
+            raise _error(f"{what} colour {int(value)} out of range 1..{k}", text, atom.start())
+        colors.append(int(value))
+    if kind == "v":
+        return Leaf(args[0].group(), colors[0])
+    if colors[0] == colors[1]:
+        raise _error(f"{kind} colours must differ, both are {colors[0]}", text, args[1].start())
+    return (Recolor if kind == "recolor" else Join)(*colors, args[2])
 
 
 def parse(text: str) -> CwExpr:
-    """Parse a .cwx document (header line plus one expression)."""
-    lines = text.split("\n")
-    header_idx = None
-    for idx, raw in enumerate(lines):
-        if raw.strip():
-            header_idx = idx
-            break
-    if header_idx is None:
+    """Parse a .cwx document (header line plus one expression) in time linear in the text."""
+    start = _BLANK_LINES_RE.match(text).end()  # the header's line is the first nonblank
+    end = text.find("\n", start)
+    end = len(text) if end < 0 else end
+    if not text[start:end].strip():
         raise ParseError("empty input, expected a 'cw k=<int>' header", 1, 1)
-    m = _HEADER_RE.match(lines[header_idx])
+    m = _HEADER_RE.match(text, start, end)
     if not m:
-        raise ParseError("expected header 'cw k=<int>'", header_idx + 1, 1)
+        raise _error("expected header 'cw k=<int>'", text, start)
     k = int(m.group(1))
     if k < 1:
-        raise ParseError("palette size k must be >= 1", header_idx + 1, 1)
+        raise _error("palette size k must be >= 1", text, start)
+    stray = _STRAY_RE.search(text, end)
+    if stray:
+        raise _error(f"unexpected character {stray.group()!r}", text, stray.start())
 
-    body = "\n".join(lines[header_idx + 1:])
-    tokens = _tokenize(body, header_idx + 2)
-    if not tokens:
-        raise ParseError("missing expression after header", header_idx + 1, 1)
-
-    frames = []  # [kind, line, col, args]
-    root = None
-    pos = 0
-    while pos < len(tokens):
-        tok, val, line, col = tokens[pos]
-        pos += 1
+    frames = []  # (operator token, its arguments so far)
+    root = tok = None
+    tokens = _TOKEN_RE.finditer(text, end)
+    for tok in tokens:
         if root is not None:
-            raise ParseError("unexpected trailing input after expression", line, col)
-        if tok == "(":
-            if pos >= len(tokens) or tokens[pos][0] != "atom":
-                raise ParseError("expected an operator after '('", line, col)
-            _, kw, kline, kcol = tokens[pos]
-            pos += 1
-            if kw not in ("v", "union", "recolor", "join"):
-                raise ParseError(f"unknown operator {kw!r}", kline, kcol)
-            frames.append([kw, kline, kcol, []])
-        elif tok == ")":
+            raise _error("unexpected trailing input after expression", text, tok.start())
+        if tok.group() == "(":
+            paren, tok = tok, next(tokens, None)
+            if tok is None or tok.group() in "()":
+                raise _error("expected an operator after '('", text, paren.start())
+            if tok.group() not in _SHAPES:
+                raise _error(f"unknown operator {tok.group()!r}", text, tok.start())
+            frames.append((tok, []))
+        elif tok.group() == ")":
             if not frames:
-                raise ParseError("unmatched ')'", line, col)
-            node = _finish_frame(frames.pop(), k)
+                raise _error("unmatched ')'", text, tok.start())
+            node = _node(*frames.pop(), k, text)
             if frames:
-                frames[-1][3].append(node)
+                frames[-1][1].append(node)
             else:
                 root = node
-        else:  # atom
-            if not frames:
-                raise ParseError(f"unexpected atom {val!r} outside an expression", line, col)
-            frames[-1][3].append((tok, val, line, col))
+        elif not frames:
+            raise _error(f"unexpected atom {tok.group()!r} outside an expression", text, tok.start())
+        else:
+            frames[-1][1].append(tok)
+    if tok is None:
+        raise _error("missing expression after header", text, start)
     if root is None:
-        last = tokens[-1]
-        raise ParseError("unexpected end of input, unclosed '('", last[2], last[3])
+        raise _error("unexpected end of input, unclosed '('", text, tok.start())
     return CwExpr(k, root)
 
 
 # --------------------------------------------------------------- printing
 
 def format_expr(e: CwExpr) -> str:
-    """Canonical text: header, one node per line, two-space indent."""
+    """Canonical text: header, one node per line, two-space indent.
 
-    def fmt(node, child_lines):
+    One preorder pass writes each line once; a node's ')' goes on the line
+    of its last descendant, so each child carries the count still to close.
+    """
+    lines = []
+    stack = [(e.root, 0, 0)]  # (node, depth, parens to close after it)
+    while stack:
+        node, depth, closes = stack.pop()
         if isinstance(node, Leaf):
-            return [f"(v {node.vertex} {node.color})"]
-        if isinstance(node, Union):
+            head = f"(v {node.vertex} {node.color}){')' * closes}"
+        elif isinstance(node, Union):
             head = "(union"
         elif isinstance(node, Recolor):
             head = f"(recolor {node.old_color} {node.new_color}"
         else:
             head = f"(join {node.color_a} {node.color_b}"
-        lines = [head]
-        for kid in child_lines:
-            lines.extend("  " + ln for ln in kid)
-        lines[-1] += ")"
-        return lines
-
-    body = fold_postorder(e.root, fmt)
-    return f"cw k={e.k}\n" + "\n".join(body) + "\n"
+        lines.append("  " * depth + head)
+        for i, kid in enumerate(reversed(_children(node))):
+            stack.append((kid, depth + 1, 0 if i else closes + 1))
+    return f"cw k={e.k}\n" + "\n".join(lines) + "\n"
 
 
 def read_cwx(path) -> CwExpr:

@@ -168,19 +168,27 @@ def is_connected(g: Graph) -> bool:
     return len(g) <= 1 or len(bfs_distances(g, [g.vertices[0]])) == len(g)
 
 
+def _components_within(g: Graph, nodes) -> list:
+    """The vertex sets of the components of the subgraph of g induced by nodes."""
+    comps = []
+    left = set(nodes)
+    while left:
+        start = left.pop()
+        comp = {start}
+        stack = [start]
+        while stack:
+            for w in g.neighbors(stack.pop()):
+                if w in left:
+                    left.discard(w)
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps
+
+
 def _connected_within(g: Graph, nodes) -> bool:
     """Whether nodes is nonempty and induces a connected subgraph of g."""
-    if not nodes:
-        return False
-    start = next(iter(nodes))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in g.neighbors(stack.pop()):
-            if w in nodes and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(nodes)
+    return len(_components_within(g, nodes)) == 1
 
 
 def is_dominated(g: Graph, s: Iterable) -> tuple:
@@ -376,17 +384,43 @@ def graph_to_json_dict(g: Graph, colors: Mapping | None = None) -> dict:
 
 
 def graph_from_json_dict(obj: Mapping) -> tuple:
-    """Inverse of graph_to_json_dict; returns (graph, colors or None)."""
+    """Inverse of graph_to_json_dict; returns (graph, colors or None).
+
+    Every way a graph object can be malformed raises InputError.  Colour
+    keys are strings in JSON, so they name vertices through str(vertex).
+    """
     try:
         vertices = obj["vertices"]
         edges = [tuple(e) for e in obj["edges"]]
-    except (KeyError, TypeError) as exc:
+        colors = obj.get("colors")
+    except (AttributeError, KeyError, TypeError) as exc:
         raise InputError(f"malformed graph object: {exc}") from None
-    g = Graph(vertices, edges)
-    colors = obj.get("colors")
-    if colors is not None:
-        colors = {v: int(c) for v, c in colors.items()}
-    return g, colors
+    for e in edges:
+        if len(e) != 2:
+            raise InputError(f"malformed graph object: edge {list(e)!r} is not a pair")
+    try:
+        g = Graph(vertices, edges)
+    except TypeError as exc:  # unhashable ids, or ids of kinds that do not sort together
+        raise InputError(f"malformed graph object: vertex ids must be hashable "
+                         f"and mutually ordered: {exc}") from None
+    if colors is None:
+        return g, None
+    if not isinstance(colors, Mapping):
+        raise InputError("malformed graph object: colors must be an object")
+    by_str = {str(v): v for v in g.vertices}
+    out = {}
+    for key, c in colors.items():
+        if key not in by_str:
+            raise InputError(f"malformed graph object: colour key {key!r} names no vertex")
+        try:
+            out[by_str[key]] = int(c)
+        except (TypeError, ValueError):
+            raise InputError(f"malformed graph object: colour {c!r} of vertex {key!r} "
+                             f"is not an integer") from None
+    if len(out) != len(g):
+        missing = next(v for v in g.vertices if v not in out)
+        raise InputError(f"malformed graph object: vertex {missing!r} has no colour")
+    return g, out
 
 
 def _dot_quote(x) -> str:

@@ -217,5 +217,7 @@ def qimap_from_json_dict(obj: Mapping, source: Graph, target: Graph) -> QiMap:
     for key, val in raw.items():
         if key not in by_str:
             raise InputError(f"map key {key!r} is not a source vertex")
+        if isinstance(val, (list, dict)):  # the JSON values that cannot be vertex ids
+            raise InputError(f"map sends {key!r} to {val!r}, which is not a vertex id")
         mapping[by_str[key]] = to_str.get(str(val), val)
     return QiMap(source, target, mapping, c)

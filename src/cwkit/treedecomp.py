@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from collections.abc import Mapping
 
 from .errors import InputError, SizeCapError
-from .graphs import Graph, _connected_within, _dot, is_connected
+from .graphs import Graph, _components_within, _connected_within, _dot, is_connected
 
 DEFAULT_TREEWIDTH_CAP = 12
 DEFAULT_MINOR_HOST_CAP = 50
@@ -224,23 +224,6 @@ def has_minor(g: Graph, h: Graph, g_cap: int | None = None,
 
     visited = set()
 
-    def components(members: set) -> list:
-        comps = []
-        left = set(members)
-        while left:
-            start = left.pop()
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in g.neighbors(u):
-                    if w in left:
-                        left.discard(w)
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(comp)
-        return comps
-
     def reachable_through(passable: set, seeds: set) -> set:
         """Vertices reachable from seeds along paths whose interior is passable."""
         seen = set(seeds)
@@ -275,7 +258,7 @@ def has_minor(g: Graph, h: Graph, g_cap: int | None = None,
         for i, cls in enumerate(classes):
             if not cls:
                 continue
-            comps = components(cls)
+            comps = _components_within(g, cls)
             if len(comps) == 1:
                 continue
             # feasibility: every component reachable from the first through

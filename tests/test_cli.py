@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cwkit import decompose, gen_path, quasiiso, write_cwx
 from cwkit.cli import main
 
 K2_TEXT = """cw k=2
@@ -250,6 +251,31 @@ class TestQiCheck:
         assert bounds["worst_lower_margin"] is None
         assert bounds["worst_upper_margin"] is None
 
+    def test_weak_diameters_are_measured_once(self, capsys, tmp_path, monkeypatch):
+        e = gen_path("x", "y", 12, 3, 1, 2, 1)
+        path = tmp_path / "p12.cwx"
+        write_cwx(path, e)
+        calls = []
+        real = quasiiso.weak_diameter
+        monkeypatch.setattr(quasiiso, "weak_diameter",
+                            lambda g, s: calls.append(s) or real(g, s))
+        code, out, _ = run(capsys, "qi-check", str(path))
+        assert code == 0
+        parts = len(decompose(e).partition)
+        assert parts > 1
+        assert len(calls) == parts
+        assert json.loads(out)["c"] == json.loads(out)["tight_projection_bounds"]["c"] + 1
+
+    def test_map_value_that_is_no_vertex_id_exits_3(self, capsys, tmp_path):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"vertices": ["a", "b", "x"], "edges": []}))
+        mpath = tmp_path / "map.json"
+        mpath.write_text(json.dumps({"f": {"a": ["x"], "b": "a", "x": "x"}, "c": 2}))
+        code, out, err = run(capsys, "qi-check", "--map", str(mpath),
+                             "--source", str(gpath), "--target", str(gpath))
+        assert (code, out) == (3, "")
+        assert "not a vertex id" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_c_exits_3(self, capsys, k2_file, bad):
         code, out, err = run(capsys, "qi-check", k2_file, "--c", bad)
@@ -389,6 +415,23 @@ class TestTreewidth:
         assert code == 3
         assert "malformed graph" in err
 
+    @pytest.mark.parametrize("graph, why", [
+        ({"vertices": ["a", 1], "edges": []}, "mutually ordered"),
+        ({"vertices": [[1], [2]], "edges": []}, "hashable"),
+        ({"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]}, "not a pair"),
+        ({"vertices": ["a"], "edges": [], "colors": {"a": "x"}}, "not an integer"),
+        ({"vertices": ["a"], "edges": [], "colors": {"z": 1}}, "names no vertex"),
+        ({"vertices": ["a", "b"], "edges": [], "colors": {"a": 1}}, "has no colour"),
+    ])
+    def test_malformed_graph_file_exits_3(self, capsys, tmp_path, graph, why):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(graph))
+        for argv in (("treewidth",), ("export-dot",)):
+            code, out, err = run(capsys, *argv, str(path))
+            assert (code, out) == (3, ""), argv
+            assert err.startswith("error: malformed graph object: ") and why in err
+            assert "Traceback" not in err
+
 
 class TestExportDot:
     def test_suffix_dispatch(self, capsys, tmp_path, k2_file):
@@ -400,6 +443,14 @@ class TestExportDot:
         code, out, _ = run(capsys, "export-dot", str(gpath))
         assert code == 0
         assert '"x"' in out
+
+    def test_integer_ids_take_their_colours(self, capsys, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({"vertices": [1, 2], "edges": [[1, 2]],
+                                    "colors": {"1": 1, "2": 2}}))
+        code, out, _ = run(capsys, "export-dot", str(path))
+        assert code == 0
+        assert '"1" [label="1:1"]' in out and '"2" [label="2:2"]' in out
 
     def test_decomposition_kind(self, capsys, k2_file):
         code, out, _ = run(capsys, "export-dot", k2_file,

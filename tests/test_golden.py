@@ -12,6 +12,12 @@ implementation that kept an all-pairs distance table per graph.
 The non-strict inputs are seeded mutations of corpus expressions: a
 duplicated leaf id, one node object used as both union operands, a join
 that adds no edge, and a recolor from or to a colour unused below.
+
+The parse-outcome digest was recorded from the parser that tokenized the
+body one character at a time.  Its inputs are seeded character-level
+mutations of corpus and generator texts, so it pins which ParseError wins,
+with its message, line and column, as well as the ASTs of the texts that
+still parse.
 """
 
 import contextlib
@@ -23,10 +29,10 @@ import tracemalloc
 
 import pytest
 
-from cwkit import (CwExpr, Graph, InputError, Join, Leaf, Partition, Recolor, Union,
-                   check_partqi_tight, decompose, evaluate, format_expr, gen_path,
-                   generate_corpus, graph_to_json_dict, normalize, result_to_json_dict,
-                   validate_strict, verify_result, write_cwx)
+from cwkit import (CwExpr, CwkitError, Graph, InputError, Join, Leaf, Partition, Recolor,
+                   Union, check_partqi_tight, decompose, evaluate, format_expr, gen_path,
+                   generate_corpus, graph_to_json_dict, normalize, parse,
+                   result_to_json_dict, validate_strict, verify_result, write_cwx)
 from cwkit.cli import main
 
 from helpers import random_graph_data, random_groups
@@ -52,10 +58,17 @@ GOLDEN = {
         "b832537c72a0eace71c65027b45aafda4556a2503362a2807634aac6f04ba929",
     "mutant_normalize":
         "bc8262213b80463e275f29f17d9364cb3aa0b0d414230c6fa2935cec31b78fa3",
+    "text_parse":
+        "1b66b46ed653470cbf832a098f9b596850359240669679daff247f70b23fce63",
 }
 
 MUTANT_SEED = 8081
 MUTANT_COUNT = 200
+TEXT_SEED = 5150
+TEXT_COUNT = 2400
+# Characters a mutation inserts: grammar tokens, every kind of whitespace the
+# parser must count columns across, and characters outside the grammar.
+TEXT_ALPHABET = "()()  \n\n\t\r\x0b\x0c\u00a0\u2028vunirecoljk=0123456789x_.-#!\u00e9"
 
 
 def digest(items) -> str:
@@ -161,6 +174,48 @@ def mutants():
     return [mutate(rng, rng.choice(exprs)) for _ in range(MUTANT_COUNT)]
 
 
+def mutate_text(rng, text):
+    """text with a few seeded character edits: inserts, replacements, deletes and cuts."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("insert", "insert", "replace", "delete", "delete", "cut"))
+        at = rng.randint(0, len(chars))
+        if kind == "insert":
+            chars.insert(at, rng.choice(TEXT_ALPHABET))
+        elif kind == "replace":
+            chars[at:at + 1] = rng.choice(TEXT_ALPHABET)
+        elif kind == "delete":
+            del chars[at:at + rng.randint(1, 3)]
+        else:
+            chars = chars[:at]
+    return "".join(chars)
+
+
+def text_mutants(seed=TEXT_SEED, count=TEXT_COUNT):
+    """Seeded mutations of corpus and generator texts; some are flattened to one line."""
+    sweeps = list(path_cases()) + list(spider_cases()) + list(clique_cases())
+    exprs = generate_corpus(SEED, COUNT, MAX_K, MAX_LEAVES)[::5] + [c[1] for c in sweeps]
+    texts = [format_expr(e) for e in exprs]
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        text = rng.choice(texts)
+        if rng.random() < 0.3:
+            head, _, body = text.partition("\n")
+            text = head + "\n" + " ".join(body.split())
+        out.append(mutate_text(rng, text) if rng.random() < 0.9 else text)
+    return out
+
+
+def parse_outcome(text):
+    """The canonical text parse gives, or the error's class, message, line and column."""
+    try:
+        return format_expr(parse(text))
+    except CwkitError as exc:
+        return [type(exc).__name__, str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None)]
+
+
 def normalized_text(e):
     try:
         return format_expr(normalize(e))
@@ -195,6 +250,14 @@ def test_non_strict_reports_match_golden():
     assert got == {k: v for k, v in GOLDEN.items() if k.startswith("mutant_")}
 
 
+def test_parse_outcomes_match_golden():
+    texts = text_mutants()
+    outcomes = [parse_outcome(t) for t in texts]
+    assert sum(isinstance(o, str) for o in outcomes) > len(texts) // 10
+    assert len({o[1] for o in outcomes if isinstance(o, list)}) > 10
+    assert digest(outcomes) == GOLDEN["text_parse"]
+
+
 def test_duplicate_id_takes_the_right_operands_colour():
     e = CwExpr(3, Recolor(1, 3, Union(Leaf("a", 1), Leaf("a", 2))))
     report = validate_strict(e).to_json_dict()
@@ -224,7 +287,7 @@ def core_peak(length) -> int:
 
 
 def test_core_memory_grows_linearly():
-    # Built as ASTs, never as text: format_expr itself grows quadratically
+    # Built as ASTs, never as text: the canonical text itself grows quadratically
     # with depth.  Twice the length should cost about twice the memory.
     small, large = core_peak(1000), core_peak(2000)
     assert large < 3 * small, (small, large)

@@ -13,6 +13,7 @@ from cwkit import (INFINITE, ColoredGraph, Graph, InputError, Partition,
                    is_dominated, is_monochromatic, quotient, set_distance,
                    singleton_partition, weak_diameter)
 from cwkit.errors import ContractError
+from cwkit.graphs import _components_within, _connected_within
 
 from helpers import cycle_data, floyd_warshall, naive_dominated, path_data, star_data
 
@@ -98,6 +99,21 @@ class TestDistances:
         assert sorted(sorted(c) for c in comps) == [["a", "b"], ["c", "d"]]
         assert not is_connected(g)
         assert is_connected(G(path_data(4)))
+
+    def test_components_within_an_induced_subgraph(self):
+        g = G(path_data(5))  # p0 - p1 - p2 - p3 - p4
+        within = _components_within(g, ["p0", "p1", "p3", "p4"])
+        assert sorted(sorted(c) for c in within) == [["p0", "p1"], ["p3", "p4"]]
+        assert _components_within(g, []) == []
+        assert _connected_within(g, ["p1", "p2", "p3"])
+        assert not _connected_within(g, ["p1", "p3"])
+        assert not _connected_within(g, [])
+
+    def test_package_exports_no_submodules(self):
+        import types
+        import cwkit
+        assert "Graph" in cwkit.__all__ and "parse" in cwkit.__all__
+        assert not [n for n in cwkit.__all__ if isinstance(getattr(cwkit, n), types.ModuleType)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -262,6 +278,12 @@ class TestInterop:
     def test_malformed_json_rejected(self):
         with pytest.raises(InputError):
             graph_from_json_dict({"vertices": ["a"]})
+
+    def test_integer_ids_round_trip_with_colours(self):
+        g = Graph([1, 2, 10], [(1, 2)])
+        colors = {1: 1, 2: 2, 10: 1}
+        g2, colors2 = graph_from_json_dict(json.loads(json.dumps(graph_to_json_dict(g, colors))))
+        assert g2 == g and colors2 == colors
 
     def test_dot_output_mentions_everything(self):
         g = Graph(["a", "b"], [("a", "b")])
