@@ -4,7 +4,9 @@ A cover family at scale r groups subsets of a graph's vertices into
 collections; sets in one collection must sit strictly more than r apart,
 and every set must have small weak diameter.  Pulling such a family back
 through a distance-respecting map yields a family of the same shape at a
-linearly rescaled scale and diameter bound.
+linearly rescaled scale and diameter bound.  The map's distance bounds are
+certified by the projection lemma in linear time when the map is a
+projection, and scanned pair by pair otherwise (quasiiso._bounds_witness).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .decomposition import VerificationReport, _verdict
 from .errors import ContractError, InputError
 from .graphs import (INFINITE, Graph, connected_components, set_distance,
                      weak_diameter)
-from .quasiiso import QiMap, check_qi
+from .quasiiso import QiMap, _bounds_witness, _fibres
 
 
 @dataclass(frozen=True)
@@ -119,9 +121,9 @@ def pullback_cover(f: QiMap, cover: CoverFamily, r, dilation) -> CoverFamily:
     if r < 1:
         raise InputError("pullback scale must be >= 1")
     c = f.c
-    rep = check_qi(f)
-    if not rep.bounds_ok:
-        raise InputError(f"map violates the distance bounds at c={c}: {rep.bounds_witness}")
+    witness = _bounds_witness(f)
+    if witness is not None:
+        raise InputError(f"map violates the distance bounds at c={c}: {witness}")
     r_target = c * r + c
     target_report = validate_cover(
         f.target, CoverFamily(cover.collections, r_target, dilation(r_target)))
@@ -130,14 +132,11 @@ def pullback_cover(f: QiMap, cover: CoverFamily, r, dilation) -> CoverFamily:
         raise InputError(f"cover fails on the target at scale {r_target}: "
                          f"{bad.name}: {bad.witness}")
 
+    fibres = _fibres(f)
     pulled = []
     for coll in cover.collections:
-        new_coll = []
-        for s in coll:
-            pre = frozenset(x for x in f.source.vertices if f(x) in s)
-            if pre:
-                new_coll.append(pre)
-        pulled.append(tuple(new_coll))
+        pres = (frozenset(x for w in s for x in fibres.get(w, ())) for s in coll)
+        pulled.append(tuple(pre for pre in pres if pre))
 
     bound_tight = c * dilation(r_target) + c * c
     bound_claim = c * dilation(2 * c * r) + c * c * r

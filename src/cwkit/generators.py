@@ -19,7 +19,7 @@ from itertools import combinations
 from .errors import ContractError, InputError
 from .expressions import CwExpr, Join, Leaf, Recolor, Union, normalize
 from .graphs import Graph, _connected_within, closed_r_neighborhood, set_distance
-from .quasiiso import QiMap, check_qi
+from .quasiiso import QiMap, _bounds_witness
 
 
 # ------------------------------------------------------------ subdivisions
@@ -355,9 +355,9 @@ def build_minor_model(h: Graph, g: Graph, f: QiMap, c: float) -> MinorModel:
         if len(seq) - 1 < need:
             raise InputError(f"subdivision too shallow: path {u!r}..{v!r} has length "
                              f"{len(seq) - 1}, need >= {need_text}")
-    rep = check_qi(f)
-    if not rep.bounds_ok:
-        raise InputError(f"map violates the distance bounds at c={c}: {rep.bounds_witness}")
+    witness = _bounds_witness(f)
+    if witness is not None:
+        raise InputError(f"map violates the distance bounds at c={c}: {witness}")
 
     z = c * (c + 1)
     cut = int(z)  # floor; z is integral for integral c

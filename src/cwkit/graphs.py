@@ -8,7 +8,6 @@ identical inputs give byte-identical outputs everywhere in the library.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterable, Mapping
 
 from .errors import ContractError, InputError
@@ -93,20 +92,8 @@ class Graph:
 def bfs_distances(g: Graph, sources: Iterable) -> dict:
     """Multi-source BFS; returns distances for reached vertices only."""
     dist = {}
-    queue = deque()
-    for s in sources:
-        if not g.has_vertex(s):
-            raise InputError(f"unknown vertex {s!r}")
-        if s not in dist:
-            dist[s] = 0
-            queue.append(s)
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        for w in g.neighbors(u):
-            if w not in dist:
-                dist[w] = d
-                queue.append(w)
+    for _ in _layers(g, sources, dist):
+        pass
     return dist
 
 
@@ -117,30 +104,77 @@ def distance(g: Graph, u, v):
     return bfs_distances(g, [u]).get(v, INFINITE)
 
 
+def _layers(g: Graph, sources: Iterable, dist: dict):
+    """BFS from sources: yields (d, the vertices at distance d), labelling dist."""
+    layer = list(dict.fromkeys(sources))
+    for s in layer:
+        if not g.has_vertex(s):
+            raise InputError(f"unknown vertex {s!r}")
+    dist.update(dict.fromkeys(layer, 0))
+    d = 0
+    while layer:
+        yield d, layer
+        d += 1
+        nxt = []
+        for u in layer:
+            for w in g.neighbors(u):
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        layer = nxt
+
+
 def set_distance(g: Graph, s: Iterable, t: Iterable):
-    """min over a in s, b in t of distance(a, b); 0 when the sets meet."""
+    """min over a in s, b in t of distance(a, b), 0 when the sets meet: a BFS stopped at t."""
     s = set(s)
     t = set(t)
     if not s or not t:
         raise InputError("set_distance needs two nonempty sets")
-    dist = bfs_distances(g, s)
-    found = [dist[v] for v in t if v in dist]
-    return min(found) if found else INFINITE
+    for d, layer in _layers(g, s, {}):
+        if not t.isdisjoint(layer):
+            return d
+    return INFINITE
+
+
+def _eccentricity_in(g: Graph, a, s: set) -> tuple:
+    """(labels, max distance from a to s or INFINITE), by a BFS stopped once s is labelled."""
+    dist, left = {}, len(s)
+    for d, layer in _layers(g, [a], dist):
+        left -= len(s.intersection(layer))
+        if not left:
+            return dist, d
+    return dist, INFINITE
 
 
 def weak_diameter(g: Graph, s: Iterable):
-    """max over pairs in s of their distance measured in the whole graph."""
-    s = sorted(set(s))
+    """max over pairs in s of their distance measured in the whole graph.
+
+    Exact, by iFUB's bound (Crescenzi et al., TCS 514, 2013): members within
+    i of a vertex u are within 2i of each other.  u is the middle of a far
+    pair found by a double sweep; members are taken by falling distance from
+    u until the largest eccentricity found reaches twice that distance.
+    Each BFS stops once s is labelled: three BFS runs on a path, local work
+    for a dominated part.
+    """
+    s = set(s)
     if not s:
         raise InputError("weak_diameter of an empty set")
-    worst = 0
-    for a in s:
-        dist = bfs_distances(g, [a])
-        for b in s:
-            d = dist.get(b, INFINITE)
-            if d > worst:
-                worst = d
-    return worst
+    members = sorted(s)
+    next(_layers(g, members, {}))  # raises on the first member that is no vertex
+    da, lb = _eccentricity_in(g, members[0], s)
+    if lb == INFINITE or len(s) <= 2:
+        return lb
+    # b, the member farthest from the first, has eccentricity at least lb
+    db, lb = _eccentricity_in(g, max(members, key=da.__getitem__), s)
+    u = max(members, key=db.__getitem__)
+    for _ in range(lb - lb // 2):  # walk back from the far end to the middle
+        u = next(w for w in g.neighbors(u) if db.get(w) == db[u] - 1)
+    du, _ = _eccentricity_in(g, u, s)
+    for x in sorted(members, key=du.__getitem__, reverse=True):
+        if lb >= 2 * du[x]:
+            break
+        lb = max(lb, _eccentricity_in(g, x, s)[1])
+    return lb
 
 
 def closed_r_neighborhood(g: Graph, s: Iterable, r) -> frozenset:
@@ -413,6 +447,8 @@ def graph_from_json_dict(obj: Mapping) -> tuple:
         if key not in by_str:
             raise InputError(f"malformed graph object: colour key {key!r} names no vertex")
         try:
+            if isinstance(c, bool) or isinstance(c, float) and not c.is_integer():
+                raise TypeError  # int() would truncate 2.7 to 2 and read true as 1
             out[by_str[key]] = int(c)
         except (TypeError, ValueError):
             raise InputError(f"malformed graph object: colour {c!r} of vertex {key!r} "

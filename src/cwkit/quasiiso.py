@@ -1,4 +1,4 @@
-"""Quasi-isometry maps and their exhaustive checks.
+"""Quasi-isometry maps, their exhaustive checks, and the projection certificate.
 
 A map f between graphs is a c-quasi-isometry when for all x, y
 
@@ -7,9 +7,13 @@ A map f between graphs is a c-quasi-isometry when for all x, y
 and every target vertex is within distance c of the image.  Infinite
 distances must match: a pair may be disconnected on both sides or neither.
 The tight projection bounds r/(c+1) - 1 <= r' <= r have the same shape, so
-both checks run one window scan over the source pairs.  It keeps one source
-BFS row at a time and one target row per image vertex, O(n + |image|*|target|)
-memory, and density is one multi-source BFS from the image.
+both are windows of one scan over the source pairs: one source BFS per
+vertex, O(n * (n + m)) time, O(n + |image|*|target|) memory.
+
+Callers that read only pass or fail take the projection lemma's certificate
+instead (_bounds_witness): its premises cost O(|V| + |E|) plus the fibres'
+weak diameters, and the scan runs only if one fails or c < D + 1, or for
+the exact margins that qi-check prints.
 """
 
 from __future__ import annotations
@@ -68,40 +72,45 @@ def _finite_or_none(x):
     return x if math.isfinite(x) else None
 
 
-def _window(m: QiMap, a, b, g, d) -> tuple:
-    """Scan every source pair x < y against r/a - b <= r' <= g*r + d.
+def _window(m: QiMap, *windows) -> tuple:
+    """Scan every source pair x < y against each window r/a - b <= r' <= g*r + d.
 
-    r and r' are the distances of x, y and of their images.  Returns the
-    worst lower and upper margins, max of r/a - b - r' and r' - g*r - d over
-    the pairs with both finite, then the first pair violating the lower
-    bound, the upper bound, and either.  A pair with exactly one of r, r'
-    infinite violates the bound that the infinity breaks.
+    r and r' are the distances of x, y and of their images.  Returns, per
+    window (a, b, g, d), the worst lower and upper margins, max of
+    r/a - b - r' and r' - g*r - d over the pairs with both finite, then the
+    first pair violating the lower bound, the upper bound, and either.  A
+    pair with exactly one of r, r' infinite violates the bound that the
+    infinity breaks.
     """
     f, vs = m.mapping, m.source.vertices
     rows = {}  # image vertex -> its target BFS row
-    worst_lo = worst_up = -INFINITE
-    witnesses = [None, None, None]
+    found = [[-INFINITE, -INFINITE, None, None, None] for _ in windows]
     for i, x in enumerate(vs):
         dx = bfs_distances(m.source, [x])
         tx = rows.get(f[x])
         if tx is None:
             tx = rows[f[x]] = bfs_distances(m.target, [f[x]])
-        for y in vs[i + 1:]:
-            r, rp = dx.get(y, INFINITE), tx.get(f[y], INFINITE)
-            if r == INFINITE or rp == INFINITE:
-                if r == rp:
-                    continue
-                hits, why = (r == INFINITE, rp == INFINITE), "one side disconnected, the other not"
-            else:
-                lo, up = r / a - b - rp, rp - g * r - d
-                worst_lo, worst_up = max(worst_lo, lo), max(worst_up, up)
-                if lo <= 0 and up <= 0:
-                    continue
-                hits, why = (lo > 0, up > 0), f"dist {r} maps to {rp}"
-            for k, hit in enumerate(hits + (True,)):
-                if hit and witnesses[k] is None:
-                    witnesses[k] = (x, y, why)
-    return (worst_lo, worst_up, *witnesses)
+        ys = vs[i + 1:]
+        rs = [dx.get(y, INFINITE) for y in ys]
+        rps = [tx.get(f[y], INFINITE) for y in ys]
+        # An infinity makes a margin infinite, or NaN if both sides are, so a
+        # violation is still a margin > 0; only finite margins are worst ones.
+        finite = INFINITE not in rs and INFINITE not in rps
+        for (a, b, g, d), out in zip(windows, found):
+            margins = ([r / a - b - rp for r, rp in zip(rs, rps)],
+                       [rp - g * r - d for r, rp in zip(rs, rps)])
+            for k, ms in enumerate(margins):
+                out[k] = max(out[k], max(ms if finite else [z for z in ms if abs(z) < INFINITE],
+                                         default=-INFINITE))
+            if None not in out[2:] or finite and out[0] <= 0 and out[1] <= 0:
+                continue
+            bad = [next((j for j, z in enumerate(ms) if z > 0), len(ys)) for ms in margins]
+            for k, j in enumerate(bad + [min(bad)], 2):
+                if j < len(ys) and out[k] is None:
+                    r, rp = rs[j], rps[j]
+                    out[k] = (x, ys[j], "one side disconnected, the other not"
+                              if INFINITE in (r, rp) else f"dist {r} maps to {rp}")
+    return tuple(map(tuple, found))
 
 
 @dataclass(frozen=True)
@@ -136,6 +145,15 @@ class QiReport:
         }
 
 
+def _qi_report(m: QiMap, worst_lower, worst_upper, _lo, _up, witness) -> QiReport:
+    """check_qi's report from m's (c, c, c, c) window scan, plus density."""
+    near = bfs_distances(m.target, set(m.mapping.values()))  # one BFS: distance is symmetric
+    gaps = [near.get(w, INFINITE) for w in m.target.vertices]
+    far = [w for w, gap in zip(m.target.vertices, gaps) if gap > m.c]
+    return QiReport(m.c, witness is None, witness, not far, far[0] if far else None,
+                    worst_lower, worst_upper, max([0] + gaps))
+
+
 def check_qi(m: QiMap) -> QiReport:
     """Exhaustive check of both quasi-isometry conditions.
 
@@ -144,13 +162,44 @@ def check_qi(m: QiMap) -> QiReport:
     dist(x,y)/c - c - dist(fx,fy), upper margin is max of
     dist(fx,fy) - c*dist(x,y) - c.
     """
-    c = m.c
-    worst_lower, worst_upper, _, _, witness = _window(m, c, c, c, c)
-    near = bfs_distances(m.target, set(m.mapping.values()))  # one BFS: distance is symmetric
-    gaps = [near.get(w, INFINITE) for w in m.target.vertices]
-    far = [w for w, gap in zip(m.target.vertices, gaps) if gap > c]
-    return QiReport(c, witness is None, witness, not far, far[0] if far else None,
-                    worst_lower, worst_upper, max([0] + gaps))
+    return _qi_report(m, *_window(m, (m.c,) * 4)[0])
+
+
+def _fibres(m: QiMap) -> dict:
+    """Image vertex -> the source vertices sent to it, in source order."""
+    out = {}
+    for v in m.source.vertices:
+        out.setdefault(m.mapping[v], []).append(v)
+    return out
+
+
+def _fibre_width(m: QiMap):
+    """D, the largest weak diameter of a fibre f^-1(w), if m meets the premises
+    checked here from scratch: m is onto, and its source edges between two
+    fibres land on exactly the target's edges.  INFINITE otherwise."""
+    f, fibres = m.mapping, _fibres(m)
+    crossing = {(f[u], f[v]) if f[u] < f[v] else (f[v], f[u])
+                for u, v in m.source.edges if f[u] != f[v]}
+    if len(fibres) != len(m.target) or crossing != set(m.target.edges):
+        return INFINITE
+    return max((weak_diameter(m.source, s) for s in fibres.values()), default=0)
+
+
+def _bounds_witness(m: QiMap):
+    """check_qi(m).bounds_witness, certified by the projection lemma when it applies.
+
+    Take D = _fibre_width(m).  A source path of length r maps to a walk of
+    at most r target edges, so r' <= r.  A target path P_0 ... P_r' from
+    f(x) to f(y) lifts, through source edges hitting its edges, to r'
+    crossing edges plus at most D steps inside each of its r' + 1 fibres, so
+    r <= (D+1)*r' + D.  So r is infinite exactly when r' is, and for
+    c >= D + 1 (so c >= 1), r <= c*r' + c*c and r' <= r <= c*r + c: there is
+    no witness.  The same bounds give check_partqi_tight's window at its c = D,
+    and an onto map has density 0.  Otherwise the exact scan decides.
+    """
+    if m.c >= _fibre_width(m) + 1:
+        return None
+    return _window(m, (m.c,) * 4)[0][4]
 
 
 @dataclass(frozen=True)
@@ -189,13 +238,22 @@ def check_partqi_tight(g: Graph, p: Partition) -> PartitionQiReport:
     r/(c+1) - 1 <= r' <= r must hold.  Parts spanning several components
     have infinite weak diameter and are rejected.
     """
+    return _check_projection(g, p)[0]
+
+
+def _check_projection(g: Graph, p: Partition, qi_c=None) -> tuple:
+    """check_partqi_tight(g, p) and check_qi at qi_c (default c + 1), from one scan."""
     c = max(weak_diameter(g, members) for _, members in p)
     if c == INFINITE:
         raise InputError("a part has infinite weak diameter (spans components)")
+    m = projection_map(g, p, c + 1)
+    if qi_c is not None:
+        m = m.with_c(qi_c)
+    (lo, up, lo_wit, up_wit, _), qi = _window(m, (c + 1, 1, 1, 0), (m.c,) * 4)
     # The pairs x == y, left out of the scan, give margins -1.0 and 0.
-    lo, up, lo_wit, up_wit, _ = _window(projection_map(g, p, c + 1), c + 1, 1, 1, 0)
-    return PartitionQiReport(c, lo_wit is None, lo_wit, up_wit is None, up_wit,
-                             max(-1.0, lo), max(0, up))
+    tight = PartitionQiReport(c, lo_wit is None, lo_wit, up_wit is None, up_wit,
+                              max(-1.0, lo), max(0, up))
+    return tight, _qi_report(m, *qi)
 
 
 # ---------------------------------------------------------------- interop

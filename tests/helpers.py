@@ -296,6 +296,36 @@ def naive_check_partqi_tight(vertices, edges, parts):
                       "worst_margin": _finite_or_none(_first_max(ups))}}
 
 
+def naive_weak_diameter(vertices, edges, members):
+    """max over pairs of members of their distance in the whole graph, from Floyd-Warshall."""
+    dist = floyd_warshall(sorted(vertices), edges)
+    return _first_max(dist[a].get(b, float("inf")) for a in members for b in members)
+
+
+def naive_set_distance(vertices, edges, s, t):
+    """min over a in s, b in t of their distance, from Floyd-Warshall."""
+    dist = floyd_warshall(sorted(vertices), edges)
+    return min(dist[a].get(b, float("inf")) for a in s for b in t)
+
+
+def naive_fibre_width(source, target, mapping):
+    """The projection lemma's D for mapping, or None when a premise fails.
+
+    The premises: the map is onto, every source edge joins two vertices of
+    one fibre or lands on a target edge, and every target edge is hit.  D is
+    the largest weak diameter of a fibre; None if it is infinite.
+    """
+    (svs, ses), (tvs, tes) = source, target
+    if {mapping[v] for v in svs} != set(tvs):
+        return None
+    crossing = {frozenset((mapping[u], mapping[w])) for u, w in ses if mapping[u] != mapping[w]}
+    if crossing != {frozenset(e) for e in tes}:
+        return None
+    dist = floyd_warshall(sorted(svs), ses)
+    d = max(dist[a].get(b, float("inf")) for a in svs for b in svs if mapping[a] == mapping[b])
+    return None if d == float("inf") else d
+
+
 # ---------------------------------------------------------- graph builders
 
 def path_data(n, prefix="p"):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from cwkit import decompose, gen_path, quasiiso, write_cwx
+from cwkit import Graph, decompose, gen_path, graphs, quasiiso, write_cwx
+from cwkit import cli
 from cwkit.cli import main
 
 K2_TEXT = """cw k=2
@@ -420,6 +421,9 @@ class TestTreewidth:
         ({"vertices": [[1], [2]], "edges": []}, "hashable"),
         ({"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]}, "not a pair"),
         ({"vertices": ["a"], "edges": [], "colors": {"a": "x"}}, "not an integer"),
+        ({"vertices": ["a"], "edges": [], "colors": {"a": 2.7}}, "not an integer"),
+        ({"vertices": ["a"], "edges": [], "colors": {"a": True}}, "not an integer"),
+        ({"vertices": ["a"], "edges": [], "colors": {"a": float("inf")}}, "not an integer"),
         ({"vertices": ["a"], "edges": [], "colors": {"z": 1}}, "names no vertex"),
         ({"vertices": ["a", "b"], "edges": [], "colors": {"a": 1}}, "has no colour"),
     ])
@@ -488,3 +492,55 @@ class TestOneFoldPerVerdict:
         path.write_text("{not json")
         code, _, _ = run(capsys, "treewidth", str(path), "--quotient")
         assert code == 2
+
+
+class TestCertifiedVerdicts:
+    """Verdicts read only as pass or fail take the projection certificate."""
+
+    def path_file(self, tmp_path, length):
+        path = tmp_path / f"p{length}.cwx"
+        write_cwx(path, gen_path("x", "y", length, 3, 1, 2, 1))
+        return str(path)
+
+    def test_qi_check_builds_one_quotient(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = graphs.quotient
+        for module in (graphs, quasiiso, cli):
+            monkeypatch.setattr(module, "quotient", lambda g, p: calls.append(p) or real(g, p))
+        code, _, _ = run(capsys, "qi-check", self.path_file(tmp_path, 40))
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_qi_check_runs_one_source_bfs_per_vertex(self, capsys, tmp_path, monkeypatch):
+        calls, targets = [], []
+        real_bfs, real_quotient = quasiiso.bfs_distances, quasiiso.quotient
+        monkeypatch.setattr(quasiiso, "bfs_distances",
+                            lambda g, s: calls.append(g) or real_bfs(g, s))
+        monkeypatch.setattr(quasiiso, "quotient",
+                            lambda g, p: targets.append(real_quotient(g, p)) or targets[-1])
+        code, _, _ = run(capsys, "qi-check", self.path_file(tmp_path, 40))
+        assert code == 0
+        target = targets[0][0]
+        assert sum(g is not target for g in calls) == 41  # the path's vertices
+
+    def test_minor_model_and_corpus_make_no_pair_scan(self, capsys, tmp_path, monkeypatch):
+        scans = []
+        real = quasiiso._window
+        monkeypatch.setattr(quasiiso, "_window", lambda *a: scans.append(a) or real(*a))
+        assert run(capsys, "minor-model", "--n", "5", "--times", "8")[0] == 0
+        assert run(capsys, "corpus", "--seed", "3", "--count", "12", "--max-k", "5",
+                   "--max-leaves", "20", "--out-dir", str(tmp_path / "c"))[0] == 0
+        assert scans == []
+
+    def test_cover_pullback_neighbour_lookups_grow_linearly(self, capsys, tmp_path,
+                                                             monkeypatch):
+        lookups = []
+        real = Graph.neighbors
+        monkeypatch.setattr(Graph, "neighbors", lambda g, v: lookups.append(v) or real(g, v))
+        counts = []
+        for length in (200, 400):
+            path = self.path_file(tmp_path, length)
+            lookups.clear()
+            assert run(capsys, "cover-pullback", path, "--r", "2")[0] == 0
+            counts.append(len(lookups))
+        assert counts[1] < 2.5 * counts[0], counts  # a pair scan grows 4x per doubling

@@ -15,7 +15,8 @@ from cwkit import (INFINITE, ColoredGraph, Graph, InputError, Partition,
 from cwkit.errors import ContractError
 from cwkit.graphs import _components_within, _connected_within
 
-from helpers import cycle_data, floyd_warshall, naive_dominated, path_data, star_data
+from helpers import (cycle_data, floyd_warshall, naive_dominated, naive_set_distance,
+                     naive_weak_diameter, path_data, star_data)
 
 
 def G(data):
@@ -79,6 +80,45 @@ class TestDistances:
         assert set_distance(g, ["p2"], ["p2", "p4"]) == 0
         with pytest.raises(InputError):
             set_distance(g, [], ["p0"])
+
+    def test_unknown_members_rejected(self):
+        g = G(path_data(5))
+        for s in (["p0", "zz"], ["zz", "p1", "p2", "p3", "p4", "zy"]):
+            with pytest.raises(InputError, match="unknown vertex 'zy'|unknown vertex 'zz'"):
+                weak_diameter(g, s)
+        with pytest.raises(InputError, match="unknown vertex 'zz'"):
+            set_distance(g, ["zz"], ["zz"])
+
+    def test_members_left_after_the_double_sweep_are_measured(self):
+        # two adjacent hubs joined to three independent vertices: both sweeps
+        # see eccentricity 1, and only a member BFS finds the pair at 2
+        vs = ["v0", "v1", "v2", "v3", "v4"]
+        es = [("v0", "v1")] + [(hub, v) for hub in ("v0", "v1") for v in vs[2:]]
+        assert weak_diameter(Graph(vs, es), vs) == naive_weak_diameter(vs, es, vs) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 16),
+           st.sampled_from(("tree", "path", 0.08, 0.2, 0.5)))
+    def test_weak_diameter_and_set_distance_match_floyd_warshall(self, seed, n, shape):
+        # trees and paths are where the early stops and the double sweep do
+        # their work; sparse random graphs give sets spread over components
+        rng = random.Random(seed)
+        vs = [f"v{i}" for i in range(n)]
+        rng.shuffle(vs)
+        if shape == "tree":
+            es = [(vs[i], vs[rng.randrange(i)]) for i in range(1, n)]
+        elif shape == "path":
+            es = list(zip(vs, vs[1:]))
+        else:
+            es = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:] if rng.random() < shape]
+        g = Graph(vs, es)
+        s = rng.sample(vs, min(n, rng.choice((1, 2, rng.randint(1, n)))))
+        t = rng.sample(vs, rng.randint(1, n))
+        if rng.random() < 0.3:
+            t.append(s[-1])  # the sets overlap
+        for got, want in ((weak_diameter(g, s), naive_weak_diameter(vs, es, s)),
+                          (set_distance(g, s, t), naive_set_distance(vs, es, s, t))):
+            assert (got, type(got)) == (want, type(want))
 
     def test_multi_source_bfs(self):
         g = G(path_data(6))

@@ -4,15 +4,16 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cwkit.quasiiso as quasiiso
-from cwkit import (Graph, InputError, Partition, QiMap, check_partqi_tight,
+from cwkit import (INFINITE, Graph, InputError, Partition, QiMap, check_partqi_tight,
                    check_qi, decompose, evaluate, generate_corpus, projection_map,
-                   qimap_from_json_dict, qimap_to_json_dict,
-                   random_strict_expr, singleton_partition)
+                   qimap_from_json_dict, qimap_to_json_dict, quotient,
+                   random_strict_expr, set_distance, singleton_partition)
 
-from helpers import (cycle_data, naive_check_partqi_tight, naive_check_qi, path_data,
-                     random_graph_data, random_groups)
+from helpers import (cycle_data, naive_check_partqi_tight, naive_check_qi,
+                     naive_fibre_width, path_data, random_graph_data, random_groups)
 from test_acceptance import (COUNT, MAX_K, MAX_LEAVES, SEED, clique_cases,
                              path_cases, spider_cases)
 
@@ -293,8 +294,8 @@ class TestAgainstNaiveOracles:
         # check_partqi_tight cannot meet this case, so _window is asked directly
         joined, apart = Graph(["a", "b"], [("a", "b")]), Graph(["a", "b"], [])
         bad = ("a", "b", "one side disconnected, the other not")
-        lo = quasiiso._window(QiMap(apart, joined, {"a": "a", "b": "b"}, 2), 3, 1, 1, 0)
-        up = quasiiso._window(QiMap(joined, apart, {"a": "a", "b": "b"}, 2), 3, 1, 1, 0)
+        lo, = quasiiso._window(QiMap(apart, joined, {"a": "a", "b": "b"}, 2), (3, 1, 1, 0))
+        up, = quasiiso._window(QiMap(joined, apart, {"a": "a", "b": "b"}, 2), (3, 1, 1, 0))
         inf = float("inf")
         assert lo == (-inf, -inf, bad, None, bad)
         assert up == (-inf, -inf, None, bad, bad)
@@ -316,3 +317,129 @@ class TestBfsCount:
         image = set(m.mapping.values())
         assert sum(g is src for g in calls) == len(src)
         assert sum(g is tgt for g in calls) == len(image) + 1  # one row each, one density BFS
+
+
+def projection_mutants(rng, g, p):
+    """(name, breaks a premise, map) for the projection of g onto p and its mutants.
+
+    The mutants: a vertex sent to another part, a dropped quotient edge, an
+    extra target edge, an unhit target vertex with an edge and without one,
+    two parts 3 apart merged, and a part split across two components (g next
+    to a primed copy of itself).
+    A moved vertex may or may not break a premise; a merge breaks none.
+    """
+    q, proj = quotient(g, p)
+    out = [("projection", False, (g, q, proj))]
+    if len(q) > 1:
+        moved = dict(proj)
+        v = rng.choice(g.vertices)
+        moved[v] = rng.choice([w for w in q.vertices if w != proj[v]])
+        out.append(("moved vertex", None, (g, q, moved)))
+    if q.edges:
+        dropped = rng.choice(q.edges)
+        out.append(("dropped edge", True,
+                    (g, Graph(q.vertices, [e for e in q.edges if e != dropped]), proj)))
+    missing = [(a, b) for i, a in enumerate(q.vertices) for b in q.vertices[i + 1:]
+               if not q.has_edge(a, b)]
+    if missing:
+        out.append(("extra edge", True,
+                    (g, Graph(q.vertices, q.edges + (rng.choice(missing),)), proj)))
+    hub = rng.choice(q.vertices)
+    out.append(("unhit vertex", True,
+                (g, Graph(q.vertices + ("~unhit",), q.edges + ((hub, "~unhit"),)), proj)))
+    out.append(("isolated unhit vertex", True, (g, Graph(q.vertices + ("~unhit",), q.edges), proj)))
+    far = [(a, b) for i, (a, pa) in enumerate(p) for b, pb in p.items()[i + 1:]
+           if set_distance(g, pa, pb) == 3]
+    if far:
+        a, b = rng.choice(far)
+        merged = {pid: members for pid, members in p if pid != b}
+        merged[a] = p.part(a) | p.part(b)
+        out.append(("merged 3 apart", False, projection_map(g, Partition(merged), 1)))
+    if len(g) <= 16:
+        primed = Graph(g.vertices + tuple(f"{v}'" for v in g.vertices),
+                       g.edges + tuple((f"{u}'", f"{v}'") for u, v in g.edges))
+        parts = dict(p.items()) | {f"{pid}'": {f"{v}'" for v in members} for pid, members in p}
+        first = p.ids[0]
+        parts[first] = parts[first] | parts.pop(f"{first}'")
+        out.append(("split part", True, projection_map(primed, Partition(parts), 1)))
+    return [(name, breaks, m if isinstance(m, QiMap) else QiMap(*m, 1)) for name, breaks, m in out]
+
+
+class TestProjectionCertificate:
+    """_fibre_width and _bounds_witness against the Floyd-Warshall oracles in helpers.py."""
+
+    def certify(self, monkeypatch, m):
+        """_bounds_witness(m) and how many window scans it ran."""
+        scans = []
+        real = quasiiso._window
+        monkeypatch.setattr(quasiiso, "_window", lambda *a: scans.append(a) or real(*a))
+        witness = quasiiso._bounds_witness(m)
+        monkeypatch.setattr(quasiiso, "_window", real)
+        return witness, len(scans)
+
+    def test_agrees_with_the_pair_scan_on_projections_and_mutants(self, monkeypatch):
+        rng = random.Random(606)
+        sweeps = list(path_cases()) + list(spider_cases()) + list(clique_cases())
+        exprs = (generate_corpus(SEED, COUNT, MAX_K, MAX_LEAVES)[::20]
+                 + [case[1] for case in sweeps][::6])
+        seen, certified = set(), 0
+        for e in exprs:
+            g, result = evaluate(e).graph, decompose(e)
+            for name, breaks, m in projection_mutants(rng, g, result.partition):
+                source, target = graph_data(m.source), graph_data(m.target)
+                width = naive_fibre_width(source, target, m.mapping)
+                if breaks is not None:
+                    assert (width is None) == breaks, name
+                got = quasiiso._fibre_width(m)
+                assert got == (INFINITE if width is None else width), name
+                seen.add((name, width is None))
+                if width is not None and name != "merged 3 apart":
+                    assert width <= 2
+                if width is not None:  # the lemma's tight bounds hold at c = D
+                    fibres = {w: {v for v in m.source.vertices if m(v) == w}
+                              for w in m.target.vertices}
+                    tight = naive_check_partqi_tight(*source, fibres)
+                    assert tight["ok"] and tight["c"] == width, name
+                d = 0 if width is None else width
+                for c in sorted({0.5, 1, d, d + 1, d + 2} - {0}):
+                    mc = m.with_c(c)
+                    want = naive_check_qi(source, target, mc.mapping, c)
+                    witness, scans = self.certify(monkeypatch, mc)
+                    assert (list(witness) if witness else None) == \
+                        want["distance_bounds"]["witness"], (name, c)
+                    if width is not None and c >= width + 1:
+                        assert scans == 0 and want["ok"], (name, c)
+                        certified += 1
+                    else:
+                        assert scans == 1, (name, c)  # the fallback is the exact scan
+        assert certified > 50
+        assert {("projection", False), ("dropped edge", True), ("extra edge", True),
+                ("unhit vertex", True), ("isolated unhit vertex", True),
+                ("merged 3 apart", False), ("split part", True),
+                ("moved vertex", True), ("moved vertex", False)} <= seen
+
+    def test_identity_maps_are_certified_at_every_c_from_one(self, monkeypatch):
+        g = Graph(*cycle_data(7))
+        for c in (1, 1.5, 3):
+            assert self.certify(monkeypatch, identity_map(g, c)) == (None, 0)
+        want = naive_check_qi(graph_data(g), graph_data(g), identity_map(g).mapping, 0.5)
+        witness, scans = self.certify(monkeypatch, identity_map(g, 0.5))
+        assert (list(witness), scans) == (want["distance_bounds"]["witness"], 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from((0.5, 1, 1.5, 2, 3)),
+           st.sampled_from((0.25, 1, 2.5)))
+    def test_passing_at_c_passes_at_every_larger_c(self, seed, c, more):
+        rng = random.Random(seed)
+        src = Graph(*random_graph_data(rng, "s"))
+        if rng.random() < 0.5:
+            q, f = quotient(src, Partition(random_groups(rng, src.vertices)))
+            tgt = q
+        else:
+            tgt = Graph(*random_graph_data(rng, "t"))
+            f = {v: rng.choice(tgt.vertices) for v in src.vertices}
+        low = naive_check_qi(graph_data(src), graph_data(tgt), f, c)
+        high = naive_check_qi(graph_data(src), graph_data(tgt), f, c + more)
+        assert check_qi(QiMap(src, tgt, f, c)).ok == low["ok"]
+        assert check_qi(QiMap(src, tgt, f, c + more)).ok == high["ok"]
+        assert not low["ok"] or high["ok"]
