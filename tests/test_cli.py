@@ -421,11 +421,11 @@ class TestTreewidth:
         ({"vertices": [[1], [2]], "edges": []}, "hashable"),
         ({"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]}, "not a pair"),
         ({"vertices": ["a"], "edges": [], "colors": {"a": "x"}}, "not an integer"),
+        ({"vertices": ["a"], "edges": [], "colors": {"z": 1}}, "names no vertex"),
+        ({"vertices": ["a", "b"], "edges": [], "colors": {"a": 1}}, "has no colour"),
         ({"vertices": ["a"], "edges": [], "colors": {"a": 2.7}}, "not an integer"),
         ({"vertices": ["a"], "edges": [], "colors": {"a": True}}, "not an integer"),
         ({"vertices": ["a"], "edges": [], "colors": {"a": float("inf")}}, "not an integer"),
-        ({"vertices": ["a"], "edges": [], "colors": {"z": 1}}, "names no vertex"),
-        ({"vertices": ["a", "b"], "edges": [], "colors": {"a": 1}}, "has no colour"),
     ])
     def test_malformed_graph_file_exits_3(self, capsys, tmp_path, graph, why):
         path = tmp_path / "bad.json"
