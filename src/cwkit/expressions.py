@@ -169,7 +169,7 @@ def render_path(path: tuple) -> str:
 
 _BLANK_LINES_RE = re.compile(r"(?:[^\S\n]*\n)*")
 _HEADER_RE = re.compile(r"\s*cw\s+k\s*=\s*(\d+)\s*$")
-_TOKEN_RE = re.compile(r"[()]|[A-Za-z0-9_.-]+")
+_TOKEN_RE = re.compile(r"\s*([()]|[A-Za-z0-9_.-]+)")  # blanks, then the token as group 1
 _STRAY_RE = re.compile(r"[^\s()A-Za-z0-9_.-]")
 
 # operator -> (which of its arguments are atoms, the error when they are not)
@@ -188,25 +188,25 @@ def _error(message: str, text: str, at: int) -> ParseError:
 
 def _node(op, args: list, k: int, text: str) -> Node:
     """The node an operator token and its arguments (atom tokens or nodes) make."""
-    kind = op.group()
+    kind = op[1]
     shape, message = _SHAPES[kind]
     if tuple(isinstance(a, re.Match) for a in args) != shape:
-        raise _error(message, text, op.start())
+        raise _error(message, text, op.start(1))
     if kind == "union":
         return Union(*args)
     what = "leaf" if kind == "v" else kind
     colors = []
     for atom in (args[1:] if kind == "v" else args[:2]):
-        value = atom.group()
+        value = atom[1]
         if not value.isdigit():
-            raise _error(f"{what} colour must be an integer, got {value!r}", text, atom.start())
+            raise _error(f"{what} colour must be an integer, got {value!r}", text, atom.start(1))
         if not 1 <= int(value) <= k:
-            raise _error(f"{what} colour {int(value)} out of range 1..{k}", text, atom.start())
+            raise _error(f"{what} colour {int(value)} out of range 1..{k}", text, atom.start(1))
         colors.append(int(value))
     if kind == "v":
-        return Leaf(args[0].group(), colors[0])
+        return Leaf(args[0][1], colors[0])
     if colors[0] == colors[1]:
-        raise _error(f"{kind} colours must differ, both are {colors[0]}", text, args[1].start())
+        raise _error(f"{kind} colours must differ, both are {colors[0]}", text, args[1].start(1))
     return (Recolor if kind == "recolor" else Join)(*colors, args[2])
 
 
@@ -229,33 +229,34 @@ def parse(text: str) -> CwExpr:
 
     frames = []  # (operator token, its arguments so far)
     root = tok = None
-    tokens = _TOKEN_RE.finditer(text, end)
+    # The scan ends at the last token: in trailing blanks each start would rescan the rest.
+    tokens = _TOKEN_RE.finditer(text, end, len(text.rstrip()))
     for tok in tokens:
         if root is not None:
-            raise _error("unexpected trailing input after expression", text, tok.start())
-        if tok.group() == "(":
+            raise _error("unexpected trailing input after expression", text, tok.start(1))
+        if tok[1] == "(":
             paren, tok = tok, next(tokens, None)
-            if tok is None or tok.group() in "()":
-                raise _error("expected an operator after '('", text, paren.start())
-            if tok.group() not in _SHAPES:
-                raise _error(f"unknown operator {tok.group()!r}", text, tok.start())
+            if tok is None or tok[1] in "()":
+                raise _error("expected an operator after '('", text, paren.start(1))
+            if tok[1] not in _SHAPES:
+                raise _error(f"unknown operator {tok[1]!r}", text, tok.start(1))
             frames.append((tok, []))
-        elif tok.group() == ")":
+        elif tok[1] == ")":
             if not frames:
-                raise _error("unmatched ')'", text, tok.start())
+                raise _error("unmatched ')'", text, tok.start(1))
             node = _node(*frames.pop(), k, text)
             if frames:
                 frames[-1][1].append(node)
             else:
                 root = node
         elif not frames:
-            raise _error(f"unexpected atom {tok.group()!r} outside an expression", text, tok.start())
+            raise _error(f"unexpected atom {tok[1]!r} outside an expression", text, tok.start(1))
         else:
             frames[-1][1].append(tok)
     if tok is None:
         raise _error("missing expression after header", text, start)
     if root is None:
-        raise _error("unexpected end of input, unclosed '('", text, tok.start())
+        raise _error("unexpected end of input, unclosed '('", text, tok.start(1))
     return CwExpr(k, root)
 
 

@@ -3,6 +3,10 @@
 Vertex ids are opaque sortable values (strings in practice, small ints for
 tree nodes).  Every iteration order below derives from their total order, so
 identical inputs give byte-identical outputs everywhere in the library.
+
+Every metric search is one BFS, _walk.  A search that need not reach the
+whole graph walks the vertex-keyed adjacency with dict labels, so it costs
+O(explored); one over every vertex walks the integer adjacency into a list.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ INFINITE: float = math.inf
 class Graph:
     """A finite simple undirected graph with sorted adjacency."""
 
-    __slots__ = ("_vertices", "_adj", "_edges", "_hash")
+    __slots__ = ("_vertices", "_adj", "_edges", "_hash", "_int_adj")
 
     def __init__(self, vertices: Iterable, edges: Iterable = ()):
         vs = sorted(set(vertices))
@@ -37,7 +41,7 @@ class Graph:
         self._vertices = tuple(vs)
         self._adj = {v: tuple(sorted(adj[v])) for v in vs}
         self._edges = tuple(sorted((u, w) for u in vs for w in adj[u] if u < w))
-        self._hash = None
+        self._hash = self._int_adj = None
 
     @property
     def vertices(self) -> tuple:
@@ -53,6 +57,13 @@ class Graph:
             return self._adj[v]
         except KeyError:
             raise InputError(f"unknown vertex {v!r}") from None
+
+    def _int_adjacency(self) -> tuple:
+        """The adjacency over indices into vertices, as sorted tuples; built once."""
+        if self._int_adj is None:
+            pos = _positions(self)
+            self._int_adj = tuple(tuple(map(pos.__getitem__, ns)) for ns in self._adj.values())
+        return self._int_adj
 
     def closed_neighborhood(self, v) -> frozenset:
         return frozenset(self.neighbors(v)) | {v}
@@ -92,7 +103,7 @@ class Graph:
 def bfs_distances(g: Graph, sources: Iterable) -> dict:
     """Multi-source BFS; returns distances for reached vertices only."""
     dist = {}
-    for _ in _layers(g, sources, dist):
+    for _ in _walk(g._adj, _known(g, dict.fromkeys(sources)), dist):
         pass
     return dist
 
@@ -104,42 +115,62 @@ def distance(g: Graph, u, v):
     return bfs_distances(g, [u]).get(v, INFINITE)
 
 
-def _layers(g: Graph, sources: Iterable, dist: dict):
-    """BFS from sources: yields (d, the vertices at distance d), labelling dist."""
-    layer = list(dict.fromkeys(sources))
-    for s in layer:
-        if not g.has_vertex(s):
-            raise InputError(f"unknown vertex {s!r}")
-    dist.update(dict.fromkeys(layer, 0))
+def _positions(g: Graph) -> dict:
+    """vertex -> its index in g.vertices."""
+    return dict(zip(g.vertices, range(len(g))))
+
+
+def _known(g: Graph, vertices) -> list:
+    """vertices as a list; InputError names the first that is not a vertex of g."""
+    vertices = list(vertices)
+    for v in vertices:
+        if not g.has_vertex(v):
+            raise InputError(f"unknown vertex {v!r}")
+    return vertices
+
+
+def _walk(adj, layer: list, dist):
+    """BFS from the vertices in layer: yields (d, the vertices at distance d),
+    labelling dist, a dict or (with adj over indices) a list of None as long as adj."""
+    full = isinstance(dist, list)
+    for v in layer:
+        dist[v] = 0
     d = 0
     while layer:
         yield d, layer
         d += 1
         nxt = []
         for u in layer:
-            for w in g.neighbors(u):
-                if w not in dist:
+            for w in adj[u]:
+                if (dist[w] is None) if full else (w not in dist):
                     dist[w] = d
                     nxt.append(w)
         layer = nxt
 
 
+def _distance_row(g: Graph, sources) -> list:
+    """Distances from the vertex indices in sources, in g.vertices order, INFINITE if unreached."""
+    row = [None] * len(g)
+    for _ in _walk(g._int_adjacency(), list(sources), row):
+        pass
+    return row if None not in row else [INFINITE if d is None else d for d in row]
+
+
 def set_distance(g: Graph, s: Iterable, t: Iterable):
     """min over a in s, b in t of distance(a, b), 0 when the sets meet: a BFS stopped at t."""
-    s = set(s)
-    t = set(t)
+    s, t = set(s), set(t)
     if not s or not t:
         raise InputError("set_distance needs two nonempty sets")
-    for d, layer in _layers(g, s, {}):
+    for d, layer in _walk(g._adj, _known(g, s), {}):
         if not t.isdisjoint(layer):
             return d
     return INFINITE
 
 
-def _eccentricity_in(g: Graph, a, s: set) -> tuple:
-    """(labels, max distance from a to s or INFINITE), by a BFS stopped once s is labelled."""
-    dist, left = {}, len(s)
-    for d, layer in _layers(g, [a], dist):
+def _eccentricity_in(adj, a, s: set, dist) -> tuple:
+    """(dist, max distance from a to s or INFINITE), labelling dist by a BFS stopped once s is."""
+    left = len(s)
+    for d, layer in _walk(adj, [a], dist):
         left -= len(s.intersection(layer))
         if not left:
             return dist, d
@@ -159,21 +190,24 @@ def weak_diameter(g: Graph, s: Iterable):
     s = set(s)
     if not s:
         raise InputError("weak_diameter of an empty set")
-    members = sorted(s)
-    next(_layers(g, members, {}))  # raises on the first member that is no vertex
-    da, lb = _eccentricity_in(g, members[0], s)
+    members, n = _known(g, sorted(s)), len(g)
+    adj, fresh = g._adj, dict
+    if len(s) == n:  # every vertex: their indices, on the integer adjacency
+        adj, members, fresh = g._int_adjacency(), list(range(n)), lambda: [None] * n
+        s = set(members)
+    da, lb = _eccentricity_in(adj, members[0], s, fresh())
     if lb == INFINITE or len(s) <= 2:
         return lb
     # b, the member farthest from the first, has eccentricity at least lb
-    db, lb = _eccentricity_in(g, max(members, key=da.__getitem__), s)
-    u = max(members, key=db.__getitem__)
+    db, lb = _eccentricity_in(adj, max(members, key=da.__getitem__), s, fresh())
+    u, label = max(members, key=db.__getitem__), getattr(db, "get", db.__getitem__)
     for _ in range(lb - lb // 2):  # walk back from the far end to the middle
-        u = next(w for w in g.neighbors(u) if db.get(w) == db[u] - 1)
-    du, _ = _eccentricity_in(g, u, s)
+        u = next(w for w in adj[u] if label(w) == db[u] - 1)
+    du, _ = _eccentricity_in(adj, u, s, fresh())
     for x in sorted(members, key=du.__getitem__, reverse=True):
         if lb >= 2 * du[x]:
             break
-        lb = max(lb, _eccentricity_in(g, x, s)[1])
+        lb = max(lb, _eccentricity_in(adj, x, s, fresh())[1])
     return lb
 
 

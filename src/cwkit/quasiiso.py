@@ -7,8 +7,9 @@ A map f between graphs is a c-quasi-isometry when for all x, y
 and every target vertex is within distance c of the image.  Infinite
 distances must match: a pair may be disconnected on both sides or neither.
 The tight projection bounds r/(c+1) - 1 <= r' <= r have the same shape, so
-both are windows of one scan over the source pairs: one source BFS per
-vertex, O(n * (n + m)) time, O(n + |image|*|target|) memory.
+both are windows of one scan over the source pairs: one source BFS row per
+vertex, folded into its distinct (r, r') pairs and searched pair by pair only
+where one breaks a bound; O(n * (n + m)) time, O(n + |image|*|target|) memory.
 
 Callers that read only pass or fail take the projection lemma's certificate
 instead (_bounds_witness): its premises cost O(|V| + |E|) plus the fibres'
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 from collections.abc import Mapping
 
 from .errors import InputError
-from .graphs import (Graph, INFINITE, Partition, bfs_distances, quotient,
+from .graphs import (Graph, INFINITE, Partition, _distance_row, _positions, quotient,
                      weak_diameter)
 
 
@@ -81,35 +82,39 @@ def _window(m: QiMap, *windows) -> tuple:
     first pair violating the lower bound, the upper bound, and either.  A
     pair with exactly one of r, r' infinite violates the bound that the
     infinity breaks.
+
+    A margin depends on (r, r') alone, so each row is folded into the pairs no
+    earlier row held (an earlier pair that broke a bound gave its witness then),
+    and searched pair by pair only when one breaks a bound still without one.
     """
-    f, vs = m.mapping, m.source.vertices
-    rows = {}  # image vertex -> its target BFS row
+    vs, pos = m.source.vertices, _positions(m.target)
+    image = [pos[m.mapping[x]] for x in vs]  # target index of each source vertex's image
+    rows = {w: _distance_row(m.target, [w]) for w in set(image)}  # one per image vertex
+    seen = set()  # the (r, r') pairs folded so far
     found = [[-INFINITE, -INFINITE, None, None, None] for _ in windows]
     for i, x in enumerate(vs):
-        dx = bfs_distances(m.source, [x])
-        tx = rows.get(f[x])
-        if tx is None:
-            tx = rows[f[x]] = bfs_distances(m.target, [f[x]])
-        ys = vs[i + 1:]
-        rs = [dx.get(y, INFINITE) for y in ys]
-        rps = [tx.get(f[y], INFINITE) for y in ys]
-        # An infinity makes a margin infinite, or NaN if both sides are, so a
-        # violation is still a margin > 0; only finite margins are worst ones.
-        finite = INFINITE not in rs and INFINITE not in rps
+        pairs = list(zip(_distance_row(m.source, [i])[i + 1:],
+                         map(rows[image[i]].__getitem__, image[i + 1:])))
+        new = set(pairs) - seen
+        seen |= new
         for (a, b, g, d), out in zip(windows, found):
-            margins = ([r / a - b - rp for r, rp in zip(rs, rps)],
-                       [rp - g * r - d for r, rp in zip(rs, rps)])
-            for k, ms in enumerate(margins):
-                out[k] = max(out[k], max(ms if finite else [z for z in ms if abs(z) < INFINITE],
-                                         default=-INFINITE))
-            if None not in out[2:] or finite and out[0] <= 0 and out[1] <= 0:
-                continue
-            bad = [next((j for j, z in enumerate(ms) if z > 0), len(ys)) for ms in margins]
-            for k, j in enumerate(bad + [min(bad)], 2):
-                if j < len(ys) and out[k] is None:
-                    r, rp = rs[j], rps[j]
-                    out[k] = (x, ys[j], "one side disconnected, the other not"
-                              if INFINITE in (r, rp) else f"dist {r} maps to {rp}")
+            bad = set()  # (r, r', k): a new pair that breaks bound k, still without a witness
+            for r, rp in new:
+                if r < INFINITE and rp < INFINITE:  # its margins count even if they overflow
+                    lo, up = r / a - b - rp, rp - g * r - d
+                    out[:2] = max(out[0], lo), max(out[1], up)
+                    breaks = lo > 0, up > 0
+                else:  # a lone infinity breaks the bound on its side
+                    breaks = rp < INFINITE, r < INFINITE
+                bad |= {(r, rp, k) for k in (0, 1) if breaks[k] and out[k + 2] is None}
+            if bad:
+                js = [next((j for j, p in enumerate(pairs) if (*p, k) in bad), len(pairs))
+                      for k in (0, 1)]
+                for k, j in enumerate(js + [min(js)], 2):
+                    if j < len(pairs) and out[k] is None:
+                        r, rp = pairs[j]
+                        out[k] = (x, vs[i + 1 + j], "one side disconnected, the other not"
+                                  if INFINITE in (r, rp) else f"dist {r} maps to {rp}")
     return tuple(map(tuple, found))
 
 
@@ -147,8 +152,8 @@ class QiReport:
 
 def _qi_report(m: QiMap, worst_lower, worst_upper, _lo, _up, witness) -> QiReport:
     """check_qi's report from m's (c, c, c, c) window scan, plus density."""
-    near = bfs_distances(m.target, set(m.mapping.values()))  # one BFS: distance is symmetric
-    gaps = [near.get(w, INFINITE) for w in m.target.vertices]
+    pos = _positions(m.target)  # one BFS from the image: distance is symmetric
+    gaps = _distance_row(m.target, {pos[w] for w in m.mapping.values()})
     far = [w for w, gap in zip(m.target.vertices, gaps) if gap > m.c]
     return QiReport(m.c, witness is None, witness, not far, far[0] if far else None,
                     worst_lower, worst_upper, max([0] + gaps))

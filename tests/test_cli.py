@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cwkit import Graph, decompose, gen_path, graphs, quasiiso, write_cwx
+from cwkit import decompose, gen_path, graphs, quasiiso, write_cwx
 from cwkit import cli
 from cwkit.cli import main
 
@@ -230,6 +230,22 @@ class TestQiCheck:
                            "--source", str(gpath), "--target", str(gpath))
         assert code == 0
         assert json.loads(out)["qi"]["ok"] is True
+
+    def test_overflowed_margin_counts_in_a_row_with_a_disconnected_pair(self, capsys,
+                                                                          tmp_path):
+        # 2 / 1e-308 overflows; the row from "a" also holds the pair (a, z),
+        # infinite on both sides, which must not hide that finite pair's margin
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"vertices": ["a", "b", "c", "z"],
+                                     "edges": [["a", "b"], ["b", "c"]]}))
+        mpath = tmp_path / "map.json"
+        mpath.write_text(json.dumps({"f": {v: v for v in "abcz"}, "c": 1e-308}))
+        code, out, _ = run(capsys, "qi-check", "--map", str(mpath),
+                           "--source", str(gpath), "--target", str(gpath))
+        assert code == 3
+        bounds = strict_json(out)["qi"]["distance_bounds"]
+        assert bounds["worst_lower_margin"] is None  # not 1e+308
+        assert bounds["witness"] == ["a", "b", "dist 1 maps to 1"]
 
     def test_map_needs_both_graphs(self, capsys, tmp_path):
         mpath = tmp_path / "map.json"
@@ -513,8 +529,8 @@ class TestCertifiedVerdicts:
 
     def test_qi_check_runs_one_source_bfs_per_vertex(self, capsys, tmp_path, monkeypatch):
         calls, targets = [], []
-        real_bfs, real_quotient = quasiiso.bfs_distances, quasiiso.quotient
-        monkeypatch.setattr(quasiiso, "bfs_distances",
+        real_bfs, real_quotient = quasiiso._distance_row, quasiiso.quotient
+        monkeypatch.setattr(quasiiso, "_distance_row",
                             lambda g, s: calls.append(g) or real_bfs(g, s))
         monkeypatch.setattr(quasiiso, "quotient",
                             lambda g, p: targets.append(real_quotient(g, p)) or targets[-1])
@@ -535,8 +551,14 @@ class TestCertifiedVerdicts:
     def test_cover_pullback_neighbour_lookups_grow_linearly(self, capsys, tmp_path,
                                                              monkeypatch):
         lookups = []
-        real = Graph.neighbors
-        monkeypatch.setattr(Graph, "neighbors", lambda g, v: lookups.append(v) or real(g, v))
+        real = graphs._walk
+
+        def walk(adj, layer, dist):  # every vertex a BFS reaches has its neighbours read
+            for d, reached in real(adj, layer, dist):
+                lookups.extend(reached)
+                yield d, reached
+
+        monkeypatch.setattr(graphs, "_walk", walk)
         counts = []
         for length in (200, 400):
             path = self.path_file(tmp_path, length)

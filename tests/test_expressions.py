@@ -1,6 +1,7 @@
 """Parsing, printing, evaluation, validation, normalization."""
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -59,6 +60,17 @@ class TestParser:
     def test_whitespace_insensitive(self):
         flat = "cw k=2 \n (join 1 2(union(v a 1)(v b 2)))"
         assert parse(flat) == k2_expr()
+
+    def test_trailing_blanks_are_scanned_once(self):
+        # a token pattern with leading blanks retries from each trailing blank,
+        # which is quadratic (tens of seconds here) unless the scan stops early
+        blanks = " \t\n\u3000" * 10_000
+        start = time.perf_counter()
+        assert parse("cw k=2\n(v a 1)" + blanks) == CwExpr(2, Leaf("a", 1))
+        with pytest.raises(ParseError, match="unclosed") as info:
+            parse("cw k=2\n(union (v a 1)" + blanks)
+        assert (info.value.line, info.value.column) == (2, 14)
+        assert time.perf_counter() - start < 1.0
 
     def test_missing_header(self):
         with pytest.raises(ParseError):

@@ -6,13 +6,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cwkit.graphs as graphs
 import cwkit.quasiiso as quasiiso
 from cwkit import (INFINITE, Graph, InputError, Partition, QiMap, check_partqi_tight,
-                   check_qi, decompose, evaluate, generate_corpus, projection_map,
+                   check_qi, decompose, evaluate, gen_path, generate_corpus, projection_map,
                    qimap_from_json_dict, qimap_to_json_dict, quotient,
                    random_strict_expr, set_distance, singleton_partition)
 
-from helpers import (cycle_data, naive_check_partqi_tight, naive_check_qi,
+from helpers import (cycle_data, floyd_warshall, naive_check_partqi_tight, naive_check_qi,
                      naive_fibre_width, path_data, random_graph_data, random_groups)
 from test_acceptance import (COUNT, MAX_K, MAX_LEAVES, SEED, clique_cases,
                              path_cases, spider_cases)
@@ -301,22 +302,130 @@ class TestAgainstNaiveOracles:
         assert up == (-inf, -inf, None, bad, bad)
 
 
+def disjoint_union(*datas):
+    vertices, edges = [], []
+    for vs, es in datas:
+        vertices += vs
+        edges += es
+    return vertices, edges
+
+
+def fibre_width(m):
+    """The largest weak diameter of a fibre, from Floyd-Warshall (INFINITE if unbounded)."""
+    dist = floyd_warshall(sorted(m.source.vertices), m.source.edges)
+    return max(dist[a].get(b, INFINITE) for a in m.source.vertices
+               for b in m.source.vertices if m(a) == m(b))
+
+
+class TestWindowAgainstNaiveOracles:
+    """The row fold at the edges of the float range, on disconnected graphs."""
+
+    C_VALUES = (1e-308, 5e-324, 0.5, 1e308)
+
+    def cases(self):
+        rng = random.Random(707)
+        two = disjoint_union(path_data(4, "a"), cycle_data(5, "b"))
+        g = Graph(*two)
+        yield "identity on two components", QiMap(g, g, {v: v for v in g.vertices}, 1)
+        one = Graph(*path_data(9, "q"))
+        yield "two components onto one", QiMap(g, one, dict(zip(g.vertices, one.vertices)), 1)
+        q, proj = quotient(g, Partition({"a": {"a0", "a1"}, "a'": {"a2", "a3"},
+                                         "b": {"b0", "b1", "b2"}, "b'": {"b3", "b4"}}))
+        yield "projection of two components", QiMap(g, q, proj, 1)
+        gz = Graph(*disjoint_union(path_data(3, "a"), (["z"], [])))
+        yield "isolated vertex", QiMap(gz, gz, {v: v for v in gz.vertices}, 1)
+        # Only the last pair, (y, z), is at distance 3 in the source and 1 in the target.
+        src = Graph(["a", "b", "y", "z"], [("a", "y"), ("a", "b"), ("b", "z")])
+        tgt = Graph(["a", "b", "y", "z"], [("a", "y"), ("a", "b"), ("b", "z"), ("y", "z")])
+        yield "violation in the last row", QiMap(src, tgt, {v: v for v in "abyz"}, 1)
+        for k in range(40):
+            src = Graph(*disjoint_union(random_graph_data(rng, "s"), random_graph_data(rng, "u")))
+            tgt = src if k % 3 == 0 else Graph(*random_graph_data(rng, "t"))
+            f = {v: rng.choice(tgt.vertices) for v in src.vertices}
+            yield f"random {k}", QiMap(src, tgt, f, 1)
+
+    def test_check_qi_matches_floyd_warshall(self):
+        seen = set()
+        for name, m in self.cases():
+            width = fibre_width(m)
+            for c in self.C_VALUES + tuple(d for d in (width, width + 1) if 0 < d < INFINITE):
+                mc = m.with_c(c)
+                got = check_qi(mc).to_json_dict()
+                want = naive_check_qi(graph_data(m.source), graph_data(m.target), m.mapping, mc.c)
+                assert as_json(got) == as_json(want), (name, c)
+                bounds = want["distance_bounds"]
+                seen.add(bounds["worst_lower_margin"] is None and bounds["ok"] is False)
+                if name == "violation in the last row" and c == 1:
+                    assert bounds["witness"][:2] == ["y", "z"]
+        assert seen == {True, False}
+
+    def test_a_one_sided_disconnection_is_caught_when_c_times_r_overflows(self):
+        # r' - c*r - c is inf - inf, NaN, for (p0, p2) at c = 1e308
+        src, tgt = Graph(*path_data(3)), Graph(["p0", "p1", "p2"], [("p0", "p1")])
+        m = QiMap(src, tgt, {v: v for v in src.vertices}, 1e308)
+        want = naive_check_qi(graph_data(src), graph_data(tgt), m.mapping, m.c)
+        assert as_json(check_qi(m).to_json_dict()) == as_json(want)
+        assert check_qi(m).bounds_witness == ("p0", "p2", "one side disconnected, the other not")
+
+    def test_check_partqi_tight_matches_floyd_warshall_on_two_components(self):
+        rng = random.Random(708)
+        for _ in range(60):
+            a, b = random_graph_data(rng, "a"), random_graph_data(rng, "b")
+            g = Graph(*disjoint_union(a, b))
+            parts = {("a", k): ms for k, ms in random_groups(rng, a[0]).items()}
+            parts |= {("b", k): ms for k, ms in random_groups(rng, b[0]).items()}
+            want = naive_check_partqi_tight(g.vertices, g.edges, parts)
+            if want is None:
+                with pytest.raises(InputError, match="infinite weak diameter"):
+                    check_partqi_tight(g, Partition(parts))
+            else:
+                got = check_partqi_tight(g, Partition(parts)).to_json_dict()
+                assert as_json(got) == as_json(want)
+
+
 class TestBfsCount:
     def test_one_row_per_source_vertex_and_image_vertex_plus_one(self, monkeypatch):
         calls = []
-        real = quasiiso.bfs_distances
+        real = quasiiso._distance_row
 
         def counting(g, sources):
             calls.append(g)
             return real(g, sources)
 
-        monkeypatch.setattr(quasiiso, "bfs_distances", counting)
+        monkeypatch.setattr(quasiiso, "_distance_row", counting)
         src, tgt = G(path_data(8)), G(path_data(12, "q"))
         m = QiMap(src, tgt, {v: f"q{i // 3}" for i, v in enumerate(src.vertices)}, 3)
         check_qi(m)
         image = set(m.mapping.values())
         assert sum(g is src for g in calls) == len(src)
         assert sum(g is tgt for g in calls) == len(image) + 1  # one row each, one density BFS
+
+
+def test_projection_map_explores_linearly_on_paths(monkeypatch):
+    """Per-part weak diameters stay local: BFS work, full label lists included."""
+    cost = []
+    real = graphs._walk
+
+    def walk(adj, layer, dist):
+        if isinstance(dist, list):
+            cost.append(len(dist))
+        for d, reached in real(adj, layer, dist):
+            cost.append(len(reached))
+            yield d, reached
+
+    counts = []
+    for length in (1000, 2000):
+        e = gen_path("x", "y", length, 3, 1, 2, 1)
+        cases = [(evaluate(e).graph, decompose(e).partition)]  # singleton parts
+        vs, es = path_data(length)
+        cases.append((Graph(vs, es), Partition({i: vs[i:i + 3] for i in range(0, length, 3)})))
+        monkeypatch.setattr(graphs, "_walk", walk)
+        for g, p in cases:
+            projection_map(g, p)
+        monkeypatch.setattr(graphs, "_walk", real)
+        counts.append(sum(cost))
+        cost.clear()
+    assert counts[1] < 2.5 * counts[0], counts  # an n-long list per part grows 4x
 
 
 def projection_mutants(rng, g, p):
