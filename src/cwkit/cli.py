@@ -14,7 +14,7 @@ import os
 import sys
 
 from .corpus import generate_corpus
-from .covers import (ControlDilation, cover_by_components,
+from .covers import (ControlDilation, _check_scale, cover_by_components,
                      cover_from_json_dict, cover_to_json_dict, pullback_cover,
                      validate_cover)
 from .decomposition import (_decompose, decompose, result_to_dot, result_to_json_dict,
@@ -244,6 +244,7 @@ def cmd_cover_pullback(args) -> int:
         # sets; a cover file's bound is not trusted, so its sets are measured.
         worst = (max((weak_diameter(m.target, s) for s in target_cover.all_sets()),
                      default=0) if args.cover else target_cover.diameter_bound)
+        _check_scale(args.r)  # r_target is 0 at r = -1
         slope = max(1.0, worst / r_target)
     dilation = ControlDilation(slope)
     pulled = pullback_cover(m, target_cover, args.r, dilation)
@@ -291,107 +292,102 @@ def cmd_export_dot(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options) -> tuple:
+    """The arguments of one add_argument call."""
+    return flags, options
+
+
+_COMMON = (_arg("--out", help="write output to this file instead of stdout"),
+           _arg("--pretty", action="store_true", help="human summary instead of JSON"))
+
+# name -> (help, handler, arguments), in the order the help lists them
+_COMMANDS = {
+    "eval": ("evaluate an expression file to a coloured graph", cmd_eval, (
+        _arg("file"),
+        _arg("--dot", action="store_true", help="emit DOT instead of JSON"))),
+    "decompose": ("partition, quotient tree decomposition, verification", cmd_decompose, (
+        _arg("file"),
+        _arg("--normalize", action="store_true", help="repair a non-strict expression first"),
+        _arg("--oracle", action="store_true",
+             help="also compute the quotient's exact treewidth"),
+        _arg("--cap", type=int, default=None, help="oracle size cap override"),
+        _arg("--dot", action="store_true", help="emit DOT instead of JSON"))),
+    "generate": ("write a constructive witness expression", cmd_generate, (
+        _arg("kind", choices=("path", "spider", "subdivided-clique")),
+        _arg("--x", default="x", help="path: first endpoint name"),
+        _arg("--y", default="y", help="path: last endpoint name"),
+        _arg("--length", type=int, default=3, help="path: edge count"),
+        _arg("--palette", type=int, default=3, help="path: colour count"),
+        _arg("--x-color", type=int, default=1),
+        _arg("--y-color", type=int, default=2),
+        _arg("--inner-color", type=int, default=1),
+        _arg("--legs", default="1,1,1", help="spider: comma-separated leg lengths"),
+        _arg("--t", type=int, default=None, help="spider: leg count"),
+        _arg("--n", type=int, default=4, help="clique: branch vertex count"),
+        _arg("--times", type=int, default=7, help="clique: subdivisions per edge"))),
+    "corpus": ("seeded random expressions plus batch verification", cmd_corpus, (
+        _arg("--seed", type=int, required=True),
+        _arg("--count", type=int, default=100),
+        _arg("--max-k", type=int, default=5),
+        _arg("--max-leaves", type=int, default=30),
+        _arg("--out-dir", required=True))),
+    "qi-check": ("check the quasi-isometry conditions", cmd_qi_check, (
+        _arg("file", nargs="?", help="expression file (projection pipeline)"),
+        _arg("--c", type=float, default=None, help="parameter override"),
+        _arg("--map", help="map JSON (needs --source and --target)"),
+        _arg("--source", help="source graph for --map"),
+        _arg("--target", help="target graph for --map"))),
+    "minor-model": ("pull a clique minor model through an embedding", cmd_minor_model, (
+        _arg("--n", type=int, default=4, help="pattern clique size"),
+        _arg("--times", type=int, default=7, help="subdivisions per edge"),
+        _arg("--c", type=float, default=1.0),
+        _arg("--oracle", action="store_true",
+             help="cross-check with the exact minor oracle"))),
+    "cover-pullback": ("pull a cover of the quotient back to the graph", cmd_cover_pullback, (
+        _arg("file"),
+        _arg("--r", type=float, default=1.0, help="source scale (>= 1)"),
+        _arg("--slope", type=float, default=None,
+             help="target dilation slope (default: smallest adequate)"),
+        _arg("--cover", help="target cover JSON (default: by components)"))),
+    "treewidth": ("exact treewidth of a small graph", cmd_treewidth, (
+        _arg("file", help="graph JSON or .cwx file"),
+        _arg("--quotient", action="store_true",
+             help="use the decomposer's quotient of a .cwx input"),
+        _arg("--cap", type=int, default=None, help="size cap override"))),
+    "export-dot": ("DOT rendering of a graph, expression, or decomposition", cmd_export_dot, (
+        _arg("file"),
+        _arg("--kind", choices=("graph", "expr", "decomposition"), default=None))),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The cwkit parser; with only, it holds just that subcommand's subparser.
+
+    main names the subcommand it runs, so a call pays for one subparser, not
+    nine.  The top-level usage line names every subcommand either way, so
+    help texts and error messages are the same.
+    """
     parser = argparse.ArgumentParser(
         prog="cwkit",
         description="Build, verify, and export structures derived from "
                     "clique-width expressions.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write output to this file instead of stdout")
-    common.add_argument("--pretty", action="store_true",
-                        help="human summary instead of JSON")
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="evaluate an expression file to a coloured graph")
-    p.add_argument("file")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("decompose", parents=[common],
-                       help="partition, quotient tree decomposition, verification")
-    p.add_argument("file")
-    p.add_argument("--normalize", action="store_true",
-                   help="repair a non-strict expression first")
-    p.add_argument("--oracle", action="store_true",
-                   help="also compute the quotient's exact treewidth")
-    p.add_argument("--cap", type=int, default=None, help="oracle size cap override")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("generate", parents=[common],
-                       help="write a constructive witness expression")
-    p.add_argument("kind", choices=("path", "spider", "subdivided-clique"))
-    p.add_argument("--x", default="x", help="path: first endpoint name")
-    p.add_argument("--y", default="y", help="path: last endpoint name")
-    p.add_argument("--length", type=int, default=3, help="path: edge count")
-    p.add_argument("--palette", type=int, default=3, help="path: colour count")
-    p.add_argument("--x-color", type=int, default=1)
-    p.add_argument("--y-color", type=int, default=2)
-    p.add_argument("--inner-color", type=int, default=1)
-    p.add_argument("--legs", default="1,1,1", help="spider: comma-separated leg lengths")
-    p.add_argument("--t", type=int, default=None, help="spider: leg count")
-    p.add_argument("--n", type=int, default=4, help="clique: branch vertex count")
-    p.add_argument("--times", type=int, default=7, help="clique: subdivisions per edge")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("corpus", parents=[common],
-                       help="seeded random expressions plus batch verification")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-k", type=int, default=5)
-    p.add_argument("--max-leaves", type=int, default=30)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_corpus)
-
-    p = sub.add_parser("qi-check", parents=[common],
-                       help="check the quasi-isometry conditions")
-    p.add_argument("file", nargs="?", help="expression file (projection pipeline)")
-    p.add_argument("--c", type=float, default=None, help="parameter override")
-    p.add_argument("--map", help="map JSON (needs --source and --target)")
-    p.add_argument("--source", help="source graph for --map")
-    p.add_argument("--target", help="target graph for --map")
-    p.set_defaults(func=cmd_qi_check)
-
-    p = sub.add_parser("minor-model", parents=[common],
-                       help="pull a clique minor model through an embedding")
-    p.add_argument("--n", type=int, default=4, help="pattern clique size")
-    p.add_argument("--times", type=int, default=7, help="subdivisions per edge")
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check with the exact minor oracle")
-    p.set_defaults(func=cmd_minor_model)
-
-    p = sub.add_parser("cover-pullback", parents=[common],
-                       help="pull a cover of the quotient back to the graph")
-    p.add_argument("file")
-    p.add_argument("--r", type=float, default=1.0, help="source scale (>= 1)")
-    p.add_argument("--slope", type=float, default=None,
-                   help="target dilation slope (default: smallest adequate)")
-    p.add_argument("--cover", help="target cover JSON (default: by components)")
-    p.set_defaults(func=cmd_cover_pullback)
-
-    p = sub.add_parser("treewidth", parents=[common],
-                       help="exact treewidth of a small graph")
-    p.add_argument("file", help="graph JSON or .cwx file")
-    p.add_argument("--quotient", action="store_true",
-                   help="use the decomposer's quotient of a .cwx input")
-    p.add_argument("--cap", type=int, default=None, help="size cap override")
-    p.set_defaults(func=cmd_treewidth)
-
-    p = sub.add_parser("export-dot", parents=[common],
-                       help="DOT rendering of a graph, expression, or decomposition")
-    p.add_argument("file")
-    p.add_argument("--kind", choices=("graph", "expr", "decomposition"),
-                   default=None)
-    p.set_defaults(func=cmd_export_dot)
-
+    # On the full build argparse derives this from the choices itself, and
+    # a metavar would also rename the command in its choice errors.
+    names = {"metavar": "{" + ",".join(_COMMANDS) + "}"} if only else {}
+    sub = parser.add_subparsers(dest="command", required=True, **names)
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flags, options in _COMMON + arguments:
+                p.add_argument(*flags, **options)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -107,6 +107,14 @@ def cover_by_components(g: Graph, r) -> CoverFamily:
     return CoverFamily((tuple(comps),), r, bound)
 
 
+def _check_scale(r) -> None:
+    """InputError unless r is a finite pullback scale >= 1."""
+    if not math.isfinite(r):
+        raise InputError(f"pullback scale must be finite, got {r}")
+    if r < 1:
+        raise InputError("pullback scale must be >= 1")
+
+
 def pullback_cover(f: QiMap, cover: CoverFamily, r, dilation) -> CoverFamily:
     """Pull a cover of f's target back to f's source at scale r.
 
@@ -116,10 +124,7 @@ def pullback_cover(f: QiMap, cover: CoverFamily, r, dilation) -> CoverFamily:
     bound is c*dilation(2*c*r) + c*c*r; the construction is checked against
     the sharper value c*dilation(c*r + c) + c*c before returning.
     """
-    if not math.isfinite(r):
-        raise InputError(f"pullback scale must be finite, got {r}")
-    if r < 1:
-        raise InputError("pullback scale must be >= 1")
+    _check_scale(r)
     c = f.c
     witness = _bounds_witness(f)
     if witness is not None:

@@ -305,16 +305,19 @@ def write_cwx(path, e: CwExpr) -> None:
 class _Part:
     """Vertices kept together; up is the part a join fused this one into.
 
-    full[q] = (i, j) records that members[:i] and q.members[:j] are fully
-    joined; fusion only appends to members, so the record stays true.
+    full[q.leaf] = (i, j) records that members[:i] and q.members[:j] are
+    fully joined; fusion only appends to members, so the record stays true.
+    Records name a part by the vertex of the leaf that made it, not by the
+    part, so parts form no reference cycles and are freed with their fold.
     """
 
-    __slots__ = ("members", "up", "full")
+    __slots__ = ("members", "up", "full", "leaf")
 
-    def __init__(self, members: list):
-        self.members = members
+    def __init__(self, leaf: int):
+        self.members = [leaf]
         self.up = None
         self.full = {}
+        self.leaf = leaf
 
 
 def _find(part: _Part) -> _Part:
@@ -385,7 +388,7 @@ class _Semantics:
 
     def leaf(self, node: Leaf) -> _State:
         v = len(self.names)
-        part = _Part([v])
+        part = _Part(v)
         self.names.append(node.vertex)
         self.leaves.append(part)
         self.adj.append(set())
@@ -425,7 +428,7 @@ class _Semantics:
         for part, gone in drop.items():
             part.members = [u for u in part.members if u not in gone]
             for q in part.full:  # the removal shifts the recorded prefixes
-                del q.full[part]
+                del self.leaves[q].full[part.leaf]
             part.full.clear()
         emptied = {part for part in drop if not part.members}
         if emptied:
@@ -447,7 +450,7 @@ class _Semantics:
         adj = self.adj
         for p in state.get(a, ()):
             for q in state.get(b, ()):
-                i, j = p.full.get(q, (0, 0))
+                i, j = p.full.get(q.leaf, (0, 0))
                 blocks = ((p.members[i:] if i else p.members, q.members),)
                 if i and j < len(q.members):
                     blocks += ((p.members[:i], q.members[j:]),)
@@ -467,8 +470,8 @@ class _Semantics:
         if a in state and b in state:
             p, q = _fuse(state[a]), _fuse(state[b])
             state[a], state[b] = [p], [q]
-            p.full[q] = (len(p.members), len(q.members))
-            q.full[p] = (len(q.members), len(p.members))
+            p.full[q.leaf] = (len(p.members), len(q.members))
+            q.full[p.leaf] = (len(q.members), len(p.members))
         return bool(added)
 
     def step(self, node: Node, kids: tuple) -> tuple:

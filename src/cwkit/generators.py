@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .errors import ContractError, InputError
 from .expressions import CwExpr, Join, Leaf, Recolor, Union, normalize
-from .graphs import Graph, _connected_within, closed_r_neighborhood, set_distance
+from .graphs import INFINITE, Graph, _connected_within, closed_r_neighborhood, set_distance
 from .quasiiso import QiMap, _bounds_witness
 
 
@@ -350,7 +350,7 @@ def build_minor_model(h: Graph, g: Graph, f: QiMap, c: float) -> MinorModel:
     source = f.source
     paths = _subdivision_structure(source, h)
     need = 4 * c * (c + 1)
-    need_text = int(need) if need == int(need) else need
+    need_text = int(need) if need < INFINITE and need == int(need) else need
     for (u, v), seq in sorted(paths.items()):
         if len(seq) - 1 < need:
             raise InputError(f"subdivision too shallow: path {u!r}..{v!r} has length "
@@ -360,7 +360,8 @@ def build_minor_model(h: Graph, g: Graph, f: QiMap, c: float) -> MinorModel:
         raise InputError(f"map violates the distance bounds at c={c}: {witness}")
 
     z = c * (c + 1)
-    cut = int(z)  # floor; z is integral for integral c
+    # floor of z; z is below every path's length, so it overflows only without paths
+    cut = int(min(z, len(source)))
     balls = {v: closed_r_neighborhood(source, [v], z) for v in h.vertices}
     stretches = {e: frozenset(seq[cut:len(seq) - cut]) for e, seq in paths.items()}
 

@@ -212,10 +212,13 @@ def weak_diameter(g: Graph, s: Iterable):
 
 
 def closed_r_neighborhood(g: Graph, s: Iterable, r) -> frozenset:
-    """All vertices at distance <= r from the set s (closed ball)."""
+    """All vertices at distance <= r from the set s (closed ball); the search stops at r."""
     if r < 0:
         raise InputError("neighborhood radius must be nonnegative")
-    dist = bfs_distances(g, s)
+    dist = {}
+    for d, _ in _walk(g._adj, _known(g, dict.fromkeys(s)), dist):
+        if d + 1 > r:  # stop before labelling the layer past r
+            break
     return frozenset(v for v, d in dist.items() if d <= r)
 
 

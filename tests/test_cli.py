@@ -1,10 +1,18 @@
 """End-to-end runs of every subcommand through main(argv)."""
 
+import argparse
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cwkit import decompose, gen_path, graphs, quasiiso, write_cwx
+from cwkit import (decompose, evaluate, gen_path, graph_to_json_dict, graphs, quasiiso,
+                   write_cwx)
 from cwkit import cli
 from cwkit.cli import main
 
@@ -320,6 +328,20 @@ class TestMinorModel:
         assert code == 3
         assert "too shallow" in err
 
+    @pytest.mark.parametrize("c", ["1e154", "1e308"])
+    def test_overflowing_depth_requirement_exits_3(self, capsys, c):
+        # 4c(c+1) overflows to inf, which has no int()
+        code, out, err = run(capsys, "minor-model", "--c", c)
+        assert (code, out) == (3, "")
+        assert err == ("error: subdivision too shallow: path '1'..'2' has length 8, "
+                       "need >= inf\n")
+
+    def test_overflowing_ball_radius_without_paths(self, capsys):
+        # K_1 has no subdivision path, so only the ball radius c(c+1) = inf is left
+        code, out, _ = run(capsys, "minor-model", "--n", "1", "--c", "1e308")
+        assert code == 0
+        assert json.loads(out) == {"branch_sets": {"1": ["1"]}, "edge_paths": {}}
+
 
 class TestCoverPullback:
     def test_default_component_cover(self, capsys, k2_file):
@@ -353,6 +375,18 @@ class TestCoverPullback:
         code, _, err = run(capsys, "cover-pullback", k2_file, "--r", "0.5")
         assert code == 3
         assert ">= 1" in err
+
+    @pytest.mark.parametrize("cover", [False, True])
+    def test_scale_minus_one_exits_3(self, capsys, tmp_path, k2_file, cover):
+        # the target scale c*r + c is 0 there, and the slope divides by it
+        extra = []
+        if cover:
+            cpath = tmp_path / "cover.json"
+            cpath.write_text(json.dumps({"collections": [[["a"]], [["b"]]], "r": 0,
+                                         "bound": 0}))
+            extra = ["--cover", str(cpath)]
+        code, out, err = run(capsys, "cover-pullback", k2_file, "--r", "-1", *extra)
+        assert (code, out, err) == (3, "", "error: pullback scale must be >= 1\n")
 
     def test_bad_slope_exits_3(self, capsys, k2_file):
         code, _, _ = run(capsys, "cover-pullback", k2_file, "--slope", "0")
@@ -566,3 +600,153 @@ class TestCertifiedVerdicts:
             assert run(capsys, "cover-pullback", path, "--r", "2")[0] == 0
             counts.append(len(lookups))
         assert counts[1] < 2.5 * counts[0], counts  # a pair scan grows 4x per doubling
+
+
+COMMANDS = ("eval", "decompose", "generate", "corpus", "qi-check", "minor-model",
+            "cover-pullback", "treewidth", "export-dot")
+
+
+def exit_of(call, argv):
+    """(exit code, stdout, stderr) of call(argv); an argparse exit is ("SystemExit", code)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParser:
+    """main builds only the named subcommand's subparser, with the same texts."""
+
+    ARGV = ([[name, "-h"] for name in COMMANDS] + [
+        [], ["-h"], ["bogus"], ["qi"], ["--out", "x", "eval"],
+        ["qi-check", "F", "--bogus"], ["eval", "F", "--dot", "--bogus"],
+        ["generate", "path", "--length", "x"], ["decompose", "F", "--cap", "1.5"],
+        ["qi-check", "F", "--c", "abc"], ["cover-pullback", "F", "--r", "x"],
+        ["generate", "bogus"], ["export-dot", "F", "--kind", "nope"],
+        ["corpus"], ["corpus", "--seed", "1"], ["generate"], ["cover-pullback"],
+        ["eval", "a", "b"], ["generate", "path", "extra"], ["treewidth", "a", "b"],
+        ["qi-check", "F", "G"],
+    ])
+
+    @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
+    def test_same_output_as_the_full_parser(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = exit_of(main, argv)
+        want = exit_of(lambda a: cli._build_parser().parse_args(a), argv)
+        assert want[0][0] == "SystemExit"
+        assert got == want
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bogus"], "error: argument command: invalid choice: 'bogus'"),
+        ([], "error: the following arguments are required: command")], ids=["bogus", "none"])
+    def test_full_build_errors_name_the_command_argument(self, argv, message):
+        # a metavar on the full build would rename it to the brace list here
+        code, out, err = exit_of(main, argv)
+        assert (code, out) == (("SystemExit", 2), "")
+        assert message in err
+
+    @pytest.mark.parametrize("argv", [[name, "-h"] for name in COMMANDS]
+                             + [["generate", "path", "--length", "3"], [], ["bogus"],
+                                ["--out", "x", "eval"]], ids=" ".join)
+    def test_a_named_subcommand_adds_one_subparser(self, monkeypatch, argv):
+        added = []
+        real = argparse._SubParsersAction.add_parser
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                            lambda sub, name, **kw: added.append(name) or real(sub, name, **kw))
+        exit_of(main, argv)
+        named = argv[:1] if argv and argv[0] in COMMANDS else []
+        assert added == (named or list(COMMANDS))
+
+    def test_console_script_reads_sys_argv(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        for argv in (["qi-check", "-h"], ["generate", "path", "--length", "3"]):
+            done = subprocess.run([sys.executable, "-m", "cwkit.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            code, out, err = exit_of(main, argv)
+            code = code[1] if isinstance(code, tuple) else code
+            assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+            assert out
+
+
+FLOATS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.5", "1", "2.5", "1e154",
+                          "1e308", "5e-324"])
+SIZES = st.sampled_from(["-1", "0", "1", "2", "3", "4"])
+
+
+@pytest.fixture(scope="module")
+def witness(tmp_path_factory):
+    """A path of length 3 as .cwx and as graph JSON, its identity map and a cover of it."""
+    d = tmp_path_factory.mktemp("witness")
+    e = gen_path("x", "y", 3, 3, 1, 2, 1)
+    g = evaluate(e).graph
+    files = {"cwx": d / "p3.cwx", "json": d / "p3.json", "map": d / "map.json",
+             "cover": d / "cover.json", "out": d / "corpus"}
+    write_cwx(files["cwx"], e)
+    files["json"].write_text(json.dumps(graph_to_json_dict(g)))
+    names = list(g.vertices)
+    files["map"].write_text(json.dumps({"f": {v: v for v in names}, "c": 1}))
+    files["cover"].write_text(json.dumps({"collections": [[names]], "r": 1, "bound": 3}))
+    return {key: str(path) for key, path in files.items()}
+
+
+def command_argv(name, files):
+    """argv for one subcommand: its inputs, then options drawn from the edges of their ranges.
+
+    The size options whose defaults make large calls are always given; every
+    other option is absent or drawn.  A value goes after "=", so "-1" and
+    "-inf" reach the program instead of argparse's option scanner.
+    """
+    inputs = {
+        "generate": st.sampled_from([["path"], ["spider"], ["subdivided-clique"]]),
+        "corpus": st.just([f"--out-dir={files['out']}"]),
+        "qi-check": st.sampled_from([[files["cwx"]],
+                                     ["--map", files["map"], "--source", files["json"],
+                                      "--target", files["json"]]]),
+        "minor-model": st.just([]),
+        "treewidth": st.sampled_from([[files["cwx"]], [files["json"]]]),
+        "export-dot": st.sampled_from([[files["cwx"]], [files["json"]]]),
+    }.get(name, st.just([files["cwx"]]))
+    sizes = {"corpus": ("--seed", "--count", "--max-k", "--max-leaves"),
+             "minor-model": ("--n", "--times")}.get(name, ())
+    switch = st.booleans()
+    optional = {
+        "eval": {"--dot": switch, "--pretty": switch},
+        "decompose": {"--normalize": switch, "--oracle": switch, "--cap": SIZES,
+                      "--dot": switch},
+        "generate": {"--length": SIZES, "--palette": SIZES, "--x-color": SIZES,
+                     "--y-color": SIZES, "--inner-color": SIZES, "--t": SIZES,
+                     "--n": SIZES, "--times": SIZES,
+                     "--legs": st.sampled_from(["1,1,1", "", "2,x", "-1,2", "0"])},
+        "corpus": {"--pretty": switch},
+        "qi-check": {"--c": FLOATS, "--pretty": switch},
+        "minor-model": {"--c": FLOATS, "--oracle": switch},
+        "cover-pullback": {"--r": FLOATS, "--slope": FLOATS,
+                           "--cover": st.just(files["cover"])},
+        "treewidth": {"--quotient": switch, "--cap": SIZES},
+        "export-dot": {"--kind": st.sampled_from(["graph", "expr", "decomposition"])},
+    }[name]
+    options = st.fixed_dictionaries({flag: SIZES for flag in sizes},
+                                    optional={flag: values for flag, values in optional.items()})
+    return st.tuples(inputs, options).map(lambda drawn: [name, *drawn[0], *(
+        flag if value is True else f"{flag}={value}"
+        for flag, value in drawn[1].items() if value is not False)])
+
+
+class TestContract:
+    """Every subcommand exits 0, 2, 3 or 4 (or argparse's 2), with no traceback and strict JSON."""
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_edges_of_every_option_range(self, witness, name, data):
+        argv = data.draw(command_argv(name, witness), label="argv")
+        code, out, err = exit_of(main, argv)
+        assert code in (0, 2, 3, 4, ("SystemExit", 2)), (argv, code, err)
+        assert "Traceback" not in err
+        if out and not {"--pretty", "--dot"} & set(argv) and name not in ("generate",
+                                                                          "export-dot"):
+            strict_json(out)

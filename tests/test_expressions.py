@@ -1,5 +1,6 @@
 """Parsing, printing, evaluation, validation, normalization."""
 
+import gc
 import random
 import time
 import tracemalloc
@@ -11,7 +12,8 @@ from cwkit import (CwExpr, InputError, Join, Leaf, ParseError, Recolor, Union,
                    evaluate, format_expr, normalize, parse, permute_colors,
                    validate_strict)
 from cwkit import expressions
-from cwkit.corpus import random_strict_expr
+from cwkit.corpus import generate_corpus, random_strict_expr
+from cwkit.decomposition import _decompose
 from cwkit.expressions import (RULE_COLOR_RANGE, RULE_DUP_VERTEX,
                                RULE_EMPTY_OPERAND, RULE_OP2_I_UNUSED,
                                RULE_OP2_J_UNUSED, RULE_OP3_NO_NEW_EDGE,
@@ -305,6 +307,33 @@ class TestValidationCost:
             "OP2_I_UNUSED at root: recolor source colour 2 unused below"]
         assert small_report.violations[0].path == ()
         assert large < 3 * small, (small, large)
+
+
+class TestPartsAreFreed:
+    """A fold's parts hold no reference cycle, so dropping its result frees them."""
+
+    OWNERS = {
+        "evaluate": evaluate,
+        "_decompose": lambda e: _decompose(e, with_graph=True),
+        "validate_strict": validate_strict,
+        "normalize": normalize,
+        "corpus": lambda e: generate_corpus(e.k, 3, 5, 40),
+    }
+
+    @pytest.mark.parametrize("owner", sorted(OWNERS))
+    def test_no_part_waits_for_the_cyclic_collector(self, owner):
+        exprs = generate_corpus(20260815, 4, 5, 40)
+        if owner == "validate_strict":  # merging duplicates drops joined parts' records
+            exprs.append(duplicated_hub_part(20))
+        gc.collect()
+        gc.disable()
+        try:
+            for e in exprs:
+                self.OWNERS[owner](e)
+            left = sum(isinstance(o, expressions._Part) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert left == 0
 
 
 class TestValidation:

@@ -12,6 +12,7 @@ from cwkit import (INFINITE, ColoredGraph, Graph, InputError, Partition,
                    graph_to_json_dict, induced_coloring, is_connected,
                    is_dominated, is_monochromatic, quotient, set_distance,
                    singleton_partition, weak_diameter)
+from cwkit import graphs
 from cwkit.errors import ContractError
 from cwkit.graphs import _components_within, _connected_within
 
@@ -132,6 +133,22 @@ class TestDistances:
         assert closed_r_neighborhood(g, ["p0"], 10) == frozenset(g.vertices)
         with pytest.raises(InputError):
             closed_r_neighborhood(g, ["p0"], -1)
+
+    def test_neighborhood_search_stops_at_the_radius(self, monkeypatch):
+        g = G(path_data(2000))
+        labelled = []
+        original = graphs._walk
+
+        def walk(adj, layer, dist):
+            labelled.append(dist)
+            return original(adj, layer, dist)
+
+        monkeypatch.setattr(graphs, "_walk", walk)
+        ball = closed_r_neighborhood(g, ["p1000"], 2)
+        assert ball == frozenset(f"p{i}" for i in range(998, 1003))
+        assert sum(map(len, labelled)) <= len(ball) + 2  # the ball plus one more layer
+        with pytest.raises(InputError, match="unknown vertex 'q'"):
+            closed_r_neighborhood(g, ["p0", "q"], 2)
 
     def test_components_and_connectivity(self):
         g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
