@@ -20,8 +20,8 @@ from .errors import (ContractError, CwkitError, InputError, ParseError,
                      SizeCapError)
 from .expressions import (CwExpr, Join, Leaf, Recolor, Union,
                           ValidationReport, Violation, evaluate, format_expr,
-                          normalize, parse, permute_colors, read_cwx,
-                          validate_strict, write_cwx)
+                          normalize, parse, read_cwx, validate_strict,
+                          write_cwx)
 from .generators import (MinorModel, SubdivisionSpec, build_minor_model,
                          complete_graph, gen_path, gen_spider,
                          gen_subdivided_clique, model_to_json_dict,
@@ -30,9 +30,8 @@ from .generators import (MinorModel, SubdivisionSpec, build_minor_model,
 from .graphs import (INFINITE, ColoredGraph, Graph, Partition, bfs_distances,
                      closed_r_neighborhood, connected_components, distance,
                      graph_from_json_dict, graph_to_dot, graph_to_json_dict,
-                     induced_coloring, is_connected, is_dominated,
-                     is_monochromatic, quotient, set_distance,
-                     singleton_partition, weak_diameter)
+                     is_connected, is_dominated, quotient, set_distance,
+                     weak_diameter)
 from .quasiiso import (PartitionQiReport, QiMap, QiReport, check_partqi_tight,
                        check_qi, projection_map, qimap_from_json_dict,
                        qimap_to_json_dict)

@@ -14,16 +14,16 @@ alone, so tests can mutate results and watch the right check fail.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from collections.abc import Mapping
 
 from .errors import ContractError, InputError
 from .expressions import (CwExpr, Join, Leaf, Recolor, Union, _find, _graph_of,
                           _Semantics, fold_postorder, validate_strict)
-from .graphs import (ColoredGraph, Graph, Partition, _connected_within, is_dominated,
-                     quotient)
-from .treedecomp import (TreeDecomposition, _holding, is_tree, td_from_json_dict, td_to_dot,
-                         td_to_json_dict)
+from .graphs import ColoredGraph, Graph, Partition, is_dominated, quotient
+from .treedecomp import (TreeDecomposition, _holding, _td_witnesses, is_tree,
+                         td_from_json_dict, td_to_dot, td_to_json_dict)
 
 # Why each strictness rule matters to the construction below; quoted in the
 # error raised on non-strict input.
@@ -222,19 +222,12 @@ def verify_result(g: ColoredGraph, result: DecompositionResult) -> VerificationR
         return VerificationReport(tuple(checks))
 
     holding = _holding(td, p.ids)
-
-    def scattered_parts():
-        for pid in p.ids:
-            if not holding[pid]:
-                yield f"part {pid!r} appears in no bag"
-            elif not _connected_within(td.tree, holding[pid]):
-                yield f"bags holding part {pid!r} are disconnected"
-    checks.append(_verdict("bag_subtrees", scattered_parts()))
-
-    q_graph, _ = quotient(g.graph, p)
-    checks.append(_verdict("edges_covered", (
-        f"quotient edge ({u!r}, {v!r}) in no bag" for u, v in q_graph.edges
-        if holding[u].isdisjoint(holding[v]))))
+    split, uncovered = _td_witnesses(quotient(g.graph, p)[0], td, holding)
+    checks.append(_verdict("bag_subtrees", [] if split is None else [
+        f"part {split!r} appears in no bag" if not holding[split]
+        else f"bags holding part {split!r} are disconnected"]))
+    checks.append(_verdict("edges_covered", [] if uncovered is None else [
+        f"quotient edge ({uncovered[0]!r}, {uncovered[1]!r}) in no bag"]))
 
     big = max(len(b) for b in td.bags.values())
     checks.append(_verdict("width_bound",
@@ -249,18 +242,14 @@ def verify_result(g: ColoredGraph, result: DecompositionResult) -> VerificationR
                       if not any(actual_colors.get(pid) == color for pid in bag))
     checks.append(_verdict("rainbow_bag", no_rainbow))
 
-    holding_color = {}
+    holding_color = defaultdict(set)  # colour -> the tree nodes whose bags hold it
     for pid in p.ids:
-        holding_color.setdefault(actual_colors[pid], set()).update(holding[pid])
-
-    def scattered_colors():
-        for color in used:
-            nodes = holding_color.get(color)
-            if not nodes:
-                yield f"no bag holds a part of colour {color}"
-            elif not _connected_within(td.tree, nodes):
-                yield f"bags holding colour {color} are disconnected"
-    checks.append(_verdict("color_subtrees", scattered_colors()))
+        holding_color[actual_colors[pid]].update(holding[pid])
+    # each colour holds a subtree: the subtree property of an edgeless graph on the colours
+    color, _ = _td_witnesses(Graph(used), td, holding_color)
+    checks.append(_verdict("color_subtrees", [] if color is None else [
+        f"no bag holds a part of colour {color}" if not holding_color[color]
+        else f"bags holding colour {color} are disconnected"]))
     return VerificationReport(tuple(checks))
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from collections.abc import Mapping
 
 from .errors import InputError, ParseError
-from .graphs import ColoredGraph, Graph
+from .graphs import INFINITE, ColoredGraph, Graph
 
 # Rule ids reported by validate_strict.
 RULE_DUP_VERTEX = "DUP_VERTEX"
@@ -186,6 +186,14 @@ def _error(message: str, text: str, at: int) -> ParseError:
     return ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
 
 
+def _read_int(digits: str):
+    """int(digits), or INFINITE past int()'s digit limit; leading zeros do not count."""
+    try:
+        return int(digits.lstrip("0") or "0")
+    except ValueError:
+        return INFINITE
+
+
 def _node(op, args: list, k: int, text: str) -> Node:
     """The node an operator token and its arguments (atom tokens or nodes) make."""
     kind = op[1]
@@ -197,12 +205,12 @@ def _node(op, args: list, k: int, text: str) -> Node:
     what = "leaf" if kind == "v" else kind
     colors = []
     for atom in (args[1:] if kind == "v" else args[:2]):
-        value = atom[1]
+        value, at = atom[1], atom.start(1)
         if not value.isdigit():
-            raise _error(f"{what} colour must be an integer, got {value!r}", text, atom.start(1))
-        if not 1 <= int(value) <= k:
-            raise _error(f"{what} colour {int(value)} out of range 1..{k}", text, atom.start(1))
-        colors.append(int(value))
+            raise _error(f"{what} colour must be an integer, got {value!r}", text, at)
+        colors.append(_read_int(value))
+        if not 1 <= colors[-1] <= k:  # one too long to read is above every readable k
+            raise _error(f"{what} colour {value.lstrip('0') or 0} out of range 1..{k}", text, at)
     if kind == "v":
         return Leaf(args[0][1], colors[0])
     if colors[0] == colors[1]:
@@ -220,7 +228,9 @@ def parse(text: str) -> CwExpr:
     m = _HEADER_RE.match(text, start, end)
     if not m:
         raise _error("expected header 'cw k=<int>'", text, start)
-    k = int(m.group(1))
+    k = _read_int(m.group(1))
+    if k == INFINITE:
+        raise _error("palette size k has too many digits", text, m.start(1))
     if k < 1:
         raise _error("palette size k must be >= 1", text, start)
     stray = _STRAY_RE.search(text, end)
@@ -592,16 +602,6 @@ def validate_strict(e: CwExpr) -> ValidationReport:
 
 
 # ---------------------------------------------------------- normalization
-
-def permute_colors(e: CwExpr, mapping: Mapping) -> CwExpr:
-    """Apply a colour permutation to every colour occurrence in e."""
-    if len(set(mapping.values())) != len(mapping):
-        raise InputError("colour permutation must be injective")
-    for c in mapping.values():
-        if not 1 <= c <= e.k:
-            raise InputError(f"permuted colour {c} outside 1..{e.k}")
-    return CwExpr(e.k, _permute_node(e.root, mapping))
-
 
 def _permute_node(root: Node, mapping: Mapping) -> Node:
     def step(node, kids):

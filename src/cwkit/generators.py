@@ -76,11 +76,16 @@ def subdivide(spec: SubdivisionSpec) -> Graph:
 
 
 def uniform_subdivision(base: Graph, count: int) -> SubdivisionSpec:
-    return SubdivisionSpec(base, {e: count for e in base.edges})
+    spec = SubdivisionSpec(base, {e: count for e in base.edges})
+    if not isinstance(count, int) or count < 0:  # the spec checks counts only on edges
+        raise InputError(f"subdivision count must be an int >= 0, got {count!r}")
+    return spec
 
 
 def complete_graph(n: int) -> Graph:
     """K_n on vertices named "1".."n"."""
+    if n < 0:
+        raise InputError(f"K_n needs n >= 0, got {n}")
     names = [str(i) for i in range(1, n + 1)]
     return Graph(names, [(a, b) for i, a in enumerate(names) for b in names[i + 1:]])
 

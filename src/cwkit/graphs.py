@@ -7,6 +7,8 @@ identical inputs give byte-identical outputs everywhere in the library.
 Every metric search is one BFS, _walk.  A search that need not reach the
 whole graph walks the vertex-keyed adjacency with dict labels, so it costs
 O(explored); one over every vertex walks the integer adjacency into a list.
+Every component search is one DFS, _components_within: connected_components,
+is_connected and the validators' subtree and branch-set checks all use it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 
-from .errors import ContractError, InputError
+from .errors import InputError
 
 #: Distance value for vertex pairs with no connecting path.  Kept as a
 #: distinguished float so finite distances stay plain ints.
@@ -224,36 +226,28 @@ def closed_r_neighborhood(g: Graph, s: Iterable, r) -> frozenset:
 
 def connected_components(g: Graph) -> tuple:
     """Vertex sets of the components, sorted by their smallest vertex."""
-    seen = set()
-    comps = []
-    for v in g.vertices:
-        if v in seen:
-            continue
-        comp = frozenset(bfs_distances(g, [v]))
-        seen |= comp
-        comps.append(comp)
-    return tuple(comps)
+    return tuple(map(frozenset, _components_within(g, g.vertices)))
 
 
 def is_connected(g: Graph) -> bool:
-    return len(g) <= 1 or len(bfs_distances(g, [g.vertices[0]])) == len(g)
+    return len(_components_within(g, g.vertices)) <= 1
 
 
 def _components_within(g: Graph, nodes) -> list:
-    """The vertex sets of the components of the subgraph of g induced by nodes."""
-    comps = []
-    left = set(nodes)
-    while left:
-        start = left.pop()
-        comp = {start}
-        stack = [start]
-        while stack:
-            for w in g.neighbors(stack.pop()):
-                if w in left:
-                    left.discard(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
+    """The vertex sets of the components of the subgraph of g induced by nodes (a
+    collection of vertices of g), in the order of their first member in nodes."""
+    adj, left, comps = g._adj, set(nodes), []
+    for start in nodes:
+        if start in left:
+            left.discard(start)
+            comps.append(comp := {start})
+            stack = [start]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w in left:
+                        left.discard(w)
+                        comp.add(w)
+                        stack.append(w)
     return comps
 
 
@@ -401,11 +395,6 @@ class Partition:
         return f"Partition({len(self._parts)} parts over {len(self._vertex_to_part)} vertices)"
 
 
-def singleton_partition(g: Graph) -> Partition:
-    """Each vertex its own part, part id = vertex id."""
-    return Partition({v: {v} for v in g.vertices})
-
-
 def quotient(g: Graph, p: Partition) -> tuple:
     """Contract each part to one vertex; returns (graph, vertex -> part id map).
 
@@ -421,26 +410,6 @@ def quotient(g: Graph, p: Partition) -> tuple:
         if pu != pv:
             qedges.add((pu, pv) if pu < pv else (pv, pu))
     return Graph(p.ids, qedges), proj
-
-
-def is_monochromatic(cg: ColoredGraph, p: Partition) -> bool:
-    """Whether every part of p is single-coloured under cg."""
-    for _, members in p:
-        colors = {cg.color_of(v) for v in members}
-        if len(colors) > 1:
-            return False
-    return True
-
-
-def induced_coloring(cg: ColoredGraph, p: Partition) -> dict:
-    """The colour each part inherits; contract error if a part is mixed."""
-    out = {}
-    for pid, members in p:
-        colors = {cg.color_of(v) for v in members}
-        if len(colors) != 1:
-            raise ContractError(f"part {pid!r} is not monochromatic: colours {sorted(colors)}")
-        out[pid] = next(iter(colors))
-    return out
 
 
 def graph_to_json_dict(g: Graph, colors: Mapping | None = None) -> dict:

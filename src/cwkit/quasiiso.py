@@ -59,12 +59,14 @@ class QiMap:
 def projection_map(g: Graph, p: Partition, c: float | None = None) -> QiMap:
     """Project g onto its quotient by p.
 
-    The default parameter is one more than the largest weak diameter of a
-    part, which is what the projection provably achieves.
+    The default parameter is one more than D, the largest weak diameter of a
+    part, which the projection provably achieves; refused if D is infinite.
     """
-    q, proj = quotient(g, p)
     if c is None:
         c = max(weak_diameter(g, members) for _, members in p) + 1
+        if c == INFINITE:
+            raise InputError("a part has infinite weak diameter (spans components)")
+    q, proj = quotient(g, p)
     return QiMap(g, q, proj, c)
 
 
@@ -248,10 +250,8 @@ def check_partqi_tight(g: Graph, p: Partition) -> PartitionQiReport:
 
 def _check_projection(g: Graph, p: Partition, qi_c=None) -> tuple:
     """check_partqi_tight(g, p) and check_qi at qi_c (default c + 1), from one scan."""
-    c = max(weak_diameter(g, members) for _, members in p)
-    if c == INFINITE:
-        raise InputError("a part has infinite weak diameter (spans components)")
-    m = projection_map(g, p, c + 1)
+    m = projection_map(g, p)
+    c = m.c - 1  # D
     if qi_c is not None:
         m = m.with_c(qi_c)
     (lo, up, lo_wit, up_wit, _), qi = _window(m, (c + 1, 1, 1, 0), (m.c,) * 4)
@@ -271,7 +271,7 @@ def qimap_from_json_dict(obj: Mapping, source: Graph, target: Graph) -> QiMap:
     try:
         raw = dict(obj["f"])
         c = float(obj["c"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an int too big for a float
         raise InputError(f"malformed quasi-isometry map object: {exc}") from None
     # JSON object keys are strings even when vertex ids are not
     by_str = {str(v): v for v in source.vertices}

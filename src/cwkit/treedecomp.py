@@ -115,10 +115,16 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdReport:
     """
     if not is_tree(td.tree):
         raise InputError("decomposition tree is not a tree")
-    holding = _holding(td, g.vertices)
+    split, uncovered = _td_witnesses(g, td, _holding(td, g.vertices))
+    return TdReport(width(td), split is None, split, uncovered is None, uncovered)
+
+
+def _td_witnesses(g: Graph, td: TreeDecomposition, holding: dict) -> tuple:
+    """(the first vertex of g whose bags induce no subtree, the first edge of g in
+    no bag), each None when there is none; holding inverts td's bags."""
     split = next((v for v in g.vertices if not _connected_within(td.tree, holding[v])), None)
     uncovered = next(((u, v) for u, v in g.edges if holding[u].isdisjoint(holding[v])), None)
-    return TdReport(width(td), split is None, split, uncovered is None, uncovered)
+    return split, uncovered
 
 
 def _holding(td: TreeDecomposition, ids) -> dict:

@@ -87,6 +87,33 @@ class TestEval:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("template, message, column", [
+        ("cw k={}\n(v a 1)\n", "palette size k has too many digits", 6),
+        ("cw k=3\n(v a {})\n", "leaf colour {} out of range 1..3", 6),
+        ("cw k=3\n(join 1 {} (v a 1))\n", "join colour {} out of range 1..3", 9),
+    ], ids=["header", "leaf-colour", "join-colour"])
+    def test_integer_too_long_to_read_exits_2(self, capsys, tmp_path, template, message,
+                                              column):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)  # int() refuses this many
+        bad = tmp_path / "long.cwx"
+        bad.write_text(template.format(digits))
+        code, out, err = run(capsys, "eval", str(bad))
+        line = 1 if "k={}" in template else 2
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(digits)} (line {line}, column {column})\n"
+
+    def test_leading_zeros_do_not_count_as_digits(self, capsys, tmp_path):
+        zeros = "0" * (sys.get_int_max_str_digits() + 1)
+        padded = tmp_path / "padded.cwx"
+        padded.write_text(f"cw k={zeros}3\n(v a {zeros}2)\n")
+        code, out, _ = run(capsys, "eval", str(padded))
+        assert code == 0
+        assert json.loads(out)["graph"]["colors"] == {"a": 2}
+        padded.write_text(f"cw k=3\n(v a {zeros}7)\n")
+        code, _, err = run(capsys, "eval", str(padded))
+        assert code == 2
+        assert err == "error: leaf colour 7 out of range 1..3 (line 2, column 6)\n"
+
     def test_missing_file_exits_3_cleanly(self, capsys, tmp_path):
         code, out, err = run(capsys, "eval", str(tmp_path / "nope.cwx"))
         assert code == 3
@@ -301,6 +328,16 @@ class TestQiCheck:
         assert (code, out) == (3, "")
         assert "not a vertex id" in err and "Traceback" not in err
 
+    def test_map_parameter_too_big_for_a_float_exits_3(self, capsys, tmp_path):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+        mpath = tmp_path / "map.json"
+        mpath.write_text(json.dumps({"f": {"a": "a", "b": "b"}, "c": 10 ** 400}))
+        code, out, err = run(capsys, "qi-check", "--map", str(mpath),
+                             "--source", str(gpath), "--target", str(gpath))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: malformed quasi-isometry map object: ")
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_c_exits_3(self, capsys, k2_file, bad):
         code, out, err = run(capsys, "qi-check", k2_file, "--c", bad)
@@ -335,6 +372,21 @@ class TestMinorModel:
         assert (code, out) == (3, "")
         assert err == ("error: subdivision too shallow: path '1'..'2' has length 8, "
                        "need >= inf\n")
+
+    @pytest.mark.parametrize("n, times, message", [
+        ("-1", "3", "K_n needs n >= 0, got -1"),
+        ("1", "-1", "subdivision count must be an int >= 0, got -1"),
+        ("0", "-1", "subdivision count must be an int >= 0, got -1"),
+    ])
+    def test_negative_sizes_exit_3(self, capsys, n, times, message):
+        code, out, err = run(capsys, "minor-model", "--n", n, "--times", times)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("n, branch_sets", [("0", {}), ("1", {"1": ["1"]})])
+    def test_edgeless_patterns_still_pass(self, capsys, n, branch_sets):
+        code, out, _ = run(capsys, "minor-model", "--n", n, "--times", "0")
+        assert code == 0
+        assert json.loads(out) == {"branch_sets": branch_sets, "edge_paths": {}}
 
     def test_overflowing_ball_radius_without_paths(self, capsys):
         # K_1 has no subdivision path, so only the ball radius c(c+1) = inf is left
@@ -458,6 +510,18 @@ class TestTreewidth:
         code, _, err = run(capsys, "treewidth", str(path))
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("text, why", [
+        ("[" * 200_000 + "]" * 200_000, "maximum recursion depth exceeded"),
+        ('{{"vertices": [{}], "edges": []}}', "integer string conversion"),
+    ], ids=["nested", "long-integer"])
+    def test_json_too_deep_or_too_long_to_read_exits_2(self, capsys, tmp_path, text, why):
+        path = tmp_path / "unreadable.json"
+        path.write_text(text.format("7" * (sys.get_int_max_str_digits() + 1)))
+        for argv in (("treewidth",), ("export-dot",)):
+            code, out, err = run(capsys, *argv, str(path))
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: {path}: ") and why in err
 
     def test_wrong_shape_exits_3(self, capsys, tmp_path):
         path = tmp_path / "shape.json"

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from cwkit import (ColoredGraph, ContractError, Graph, InputError, Partition,
-                   TreeDecomposition, brute_treewidth, decompose, evaluate, gen_path,
+from cwkit import (ColoredGraph, ContractError, DecompositionResult, Graph, InputError,
+                   Partition, TreeDecomposition, brute_treewidth, decompose, evaluate, gen_path,
                    gen_spider, gen_subdivided_clique, parse, quotient, random_strict_expr,
                    result_from_json_dict, result_to_dot, result_to_json_dict,
                    verify_result, width)
@@ -344,6 +344,23 @@ class TestAgainstNaiveVerifier:
         # the mutants reach every check that can fail on a well-formed result
         assert seen_failures >= {"part_colors_match", "tree_valid", "bag_subtrees",
                                  "edges_covered", "rainbow_bag", "color_subtrees"}
+
+    @pytest.mark.parametrize("unplaced, split", [("p", "q"), ("q", "p")])
+    def test_first_bag_subtrees_witness(self, unplaced, split):
+        # one part in no bag and one in two bags that the middle node separates:
+        # the witness names whichever comes first in id order, in its own words
+        g = ColoredGraph(Graph(["u", "v", "w"], [("u", "v"), ("v", "w")]), 2,
+                         {"u": 1, "v": 2, "w": 1})
+        parts = {unplaced: ["u"], split: ["v"], "r": ["w"]}
+        bags = {0: {split}, 1: {"r"}, 2: {split, "r"}}
+        result = DecompositionResult(
+            Partition(parts), {unplaced: 1, split: 2, "r": 1},
+            TreeDecomposition(Graph([0, 1, 2], [(0, 1), (1, 2)]), bags), 2)
+        got = verify_result(g, result).to_json_dict()
+        assert json.dumps(got) == json.dumps(naive_verify_result(g, result))
+        assert verify_result(g, result).check("bag_subtrees").witness == (
+            "part 'p' appears in no bag" if unplaced == "p"
+            else "bags holding part 'p' are disconnected")
 
 
 class TestScaling:

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cwkit import (CwExpr, InputError, Join, Leaf, ParseError, Recolor, Union,
-                   evaluate, format_expr, normalize, parse, permute_colors,
-                   validate_strict)
+                   evaluate, format_expr, normalize, parse, validate_strict)
 from cwkit import expressions
 from cwkit.corpus import generate_corpus, random_strict_expr
 from cwkit.decomposition import _decompose
@@ -454,24 +453,3 @@ class TestNormalize:
     def test_out_of_palette_color_rejected(self):
         with pytest.raises(InputError):
             normalize(CwExpr(1, Leaf("a", 2)))
-
-
-class TestPermuteColors:
-    def test_swaps_everywhere(self):
-        e = k2_expr()
-        p = permute_colors(e, {1: 2, 2: 1})
-        cg = evaluate(p)
-        assert cg.colors == {"a": 2, "b": 1}
-        assert cg.graph.edges == (("a", "b"),)
-
-    def test_partial_mapping_fixes_rest(self):
-        e = CwExpr(3, Leaf("a", 3))
-        assert permute_colors(e, {1: 2, 2: 1}) == e
-
-    def test_non_injective_rejected(self):
-        with pytest.raises(InputError):
-            permute_colors(k2_expr(), {1: 2, 2: 2})
-
-    def test_out_of_palette_rejected(self):
-        with pytest.raises(InputError):
-            permute_colors(k2_expr(), {1: 7})

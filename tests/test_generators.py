@@ -66,6 +66,16 @@ class TestSubdivisionNaming:
         assert sorted(k4.vertices) == ["1", "2", "3", "4"]
         assert k4.num_edges() == 6
 
+    def test_negative_sizes_rejected_without_edges_too(self):
+        assert len(complete_graph(0)) == 0
+        with pytest.raises(InputError, match="n >= 0"):
+            complete_graph(-1)
+        for base in (complete_graph(0), complete_graph(1)):
+            assert subdivide(uniform_subdivision(base, 0)) == base
+            for bad in (-1, 1.5):
+                with pytest.raises(InputError, match="int >= 0"):
+                    uniform_subdivision(base, bad)
+
 
 class TestGenPath:
     @pytest.mark.parametrize("length", range(1, 21))

@@ -9,15 +9,13 @@ from hypothesis import given, settings, strategies as st
 from cwkit import (INFINITE, ColoredGraph, Graph, InputError, Partition,
                    bfs_distances, closed_r_neighborhood, connected_components,
                    distance, graph_from_json_dict, graph_to_dot,
-                   graph_to_json_dict, induced_coloring, is_connected,
-                   is_dominated, is_monochromatic, quotient, set_distance,
-                   singleton_partition, weak_diameter)
+                   graph_to_json_dict, is_connected, is_dominated, quotient,
+                   set_distance, weak_diameter)
 from cwkit import graphs
-from cwkit.errors import ContractError
 from cwkit.graphs import _components_within, _connected_within
 
-from helpers import (cycle_data, floyd_warshall, naive_dominated, naive_set_distance,
-                     naive_weak_diameter, path_data, star_data)
+from helpers import (cycle_data, floyd_warshall, naive_connected, naive_dominated,
+                     naive_set_distance, naive_weak_diameter, path_data, star_data)
 
 
 def G(data):
@@ -157,6 +155,33 @@ class TestDistances:
         assert not is_connected(g)
         assert is_connected(G(path_data(4)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(0, 12),
+           st.sampled_from((0.0, 0.1, 0.25, 0.6)))
+    def test_component_searches_match_floyd_warshall(self, seed, n, density):
+        # n = 0 is the empty graph; density 0 leaves every vertex isolated
+        rng = random.Random(seed)
+        vs = [f"v{i}" for i in range(n)]
+        es = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:] if rng.random() < density]
+        g = Graph(vs, es)
+
+        def components(order, edges):  # by reachability, in the order of first members
+            dist, comps = floyd_warshall(order, edges), []
+            for v in order:
+                if not any(v in c for c in comps):
+                    comps.append(set(dist[v]))
+            return comps
+
+        want = components(sorted(vs), es)
+        assert connected_components(g) == tuple(map(frozenset, want))
+        assert is_connected(g) == (n == 0 or naive_connected(es, vs))
+        nodes = rng.sample(vs, rng.randint(0, n))  # an induced subgraph, in random order
+        inside = [(a, b) for a, b in es if a in nodes and b in nodes]
+        got = _components_within(g, nodes)
+        assert got == components(nodes, inside)
+        assert all(naive_connected(inside, c) for c in got)
+        assert _connected_within(g, nodes) == (len(got) == 1)
+
     def test_components_within_an_induced_subgraph(self):
         g = G(path_data(5))  # p0 - p1 - p2 - p3 - p4
         within = _components_within(g, ["p0", "p1", "p3", "p4"])
@@ -263,11 +288,6 @@ class TestPartition:
         with pytest.raises(InputError):
             Partition({"x": []})
 
-    def test_singleton_partition(self):
-        g = G(path_data(3))
-        p = singleton_partition(g)
-        assert len(p) == 3 and all(len(p.part(i)) == 1 for i in p.ids)
-
 
 class TestQuotient:
     def test_path_contracts_to_shorter_path(self):
@@ -300,19 +320,6 @@ class TestQuotient:
         for u, w in es:
             if proj[u] != proj[w]:
                 assert q.has_edge(proj[u], proj[w])
-
-
-class TestColoringHelpers:
-    def test_monochromatic_and_induced(self):
-        g = Graph(["a", "b", "c"], [("a", "b")])
-        cg = ColoredGraph(g, 2, {"a": 1, "b": 1, "c": 2})
-        mono = Partition({"x": ["a", "b"], "y": ["c"]})
-        mixed = Partition({"x": ["a", "c"], "y": ["b"]})
-        assert is_monochromatic(cg, mono)
-        assert not is_monochromatic(cg, mixed)
-        assert induced_coloring(cg, mono) == {"x": 1, "y": 2}
-        with pytest.raises(ContractError):
-            induced_coloring(cg, mixed)
 
 
 class TestInterop:

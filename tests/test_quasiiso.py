@@ -11,7 +11,7 @@ import cwkit.quasiiso as quasiiso
 from cwkit import (INFINITE, Graph, InputError, Partition, QiMap, check_partqi_tight,
                    check_qi, decompose, evaluate, gen_path, generate_corpus, projection_map,
                    qimap_from_json_dict, qimap_to_json_dict, quotient,
-                   random_strict_expr, set_distance, singleton_partition)
+                   random_strict_expr, set_distance)
 
 from helpers import (cycle_data, floyd_warshall, naive_check_partqi_tight, naive_check_qi,
                      naive_fibre_width, path_data, random_graph_data, random_groups)
@@ -147,9 +147,17 @@ class TestProjectionMap:
         report = check_qi(projection_map(g, p, c=1))
         assert not report.bounds_ok
 
+    def test_default_parameter_refuses_a_part_spanning_components(self):
+        g = Graph(["a", "b", "c"], [("b", "c")])
+        p = Partition({"ab": ["a", "b"], "c": ["c"]})
+        with pytest.raises(InputError, match=r"^a part has infinite weak diameter "
+                                             r"\(spans components\)$"):
+            projection_map(g, p)
+        assert projection_map(g, p, c=2).c == 2  # an explicit parameter is taken as given
+
     def test_singleton_projection_is_isometric(self):
         g = G(cycle_data(5))
-        m = projection_map(g, singleton_partition(g))
+        m = projection_map(g, Partition({v: {v} for v in g.vertices}))
         assert m.c == 1
         assert check_qi(m).ok
 
@@ -166,7 +174,7 @@ class TestPartqiTight:
 
     def test_singletons_are_exact(self):
         g = G(cycle_data(6))
-        report = check_partqi_tight(g, singleton_partition(g))
+        report = check_partqi_tight(g, Partition({v: {v} for v in g.vertices}))
         assert report.ok
         assert report.c == 0
         assert report.worst_upper_margin == 0
