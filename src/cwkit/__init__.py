@@ -12,8 +12,7 @@ from .corpus import generate_corpus, random_strict_expr
 from .covers import (ControlDilation, CoverFamily, cover_by_components,
                      cover_from_json_dict, cover_to_json_dict, pullback_cover,
                      validate_cover)
-from .decomposition import (CheckResult, DecompositionResult,
-                            VerificationReport, decompose,
+from .decomposition import (DecompositionResult, decompose,
                             result_from_json_dict, result_to_dot,
                             result_to_json_dict, verify_result)
 from .errors import (ContractError, CwkitError, InputError, ParseError,
@@ -35,9 +34,9 @@ from .graphs import (INFINITE, ColoredGraph, Graph, Partition, bfs_distances,
 from .quasiiso import (PartitionQiReport, QiMap, QiReport, check_partqi_tight,
                        check_qi, projection_map, qimap_from_json_dict,
                        qimap_to_json_dict)
-from .treedecomp import (TdReport, TreeDecomposition, brute_treewidth,
-                         has_minor, is_tree, td_from_json_dict, td_to_dot,
-                         td_to_json_dict, validate_td, width)
+from .treedecomp import (CheckResult, TreeDecomposition, VerificationReport,
+                         brute_treewidth, has_minor, is_tree, td_from_json_dict,
+                         td_to_dot, td_to_json_dict, validate_td, width)
 
 __version__ = "0.1.0"
 

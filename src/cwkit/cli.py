@@ -94,7 +94,7 @@ def cmd_decompose(args) -> int:
     e = read_cwx(args.file)
     if args.normalize:
         e = normalize(e)
-    result, cg = _decompose(e, with_graph=True)
+    result, cg = _decompose(e)
     report = verify_result(cg, result)
     if args.dot:
         _write(result_to_dot(result), args.out)
@@ -154,7 +154,7 @@ def cmd_corpus(args) -> int:
     for i, e in enumerate(exprs):
         name = f"expr_{i:04d}.cwx"
         write_cwx(os.path.join(args.out_dir, name), e)
-        result, cg = _decompose(e, with_graph=True)
+        result, cg = _decompose(e)
         report = verify_result(cg, result)
         m = projection_map(cg.graph, result.partition, 3.0)
         # By the projection lemma (quasiiso._bounds_witness) a finite fibre
@@ -198,7 +198,7 @@ def cmd_qi_check(args) -> int:
         return 0 if rep.ok else 3
     if not args.file:
         raise InputError("give an expression file, or --map with --source/--target")
-    result, cg = _decompose(read_cwx(args.file), with_graph=True)
+    result, cg = _decompose(read_cwx(args.file))
     # Both reports print exact worst margins over every pair, so the
     # certificate cannot stand in for the scan here.
     tight, rep = _check_projection(cg.graph, result.partition, args.c)
@@ -230,7 +230,7 @@ def cmd_minor_model(args) -> int:
 
 
 def cmd_cover_pullback(args) -> int:
-    result, cg = _decompose(read_cwx(args.file), with_graph=True)
+    result, cg = _decompose(read_cwx(args.file))
     m = projection_map(cg.graph, result.partition)
     r_target = m.c * args.r + m.c
     if args.cover:
@@ -261,7 +261,7 @@ def cmd_cover_pullback(args) -> int:
 
 def cmd_treewidth(args) -> int:
     if args.quotient and str(args.file).endswith(".cwx"):
-        result, cg = _decompose(read_cwx(args.file), with_graph=True)
+        result, cg = _decompose(read_cwx(args.file))
         g, _ = quotient(cg.graph, result.partition)
     else:
         g, _ = _load_graph(args.file)

@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .decomposition import VerificationReport, _verdict
 from .errors import ContractError, InputError
 from .graphs import (INFINITE, Graph, connected_components, set_distance,
                      weak_diameter)
 from .quasiiso import QiMap, _bounds_witness, _fibres
+from .treedecomp import VerificationReport, _verdict
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ from .errors import ContractError, InputError
 from .expressions import (CwExpr, Join, Leaf, Recolor, Union, _find, _graph_of,
                           _Semantics, fold_postorder, validate_strict)
 from .graphs import ColoredGraph, Graph, Partition, is_dominated, quotient
-from .treedecomp import (TreeDecomposition, _holding, _td_witnesses, is_tree,
-                         td_from_json_dict, td_to_dot, td_to_json_dict)
+from .treedecomp import (CheckResult, TreeDecomposition, VerificationReport, _holding,
+                         _td_checks, _td_witnesses, _verdict, is_tree, td_from_json_dict,
+                         td_to_dot, td_to_json_dict)
 
 # Why each strictness rule matters to the construction below; quoted in the
 # error raised on non-strict input.
@@ -56,11 +57,11 @@ def decompose(e: CwExpr) -> DecompositionResult:
     id.  One fold over the expression; it stops at the first broken strict
     rule and raises with validate_strict's first violation.
     """
-    return _decompose(e, with_graph=False)[0]
+    return _decompose(e)[0]
 
 
-def _decompose(e: CwExpr, with_graph: bool) -> tuple:
-    """(decompose(e), and with_graph the coloured graph e denotes, else None), in one fold."""
+def _decompose(e: CwExpr) -> tuple:
+    """(decompose(e), the coloured graph e denotes), in one fold."""
     core = _Semantics(e.k)
     names = {}       # part -> part id
     bags = []        # tree node -> parts, resolved to part ids at the end
@@ -126,48 +127,10 @@ def _decompose(e: CwExpr, with_graph: bool) -> tuple:
     resolved = {t: frozenset(names[_find(p)] for p in bag) for t, bag in enumerate(bags)}
     result = DecompositionResult(Partition(parts), part_colors,
                                  TreeDecomposition(tree, resolved), rainbow)
-    return result, _graph_of(core, final) if with_graph else None
+    return result, _graph_of(core, final)
 
 
 # ------------------------------------------------------------ verification
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    witness: str | None = None
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failed(self) -> tuple:
-        return tuple(c for c in self.checks if not c.ok)
-
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise InputError(f"no check named {name!r}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [{"name": c.name, "ok": c.ok, "witness": c.witness}
-                       for c in self.checks],
-        }
-
-
-def _verdict(name: str, witnesses) -> CheckResult:
-    """The check called name: failed, with the first witness, if there is one."""
-    witness = next(iter(witnesses), None)
-    return CheckResult(name, witness is None, witness)
-
 
 def verify_result(g: ColoredGraph, result: DecompositionResult) -> VerificationReport:
     """Re-check every property of a decomposition against the graph itself.
@@ -222,12 +185,7 @@ def verify_result(g: ColoredGraph, result: DecompositionResult) -> VerificationR
         return VerificationReport(tuple(checks))
 
     holding = _holding(td, p.ids)
-    split, uncovered = _td_witnesses(quotient(g.graph, p)[0], td, holding)
-    checks.append(_verdict("bag_subtrees", [] if split is None else [
-        f"part {split!r} appears in no bag" if not holding[split]
-        else f"bags holding part {split!r} are disconnected"]))
-    checks.append(_verdict("edges_covered", [] if uncovered is None else [
-        f"quotient edge ({uncovered[0]!r}, {uncovered[1]!r}) in no bag"]))
+    checks.extend(_td_checks(quotient(g.graph, p)[0], td, holding, "part", "quotient edge"))
 
     big = max(len(b) for b in td.bags.values())
     checks.append(_verdict("width_bound",

@@ -168,7 +168,7 @@ def render_path(path: tuple) -> str:
 # ---------------------------------------------------------------- parsing
 
 _BLANK_LINES_RE = re.compile(r"(?:[^\S\n]*\n)*")
-_HEADER_RE = re.compile(r"\s*cw\s+k\s*=\s*(\d+)\s*$")
+_HEADER_RE = re.compile(r"\s*cw\s+k\s*=\s*([0-9]+)\s*$")
 _TOKEN_RE = re.compile(r"\s*([()]|[A-Za-z0-9_.-]+)")  # blanks, then the token as group 1
 _STRAY_RE = re.compile(r"[^\s()A-Za-z0-9_.-]")
 

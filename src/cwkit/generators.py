@@ -93,10 +93,11 @@ def complete_graph(n: int) -> Graph:
 # ------------------------------------------------------------------ paths
 
 def _spare_color(palette: int, *taken) -> int:
-    free = sorted(set(range(1, palette + 1)) - set(taken))
-    if not free:
+    """The smallest colour outside taken; it lies in 1..len(taken)+1, whatever the palette."""
+    free = min(set(range(1, len(taken) + 2)) - set(taken))
+    if free > palette:
         raise ContractError(f"no spare colour in palette {palette} outside {sorted(set(taken))}")
-    return free[0]
+    return free
 
 
 def _path_node(seq, x_color: int, y_color: int, inner_color: int, palette: int):
@@ -118,12 +119,12 @@ def _path_node(seq, x_color: int, y_color: int, inner_color: int, palette: int):
 
 
 def gen_path(x, y, length: int, palette: int, x_color: int, y_color: int,
-             inner_color: int, interior_names=None) -> CwExpr:
+             inner_color: int) -> CwExpr:
     """Express the path of the given length from x to y on a small palette.
 
     Needs palette >= 3, y's colour distinct from both others, and a fourth
     colour left over; x's colour may equal the interior colour.  Interior
-    vertices default to the subdivision naming of the edge xy.
+    vertices get the subdivision naming of the edge xy.
     """
     if length < 1:
         raise InputError("path length must be >= 1")
@@ -134,20 +135,12 @@ def gen_path(x, y, length: int, palette: int, x_color: int, y_color: int,
             raise InputError(f"colour {c} out of range 1..{palette}")
     if y_color in (x_color, inner_color):
         raise InputError("the far endpoint colour must differ from the near and interior colours")
-    if not set(range(1, palette + 1)) - {x_color, y_color, inner_color}:
+    if palette <= len({x_color, y_color, inner_color}):
         raise InputError("no spare colour: the palette must keep one colour unused by the endpoints "
                          "and interior")
     if x == y:
         raise InputError("path endpoints must differ")
-    if interior_names is None:
-        seq = subdivision_path(x, y, length - 1)
-    else:
-        interior_names = list(interior_names)
-        if len(interior_names) != length - 1:
-            raise InputError(f"need {length - 1} interior names, got {len(interior_names)}")
-        seq = [x] + interior_names + [y]
-    if len(set(seq)) != len(seq):
-        raise InputError("path vertex names must be distinct")
+    seq = subdivision_path(x, y, length - 1)
     return normalize(CwExpr(palette, _path_node(seq, x_color, y_color, inner_color, palette)))
 
 
@@ -216,11 +209,10 @@ def spider_graph(t: int, leg_lengths) -> Graph:
 
 # ------------------------------------------------------- subdivided cliques
 
-def gen_subdivided_clique(n: int, times) -> CwExpr:
-    """An expression for a subdivision of K_n on palette n+2.
+def gen_subdivided_clique(n: int, times: int) -> CwExpr:
+    """An expression for K_n with every edge subdivided times times, on palette n+2.
 
-    times is either one count for every edge or a map from int pairs (i, j)
-    with 1 <= i < j <= n.  Branch vertex i is named "<i>" and coloured i;
+    Branch vertex i is named "<i>" and coloured i;
     subdivision vertices use the "<u>-<v>.<m>" naming and end coloured n.
 
     Builds the star at vertex n first (a spider with n-1 legs), then adds
@@ -228,37 +220,20 @@ def gen_subdivided_clique(n: int, times) -> CwExpr:
     """
     if n < 4:
         raise InputError("need n >= 4 branch vertices")
-    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
-    if isinstance(times, int):
-        counts = {p: times for p in pairs}
-    else:
-        counts = {}
-        for key, val in dict(times).items():
-            i, j = key
-            if not (1 <= i < j <= n):
-                raise InputError(f"bad edge key {key!r}, need 1 <= i < j <= {n}")
-            counts[(i, j)] = val
-        for p in pairs:
-            counts.setdefault(p, 0)
-    if any(not isinstance(v, int) or v < 0 for v in counts.values()):
+    if not isinstance(times, int) or times < 0:
         raise InputError("subdivision counts must be ints >= 0")
 
     t = n - 1  # spider legs; t+1 == n, t+2 == n+1, t+3 == n+2
     center = str(n)
-    legs = []
-    for ell in range(1, n):
-        seq = subdivision_path(center, str(ell), counts[(ell, n)])
-        legs.append(seq[1:])
+    legs = [subdivision_path(center, str(ell), times)[1:] for ell in range(1, n)]
     node = _spider_root(center, legs, t)
 
     for j in range(2, n):
         for i in range(1, j):
-            count = counts[(i, j)]
-            seq = subdivision_path(str(i), str(j), count)
-            interiors = seq[1:-1]
-            if count == 0:
+            interiors = subdivision_path(str(i), str(j), times)[1:-1]
+            if times == 0:
                 node = Join(i, j, node)
-            elif count == 1:
+            elif times == 1:
                 node = Union(node, Leaf(interiors[0], n + 1))
                 node = Join(i, n + 1, node)
                 node = Join(j, n + 1, node)

@@ -74,49 +74,69 @@ def width(td: TreeDecomposition) -> int:
 
 
 @dataclass(frozen=True)
-class TdReport:
-    """Per-property outcome of validate_td, first counterexample each."""
+class CheckResult:
+    name: str
+    ok: bool
+    witness: str | None = None
 
-    width: int
-    subtrees_ok: bool
-    subtree_witness: object
-    coverage_ok: bool
-    coverage_witness: object
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """Named checks, each with its first witness; validate_td, verify_result and
+    validate_cover all report this way."""
+
+    checks: tuple
 
     @property
     def ok(self) -> bool:
-        return self.subtrees_ok and self.coverage_ok
+        return all(c.ok for c in self.checks)
+
+    def failed(self) -> tuple:
+        return tuple(c for c in self.checks if not c.ok)
+
+    def check(self, name: str) -> CheckResult:
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise InputError(f"no check named {name!r}")
 
     def to_json_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "width": self.width,
-            "vertex_subtrees": {"ok": self.subtrees_ok,
-                                "witness": _jsonable(self.subtree_witness)},
-            "edge_coverage": {"ok": self.coverage_ok,
-                              "witness": _jsonable(self.coverage_witness)},
+            "checks": [{"name": c.name, "ok": c.ok, "witness": c.witness}
+                       for c in self.checks],
         }
 
 
-def _jsonable(w):
-    if isinstance(w, (tuple, list)):
-        return [_jsonable(x) for x in w]
-    if isinstance(w, frozenset):
-        return sorted(w)
-    return w
+def _verdict(name: str, witnesses) -> CheckResult:
+    """The check called name: failed, with the first witness, if there is one."""
+    witness = next(iter(witnesses), None)
+    return CheckResult(name, witness is None, witness)
 
 
-def validate_td(g: Graph, td: TreeDecomposition) -> TdReport:
+def validate_td(g: Graph, td: TreeDecomposition) -> VerificationReport:
     """Check the two decomposition properties of td against g.
 
-    Property one: for every vertex, the nodes whose bags contain it induce
-    a nonempty subtree.  Property two: every edge of g lies inside some
+    bag_subtrees: for every vertex, the nodes whose bags contain it induce
+    a nonempty subtree.  edges_covered: every edge of g lies inside some
     bag.  Raises InputError when the tree field is not a tree.
     """
     if not is_tree(td.tree):
         raise InputError("decomposition tree is not a tree")
-    split, uncovered = _td_witnesses(g, td, _holding(td, g.vertices))
-    return TdReport(width(td), split is None, split, uncovered is None, uncovered)
+    return VerificationReport(tuple(_td_checks(g, td, _holding(td, g.vertices),
+                                               "vertex", "edge")))
+
+
+def _td_checks(g: Graph, td: TreeDecomposition, holding: dict, vertex_noun: str,
+               edge_noun: str) -> list:
+    """The bag_subtrees and edges_covered checks of td against g, whose witnesses
+    call g's vertices and edges vertex_noun and edge_noun."""
+    split, uncovered = _td_witnesses(g, td, holding)
+    return [_verdict("bag_subtrees", [] if split is None else [
+                f"{vertex_noun} {split!r} appears in no bag" if not holding[split]
+                else f"bags holding {vertex_noun} {split!r} are disconnected"]),
+            _verdict("edges_covered", [] if uncovered is None else [
+                f"{edge_noun} ({uncovered[0]!r}, {uncovered[1]!r}) in no bag"])]
 
 
 def _td_witnesses(g: Graph, td: TreeDecomposition, holding: dict) -> tuple:

@@ -182,29 +182,25 @@ def naive_verify_result(g, result):
     return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
 
-def naive_td_ok(graph_vertices, graph_edges, tree_edges, bags):
-    """Both tree decomposition properties, checked directly on raw data."""
-    for v in graph_vertices:
+def naive_validate_td(graph_vertices, graph_edges, tree_edges, bags):
+    """validate_td's report as a JSON dict, checked directly on raw data.
+
+    Vertices and edges are taken in sorted order, and each check's witness is
+    its first failure in validate_td's words; connectivity is naive_connected.
+    """
+    scattered = []
+    for v in sorted(graph_vertices):
         holding = {t for t, b in bags.items() if v in b}
         if not holding:
-            return False
-        seen = {next(iter(holding))}
-        grew = True
-        while grew:
-            grew = False
-            for a, b in tree_edges:
-                if a in seen and b in holding and b not in seen:
-                    seen.add(b)
-                    grew = True
-                if b in seen and a in holding and a not in seen:
-                    seen.add(a)
-                    grew = True
-        if seen != holding:
-            return False
-    for u, w in graph_edges:
-        if not any(u in b and w in b for b in bags.values()):
-            return False
-    return True
+            scattered.append(f"vertex {v!r} appears in no bag")
+        elif not naive_connected(tree_edges, holding):
+            scattered.append(f"bags holding vertex {v!r} are disconnected")
+    uncovered = [f"edge ({u!r}, {w!r}) in no bag"
+                 for u, w in sorted({tuple(sorted(e)) for e in graph_edges})
+                 if not any(u in b and w in b for b in bags.values())]
+    checks = [{"name": name, "ok": not found, "witness": found[0] if found else None}
+              for name, found in (("bag_subtrees", scattered), ("edges_covered", uncovered))]
+    return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
 
 def _first_max(values):

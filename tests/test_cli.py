@@ -8,6 +8,11 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,6 +106,15 @@ class TestEval:
         line = 1 if "k={}" in template else 2
         assert (code, out) == (2, "")
         assert err == f"error: {message.format(digits)} (line {line}, column {column})\n"
+
+    @pytest.mark.parametrize("digit", ["\u0663", "\uff13"], ids=["arabic-indic", "fullwidth"])
+    def test_header_digits_are_ascii(self, capsys, tmp_path, digit):
+        # both are Unicode decimal digits for 3, which a colour token never accepts
+        bad = tmp_path / "digit.cwx"
+        bad.write_text(f"cw k={digit}\n(v a 1)\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: expected header 'cw k=<int>' (line 1, column 1)\n"
 
     def test_leading_zeros_do_not_count_as_digits(self, capsys, tmp_path):
         zeros = "0" * (sys.get_int_max_str_digits() + 1)
@@ -205,6 +219,22 @@ class TestGenerate:
         assert code == 0
         code, out, _ = run(capsys, "eval", str(dest))
         assert len(json.loads(out)["graph"]["vertices"]) == 10
+
+    @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+    def test_a_huge_palette_needs_no_memory_of_its_size(self, tmp_path):
+        dest = tmp_path / "big.cwx"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        limit = 512 << 20
+        done = subprocess.run(
+            [sys.executable, "-m", "cwkit.cli", "generate", "path", "--length", "2000",
+             "--palette", str(10 ** 12), "--out", str(dest)], env=env, capture_output=True,
+            text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        with open(dest) as f:
+            header = f.readline()
+        dest.unlink()  # about 48 MB of indented text
+        assert header == "cw k=1000000000000\n"
 
     def test_bad_parameters_exit_3(self, capsys):
         code, _, err = run(capsys, "generate", "path", "--length", "0")

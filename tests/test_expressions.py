@@ -313,7 +313,7 @@ class TestPartsAreFreed:
 
     OWNERS = {
         "evaluate": evaluate,
-        "_decompose": lambda e: _decompose(e, with_graph=True),
+        "_decompose": _decompose,
         "validate_strict": validate_strict,
         "normalize": normalize,
         "corpus": lambda e: generate_corpus(e.k, 3, 5, 40),

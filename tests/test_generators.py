@@ -2,11 +2,12 @@
 claim to produce, plus the minor-model pullback."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from cwkit import (ContractError, Graph, InputError, QiMap, SubdivisionSpec,
-                   build_minor_model, complete_graph, evaluate, gen_path,
+                   build_minor_model, complete_graph, evaluate, format_expr, gen_path,
                    gen_spider, gen_subdivided_clique, model_to_json_dict,
                    spider_graph, subdivide, subdivision_path,
                    uniform_subdivision, validate_strict)
@@ -89,16 +90,6 @@ class TestGenPath:
         colors["x"], colors["y"] = xc, yc
         check_expr(e, want, colors)
 
-    def test_custom_interior_names(self):
-        e = gen_path("s", "t", 3, 4, 1, 2, 3, interior_names=["m1", "m2"])
-        cg = evaluate(e)
-        assert set(cg.graph.vertices) == {"s", "m1", "m2", "t"}
-        assert cg.colors == {"s": 1, "m1": 3, "m2": 3, "t": 2}
-
-    def test_interior_name_count_checked(self):
-        with pytest.raises(InputError, match="need 2 interior names"):
-            gen_path("s", "t", 3, 4, 1, 2, 3, interior_names=["m1"])
-
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(InputError, match="length"):
             gen_path("x", "y", 0, 3, 1, 2, 1)
@@ -108,8 +99,6 @@ class TestGenPath:
             gen_path("x", "y", 2, 3, 1, 4, 1)
         with pytest.raises(InputError, match="endpoints must differ"):
             gen_path("x", "x", 2, 3, 1, 2, 1)
-        with pytest.raises(InputError, match="must be distinct"):
-            gen_path("x", "y", 3, 4, 1, 2, 3, interior_names=["x", "m"])
 
     def test_rejects_color_clashes(self):
         # the far endpoint's colour would be erased by the interior recolor
@@ -120,6 +109,20 @@ class TestGenPath:
         # palette 3 fully spoken for leaves no room for the moving front
         with pytest.raises(InputError, match="no spare colour"):
             gen_path("x", "y", 4, 3, 1, 2, 3)
+
+    def test_a_large_palette_changes_only_the_header(self):
+        small = format_expr(gen_path("x", "y", 20, 4, 1, 2, 3))
+        large = format_expr(gen_path("x", "y", 20, 10 ** 6, 1, 2, 3))
+        assert large == small.replace("cw k=4", f"cw k={10 ** 6}", 1)
+
+    def test_memory_does_not_grow_with_the_palette(self):
+        tracemalloc.start()
+        try:
+            gen_path("x", "y", 20, 10 ** 5, 1, 2, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 class TestGenSpider:
@@ -167,24 +170,12 @@ class TestGenSubdividedClique:
             colors.setdefault(v, n)
         check_expr(e, want, colors)
 
-    def test_per_edge_counts(self):
-        e = gen_subdivided_clique(4, {(1, 2): 3, (3, 4): 1})
-        want = subdivide(SubdivisionSpec(complete_graph(4),
-                                         {("1", "2"): 3, ("3", "4"): 1}))
-        cg = evaluate(e)
-        assert cg.graph == want
-        assert cg.color_of("1-2.2") == 4
-        assert cg.color_of("3-4.1") == 4
-
     def test_bad_parameters(self):
         with pytest.raises(InputError, match="n >= 4"):
             gen_subdivided_clique(3, 1)
-        with pytest.raises(InputError, match="bad edge key"):
-            gen_subdivided_clique(4, {(2, 1): 3})
-        with pytest.raises(InputError, match="bad edge key"):
-            gen_subdivided_clique(4, {(1, 5): 3})
-        with pytest.raises(InputError, match="ints >= 0"):
-            gen_subdivided_clique(4, {(1, 2): -2})
+        for bad in (-2, 2.0):
+            with pytest.raises(InputError, match="ints >= 0"):
+                gen_subdivided_clique(4, bad)
 
 
 class TestSubdivisionRecognition:

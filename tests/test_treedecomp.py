@@ -6,11 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cwkit import (Graph, InputError, SizeCapError, TreeDecomposition,
+from cwkit import (CheckResult, Graph, InputError, SizeCapError, TreeDecomposition,
                    brute_treewidth, has_minor, is_tree, td_from_json_dict,
                    td_to_dot, td_to_json_dict, validate_td, width)
 
-from helpers import (clique_data, cycle_data, grid_data, naive_td_ok,
+from helpers import (clique_data, cycle_data, grid_data, naive_validate_td,
                      path_data, perm_treewidth, star_data)
 
 
@@ -68,32 +68,32 @@ class TestValidate:
     def test_good_path_decomposition(self):
         report = validate_td(G(path_data(3)), p3_decomposition())
         assert report.ok
-        assert report.width == 1
-        assert report.subtree_witness is None
-        assert report.coverage_witness is None
+        assert report.checks == (CheckResult("bag_subtrees", True),
+                                 CheckResult("edges_covered", True))
 
     def test_uncovered_edge_reported(self):
         td = TreeDecomposition(Graph([0, 1], [(0, 1)]),
                                {0: {"p0"}, 1: {"p1", "p2"}})
         report = validate_td(G(path_data(3)), td)
         assert not report.ok
-        assert report.coverage_witness == ("p0", "p1")
+        assert report.failed() == (
+            CheckResult("edges_covered", False, "edge ('p0', 'p1') in no bag"),)
         # p0 still appears in a bag, so the subtree side is fine
-        assert report.subtrees_ok
+        assert report.check("bag_subtrees").ok
 
     def test_disconnected_occurrence_reported(self):
         tree = Graph([0, 1, 2], [(0, 1), (1, 2)])
         td = TreeDecomposition(tree, {0: {"p0", "p1"}, 1: {"p1", "p2"},
                                       2: {"p0", "p2"}})
         report = validate_td(G(path_data(3)), td)
-        assert not report.subtrees_ok
-        assert report.subtree_witness == "p0"
+        assert report.check("bag_subtrees") == CheckResult(
+            "bag_subtrees", False, "bags holding vertex 'p0' are disconnected")
 
     def test_missing_vertex_reported(self):
         td = TreeDecomposition(Graph([0], []), {0: {"p0", "p1"}})
         report = validate_td(G(path_data(3)), td)
-        assert not report.subtrees_ok
-        assert report.subtree_witness == "p2"
+        assert report.check("bag_subtrees") == CheckResult(
+            "bag_subtrees", False, "vertex 'p2' appears in no bag")
 
     def test_non_tree_rejected(self):
         tree = Graph([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
@@ -105,9 +105,9 @@ class TestValidate:
         td = TreeDecomposition(Graph([0, 1], [(0, 1)]),
                                {0: {"p0"}, 1: {"p1", "p2"}})
         obj = validate_td(G(path_data(3)), td).to_json_dict()
-        assert obj["ok"] is False
-        assert obj["edge_coverage"]["witness"] == ["p0", "p1"]
-        assert obj["vertex_subtrees"] == {"ok": True, "witness": None}
+        assert obj == {"ok": False, "checks": [
+            {"name": "bag_subtrees", "ok": True, "witness": None},
+            {"name": "edges_covered", "ok": False, "witness": "edge ('p0', 'p1') in no bag"}]}
         json.dumps(obj)  # stays serializable
 
     @settings(max_examples=40, deadline=None)
@@ -122,10 +122,62 @@ class TestValidate:
         if rng.random() < 0.5 and bags[0]:
             bags[0].discard(rng.choice(sorted(bags[0])))
         td = TreeDecomposition(tree, bags)
-        report = validate_td(Graph(vs, es), td)
-        want = naive_td_ok(vs, es, list(tree.edges),
-                           {t: td.bags[t] for t in nodes})
-        assert report.ok == want
+        got = validate_td(Graph(vs, es), td).to_json_dict()
+        want = naive_validate_td(vs, es, list(tree.edges), td.bags)
+        assert json.dumps(got) == json.dumps(want)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from(["path", "star"]), st.integers(1, 5),
+           st.lists(st.sampled_from(["drop", "far", "unshare"]), max_size=3))
+    def test_report_matches_naive_checker_on_tree_mutants(self, seed, shape, size, mutants):
+        rng = random.Random(seed)
+        vs, es = small_graph_data(seed)
+        tree, bags = valid_decomposition(rng, vs, es, shape, size)
+        assert naive_validate_td(vs, es, list(tree.edges), bags)["ok"]
+        for mutant in mutants:  # several, so that several vertices and edges can fail
+            if mutant == "drop":  # one vertex leaves one of its bags
+                t = rng.choice(sorted(bags))
+                if bags[t]:
+                    bags[t].discard(rng.choice(sorted(bags[t])))
+            elif mutant == "far":  # a vertex joins a bag not adjacent to its own
+                v = rng.choice(vs)
+                near = {x for t in bags if v in bags[t] for x in [t, *tree.neighbors(t)]}
+                far = sorted(set(bags) - near)
+                if far:
+                    bags[rng.choice(far)].add(v)
+            elif es:  # an edge loses every bag it shared
+                u, w = rng.choice(es)
+                for t in bags:
+                    if u in bags[t] and w in bags[t]:
+                        bags[t].discard(rng.choice([u, w]))
+        got = validate_td(Graph(vs, es), TreeDecomposition(tree, bags)).to_json_dict()
+        want = naive_validate_td(vs, es, list(tree.edges), bags)
+        assert json.dumps(got) == json.dumps(want)
+
+
+def valid_decomposition(rng, vs, es, shape, size):
+    """A path or star tree of size nodes with valid bags for the graph (vs, es).
+
+    Each vertex gets a random subtree; each edge whose ends share no bag
+    extends one end's subtree along the tree path to the other's.
+    """
+    if shape == "path":
+        tree = Graph(range(size), [(t, t + 1) for t in range(size - 1)])
+        def between(a, b):
+            return set(range(min(a, b), max(a, b) + 1))
+    else:
+        tree = Graph(range(size), [(0, t) for t in range(1, size)])
+        def between(a, b):
+            return {a, b, 0}
+    held = {}
+    for v in vs:
+        a, b = rng.randrange(size), rng.randrange(size)
+        held[v] = between(a, b) if shape == "path" or rng.random() < 0.5 else {a}
+    for u, w in es:
+        if held[u].isdisjoint(held[w]):
+            held[u] |= between(rng.choice(sorted(held[u])), rng.choice(sorted(held[w])))
+    bags = {t: {v for v in vs if t in held[v]} for t in range(size)}
+    return tree, bags
 
 
 class TestBruteTreewidth:
