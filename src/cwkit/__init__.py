@@ -21,11 +21,10 @@ from .expressions import (CwExpr, Join, Leaf, Recolor, Union,
                           ValidationReport, Violation, evaluate, format_expr,
                           normalize, parse, read_cwx, validate_strict,
                           write_cwx)
-from .generators import (MinorModel, SubdivisionSpec, build_minor_model,
-                         complete_graph, gen_path, gen_spider,
-                         gen_subdivided_clique, model_to_json_dict,
-                         spider_graph, subdivide, subdivision_path,
-                         uniform_subdivision)
+from .generators import (MinorModel, build_minor_model, complete_graph,
+                         gen_path, gen_spider, gen_subdivided_clique,
+                         model_to_json_dict, spider_graph, subdivide,
+                         subdivision_path)
 from .graphs import (INFINITE, ColoredGraph, Graph, Partition, bfs_distances,
                      closed_r_neighborhood, connected_components, distance,
                      graph_from_json_dict, graph_to_dot, graph_to_json_dict,

@@ -24,7 +24,7 @@ from .expressions import (evaluate, format_expr, normalize, read_cwx,
                           validate_strict, write_cwx)
 from .generators import (build_minor_model, complete_graph, gen_path,
                          gen_spider, gen_subdivided_clique, model_to_json_dict,
-                         subdivide, uniform_subdivision)
+                         subdivide)
 from .graphs import (INFINITE, graph_from_json_dict, graph_to_dot,
                      graph_to_json_dict, quotient, weak_diameter)
 from .quasiiso import (QiMap, _check_projection, _fibre_width, check_partqi_tight,
@@ -212,7 +212,7 @@ def cmd_qi_check(args) -> int:
 
 def cmd_minor_model(args) -> int:
     h = complete_graph(args.n)
-    host = subdivide(uniform_subdivision(h, args.times))
+    host = subdivide(h, args.times)
     f = QiMap(host, host, {v: v for v in host.vertices}, float(args.c))
     model = build_minor_model(h, host, f, float(args.c))
     obj = model_to_json_dict(model)

@@ -4,10 +4,9 @@ embedding.
 
 The expression builders follow one inductive scheme: grow a path from its
 far end with a temporary colour, join, then retire the temporary colour
-into the interior colour.  At boundary lengths the verbatim scheme emits a
-recolor whose target colour is not in use yet, so every builder finishes by
-running normalize(), which realizes that step as a colour swap instead and
-leaves the evaluated graph untouched.
+into the interior colour.  They are strict by construction: a colour is
+recoloured or joined only while it is in use, and a recolor targets a
+colour already in use, so no repair pass follows.
 """
 
 from __future__ import annotations
@@ -17,38 +16,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ContractError, InputError
-from .expressions import CwExpr, Join, Leaf, Recolor, Union, normalize
+from .expressions import CwExpr, Join, Leaf, Recolor, Union
 from .graphs import INFINITE, Graph, _connected_within, closed_r_neighborhood, set_distance
 from .quasiiso import QiMap, _bounds_witness
 
 
 # ------------------------------------------------------------ subdivisions
-
-@dataclass(frozen=True)
-class SubdivisionSpec:
-    """A base graph plus a per-edge subdivision count."""
-
-    base: Graph
-    times: Mapping
-
-    def __post_init__(self):
-        canon = {}
-        base_edges = set(self.base.edges)
-        for e, count in dict(self.times).items():
-            u, v = e
-            key = (u, v) if u < v else (v, u)
-            if key not in base_edges:
-                raise InputError(f"subdivision count for non-edge {key!r}")
-            if not isinstance(count, int) or count < 0:
-                raise InputError(f"subdivision count for {key!r} must be an int >= 0")
-            canon[key] = count
-        for key in base_edges:
-            canon.setdefault(key, 0)
-        object.__setattr__(self, "times", canon)
-
-    def count(self, u, v) -> int:
-        return self.times[(u, v) if u < v else (v, u)]
-
 
 def subdivision_path(a, b, count: int) -> list:
     """Vertex sequence from a to b once the edge is subdivided count times.
@@ -61,25 +34,20 @@ def subdivision_path(a, b, count: int) -> list:
     return [a] + (names if a == u else names[::-1]) + [b]
 
 
-def subdivide(spec: SubdivisionSpec) -> Graph:
-    """Replace every edge of the base by a path, one per recorded count."""
-    vertices = list(spec.base.vertices)
+def subdivide(base: Graph, count: int) -> Graph:
+    """Replace every edge of base by a path through count fresh vertices."""
+    if not isinstance(count, int) or count < 0:
+        raise InputError(f"subdivision count must be an int >= 0, got {count!r}")
+    vertices = list(base.vertices)
     edges = []
-    for u, v in spec.base.edges:
-        seq = subdivision_path(u, v, spec.count(u, v))
+    for u, v in base.edges:
+        seq = subdivision_path(u, v, count)
         for w in seq[1:-1]:
-            if spec.base.has_vertex(w):
+            if base.has_vertex(w):
                 raise InputError(f"subdivision vertex name {w!r} collides with the base")
         vertices.extend(seq[1:-1])
         edges.extend(zip(seq, seq[1:]))
     return Graph(vertices, edges)
-
-
-def uniform_subdivision(base: Graph, count: int) -> SubdivisionSpec:
-    spec = SubdivisionSpec(base, {e: count for e in base.edges})
-    if not isinstance(count, int) or count < 0:  # the spec checks counts only on edges
-        raise InputError(f"subdivision count must be an int >= 0, got {count!r}")
-    return spec
 
 
 def complete_graph(n: int) -> Graph:
@@ -101,20 +69,25 @@ def _spare_color(palette: int, *taken) -> int:
 
 
 def _path_node(seq, x_color: int, y_color: int, inner_color: int, palette: int):
-    """Unnormalized expression for the path along seq.
+    """Strict expression for the path along seq.
 
     seq[0] ends with x_color, seq[-1] with y_color, everything between with
     inner_color.  Temporary far-end colours alternate between two spares.
+    seq[1] takes inner_color at once unless x_color is inner_color, so
+    every recolor targets a colour already in use.
     """
     length = len(seq) - 1
     temp = [None] * (length + 1)
     temp[length] = y_color
     for m in range(length - 1, 0, -1):
         temp[m] = _spare_color(palette, x_color, temp[m + 1], inner_color)
+    if length > 1 and x_color != inner_color:
+        temp[1] = inner_color
     node = Join(x_color, temp[1], Union(Leaf(seq[0], x_color), Leaf(seq[1], temp[1])))
     for m in range(2, length + 1):
         node = Join(temp[m], temp[m - 1], Union(node, Leaf(seq[m], temp[m])))
-        node = Recolor(temp[m - 1], inner_color, node)
+        if temp[m - 1] != inner_color:
+            node = Recolor(temp[m - 1], inner_color, node)
     return node
 
 
@@ -141,19 +114,25 @@ def gen_path(x, y, length: int, palette: int, x_color: int, y_color: int,
     if x == y:
         raise InputError("path endpoints must differ")
     seq = subdivision_path(x, y, length - 1)
-    return normalize(CwExpr(palette, _path_node(seq, x_color, y_color, inner_color, palette)))
+    return CwExpr(palette, _path_node(seq, x_color, y_color, inner_color, palette))
 
 
 # ----------------------------------------------------------------- spiders
 
 def _spider_root(center, legs, t: int):
-    """Unnormalized spider expression.
+    """Strict spider expression.
 
     legs[i] is the vertex list of leg i+1 from the centre outward, ending
     at the leaf.  Leaf of leg i gets colour i, every other vertex ends with
-    colour t+1; colours t+2 and t+3 are scratch.
+    colour t+1; colours t+2 and t+3 are temporary.  The centre waits under
+    t+3 only while some leg of three or more edges already holds colour
+    t+1, which its joins must not reach; otherwise it starts with t+1.
+    Colour t+2 marks the centre's neighbours on legs of two or more edges,
+    so it is joined and retired only when such a leg exists.
     """
-    parts = [Leaf(center, t + 3)]
+    hub = t + 3 if any(len(leg) > 2 for leg in legs) else t + 1
+    inner_neighbours = any(len(leg) > 1 for leg in legs)
+    parts = [Leaf(center, hub)]
     for ell, leg in enumerate(legs, start=1):
         leaf = leg[-1]
         if len(leg) == 1:
@@ -164,12 +143,15 @@ def _spider_root(center, legs, t: int):
     node = parts[0]
     for p in parts[1:]:
         node = Union(node, p)
-    node = Join(t + 3, t + 2, node)
+    if inner_neighbours:
+        node = Join(hub, t + 2, node)
     for ell, leg in enumerate(legs, start=1):
         if len(leg) == 1:
-            node = Join(t + 3, ell, node)
-    node = Recolor(t + 3, t + 1, node)
-    node = Recolor(t + 2, t + 1, node)
+            node = Join(hub, ell, node)
+    if hub != t + 1:
+        node = Recolor(hub, t + 1, node)
+    if inner_neighbours:
+        node = Recolor(t + 2, t + 1, node)
     return node
 
 
@@ -190,7 +172,7 @@ def gen_spider(t: int, leg_lengths) -> CwExpr:
     legs = []
     for ell, n in enumerate(leg_lengths, start=1):
         legs.append([f"{ell}.{m}" for m in range(1, n)] + [str(ell)])
-    return normalize(CwExpr(t + 3, _spider_root("c", legs, t)))
+    return CwExpr(t + 3, _spider_root("c", legs, t))
 
 
 def spider_graph(t: int, leg_lengths) -> Graph:
@@ -245,7 +227,7 @@ def gen_subdivided_clique(n: int, times: int) -> CwExpr:
                 node = Join(j, n + 2, node)
                 node = Recolor(n + 1, n, node)
                 node = Recolor(n + 2, n, node)
-    return normalize(CwExpr(n + 2, node))
+    return CwExpr(n + 2, node)
 
 
 # ------------------------------------------------------------ minor models

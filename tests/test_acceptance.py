@@ -18,7 +18,7 @@ from cwkit import (ControlDilation, Graph, Partition, QiMap,
                    gen_spider, gen_subdivided_clique, generate_corpus,
                    has_minor, parse, projection_map, pullback_cover, quotient,
                    spider_graph, subdivide, subdivision_path,
-                   uniform_subdivision, validate_strict, verify_result, width)
+                   validate_strict, verify_result, width)
 
 from helpers import floyd_warshall
 
@@ -77,7 +77,7 @@ def clique_cases():
     for n in (4, 5):
         for times in (0, 1, 7):
             e = gen_subdivided_clique(n, times)
-            want = subdivide(uniform_subdivision(complete_graph(n), times))
+            want = subdivide(complete_graph(n), times)
             colors = {str(i): i for i in range(1, n + 1)}
             for v in want.vertices:
                 colors.setdefault(v, n)
@@ -183,7 +183,7 @@ def test_criterion_5_deep_clique_pipeline(capsys):
     # minor model through the identity embedding; the separations the
     # construction needs are re-derived with an independent distance table
     k4 = complete_graph(4)
-    sub = subdivide(uniform_subdivision(k4, 7))
+    sub = subdivide(k4, 7)
     dist = floyd_warshall(list(sub.vertices), list(sub.edges))
     branch = ["1", "2", "3", "4"]
     for i, u in enumerate(branch):

@@ -407,6 +407,7 @@ class TestMinorModel:
         ("-1", "3", "K_n needs n >= 0, got -1"),
         ("1", "-1", "subdivision count must be an int >= 0, got -1"),
         ("0", "-1", "subdivision count must be an int >= 0, got -1"),
+        ("4", "-1", "subdivision count must be an int >= 0, got -1"),
     ])
     def test_negative_sizes_exit_3(self, capsys, n, times, message):
         code, out, err = run(capsys, "minor-model", "--n", n, "--times", times)

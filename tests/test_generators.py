@@ -3,14 +3,15 @@ claim to produce, plus the minor-model pullback."""
 
 import json
 import tracemalloc
+from itertools import product
 
 import pytest
 
-from cwkit import (ContractError, Graph, InputError, QiMap, SubdivisionSpec,
+import cwkit.expressions
+from cwkit import (ContractError, CwkitError, Graph, InputError, QiMap,
                    build_minor_model, complete_graph, evaluate, format_expr, gen_path,
-                   gen_spider, gen_subdivided_clique, model_to_json_dict,
-                   spider_graph, subdivide, subdivision_path,
-                   uniform_subdivision, validate_strict)
+                   gen_spider, gen_subdivided_clique, model_to_json_dict, normalize,
+                   spider_graph, subdivide, subdivision_path, validate_strict)
 
 
 def identity_qi(g, c=1.0):
@@ -31,34 +32,26 @@ class TestSubdivisionNaming:
         assert subdivision_path("b", "a", 2) == ["b", "a-b.2", "a-b.1", "a"]
         assert subdivision_path("a", "b", 0) == ["a", "b"]
 
-    def test_spec_canonicalizes_keys_and_fills_gaps(self):
-        base = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
-        spec = SubdivisionSpec(base, {("b", "a"): 2})
-        assert spec.count("a", "b") == 2
-        assert spec.count("b", "a") == 2
-        assert spec.count("b", "c") == 0
-
-    def test_spec_rejects_bad_counts(self):
-        base = Graph(["a", "b"], [("a", "b")])
-        with pytest.raises(InputError, match="non-edge"):
-            SubdivisionSpec(base, {("a", "c"): 1})
-        with pytest.raises(InputError, match="int >= 0"):
-            SubdivisionSpec(base, {("a", "b"): -1})
-        with pytest.raises(InputError, match="int >= 0"):
-            SubdivisionSpec(base, {("a", "b"): 1.5})
+    def test_subdivide_rejects_bad_counts(self):
+        base = Graph(["a", "b", "a-b.1"], [("a", "b")])
+        for bad in (-1, 1.5):
+            # the count is checked before the name collision it would meet
+            with pytest.raises(InputError, match=f"^subdivision count must be an int >= 0, "
+                                                 f"got {bad}$"):
+                subdivide(base, bad)
 
     def test_subdivide_single_edge(self):
         base = Graph(["a", "b"], [("a", "b")])
-        got = subdivide(SubdivisionSpec(base, {("a", "b"): 1}))
+        got = subdivide(base, 1)
         assert got == Graph(["a", "a-b.1", "b"], [("a", "a-b.1"), ("a-b.1", "b")])
 
     def test_subdivide_refuses_name_collisions(self):
         base = Graph(["a", "b", "a-b.1"], [("a", "b")])
         with pytest.raises(InputError, match="collides"):
-            subdivide(SubdivisionSpec(base, {("a", "b"): 1}))
+            subdivide(base, 1)
 
     def test_uniform_subdivision_of_k4(self):
-        got = subdivide(uniform_subdivision(complete_graph(4), 1))
+        got = subdivide(complete_graph(4), 1)
         assert len(got) == 10
         assert got.num_edges() == 12
 
@@ -72,10 +65,10 @@ class TestSubdivisionNaming:
         with pytest.raises(InputError, match="n >= 0"):
             complete_graph(-1)
         for base in (complete_graph(0), complete_graph(1)):
-            assert subdivide(uniform_subdivision(base, 0)) == base
+            assert subdivide(base, 0) == base
             for bad in (-1, 1.5):
                 with pytest.raises(InputError, match="int >= 0"):
-                    uniform_subdivision(base, bad)
+                    subdivide(base, bad)
 
 
 class TestGenPath:
@@ -164,7 +157,7 @@ class TestGenSubdividedClique:
     def test_uniform(self, n, times):
         e = gen_subdivided_clique(n, times)
         assert e.k == n + 2
-        want = subdivide(uniform_subdivision(complete_graph(n), times))
+        want = subdivide(complete_graph(n), times)
         colors = {str(i): i for i in range(1, n + 1)}
         for v in want.vertices:
             colors.setdefault(v, n)
@@ -178,6 +171,57 @@ class TestGenSubdividedClique:
                 gen_subdivided_clique(4, bad)
 
 
+def wide_sweep():
+    """(builder, args) for every path of length 1-24 on palettes 3-5 under every
+    colour triple, every spider on 3 or 4 legs of lengths from {1, 2, 3, 5}, and
+    K_4..K_7 subdivided 0-9 times; the refused parameter sets are included."""
+    for length in range(1, 25):
+        for palette in (3, 4, 5):
+            for xc, yc, ic in product(range(1, palette + 1), repeat=3):
+                yield gen_path, ("x", "y", length, palette, xc, yc, ic)
+    for t in (3, 4):
+        for legs in product((1, 2, 3, 5), repeat=t):
+            yield gen_spider, (t, list(legs))
+    for n in range(4, 8):
+        for times in range(10):
+            yield gen_subdivided_clique, (n, times)
+
+
+def build(builder, args):
+    """The expression builder(*args) returns, or its error's class and message."""
+    try:
+        return builder(*args)
+    except CwkitError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+class TestStrictByConstruction:
+    def test_every_sweep_output_is_strict_and_normal(self):
+        built = 0
+        for builder, args in wide_sweep():
+            e = build(builder, args)
+            if isinstance(e, list):
+                continue
+            built += 1
+            assert validate_strict(e).strict_valid, (builder.__name__, args)
+            assert format_expr(normalize(e)) == format_expr(e), (builder.__name__, args)
+        assert built == 3288
+
+    def test_building_folds_no_expression(self, monkeypatch):
+        folds = []
+        real = cwkit.expressions.fold_postorder
+
+        def counting(root, fn):
+            folds.append(type(root).__name__)
+            return real(root, fn)
+
+        monkeypatch.setattr(cwkit.expressions, "fold_postorder", counting)
+        gen_path("x", "y", 2000, 4, 3, 2, 1)
+        gen_spider(4, [1, 2, 3, 50])
+        gen_subdivided_clique(6, 9)
+        assert folds == []
+
+
 class TestSubdivisionRecognition:
     """build_minor_model leans on recognizing its source as a subdivision."""
 
@@ -189,7 +233,7 @@ class TestSubdivisionRecognition:
             self.embed(complete_graph(4), Graph(["x"], []))
 
     def test_wrong_branch_degree(self):
-        sub = subdivide(uniform_subdivision(complete_graph(4), 1))
+        sub = subdivide(complete_graph(4), 1)
         pruned = Graph(list(sub.vertices),
                        [e for e in sub.edges if e != ("1", "1-2.1")])
         with pytest.raises(InputError, match="has degree 2, pattern needs 3"):
@@ -239,7 +283,7 @@ class TestSubdivisionRecognition:
 class TestBuildMinorModel:
     def test_identity_pullback_of_deep_k4(self):
         k4 = complete_graph(4)
-        sub = subdivide(uniform_subdivision(k4, 7))
+        sub = subdivide(k4, 7)
         model = build_minor_model(k4, sub, identity_qi(sub), 1.0)
         assert sorted(model.branch_sets) == ["1", "2", "3", "4"]
         assert sorted(model.edge_paths) == [
@@ -260,7 +304,7 @@ class TestBuildMinorModel:
 
     def test_k5_pullback(self):
         k5 = complete_graph(5)
-        sub = subdivide(uniform_subdivision(k5, 7))
+        sub = subdivide(k5, 7)
         assert len(sub) == 75
         model = build_minor_model(k5, sub, identity_qi(sub), 1.0)
         assert len(model.edge_paths) == 10
@@ -268,13 +312,13 @@ class TestBuildMinorModel:
 
     def test_shallow_subdivision_refused(self):
         k4 = complete_graph(4)
-        sub = subdivide(uniform_subdivision(k4, 3))
+        sub = subdivide(k4, 3)
         with pytest.raises(InputError, match="too shallow.*need >= 8"):
             build_minor_model(k4, sub, identity_qi(sub), 1.0)
 
     def test_map_contract_checked(self):
         k4 = complete_graph(4)
-        sub = subdivide(uniform_subdivision(k4, 7))
+        sub = subdivide(k4, 7)
         with pytest.raises(InputError, match="must be >= 1"):
             build_minor_model(k4, sub, identity_qi(sub, 0.5), 0.5)
         other = complete_graph(3)
@@ -285,14 +329,14 @@ class TestBuildMinorModel:
 
     def test_bound_violations_rejected(self):
         k4 = complete_graph(4)
-        sub = subdivide(uniform_subdivision(k4, 7))
+        sub = subdivide(k4, 7)
         collapse = QiMap(sub, sub, {v: "1" for v in sub.vertices}, 1.0)
         with pytest.raises(InputError, match="violates the distance bounds"):
             build_minor_model(k4, sub, collapse, 1.0)
 
     def test_json_shape(self):
         k4 = complete_graph(4)
-        sub = subdivide(uniform_subdivision(k4, 7))
+        sub = subdivide(k4, 7)
         model = build_minor_model(k4, sub, identity_qi(sub), 1.0)
         obj = model_to_json_dict(model)
         assert set(obj) == {"branch_sets", "edge_paths"}

@@ -13,6 +13,10 @@ The non-strict inputs are seeded mutations of corpus expressions: a
 duplicated leaf id, one node object used as both union operands, a join
 that adds no edge, and a recolor from or to a colour unused below.
 
+The wide generator-sweep digest was recorded from the builders that repaired
+their output with normalize; it pins that building strict expressions
+directly gives the same text, or the same error, on every call.
+
 The parse-outcome digest was recorded from the parser that tokenized the
 body one character at a time.  Its inputs are seeded character-level
 mutations of corpus and generator texts, so it pins which ParseError wins,
@@ -38,6 +42,7 @@ from cwkit.cli import main
 from helpers import random_graph_data, random_groups
 from test_acceptance import (COUNT, MAX_K, MAX_LEAVES, SEED, clique_cases,
                              path_cases, spider_cases)
+from test_generators import build, wide_sweep
 
 GOLDEN = {
     "corpus_evaluate":
@@ -60,6 +65,8 @@ GOLDEN = {
         "bc8262213b80463e275f29f17d9364cb3aa0b0d414230c6fa2935cec31b78fa3",
     "text_parse":
         "1b66b46ed653470cbf832a098f9b596850359240669679daff247f70b23fce63",
+    "wide_sweep_format":
+        "c82ea024d1e7e3a4f278337ee9a422cbe79095826e05bccbeaece4e0ca5f4c9e",
 }
 
 MUTANT_SEED = 8081
@@ -236,6 +243,13 @@ def test_generator_outputs_match_golden():
     got = pipeline_digests(exprs, "sweep")
     got["sweep_format"] = digest(format_expr(e) for e in exprs)
     assert got == {k: v for k, v in GOLDEN.items() if k.startswith("sweep_")}
+
+
+def test_wide_generator_sweep_matches_golden():
+    outcomes = [build(builder, args) for builder, args in wide_sweep()]
+    assert len(outcomes) == 5544
+    got = digest(o if isinstance(o, list) else format_expr(o) for o in outcomes)
+    assert got == GOLDEN["wide_sweep_format"]
 
 
 def test_non_strict_reports_match_golden():
