@@ -27,8 +27,8 @@ from .generators import (build_minor_model, complete_graph, gen_path,
                          subdivide)
 from .graphs import (INFINITE, graph_from_json_dict, graph_to_dot,
                      graph_to_json_dict, quotient, weak_diameter)
-from .quasiiso import (QiMap, _check_projection, _fibre_width, check_partqi_tight,
-                       check_qi, projection_map, qimap_from_json_dict)
+from .quasiiso import (QiMap, _certify_projection, _check_projection, _fibre_width,
+                       check_partqi_tight, check_qi, projection_map, qimap_from_json_dict)
 from .treedecomp import brute_treewidth, has_minor, width
 
 
@@ -199,11 +199,15 @@ def cmd_qi_check(args) -> int:
     if not args.file:
         raise InputError("give an expression file, or --map with --source/--target")
     result, cg = _decompose(read_cwx(args.file))
-    # Both reports print exact worst margins over every pair, so the
-    # certificate cannot stand in for the scan here.
-    tight, rep = _check_projection(cg.graph, result.partition, args.c)
+    if args.exhaustive:  # exact worst margins over every pair, from one scan
+        tight, rep = _check_projection(cg.graph, result.partition, args.c)
+        certificate = None
+    else:
+        tight, rep, certificate = _certify_projection(cg.graph, result.partition, args.c)
     obj = {"c": rep.c, "qi": rep.to_json_dict(),
            "tight_projection_bounds": tight.to_json_dict()}
+    if certificate:
+        obj["certificate"] = certificate
     _emit(args, obj, [f"c = {rep.c}",
                       f"qi = {'pass' if rep.ok else 'FAIL'}",
                       f"tight bounds = {'pass' if tight.ok else 'FAIL'}"])
@@ -334,6 +338,8 @@ _COMMANDS = {
     "qi-check": ("check the quasi-isometry conditions", cmd_qi_check, (
         _arg("file", nargs="?", help="expression file (projection pipeline)"),
         _arg("--c", type=float, default=None, help="parameter override"),
+        _arg("--exhaustive", action="store_true",
+             help="scan every pair for the exact worst margins (--map always does)"),
         _arg("--map", help="map JSON (needs --source and --target)"),
         _arg("--source", help="source graph for --map"),
         _arg("--target", help="target graph for --map"))),

@@ -11,10 +11,10 @@ both are windows of one scan over the source pairs: one source BFS row per
 vertex, folded into its distinct (r, r') pairs and searched pair by pair only
 where one breaks a bound; O(n * (n + m)) time, O(n + |image|*|target|) memory.
 
-Callers that read only pass or fail take the projection lemma's certificate
-instead (_bounds_witness): its premises cost O(|V| + |E|) plus the fibres'
-weak diameters, and the scan runs only if one fails or c < D + 1, or for
-the exact margins that qi-check prints.
+Projections take the projection lemma's certificate instead (_bounds_witness,
+_certify_projection): its premises cost O(|V| + |E|) plus the fibres' weak
+diameters, and the scan runs only if one fails or c < D + 1, or when
+qi-check is asked for the exact margins (--exhaustive).
 """
 
 from __future__ import annotations
@@ -63,11 +63,16 @@ def projection_map(g: Graph, p: Partition, c: float | None = None) -> QiMap:
     part, which the projection provably achieves; refused if D is infinite.
     """
     if c is None:
-        c = max(weak_diameter(g, members) for _, members in p) + 1
-        if c == INFINITE:
-            raise InputError("a part has infinite weak diameter (spans components)")
+        c = _finite_width(max(weak_diameter(g, members) for _, members in p)) + 1
     q, proj = quotient(g, p)
     return QiMap(g, q, proj, c)
+
+
+def _finite_width(d):
+    """d, the largest weak diameter of a part, refused if it is infinite."""
+    if d == INFINITE:
+        raise InputError("a part has infinite weak diameter (spans components)")
+    return d
 
 
 def _finite_or_none(x):
@@ -122,7 +127,11 @@ def _window(m: QiMap, *windows) -> tuple:
 
 @dataclass(frozen=True)
 class QiReport:
-    """Outcome of check_qi with the worst slack seen on each bound."""
+    """Outcome of check_qi with the worst slack seen on each bound.
+
+    With lower_is_bound, worst_lower_margin is the projection lemma's upper
+    bound on that margin, not the margin itself (_certify_projection).
+    """
 
     c: float
     bounds_ok: bool
@@ -132,6 +141,7 @@ class QiReport:
     worst_lower_margin: float
     worst_upper_margin: float
     density_worst: float
+    lower_is_bound: bool = False
 
     @property
     def ok(self) -> bool:
@@ -139,12 +149,13 @@ class QiReport:
 
     def to_json_dict(self) -> dict:
         num = _finite_or_none
+        lower = "lower_margin_bound" if self.lower_is_bound else "worst_lower_margin"
         return {
             "ok": self.ok,
             "c": self.c,
             "distance_bounds": {"ok": self.bounds_ok,
                                 "witness": list(self.bounds_witness) if self.bounds_witness else None,
-                                "worst_lower_margin": num(self.worst_lower_margin),
+                                lower: num(self.worst_lower_margin),
                                 "worst_upper_margin": num(self.worst_upper_margin)},
             "density": {"ok": self.density_ok,
                         "witness": self.density_witness,
@@ -152,13 +163,14 @@ class QiReport:
         }
 
 
-def _qi_report(m: QiMap, worst_lower, worst_upper, _lo, _up, witness) -> QiReport:
+def _qi_report(m: QiMap, worst_lower, worst_upper, _lo, _up, witness,
+               lower_is_bound=False) -> QiReport:
     """check_qi's report from m's (c, c, c, c) window scan, plus density."""
     pos = _positions(m.target)  # one BFS from the image: distance is symmetric
     gaps = _distance_row(m.target, {pos[w] for w in m.mapping.values()})
     far = [w for w, gap in zip(m.target.vertices, gaps) if gap > m.c]
     return QiReport(m.c, witness is None, witness, not far, far[0] if far else None,
-                    worst_lower, worst_upper, max([0] + gaps))
+                    worst_lower, worst_upper, max([0] + gaps), lower_is_bound)
 
 
 def check_qi(m: QiMap) -> QiReport:
@@ -180,16 +192,25 @@ def _fibres(m: QiMap) -> dict:
     return out
 
 
-def _fibre_width(m: QiMap):
-    """D, the largest weak diameter of a fibre f^-1(w), if m meets the premises
-    checked here from scratch: m is onto, and its source edges between two
-    fibres land on exactly the target's edges.  INFINITE otherwise."""
+def _lemma(m: QiMap) -> tuple:
+    """The projection lemma's premises for m, checked from scratch, and D.
+
+    (onto, exact, D): whether m is onto, whether its source edges between two
+    fibres land on exactly the target's edges, and the largest weak diameter
+    of a fibre f^-1(w).
+    """
     f, fibres = m.mapping, _fibres(m)
     crossing = {(f[u], f[v]) if f[u] < f[v] else (f[v], f[u])
                 for u, v in m.source.edges if f[u] != f[v]}
-    if len(fibres) != len(m.target) or crossing != set(m.target.edges):
-        return INFINITE
-    return max((weak_diameter(m.source, s) for s in fibres.values()), default=0)
+    return (len(fibres) == len(m.target), crossing == set(m.target.edges),
+            max((weak_diameter(m.source, s) for s in fibres.values()), default=0))
+
+
+def _fibre_width(m: QiMap):
+    """D, the largest weak diameter of a fibre, if m meets both premises of
+    _lemma; INFINITE otherwise."""
+    onto, exact, d = _lemma(m)
+    return d if onto and exact else INFINITE
 
 
 def _bounds_witness(m: QiMap):
@@ -211,7 +232,11 @@ def _bounds_witness(m: QiMap):
 
 @dataclass(frozen=True)
 class PartitionQiReport:
-    """Outcome of the tight projection bounds r/(c+1) - 1 <= r' <= r."""
+    """Outcome of the tight projection bounds r/(c+1) - 1 <= r' <= r.
+
+    With lower_is_bound, worst_lower_margin is the projection lemma's upper
+    bound on that margin (_certify_projection).
+    """
 
     c: float
     lower_ok: bool
@@ -220,18 +245,20 @@ class PartitionQiReport:
     upper_witness: tuple | None
     worst_lower_margin: float
     worst_upper_margin: float
+    lower_is_bound: bool = False
 
     @property
     def ok(self) -> bool:
         return self.lower_ok and self.upper_ok
 
     def to_json_dict(self) -> dict:
+        lower = "margin_bound" if self.lower_is_bound else "worst_margin"
         return {
             "ok": self.ok,
             "c": self.c,
             "lower": {"ok": self.lower_ok,
                       "witness": list(self.lower_witness) if self.lower_witness else None,
-                      "worst_margin": _finite_or_none(self.worst_lower_margin)},
+                      lower: _finite_or_none(self.worst_lower_margin)},
             "upper": {"ok": self.upper_ok,
                       "witness": list(self.upper_witness) if self.upper_witness else None,
                       "worst_margin": _finite_or_none(self.worst_upper_margin)},
@@ -254,11 +281,43 @@ def _check_projection(g: Graph, p: Partition, qi_c=None) -> tuple:
     c = m.c - 1  # D
     if qi_c is not None:
         m = m.with_c(qi_c)
-    (lo, up, lo_wit, up_wit, _), qi = _window(m, (c + 1, 1, 1, 0), (m.c,) * 4)
+    return _scan_projection(m, c)
+
+
+def _scan_projection(m: QiMap, d) -> tuple:
+    """The tight bounds at c = d and check_qi at m.c, from one scan of projection m."""
+    (lo, up, lo_wit, up_wit, _), qi = _window(m, (d + 1, 1, 1, 0), (m.c,) * 4)
     # The pairs x == y, left out of the scan, give margins -1.0 and 0.
-    tight = PartitionQiReport(c, lo_wit is None, lo_wit, up_wit is None, up_wit,
+    tight = PartitionQiReport(d, lo_wit is None, lo_wit, up_wit is None, up_wit,
                               max(-1.0, lo), max(0, up))
     return tight, _qi_report(m, *qi)
+
+
+def _certify_projection(g: Graph, p: Partition, qi_c=None) -> tuple:
+    """_check_projection's two reports, decided by the projection lemma, and its certificate.
+
+    D is measured once, on the projection's fibres.  If both premises hold
+    and c >= D + 1, no pair is scanned (see _bounds_witness): r <= (D+1)*r' + D
+    bounds the lower margins by D/c - c and -1/(D+1), which the reports carry
+    as bounds, and r' <= r with c >= 1 puts the worst upper margin
+    r' - c*r - c at r = 1, where r' = 1 if the target has an edge; the tight
+    one is 0, from x == y.  Otherwise the scan decides, at the same D.
+    """
+    m = projection_map(g, p, 1)  # its parameter is set once D is known
+    onto, exact, d = _lemma(m)
+    d = _finite_width(d)
+    m = replace(m, c=d + 1) if qi_c is None else m.with_c(qi_c)
+    applied = onto and exact and m.c >= d + 1
+    certificate = {"D": d, "onto": onto, "crossing_edges_exact": exact,
+                   "c_at_least_D_plus_1": m.c >= d + 1, "applied": applied}
+    if not applied:
+        return (*_scan_projection(m, d), certificate)
+    upper = -INFINITE  # no pair at a finite distance, as in the scan
+    if g.edges:
+        rp = 1 if m.target.edges else 0
+        upper = rp - m.c * 1 - m.c  # the scan's own expression, at r = 1
+    tight = PartitionQiReport(d, True, None, True, None, -1 / (d + 1), 0, True)
+    return tight, _qi_report(m, d / m.c - m.c, upper, None, None, None, True), certificate
 
 
 # ---------------------------------------------------------------- interop

@@ -35,6 +35,34 @@ def floyd_warshall(vertices, edges):
     return dist
 
 
+def bfs_table(vertices, edges):
+    """All-pairs distances by one plain BFS per vertex; missing key means unreachable."""
+    adj = adjacency(vertices, edges)
+    table = {}
+    for v in vertices:
+        dist, layer = {v: 0}, [v]
+        while layer:
+            nxt = []
+            for u in layer:
+                for w in adj[u]:
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        nxt.append(w)
+            layer = nxt
+        table[v] = dist
+    return table
+
+
+def naive_distance_pairs(source, target, mapping):
+    """The distinct (dist(x, y), dist(f(x), f(y))) over x != y with both finite.
+
+    source and target are (vertices, edges) pairs, mapping is f.
+    """
+    sd, td = bfs_table(*source), bfs_table(*target)
+    return {(r, td[mapping[x]][mapping[y]]) for x in source[0] for y, r in sd[x].items()
+            if x != y and mapping[y] in td[mapping[x]]}
+
+
 def perm_treewidth(vertices, edges):
     """Exact treewidth by trying every elimination order.  Tiny graphs only."""
     vertices = list(vertices)

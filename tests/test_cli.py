@@ -284,6 +284,11 @@ class TestQiCheck:
         code, out, _ = run(capsys, "qi-check", k2_file, "--c", "0.5")
         assert code == 3
         assert json.loads(out)["qi"]["ok"] is False
+        # below D + 1 the certificate does not apply: the scan decides, with a witness
+        obj = strict_json(out)
+        assert obj.pop("certificate")["applied"] is False
+        assert obj == json.loads(run(capsys, "qi-check", k2_file, "--c", "0.5", "--exhaustive")[1])
+        assert obj["qi"]["distance_bounds"]["witness"]
 
     def test_explicit_map(self, capsys, tmp_path):
         graph = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
@@ -327,11 +332,43 @@ class TestQiCheck:
     def test_one_vertex_prints_strict_json(self, capsys, tmp_path):
         path = tmp_path / "one.cwx"
         path.write_text("cw k=1\n(v a 1)\n")
-        code, out, _ = run(capsys, "qi-check", str(path))
+        code, out, _ = run(capsys, "qi-check", str(path), "--exhaustive")
         assert code == 0
         bounds = strict_json(out)["qi"]["distance_bounds"]
         assert bounds["worst_lower_margin"] is None
         assert bounds["worst_upper_margin"] is None
+
+    @pytest.mark.parametrize("text", ["cw k=1\n(v a 1)\n",
+                                      "cw k=2\n(union (v a 1) (v b 2))\n"],
+                             ids=["one-vertex", "edgeless"])
+    def test_no_edge_prints_null_upper_margins_under_the_certificate(self, capsys,
+                                                                     tmp_path, text):
+        path = tmp_path / "small.cwx"
+        path.write_text(text)
+        code, out, _ = run(capsys, "qi-check", str(path))
+        assert code == 0
+        obj = strict_json(out)
+        assert obj["certificate"] == {"D": 0, "onto": True, "crossing_edges_exact": True,
+                                      "c_at_least_D_plus_1": True, "applied": True}
+        bounds = obj["qi"]["distance_bounds"]
+        assert (bounds["ok"], bounds["witness"], bounds["worst_upper_margin"]) == \
+            (True, None, None)
+        assert "worst_lower_margin" not in bounds
+        assert obj["tight_projection_bounds"]["upper"]["worst_margin"] == 0
+
+    @pytest.mark.parametrize("extra", [("--pretty",), ("--c", "2", "--pretty"),
+                                       ("--c", "0.5", "--pretty")])
+    def test_pretty_summary_is_the_same_in_both_modes(self, capsys, k2_file, extra):
+        assert run(capsys, "qi-check", k2_file, *extra) == \
+            run(capsys, "qi-check", k2_file, *extra, "--exhaustive")
+
+    def test_map_ignores_exhaustive(self, capsys, tmp_path):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+        mpath = tmp_path / "map.json"
+        mpath.write_text(json.dumps({"f": {"a": "a", "b": "a"}, "c": 1}))
+        argv = ("qi-check", "--map", str(mpath), "--source", str(gpath), "--target", str(gpath))
+        assert run(capsys, *argv, "--exhaustive") == run(capsys, *argv)
 
     def test_weak_diameters_are_measured_once(self, capsys, tmp_path, monkeypatch):
         e = gen_path("x", "y", 12, 3, 1, 2, 1)
@@ -663,10 +700,19 @@ class TestCertifiedVerdicts:
                             lambda g, s: calls.append(g) or real_bfs(g, s))
         monkeypatch.setattr(quasiiso, "quotient",
                             lambda g, p: targets.append(real_quotient(g, p)) or targets[-1])
-        code, _, _ = run(capsys, "qi-check", self.path_file(tmp_path, 40))
+        code, _, _ = run(capsys, "qi-check", self.path_file(tmp_path, 40), "--exhaustive")
         assert code == 0
         target = targets[0][0]
         assert sum(g is not target for g in calls) == 41  # the path's vertices
+
+    def test_qi_check_makes_no_pair_scan(self, capsys, tmp_path, monkeypatch):
+        scans = []
+        real = quasiiso._window
+        monkeypatch.setattr(quasiiso, "_window", lambda *a: scans.append(a) or real(*a))
+        code, out, _ = run(capsys, "qi-check", self.path_file(tmp_path, 200))
+        assert code == 0
+        assert scans == []
+        assert json.loads(out)["certificate"]["applied"] is True
 
     def test_minor_model_and_corpus_make_no_pair_scan(self, capsys, tmp_path, monkeypatch):
         scans = []
@@ -767,8 +813,8 @@ class TestParser:
             assert out
 
 
-FLOATS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.5", "1", "2.5", "1e154",
-                          "1e308", "5e-324"])
+FLOAT_EDGES = ("nan", "inf", "-inf", "-1", "0", "0.5", "1", "2.5", "1e154", "1e308", "5e-324")
+FLOATS = st.sampled_from(FLOAT_EDGES)
 SIZES = st.sampled_from(["-1", "0", "1", "2", "3", "4"])
 
 
@@ -817,7 +863,7 @@ def command_argv(name, files):
                      "--n": SIZES, "--times": SIZES,
                      "--legs": st.sampled_from(["1,1,1", "", "2,x", "-1,2", "0"])},
         "corpus": {"--pretty": switch},
-        "qi-check": {"--c": FLOATS, "--pretty": switch},
+        "qi-check": {"--c": FLOATS, "--exhaustive": switch, "--pretty": switch},
         "minor-model": {"--c": FLOATS, "--oracle": switch},
         "cover-pullback": {"--r": FLOATS, "--slope": FLOATS,
                            "--cover": st.just(files["cover"])},
@@ -845,3 +891,17 @@ class TestContract:
         if out and not {"--pretty", "--dot"} & set(argv) and name not in ("generate",
                                                                           "export-dot"):
             strict_json(out)
+
+    @pytest.mark.parametrize("exhaustive", [(), ("--exhaustive",)], ids=["default", "exhaustive"])
+    def test_qi_check_parameters_on_both_sides_of_the_certificate(self, witness, exhaustive):
+        # FLOAT_EDGES holds values of c below and above D + 1, so both the
+        # certified path and the scan it falls back to run under the contract
+        applied = set()
+        for c in FLOAT_EDGES:
+            argv = ["qi-check", witness["cwx"], f"--c={c}", *exhaustive]
+            code, out, err = exit_of(main, argv)
+            assert code in (0, 3), (argv, code, err)
+            assert "Traceback" not in err
+            if out:
+                applied.add(strict_json(out).get("certificate", {}).get("applied"))
+        assert applied == ({None} if exhaustive else {True, False})

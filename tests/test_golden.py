@@ -7,7 +7,9 @@ evaluate, decompose, verify_result, validate_strict, normalize or the
 generators produce on these inputs shows up here.  The metric-layer digests
 (the qi-check, cover-pullback and minor-model CLI output, and the tight
 projection bounds on random partitions) were recorded from the
-implementation that kept an all-pairs distance table per graph.
+implementation that kept an all-pairs distance table per graph.  qi-check
+on an expression file has since printed the projection lemma's bounds by
+default; its digests pin the exact pair scan, now behind --exhaustive.
 
 The non-strict inputs are seeded mutations of corpus expressions: a
 duplicated leaf id, one node object used as both union operands, a join
@@ -28,18 +30,20 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from cwkit import (CwExpr, CwkitError, Graph, InputError, Join, Leaf, Partition, Recolor,
                    Union, check_partqi_tight, decompose, evaluate, format_expr, gen_path,
-                   generate_corpus, graph_to_json_dict, normalize, parse,
+                   generate_corpus, graph_to_json_dict, normalize, parse, read_cwx,
                    result_to_json_dict, validate_strict, verify_result, write_cwx)
 from cwkit.cli import main
 
-from helpers import random_graph_data, random_groups
+from helpers import naive_distance_pairs, random_graph_data, random_groups
 from test_acceptance import (COUNT, MAX_K, MAX_LEAVES, SEED, clique_cases,
                              path_cases, spider_cases)
 from test_generators import build, wide_sweep
@@ -389,10 +393,55 @@ def random_partition_reports():
 
 
 def test_qi_check_output_matches_golden(metric_files):
-    got = {"qi_check": digest(cli("qi-check", f) for f in metric_files),
-           "qi_check_c_sweep": digest(cli("qi-check", f, "--c", c)
+    got = {"qi_check": digest(cli("qi-check", f, "--exhaustive") for f in metric_files),
+           "qi_check_c_sweep": digest(cli("qi-check", f, "--c", c, "--exhaustive")
                                       for f in metric_files[::3] for c in C_SWEEP)}
     assert got == {k: METRIC_GOLDEN[k] for k in got}
+
+
+def projection_pairs(path):
+    """The (r, r') pairs of the projection that qi-check builds from path, by plain BFS."""
+    e = read_cwx(path)
+    g = evaluate(e).graph
+    part = {v: pid for pid, members in decompose(e).partition for v in members}
+    crossing = {(part[u], part[w]) for u, w in g.edges if part[u] != part[w]}
+    return naive_distance_pairs((g.vertices, g.edges), (set(part.values()), crossing), part)
+
+
+def test_certified_qi_check_agrees_with_the_exhaustive_scan(metric_files):
+    """The default qi-check against --exhaustive: the same verdicts, witnesses and
+    upper margins, and lower bounds that hold in exact arithmetic on every pair."""
+    attained = 0  # exact bounds met where the scan's float lies above the printed one
+    for f in metric_files:
+        pairs = projection_pairs(f)
+        for extra in [()] + [("--c", c) for c in C_SWEEP]:
+            code, out, err = cli("qi-check", f, *extra)
+            want_code, want_out, want_err = cli("qi-check", f, *extra, "--exhaustive")
+            assert (code, err) == (want_code, want_err)
+            got, want = json.loads(out), json.loads(want_out)
+            certificate = got.pop("certificate")
+            if not certificate["applied"]:
+                assert got == want, (f, extra)
+                continue
+            d, c = certificate["D"], got["c"]
+            printed = (got["qi"]["distance_bounds"].pop("lower_margin_bound"),
+                       got["tight_projection_bounds"]["lower"].pop("margin_bound"))
+            scanned = (want["qi"]["distance_bounds"].pop("worst_lower_margin"),
+                       want["tight_projection_bounds"]["lower"].pop("worst_margin"))
+            assert got == want, (f, extra)  # every ok, witness, c, upper margin, density
+            # r/a - b - r' over the pairs; the tight window also has x == y, at -1
+            windows = ((c, c, False), (d + 1, 1, True))
+            bounds = (Fraction(d) / Fraction(c) - Fraction(c), Fraction(-1, d + 1))
+            for (a, b, diagonal), bound, shown, scan in zip(windows, bounds, printed, scanned):
+                assert abs(shown - float(bound)) <= 2 * math.ulp(shown), (f, extra)
+                exact = ([Fraction(r) / Fraction(a) - Fraction(b) - rp for r, rp in pairs]
+                         + [Fraction(-1)] * diagonal)
+                floats = [r / a - b - rp for r, rp in pairs] + [-1.0] * diagonal
+                assert scan == max(floats, default=None), (f, extra)
+                if exact:
+                    assert bound >= max(exact), (f, extra)
+                    attained += max(exact) == bound and scan > shown
+    assert attained  # where a float comparison would call a true bound broken
 
 
 def test_qi_check_random_maps_match_golden(tmp_path):

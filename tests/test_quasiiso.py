@@ -560,3 +560,43 @@ class TestProjectionCertificate:
         assert check_qi(QiMap(src, tgt, f, c)).ok == low["ok"]
         assert check_qi(QiMap(src, tgt, f, c + more)).ok == high["ok"]
         assert not low["ok"] or high["ok"]
+
+    def test_certified_reports_match_the_scan_on_random_partitions(self, monkeypatch):
+        """_certify_projection against _check_projection's scan, one-part partitions too."""
+        rng = random.Random(707)
+        cases = set()
+        for _ in range(300):
+            g = Graph(*random_graph_data(rng, "s"))
+            groups = random_groups(rng, g.vertices) if rng.random() < 0.7 else {0: g.vertices}
+            qi_c = rng.choice((None, 0.5, 1, 2, 3.0, 1e308))
+            try:
+                want_tight, want_qi = quasiiso._check_projection(g, Partition(groups), qi_c)
+            except InputError as exc:
+                with pytest.raises(InputError) as got:
+                    quasiiso._certify_projection(g, Partition(groups), qi_c)
+                assert str(got.value) == str(exc)
+                continue
+            scans = []
+            real = quasiiso._window
+            monkeypatch.setattr(quasiiso, "_window", lambda *a: scans.append(a) or real(*a))
+            tight, qi, certificate = quasiiso._certify_projection(g, Partition(groups), qi_c)
+            monkeypatch.setattr(quasiiso, "_window", real)
+            d = want_tight.c
+            assert certificate == {"D": d, "onto": True, "crossing_edges_exact": True,
+                                   "c_at_least_D_plus_1": qi.c >= d + 1,
+                                   "applied": qi.c >= d + 1}
+            if not certificate["applied"]:
+                assert (tight, qi, len(scans)) == (want_tight, want_qi, 1)
+                continue
+            assert scans == []
+            got, want = qi.to_json_dict(), want_qi.to_json_dict()
+            bound = got["distance_bounds"].pop("lower_margin_bound")
+            worst = want["distance_bounds"].pop("worst_lower_margin")
+            assert got == want and (worst is None or worst <= bound)
+            got, want = tight.to_json_dict(), want_tight.to_json_dict()
+            assert got["lower"].pop("margin_bound") == -1 / (d + 1)
+            want["lower"].pop("worst_margin")
+            assert got == want
+            q = quotient(g, Partition(groups))[0]
+            cases.add("target edge" if q.edges else "part edge" if g.edges else "no edge")
+        assert cases == {"target edge", "part edge", "no edge"}
