@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContractError, InputError
-from .graphs import (INFINITE, Graph, connected_components, set_distance,
-                     weak_diameter)
+from .graphs import (INFINITE, Graph, _closest_sets, _first_close_pair,
+                     connected_components, weak_diameter)
 from .quasiiso import QiMap, _bounds_witness, _fibres
 from .treedecomp import VerificationReport, _verdict
 
@@ -76,14 +76,12 @@ def validate_cover(g: Graph, cf: CoverFamily) -> VerificationReport:
         covered |= s
     missing = sorted(set(g.vertices) - covered)
 
-    def too_close():
+    def too_close():  # one labelled search per collection; the first pair only on a failure
         for idx, coll in enumerate(cf.collections):
-            for i, a in enumerate(coll):
-                for b in coll[i + 1:]:
-                    if not a.isdisjoint(b):
-                        yield f"collection {idx} has overlapping sets"
-                    elif (d := set_distance(g, a, b)) <= cf.r:
-                        yield f"collection {idx}: sets at distance {d} <= scale {cf.r}"
+            if len(coll) > 1 and _closest_sets(g, coll, cf.r) <= cf.r:
+                _, _, d = _first_close_pair(g, coll, cf.r)
+                yield (f"collection {idx} has overlapping sets" if d == 0 else
+                       f"collection {idx}: sets at distance {d} <= scale {cf.r}")
 
     def too_wide():
         for idx, coll in enumerate(cf.collections):
@@ -137,7 +135,7 @@ def pullback_cover(f: QiMap, cover: CoverFamily, r, dilation) -> CoverFamily:
         raise InputError(f"cover fails on the target at scale {r_target}: "
                          f"{bad.name}: {bad.witness}")
 
-    fibres = _fibres(f)
+    fibres = _fibres(f.source, f.mapping)
     pulled = []
     for coll in cover.collections:
         pres = (frozenset(x for w in s for x in fibres.get(w, ())) for s in coll)

@@ -11,13 +11,15 @@ colour already in use, so no repair pass follows.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ContractError, InputError
 from .expressions import CwExpr, Join, Leaf, Recolor, Union
-from .graphs import INFINITE, Graph, _connected_within, closed_r_neighborhood, set_distance
+from .graphs import (INFINITE, Graph, _closest_sets, _connected_within, _first_close_pair,
+                     _near_owners, closed_r_neighborhood)
 from .quasiiso import QiMap, _bounds_witness
 
 
@@ -327,25 +329,26 @@ def build_minor_model(h: Graph, g: Graph, f: QiMap, c: float) -> MinorModel:
     balls = {v: closed_r_neighborhood(source, [v], z) for v in h.vertices}
     stretches = {e: frozenset(seq[cut:len(seq) - cut]) for e, seq in paths.items()}
 
-    def apart(a, b, label_a, label_b):
-        d = set_distance(source, a, b)
-        if d < 2 * z:
-            raise ContractError(f"{label_a} and {label_b} are at distance {d}, "
-                                f"need >= {2 * z}")
-
-    hv = sorted(h.vertices)
-    for v, w in combinations(hv, 2):
-        apart(balls[v], balls[w], f"ball({v!r})", f"ball({w!r})")
-    he = sorted(paths)
-    for e, e2 in combinations(he, 2):
-        apart(stretches[e], stretches[e2], f"stretch{e!r}", f"stretch{e2!r}")
-    for e in he:
+    # d < 2z, for every distance d below len(source): one labelled search per
+    # family, and the first pair in order only on a failure
+    reach = math.ceil(min(2 * z, len(source))) - 1
+    hv, he = sorted(h.vertices), sorted(paths)
+    for keys, sets, name in ((hv, balls, "ball({!r})"), (he, stretches, "stretch{!r}")):
+        family = [sets[key] for key in keys]
+        if len(family) > 1 and _closest_sets(source, family, reach) <= reach:
+            i, j, d = _first_close_pair(source, family, reach)
+            raise ContractError(f"{name.format(keys[i])} and {name.format(keys[j])} "
+                                f"are at distance {d}, need >= {2 * z}")
+    owners = {x: (v,) for v in hv for x in balls[v]}  # the balls are disjoint now
+    for e in he:  # one BFS per stretch for the balls near it
+        near = _near_owners(source, stretches[e], owners, reach)
         for v in hv:
             if v in e:
                 if stretches[e].isdisjoint(balls[v]):
                     raise ContractError(f"stretch{e!r} misses ball({v!r})")
-            else:
-                apart(stretches[e], balls[v], f"stretch{e!r}", f"ball({v!r})")
+            elif (d := near.get(v, INFINITE)) <= reach:
+                raise ContractError(f"stretch{e!r} and ball({v!r}) are at distance {d}, "
+                                    f"need >= {2 * z}")
 
     def fatten(s):
         return closed_r_neighborhood(g, {f(v) for v in s}, c)

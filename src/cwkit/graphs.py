@@ -7,6 +7,11 @@ identical inputs give byte-identical outputs everywhere in the library.
 Every metric search is one BFS, _walk.  A search that need not reach the
 whole graph walks the vertex-keyed adjacency with dict labels, so it costs
 O(explored); one over every vertex walks the integer adjacency into a list.
+The metric checks take a bounded number of searches: weak_diameter stops by
+iFUB's rule or by eccentricity bounds (its docstring has the argument) and
+keeps the whole graph's diameter on the graph, and a family of sets that must
+lie apart is checked by one labelled multi-source BFS (_closest_sets), with
+one bounded BFS per set only to name the first pair that fails.
 Every component search is one DFS, _components_within: connected_components,
 is_connected and the validators' subtree and branch-set checks all use it.
 """
@@ -26,7 +31,7 @@ INFINITE: float = math.inf
 class Graph:
     """A finite simple undirected graph with sorted adjacency."""
 
-    __slots__ = ("_vertices", "_adj", "_edges", "_hash", "_int_adj")
+    __slots__ = ("_vertices", "_adj", "_edges", "_hash", "_int_adj", "_diameter")
 
     def __init__(self, vertices: Iterable, edges: Iterable = ()):
         vs = sorted(set(vertices))
@@ -43,7 +48,7 @@ class Graph:
         self._vertices = tuple(vs)
         self._adj = {v: tuple(sorted(adj[v])) for v in vs}
         self._edges = tuple(sorted((u, w) for u in vs for w in adj[u] if u < w))
-        self._hash = self._int_adj = None
+        self._hash = self._int_adj = self._diameter = None
 
     @property
     def vertices(self) -> tuple:
@@ -182,35 +187,128 @@ def _eccentricity_in(adj, a, s: set, dist) -> tuple:
 def weak_diameter(g: Graph, s: Iterable):
     """max over pairs in s of their distance measured in the whole graph.
 
-    Exact, by iFUB's bound (Crescenzi et al., TCS 514, 2013): members within
-    i of a vertex u are within 2i of each other.  u is the middle of a far
-    pair found by a double sweep; members are taken by falling distance from
-    u until the largest eccentricity found reaches twice that distance.
-    Each BFS stops once s is labelled: three BFS runs on a path, local work
-    for a dominated part.
+    Exact.  A one-member set is 0 with no search.  The diameter of the whole
+    vertex set is measured once per graph and kept on it, like the integer
+    adjacency.  Each BFS stops once s is labelled, so a dominated part costs
+    local work.  Below, ecc(w) is max over x in s of dist(w, x).
+
+    The search starts as iFUB (Crescenzi et al., TCS 514, 2013): a double
+    sweep gives a lower bound best, and its middle is a centre u with
+    e_u = ecc(u).  Members within i of u are within 2i of each other, so
+    best >= 2*e_u ends it after three BFS runs, the common case on parts.
+    Otherwise each member w gets Takes-Kosters bounds lo[w] <= ecc(w) <= hi[w]
+    (CIKM 2011): a BFS from a member v with ecc(v) = e and d = dist(v, w)
+    gives max(e - d, d) <= ecc(w) <= e + d, and u's gives
+    e_u - du[w] <= ecc(w) <= e_u + du[w].  A member w is dropped once
+    hi[w] <= best or 2*du[w] <= best, and the search ends when none is left.
+    That is exact: take a farthest pair w, x.  If either was a source, best
+    >= its ecc >= dist(w, x).  If either left by hi, dist(w, x) <= ecc(w) <=
+    hi[w] <= best.  Else both left by du, and dist(w, x) <= du[w] + du[x] <=
+    best.  Sources alternate between the largest hi, a likely end of a far
+    pair, and the smallest lo, a central member whose BFS tightens every hi.
     """
     s = set(s)
     if not s:
         raise InputError("weak_diameter of an empty set")
     members, n = _known(g, sorted(s)), len(g)
-    adj, fresh = g._adj, dict
-    if len(s) == n:  # every vertex: their indices, on the integer adjacency
-        adj, members, fresh = g._int_adjacency(), list(range(n)), lambda: [None] * n
-        s = set(members)
-    da, lb = _eccentricity_in(adj, members[0], s, fresh())
-    if lb == INFINITE or len(s) <= 2:
-        return lb
-    # b, the member farthest from the first, has eccentricity at least lb
-    db, lb = _eccentricity_in(adj, max(members, key=da.__getitem__), s, fresh())
-    u, label = max(members, key=db.__getitem__), getattr(db, "get", db.__getitem__)
-    for _ in range(lb - lb // 2):  # walk back from the far end to the middle
+    if len(s) == 1:
+        return 0
+    if len(s) < n:
+        return _weak_diameter(g._adj, members, s, dict)
+    if g._diameter is None:  # every vertex: their indices, on the integer adjacency
+        g._diameter = _weak_diameter(g._int_adjacency(), range(n), set(range(n)),
+                                     lambda: [None] * n)
+    return g._diameter
+
+
+def _weak_diameter(adj, members, s: set, fresh):
+    """weak_diameter of the set s of 2 or more members, sorted in members, over
+    adj; fresh() makes each BFS's labels."""
+    da, ea = _eccentricity_in(adj, members[0], s, fresh())
+    if ea == INFINITE or len(s) <= 2:
+        return ea
+    # b, the member farthest from the first, has eccentricity at least ea
+    db, best = _eccentricity_in(adj, max(members, key=da.__getitem__), s, fresh())
+    eb, u, label = best, max(members, key=db.__getitem__), getattr(db, "get", db.__getitem__)
+    for _ in range(best - best // 2):  # walk back from the far end to the middle
         u = next(w for w in adj[u] if label(w) == db[u] - 1)
-    du, _ = _eccentricity_in(adj, u, s, fresh())
-    for x in sorted(members, key=du.__getitem__, reverse=True):
-        if lb >= 2 * du[x]:
+    du, eu = _eccentricity_in(adj, u, s, fresh())
+    if best >= 2 * eu:
+        return best
+    lo, hi = {}, {}
+    for w in members:
+        lo[w] = max(da[w], ea - da[w], db[w], eb - db[w], eu - du[w])
+        hi[w] = min(ea + da[w], eb + db[w], eu + du[w])
+    left, by_hi = [w for w in members if hi[w] > best and 2 * du[w] > best], True
+    while left:  # ties by du: 41 BFS runs in all on subdivide(K_12, 48), 102 without
+        v = (max(left, key=lambda w: (hi[w], du[w])) if by_hi
+             else min(left, key=lambda w: (lo[w], du[w])))
+        dv, e = _eccentricity_in(adj, v, s, fresh())
+        best, by_hi = max(best, e), not by_hi
+        for w in left:
+            lo[w], hi[w] = max(lo[w], e - dv[w], dv[w]), min(hi[w], e + dv[w])
+        left = [w for w in left if hi[w] > best and 2 * du[w] > best]
+    return best
+
+
+def _closest_sets(g: Graph, sets, reach):
+    """The least distance between two of sets if it is at most reach, else INFINITE.
+
+    One multi-source BFS from every set at once labels each vertex with the
+    set it was reached from, a nearest one (a graph Voronoi partition;
+    Erwig, Networks 36(3), 2000).  Two sets that share a vertex give 0 at
+    once.  An edge x, y with different labels closes a walk of length
+    d(x) + 1 + d(y) between two sets, and on a shortest path between the two
+    closest sets the labels change along some edge whose two ends are
+    within half its length of the sets, where that sum is at most the
+    length.  So the least sum is the answer.  The edges seen at layer d, the
+    ones back to layers d - 1 and d, have sums 2d or 2d + 1, and later ones
+    at least 2d + 2: the search stops at the first layer that sees one, or
+    once 2d + 2 passes reach.
+    """
+    owner = {v: i for i, s in enumerate(sets) for v in s}
+    layer = _known(g, owner)
+    if len(owner) < sum(map(len, sets)):  # two sets share a vertex
+        return 0
+    adj, dist, best = g._adj, {}, INFINITE
+    for d, layer in _walk(adj, layer, dist):
+        for w in layer:
+            if d:  # a nearest set of w is one of a neighbour one layer in
+                owner[w] = owner[next(x for x in adj[w] if dist.get(x) == d - 1)]
+            for x in adj[w]:
+                if x in owner and owner[x] != owner[w]:
+                    best = min(best, d + 1 + dist[x])
+        if best < INFINITE or 2 * d + 2 > reach:
             break
-        lb = max(lb, _eccentricity_in(adj, x, s, fresh())[1])
-    return lb
+    return best if best <= reach else INFINITE
+
+
+def _near_owners(g: Graph, s, owners: Mapping, reach) -> dict:
+    """owner -> distance from s to its nearest vertex, for each owner within
+    reach of s; owners maps a vertex to the keys that own it.  One BFS stopped past reach."""
+    near = {}
+    for d, layer in _walk(g._adj, _known(g, s), {}):
+        if d > reach:
+            break
+        for v in layer:
+            for key in owners.get(v, ()):
+                near.setdefault(key, d)
+    return near
+
+
+def _first_close_pair(g: Graph, sets, reach):
+    """(i, j, distance) for the first pair i < j of sets, in order, at most reach
+    apart (an infinite reach takes disconnected pairs too), or None: one bounded BFS per set."""
+    owners = {}
+    for j, s in enumerate(sets):
+        for v in s:
+            owners.setdefault(v, []).append(j)
+    for i, s in enumerate(sets):
+        near = _near_owners(g, s, owners, reach)
+        for j in range(i + 1, len(sets)):
+            if (d := near.get(j, INFINITE)) <= reach:
+                return i, j, d
+    return None
 
 
 def closed_r_neighborhood(g: Graph, s: Iterable, r) -> frozenset:

@@ -184,32 +184,32 @@ def check_qi(m: QiMap) -> QiReport:
     return _qi_report(m, *_window(m, (m.c,) * 4)[0])
 
 
-def _fibres(m: QiMap) -> dict:
-    """Image vertex -> the source vertices sent to it, in source order."""
+def _fibres(source: Graph, f: Mapping) -> dict:
+    """Image vertex -> the source vertices that f sends to it, in source order."""
     out = {}
-    for v in m.source.vertices:
-        out.setdefault(m.mapping[v], []).append(v)
+    for v in source.vertices:
+        out.setdefault(f[v], []).append(v)
     return out
 
 
-def _lemma(m: QiMap) -> tuple:
-    """The projection lemma's premises for m, checked from scratch, and D.
+def _lemma(source: Graph, target: Graph, f: Mapping) -> tuple:
+    """The projection lemma's premises for the map f, checked from scratch, and D.
 
-    (onto, exact, D): whether m is onto, whether its source edges between two
+    (onto, exact, D): whether f is onto, whether its source edges between two
     fibres land on exactly the target's edges, and the largest weak diameter
     of a fibre f^-1(w).
     """
-    f, fibres = m.mapping, _fibres(m)
+    fibres = _fibres(source, f)
     crossing = {(f[u], f[v]) if f[u] < f[v] else (f[v], f[u])
-                for u, v in m.source.edges if f[u] != f[v]}
-    return (len(fibres) == len(m.target), crossing == set(m.target.edges),
-            max((weak_diameter(m.source, s) for s in fibres.values()), default=0))
+                for u, v in source.edges if f[u] != f[v]}
+    return (len(fibres) == len(target), crossing == set(target.edges),
+            max((weak_diameter(source, s) for s in fibres.values()), default=0))
 
 
 def _fibre_width(m: QiMap):
     """D, the largest weak diameter of a fibre, if m meets both premises of
     _lemma; INFINITE otherwise."""
-    onto, exact, d = _lemma(m)
+    onto, exact, d = _lemma(m.source, m.target, m.mapping)
     return d if onto and exact else INFINITE
 
 
@@ -303,10 +303,10 @@ def _certify_projection(g: Graph, p: Partition, qi_c=None) -> tuple:
     r' - c*r - c at r = 1, where r' = 1 if the target has an edge; the tight
     one is 0, from x == y.  Otherwise the scan decides, at the same D.
     """
-    m = projection_map(g, p, 1)  # its parameter is set once D is known
-    onto, exact, d = _lemma(m)
+    q, proj = quotient(g, p)
+    onto, exact, d = _lemma(g, q, proj)
     d = _finite_width(d)
-    m = replace(m, c=d + 1) if qi_c is None else m.with_c(qi_c)
+    m = QiMap(g, q, proj, d + 1 if qi_c is None else float(qi_c))  # built once D is known
     applied = onto and exact and m.c >= d + 1
     certificate = {"D": d, "onto": onto, "crossing_edges_exact": exact,
                    "c_at_least_D_plus_1": m.c >= d + 1, "applied": applied}

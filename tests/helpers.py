@@ -332,6 +332,71 @@ def naive_set_distance(vertices, edges, s, t):
     return min(dist[a].get(b, float("inf")) for a in s for b in t)
 
 
+def naive_closest_sets(vertices, edges, sets):
+    """min over two of sets of their distance (0 when they meet), INFINITE for fewer than two."""
+    dist = bfs_table(vertices, edges)
+    return min((dist[a].get(b, float("inf")) for i, s in enumerate(sets) for t in sets[i + 1:]
+                for a in s for b in t), default=float("inf"))
+
+
+def naive_first_close_pair(vertices, edges, sets, reach):
+    """(i, j, distance) of the first pair i < j of sets, in order, at most reach apart, or None."""
+    dist = bfs_table(vertices, edges)
+    for i, s in enumerate(sets):
+        for j in range(i + 1, len(sets)):
+            d = min(dist[a].get(b, float("inf")) for a in s for b in sets[j])
+            if d <= reach:
+                return i, j, d
+    return None
+
+
+def pair_scan_cover_separation(vertices, edges, collections, r):
+    """validate_cover's separation witness by a scan of every pair of sets in each
+    collection, in order: the first overlap or pair at distance <= r, or None."""
+    dist = bfs_table(vertices, edges)
+    for idx, coll in enumerate(collections):
+        for i, a in enumerate(coll):
+            for b in coll[i + 1:]:
+                if not set(a).isdisjoint(b):
+                    return f"collection {idx} has overlapping sets"
+                d = min(dist[x].get(y, float("inf")) for x in a for y in b)
+                if d <= r:
+                    return f"collection {idx}: sets at distance {d} <= scale {r}"
+    return None
+
+
+def pair_scan_minor_separation(vertices, edges, balls, stretches, z):
+    """build_minor_model's first separation failure by a scan of every pair, or None.
+
+    balls maps each branch vertex to its ball, stretches each edge (u, v)
+    to its stretch.  Balls must be 2z apart, stretches too, and a stretch
+    must meet the balls of its ends and lie 2z from every other ball.
+    """
+    dist = bfs_table(vertices, edges)
+
+    def apart(a, b, label_a, label_b):
+        d = min(dist[x].get(y, float("inf")) for x in a for y in b)
+        return f"{label_a} and {label_b} are at distance {d}, need >= {2 * z}" if d < 2 * z \
+            else None
+
+    hv, he = sorted(balls), sorted(stretches)
+    checks = [(balls[v], balls[w], f"ball({v!r})", f"ball({w!r})")
+              for i, v in enumerate(hv) for w in hv[i + 1:]]
+    checks += [(stretches[e], stretches[f], f"stretch{e!r}", f"stretch{f!r}")
+               for i, e in enumerate(he) for f in he[i + 1:]]
+    for args in checks:
+        if (msg := apart(*args)) is not None:
+            return msg
+    for e in he:
+        for v in hv:
+            if v in e:
+                if set(stretches[e]).isdisjoint(balls[v]):
+                    return f"stretch{e!r} misses ball({v!r})"
+            elif (msg := apart(stretches[e], balls[v], f"stretch{e!r}", f"ball({v!r})")):
+                return msg
+    return None
+
+
 def naive_fibre_width(source, target, mapping):
     """The projection lemma's D for mapping, or None when a premise fails.
 

@@ -16,8 +16,8 @@ except ImportError:  # not on every platform
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cwkit import (decompose, evaluate, gen_path, graph_to_json_dict, graphs, quasiiso,
-                   write_cwx)
+from cwkit import (Graph, decompose, evaluate, gen_path, gen_subdivided_clique,
+                   graph_to_json_dict, graphs, quasiiso, quotient, write_cwx)
 from cwkit import cli
 from cwkit.cli import main
 
@@ -456,6 +456,22 @@ class TestMinorModel:
         assert code == 0
         assert json.loads(out) == {"branch_sets": branch_sets, "edge_paths": {}}
 
+    def test_separations_make_no_set_distance_call(self, capsys):
+        # one set_distance per pair of balls and stretches took 2,871 calls here
+        calls, code_of = [], graphs.set_distance.__code__
+
+        def profile(frame, event, _):
+            if event == "call" and frame.f_code is code_of:
+                calls.append(frame)
+
+        sys.setprofile(profile)
+        try:
+            code, out, _ = run(capsys, "minor-model", "--n", "12", "--times", "48")
+        finally:
+            sys.setprofile(None)
+        assert code == 0 and len(json.loads(out)["edge_paths"]) == 66
+        assert calls == []
+
     def test_overflowing_ball_radius_without_paths(self, capsys):
         # K_1 has no subdivision path, so only the ball radius c(c+1) = inf is left
         code, out, _ = run(capsys, "minor-model", "--n", "1", "--c", "1e308")
@@ -490,6 +506,34 @@ class TestCoverPullback:
                            "--cover", str(cpath))
         assert code == 3
         assert "separation" in err
+
+    def test_each_whole_graph_is_measured_once(self, capsys, tmp_path, monkeypatch):
+        # the whole quotient and the whole graph are each measured by the cover,
+        # the target check, the source check or the revalidation; one search
+        # of each must serve them all
+        e = gen_subdivided_clique(5, 7)
+        path = tmp_path / "k5.cwx"
+        write_cwx(path, e)
+        g = evaluate(e).graph
+        whole = {"graph": g, "quotient": quotient(g, decompose(e).partition)[0]}
+        runs, real = [], graphs._walk
+
+        def walk(adj, layer, dist):  # a search over every vertex labels a list
+            if isinstance(dist, list):
+                runs.append(len(dist))
+            return real(adj, layer, dist)
+
+        monkeypatch.setattr(graphs, "_walk", walk)
+        once = {}
+        for name, h in whole.items():
+            runs.clear()
+            graphs.weak_diameter(Graph(h.vertices, h.edges), h.vertices)
+            once[name] = len(runs)
+        runs.clear()
+        code, out, _ = run(capsys, "cover-pullback", str(path))
+        assert code == 0 and json.loads(out)["validation"]["ok"] is True
+        assert {name: runs.count(len(h)) for name, h in whole.items()} == once
+        assert len(runs) == sum(once.values())
 
     def test_scale_below_one_exits_3(self, capsys, k2_file):
         code, _, err = run(capsys, "cover-pullback", k2_file, "--r", "0.5")

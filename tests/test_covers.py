@@ -1,15 +1,17 @@
 """Scaled cover validation and the pullback along an embedding."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cwkit import (INFINITE, ContractError, ControlDilation, CoverFamily,
                    Graph, InputError, QiMap, cover_by_components,
                    cover_from_json_dict, cover_to_json_dict, pullback_cover,
                    validate_cover)
 
-from helpers import path_data
+from helpers import pair_scan_cover_separation, path_data
 
 
 def G(data):
@@ -118,6 +120,22 @@ class TestValidateCover:
     def test_unknown_vertex_rejected(self):
         with pytest.raises(InputError, match="unknown vertex"):
             validate_cover(G(path_data(2)), CoverFamily((({"zz"},),), 1, 0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 14), st.sampled_from((0.05, 0.2, 0.5)),
+           st.sampled_from((0, 0.5, 1, 2, 2.5, 4, INFINITE)))
+    def test_separation_matches_the_pair_scan(self, seed, n, density, r):
+        # overlapping, one-vertex and disconnected sets; an infinite scale takes
+        # every pair, disconnected ones too
+        rng = random.Random(seed)
+        vs = [f"v{i}" for i in range(n)]
+        es = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:] if rng.random() < density]
+        cf = CoverFamily([[rng.sample(vs, rng.randint(1, min(n, 3)))
+                           for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(1, 3))],
+                         r, INFINITE)
+        got = validate_cover(Graph(vs, es), cf).check("separation")
+        assert got.witness == pair_scan_cover_separation(vs, es, cf.collections, r)
+        assert got.ok == (got.witness is None)
 
 
 class TestCoverByComponents:

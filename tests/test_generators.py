@@ -9,9 +9,12 @@ import pytest
 
 import cwkit.expressions
 from cwkit import (ContractError, CwkitError, Graph, InputError, QiMap,
-                   build_minor_model, complete_graph, evaluate, format_expr, gen_path,
-                   gen_spider, gen_subdivided_clique, model_to_json_dict, normalize,
-                   spider_graph, subdivide, subdivision_path, validate_strict)
+                   build_minor_model, closed_r_neighborhood, complete_graph, evaluate,
+                   format_expr, gen_path, gen_spider, gen_subdivided_clique,
+                   model_to_json_dict, normalize, spider_graph, subdivide, subdivision_path,
+                   validate_strict)
+
+from helpers import pair_scan_minor_separation
 
 
 def identity_qi(g, c=1.0):
@@ -333,6 +336,30 @@ class TestBuildMinorModel:
         collapse = QiMap(sub, sub, {v: "1" for v in sub.vertices}, 1.0)
         with pytest.raises(InputError, match="violates the distance bounds"):
             build_minor_model(k4, sub, collapse, 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_separation_matches_the_pair_scan(self, n):
+        # a fractional c(c+1) cuts the stretches short of 2c(c+1) apart, so
+        # some of these fail; every failure must name the pair scan's first pair
+        h, failures = complete_graph(n), 0
+        for c in (1.0, 1.2, 1.5, 2.0, 2.5):
+            z = c * (c + 1)
+            for times in (int(4 * z), int(4 * z) + 3):
+                sub = subdivide(h, times)
+                balls = {v: closed_r_neighborhood(sub, [v], z) for v in h.vertices}
+                stretches = {}
+                for u, v in h.edges:
+                    seq = subdivision_path(u, v, times)
+                    stretches[(u, v)] = frozenset(seq[int(z):len(seq) - int(z)])
+                want = pair_scan_minor_separation(sub.vertices, sub.edges, balls, stretches, z)
+                try:
+                    build_minor_model(h, sub, identity_qi(sub, c), c)
+                    got = None
+                except ContractError as exc:
+                    got = str(exc)
+                assert got == want, (c, times)
+                failures += got is not None
+        assert failures > 0 or n == 2
 
     def test_json_shape(self):
         k4 = complete_graph(4)

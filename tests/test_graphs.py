@@ -11,11 +11,15 @@ from cwkit import (INFINITE, ColoredGraph, Graph, InputError, Partition,
                    distance, graph_from_json_dict, graph_to_dot,
                    graph_to_json_dict, is_connected, is_dominated, quotient,
                    set_distance, weak_diameter)
-from cwkit import graphs
-from cwkit.graphs import _components_within, _connected_within
+from cwkit import (complete_graph, decompose, evaluate, gen_subdivided_clique,
+                   generate_corpus, graphs, subdivide)
+from cwkit.graphs import (_closest_sets, _components_within, _connected_within,
+                          _first_close_pair)
 
-from helpers import (cycle_data, floyd_warshall, naive_connected, naive_dominated,
+from helpers import (bfs_table, cycle_data, floyd_warshall, naive_closest_sets,
+                     naive_connected, naive_dominated, naive_first_close_pair,
                      naive_set_distance, naive_weak_diameter, path_data, star_data)
+from test_acceptance import COUNT, MAX_K, MAX_LEAVES, SEED
 
 
 def G(data):
@@ -28,6 +32,21 @@ def random_graph_data(seed):
     vs = [f"v{i}" for i in range(n)]
     es = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]
           if rng.random() < 0.4]
+    return vs, es
+
+
+def sweep_graph_data(seed):
+    """A seeded graph of 3 to 16 vertices: a tree, a cycle with chords, or random."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 16)
+    vs = [f"v{i}" for i in range(n)]
+    shape = rng.choice(("tree", "cycle", 0.15, 0.3))
+    if shape == "tree":
+        es = [(vs[i], vs[rng.randrange(i)]) for i in range(1, n)]
+    elif shape == "cycle":
+        es = [(vs[i], vs[i - 1]) for i in range(n)] + [tuple(rng.sample(vs, 2)) for _ in range(2)]
+    else:
+        es = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:] if rng.random() < shape]
     return vs, es
 
 
@@ -118,6 +137,82 @@ class TestDistances:
         for got, want in ((weak_diameter(g, s), naive_weak_diameter(vs, es, s)),
                           (set_distance(g, s, t), naive_set_distance(vs, es, s, t))):
             assert (got, type(got)) == (want, type(want))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 40), st.sampled_from(("tree", 0.02, 0.1, 0.4)))
+    def test_whole_vertex_set_matches_floyd_warshall(self, seed, n, shape):
+        # sparse shapes leave several components, where the answer is INFINITE
+        rng = random.Random(seed)
+        vs = [f"v{i}" for i in range(n)]
+        if shape == "tree":
+            es = [(vs[i], vs[rng.randrange(i)]) for i in range(1, n)]
+        else:
+            es = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:] if rng.random() < shape]
+        want = naive_weak_diameter(vs, es, vs)
+        g = Graph(vs, es)
+        got = weak_diameter(g, reversed(vs))
+        assert (got, type(got)) == (want, type(want))
+        assert weak_diameter(g, vs) == want  # the kept value
+
+    def test_seeded_sweep_matches_a_bfs_table(self):
+        # a fixed sweep, so that every run reaches the graphs where iFUB's
+        # rule does not end the search and the bounds must drop members exactly
+        for seed in range(600):
+            vs, es = sweep_graph_data(seed)
+            rng, table = random.Random(seed), bfs_table(vs, es)
+            for s in (vs, rng.sample(vs, rng.randint(2, len(vs)))):
+                want = max(table[a].get(b, INFINITE) for a in s for b in s)
+                assert weak_diameter(Graph(vs, es), s) == want, (seed, s)
+
+    @pytest.mark.parametrize("n, times", [(3, 0), (4, 1), (4, 6), (5, 3), (6, 2), (6, 5)])
+    def test_subdivided_cliques_match_floyd_warshall(self, n, times):
+        # every path middle is as eccentric as the diameter: the bounds do the work here
+        g = subdivide(complete_graph(n), times)
+        vs, es = g.vertices, g.edges
+        assert weak_diameter(g, vs) == naive_weak_diameter(vs, es, vs)
+        rng = random.Random(n * 100 + times)
+        for size in (2, 3, len(vs) // 2, len(vs) - 1):
+            s = rng.sample(vs, size)
+            assert weak_diameter(g, s) == naive_weak_diameter(vs, es, s)
+
+    def test_disconnected_whole_graph_is_infinite(self):
+        vs, es = path_data(6)
+        g = Graph(vs + ["x", "y"], es + [("x", "y")])
+        assert weak_diameter(g, g.vertices) == INFINITE
+        assert weak_diameter(g, ["x", "y"]) == 1 and weak_diameter(g, vs) == 5
+
+    def test_one_member_needs_no_search(self, monkeypatch):
+        g = G(path_data(5))
+        monkeypatch.setattr(graphs, "_walk", None)  # any search would fail
+        assert weak_diameter(g, ["p3"]) == 0 and weak_diameter(g, ["p3", "p3"]) == 0
+        with pytest.raises(InputError, match="unknown vertex 'zz'"):
+            weak_diameter(g, ["zz"])
+
+    def count_searches(self, monkeypatch):
+        runs, real = [], graphs._walk
+        monkeypatch.setattr(graphs, "_walk", lambda *a: runs.append(1) or real(*a))
+        return runs
+
+    def test_whole_subdivided_clique_takes_few_searches(self, monkeypatch):
+        # the iFUB loop alone took 2,663 BFS runs here, about one per vertex
+        g = evaluate(gen_subdivided_clique(12, 48)).graph
+        runs = self.count_searches(monkeypatch)
+        assert weak_diameter(g, g.vertices) == 97
+        assert len(runs) <= 100, len(runs)
+        measured = len(runs)
+        assert weak_diameter(g, reversed(g.vertices)) == 97 and len(runs) == measured
+
+    def test_corpus_parts_take_no_more_searches(self, monkeypatch):
+        # 6,299 BFS runs before the bounds: one for each of the 3,476 one-vertex
+        # parts, 2,823 for the rest; the rest may not cost more
+        cases = [(evaluate(e).graph, decompose(e).partition)
+                 for e in generate_corpus(SEED, COUNT, MAX_K, MAX_LEAVES)]
+        runs = self.count_searches(monkeypatch)
+        for g, p in cases:
+            for _, part in p:
+                weak_diameter(g, part)
+        assert sum(len(part) == 1 for _, p in cases for _, part in p) == 3476
+        assert len(runs) <= 6299 - 3476, len(runs)
 
     def test_multi_source_bfs(self):
         g = G(path_data(6))
@@ -213,6 +308,60 @@ class TestDistances:
         g = Graph(vs, es)
         src = [vs[0]]
         assert closed_r_neighborhood(g, src, r) <= closed_r_neighborhood(g, src, r + 1)
+
+
+class TestSeparationSearch:
+    """_closest_sets and _first_close_pair against a scan of every pair."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 16), st.sampled_from((0.05, 0.15, 0.3, 0.6)),
+           st.integers(0, 5), st.sampled_from((0, 1, 2, 2.5, 3, 4, 7, INFINITE)))
+    def test_matches_the_pair_scan(self, seed, n, density, count, reach):
+        # sparse graphs give disconnected pairs; sets may overlap or be one vertex
+        rng = random.Random(seed)
+        vs = [f"v{i}" for i in range(n)]
+        es = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:] if rng.random() < density]
+        sets = [frozenset(rng.sample(vs, min(n, rng.choice((1, 1, 2, rng.randint(1, n))))))
+                for _ in range(count)]
+        g = Graph(vs, es)
+        least = naive_closest_sets(vs, es, sets)
+        got = _closest_sets(g, sets, reach)
+        assert (got, type(got)) == ((least, type(least)) if least <= reach else (INFINITE, float))
+        assert _first_close_pair(g, sets, reach) == naive_first_close_pair(vs, es, sets, reach)
+
+    def test_seeded_sweep_matches_the_pair_scan(self):
+        # a fixed sweep of small sets and reaches, so that every run meets
+        # the pairs whose distance sits right at the search's stopping layer
+        for seed in range(600):
+            vs, es = sweep_graph_data(seed)
+            rng = random.Random(seed)
+            sets = [frozenset(rng.sample(vs, rng.randint(1, 2))) for _ in range(rng.randint(2, 4))]
+            reach = rng.randint(0, 7)
+            least = naive_closest_sets(vs, es, sets)
+            got = _closest_sets(Graph(vs, es), sets, reach)
+            assert got == (least if least <= reach else INFINITE), (seed, sets, reach)
+            assert _first_close_pair(Graph(vs, es), sets, reach) == \
+                naive_first_close_pair(vs, es, sets, reach)
+
+    def test_meeting_sets_give_zero(self):
+        g = G(path_data(6))
+        assert _closest_sets(g, [{"p0"}, {"p4", "p5"}, {"p5"}], 1) == 0
+        assert _first_close_pair(g, [{"p0"}, {"p4", "p5"}, {"p5"}], 1) == (1, 2, 0)
+
+    def test_far_sets_stop_at_half_the_reach(self, monkeypatch):
+        g = G(path_data(2001))
+        labelled, real = [], graphs._walk
+
+        def walk(adj, layer, dist):
+            labelled.append(dist)
+            return real(adj, layer, dist)
+
+        monkeypatch.setattr(graphs, "_walk", walk)
+        assert _closest_sets(g, [{"p0"}, {"p2000"}], 10) == INFINITE
+        assert sum(map(len, labelled)) <= 2 * 7  # two searches of radius 6
+        assert _closest_sets(g, [{"p0"}, {"p2000"}], INFINITE) == 2000
+        with pytest.raises(InputError, match="unknown vertex 'zz'"):
+            _closest_sets(g, [{"p0"}, {"zz"}], 3)
 
 
 class TestDomination:

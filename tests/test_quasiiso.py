@@ -494,6 +494,18 @@ class TestProjectionCertificate:
         monkeypatch.setattr(quasiiso, "_window", real)
         return witness, len(scans)
 
+    def test_certificate_builds_its_map_once(self, monkeypatch):
+        # at its final c: a map built at c = 1 and then copied was validated twice
+        e = gen_path("x", "y", 30, 3, 1, 2, 1)
+        g, p = evaluate(e).graph, decompose(e).partition
+        built, real = [], QiMap.__post_init__
+        monkeypatch.setattr(QiMap, "__post_init__", lambda m: built.append(m.c) or real(m))
+        tight, _, certificate = quasiiso._certify_projection(g, p)
+        assert certificate["applied"] and built == [tight.c + 1]
+        built.clear()
+        quasiiso._certify_projection(g, p, 2.5)
+        assert built == [2.5]
+
     def test_agrees_with_the_pair_scan_on_projections_and_mutants(self, monkeypatch):
         rng = random.Random(606)
         sweeps = list(path_cases()) + list(spider_cases()) + list(clique_cases())
