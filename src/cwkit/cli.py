@@ -49,10 +49,11 @@ def _write(text: str, out) -> None:
 
 
 def _emit(args, obj, lines) -> None:
+    """The lines with --pretty, else obj as JSON; a str obj is JSON text already."""
     if getattr(args, "pretty", False):
         _write("".join(f"{line}\n" for line in lines), getattr(args, "out", None))
     else:
-        _write(_dump(obj), getattr(args, "out", None))
+        _write(obj if isinstance(obj, str) else _dump(obj), getattr(args, "out", None))
 
 
 def _load_json(path):
@@ -175,11 +176,12 @@ def cmd_corpus(args) -> int:
     summary = {"seed": args.seed, "count": args.count, "max_k": args.max_k,
                "max_leaves": args.max_leaves, "all_pass": all_pass,
                "instances": instances}
+    text = _dump(summary)
     with open(os.path.join(args.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        fh.write(_dump(summary))
+        fh.write(text)
     passed = sum(1 for item in instances if item["pass"])
-    _emit(args, summary, [f"{passed}/{len(instances)} instances pass",
-                          f"written to {args.out_dir}"])
+    _emit(args, text, [f"{passed}/{len(instances)} instances pass",
+                       f"written to {args.out_dir}"])
     return 0 if all_pass else 3
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .errors import InputError
-from .expressions import CwExpr, Join, Leaf, Recolor, Union, _Semantics
+from .expressions import LEAF, UNION, CwExpr, Join, Leaf, Recolor, Union, _kind, _Semantics
 
 
 def random_strict_expr(rng: random.Random, palette: int, max_leaves: int) -> CwExpr:
@@ -26,7 +26,7 @@ def random_strict_expr(rng: random.Random, palette: int, max_leaves: int) -> CwE
     segments = []  # (fragment, its state)
     for i in range(rng.randint(1, max_leaves)):
         leaf = Leaf(f"v{i}", rng.randint(1, palette))
-        segments.append((leaf, core.step(leaf, ())[0]))
+        segments.append((leaf, core.step(LEAF, leaf, ())[0]))
 
     def merge_two():
         i, j = rng.sample(range(len(segments)), 2)
@@ -34,7 +34,7 @@ def random_strict_expr(rng: random.Random, palette: int, max_leaves: int) -> CwE
         for idx in sorted((i, j), reverse=True):
             del segments[idx]
         node = Union(left, right)
-        segments.append((node, core.step(node, (left_state, right_state))[0]))
+        segments.append((node, core.step(UNION, node, (left_state, right_state))[0]))
 
     def try_mutate(idx: int) -> bool:
         node, state = segments[idx]
@@ -53,7 +53,7 @@ def random_strict_expr(rng: random.Random, palette: int, max_leaves: int) -> CwE
             if not cands:
                 return False
             node = Recolor(*rng.choice(cands), node)
-        segments[idx] = (node, core.step(node, (state,))[0])
+        segments[idx] = (node, core.step(_kind(node), node, (state,))[0])
         return True
 
     while len(segments) > 1:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from collections.abc import Mapping
 
 from .errors import ContractError, InputError
-from .expressions import (CwExpr, Join, Leaf, Recolor, Union, _find, _graph_of,
+from .expressions import (LEAF, RECOLOR, UNION, CwExpr, _find, _graph_of, _kind,
                           _Semantics, fold_postorder, validate_strict)
 from .graphs import ColoredGraph, Graph, Partition, is_dominated, quotient
 from .treedecomp import (CheckResult, TreeDecomposition, VerificationReport, _holding,
@@ -68,37 +68,46 @@ def _decompose(e: CwExpr) -> tuple:
     tree_edges = []
     merge_counter = itertools.count()
 
-    # Each folded value is (state, rainbow node, the rainbow bag's parts by colour).
-    def step(node, kids):
-        states = tuple(kid[0] for kid in kids)
-        if isinstance(node, Join):
-            colors = (node.color_a, node.color_b)
-            sizes = [len(states[0].get(c, ())) for c in colors]
-        st, broken = core.step(node, states)
+    def apply(kind, node, states):
+        st, broken = core.step(kind, node, states)
         if broken:
             v = validate_strict(e).first()
             why = _RULE_WHY.get(v.rule, "required by the construction")
             raise ContractError(f"expression is not strict: {v} ({why})")
-        if isinstance(node, Leaf):
+        return st
+
+    # Each folded value is (state, rainbow node, the rainbow bag's parts by colour).
+    def step(node, kids):
+        kind = _kind(node)
+        if kind == LEAF:
+            st = apply(kind, node, ())
             part = st[node.color][0]
             names[part] = node.vertex
             bags.append([part])
             return st, len(bags) - 1, {node.color: [part]}
-        if isinstance(node, Union):
-            (_, left, left_rb), (_, right, right_rb) = kids
+        if kind == UNION:
+            (left_st, left, left_rb), (right_st, right, right_rb) = kids
+            st = apply(kind, node, (left_st, right_st))
             q = len(bags)
             tree_edges.extend(((q, left), (q, right)))
-            chosen = {c: min(left_rb.get(c) or right_rb[c], key=names.get)
-                      for c in sorted(st)}
-            bags.append(list(chosen.values()))
-            return st, q, {c: [p] for c, p in chosen.items()}
-        _, rainbow, rb = kids[0]
-        if isinstance(node, Recolor):
+            bag, rb = [], {}
+            for c in sorted(st):
+                held = left_rb.get(c) or right_rb[c]
+                rb[c] = [held[0] if len(held) == 1 else min(held, key=names.get)]
+                bag += rb[c]
+            bags.append(bag)
+            return st, q, rb
+        st, rainbow, rb = kids[0]
+        if kind == RECOLOR:
+            apply(kind, node, (st,))
             moved = rb.pop(node.old_color, None)
             if moved:
                 rb.setdefault(node.new_color, []).extend(moved)
             return st, rainbow, rb
-        # Join: the core fused each of the two colour classes into one part.
+        colors = (node.color_a, node.color_b)
+        sizes = [len(st.get(c, ())) for c in colors]
+        apply(kind, node, (st,))
+        # The core fused each of the two colour classes into one part.
         for color, size in zip(colors, sizes):
             if not size:
                 raise ContractError(f"join colour {color} has no parts; strictness should "

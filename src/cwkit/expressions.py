@@ -22,6 +22,7 @@ least one new edge.
 from __future__ import annotations
 
 import heapq
+import itertools
 import re
 from dataclasses import dataclass
 from collections.abc import Mapping
@@ -99,6 +100,18 @@ class CwExpr:
             raise InputError(f"palette size must be a positive int, got {self.k!r}")
 
 
+LEAF, UNION, RECOLOR, JOIN = range(4)
+_KINDS = {Leaf: LEAF, Union: UNION, Recolor: RECOLOR, Join: JOIN}
+
+
+def _kind(node: Node) -> int:
+    """LEAF, UNION, RECOLOR or JOIN; a subclass of a node class folds as that class."""
+    kind = _KINDS.get(type(node))
+    if kind is None:
+        kind = next((kind for cls, kind in _KINDS.items() if isinstance(node, cls)), JOIN)
+    return kind
+
+
 def _children(node: Node) -> tuple:
     if isinstance(node, Leaf):
         return ()
@@ -115,17 +128,18 @@ def fold_postorder(root: Node, fn):
     Each value goes to exactly one parent, even where one node object
     occurs twice, so fn may consume the values it is given.
     """
-    order = []
+    order = []  # (node, its children), preorder
     stack = [root]
     while stack:
         node = stack.pop()
-        order.append(node)
-        stack.extend(_children(node))
+        kids = _children(node)
+        order.append((node, kids))
+        stack.extend(kids)
     values = []
-    for node in reversed(order):
-        cut = len(values) - len(_children(node))
-        kids = tuple(values[cut:])
-        del values[cut:]
+    for node, kids in reversed(order):
+        if kids:  # one or two
+            last = values.pop()
+            kids = (values.pop(), last) if len(kids) == 2 else (last,)
         values.append(fn(node, kids))
     return values[0]
 
@@ -169,8 +183,14 @@ def render_path(path: tuple) -> str:
 
 _BLANK_LINES_RE = re.compile(r"(?:[^\S\n]*\n)*")
 _HEADER_RE = re.compile(r"\s*cw\s+k\s*=\s*([0-9]+)\s*$")
+_ALLOWED_RE = re.compile(r"[\s()A-Za-z0-9_.-]*")
 _TOKEN_RE = re.compile(r"\s*([()]|[A-Za-z0-9_.-]+)")  # blanks, then the token as group 1
-_STRAY_RE = re.compile(r"[^\s()A-Za-z0-9_.-]")
+# An event is a run of whole tokens: a whole leaf; a recolor or join with its
+# '(' and two colours of up to 15 digits, which int() reads at once; any other
+# operator with its '('; or a single token.
+_EVENT_RE = re.compile(r"\s*(?:\(\s*v\s+([A-Za-z0-9_.-]+)\s+([0-9]{1,15})\s*\)"
+                       r"|\(\s*(?:(recolor|join)\s+([0-9]{1,15})\s+([0-9]{1,15})"
+                       r"|(v|union|recolor|join))(?![A-Za-z0-9_.-])|([()]|[A-Za-z0-9_.-]+))")
 
 # operator -> (which of its arguments are atoms, the error when they are not)
 _SHAPES = {
@@ -194,32 +214,55 @@ def _read_int(digits: str):
         return INFINITE
 
 
-def _node(op, args: list, k: int, text: str) -> Node:
-    """The node an operator token and its arguments (atom tokens or nodes) make."""
-    kind = op[1]
-    shape, message = _SHAPES[kind]
-    if tuple(isinstance(a, re.Match) for a in args) != shape:
-        raise _error(message, text, op.start(1))
-    if kind == "union":
-        return Union(*args)
-    what = "leaf" if kind == "v" else kind
-    colors = []
-    for atom in (args[1:] if kind == "v" else args[:2]):
-        value, at = atom[1], atom.start(1)
-        if not value.isdigit():
-            raise _error(f"{what} colour must be an integer, got {value!r}", text, at)
-        colors.append(_read_int(value))
-        if not 1 <= colors[-1] <= k:  # one too long to read is above every readable k
-            raise _error(f"{what} colour {value.lstrip('0') or 0} out of range 1..{k}", text, at)
-    if kind == "v":
-        return Leaf(args[0][1], colors[0])
-    if colors[0] == colors[1]:
-        raise _error(f"{kind} colours must differ, both are {colors[0]}", text, args[1].start(1))
-    return (Recolor if kind == "recolor" else Join)(*colors, args[2])
+class _Body:
+    """The expression after the header: its events, and where their tokens start."""
+
+    def __init__(self, text: str, start: int, k: int):
+        # The scan ends at the last token: in trailing blanks each start would rescan the rest.
+        self.text, self.span, self.k = text, (start, len(text.rstrip())), k
+        self.events = _EVENT_RE.findall(text, *self.span)
+
+    def error(self, message: str, event: int, nth: int = 0) -> ParseError:
+        """A ParseError at the nth token of the event-th event (-1: its last), found by a
+        second scan, which only an error pays for."""
+        m = next(itertools.islice(_EVENT_RE.finditer(self.text, *self.span), event, None))
+        starts = [t.start(1) for t in _TOKEN_RE.finditer(self.text, m.start(), m.end())]
+        return _error(message, self.text, starts[nth])
+
+    def node(self, frame: list) -> Node:
+        """The node of a frame that failed parse's quick check, or the error the
+        token parser raises at its ')'."""
+        at, kind, a, b, *rest = frame
+        # An atom is (token, event, nth token of the event); an int in a frame is an atom's event.
+        args = [(a, at, 2), (b, at, 3)] if a else []
+        args += [(self.events[x][6], x, 0) if type(x) is int else x for x in rest]
+        shape, message = _SHAPES[kind]
+        if tuple(type(arg) is tuple for arg in args) != shape:
+            raise self.error(message, at, 1)
+        if kind == "union":
+            return Union(*args)
+        what = "leaf" if kind == "v" else kind
+        colors = []
+        for value, event, nth in (args[1:] if kind == "v" else args[:2]):
+            if not value.isdigit():
+                raise self.error(f"{what} colour must be an integer, got {value!r}", event, nth)
+            colors.append(_read_int(value))
+            if not 1 <= colors[-1] <= self.k:  # one too long to read is above every readable k
+                raise self.error(f"{what} colour {value.lstrip('0') or 0} out of range "
+                                 f"1..{self.k}", event, nth)
+        if kind == "v":
+            return Leaf(args[0][0], colors[0])
+        if colors[0] == colors[1]:
+            raise self.error(f"{kind} colours must differ, both are {colors[0]}", *args[1][1:])
+        return (Recolor if kind == "recolor" else Join)(*colors, args[2])
 
 
 def parse(text: str) -> CwExpr:
-    """Parse a .cwx document (header line plus one expression) in time linear in the text."""
+    """Parse a .cwx document (header line plus one expression) in time linear in the text.
+
+    Each node is checked once, at its ')'; only one that fails the quick
+    check is checked token by token, for its error's message and place.
+    """
     start = _BLANK_LINES_RE.match(text).end()  # the header's line is the first nonblank
     end = text.find("\n", start)
     end = len(text) if end < 0 else end
@@ -233,40 +276,52 @@ def parse(text: str) -> CwExpr:
         raise _error("palette size k has too many digits", text, m.start(1))
     if k < 1:
         raise _error("palette size k must be >= 1", text, start)
-    stray = _STRAY_RE.search(text, end)
-    if stray:
-        raise _error(f"unexpected character {stray.group()!r}", text, stray.start())
+    stray = _ALLOWED_RE.match(text, end).end()
+    if stray < len(text):
+        raise _error(f"unexpected character {text[stray]!r}", text, stray)
 
-    frames = []  # (operator token, its arguments so far)
-    root = tok = None
-    # The scan ends at the last token: in trailing blanks each start would rescan the rest.
-    tokens = _TOKEN_RE.finditer(text, end, len(text.rstrip()))
-    for tok in tokens:
-        if root is not None:
-            raise _error("unexpected trailing input after expression", text, tok.start(1))
-        if tok[1] == "(":
-            paren, tok = tok, next(tokens, None)
-            if tok is None or tok[1] in "()":
-                raise _error("expected an operator after '('", text, paren.start(1))
-            if tok[1] not in _SHAPES:
-                raise _error(f"unknown operator {tok[1]!r}", text, tok.start(1))
-            frames.append((tok, []))
-        elif tok[1] == ")":
-            if not frames:
-                raise _error("unmatched ')'", text, tok.start(1))
-            node = _node(*frames.pop(), k, text)
-            if frames:
-                frames[-1][1].append(node)
-            else:
-                root = node
-        elif not frames:
-            raise _error(f"unexpected atom {tok[1]!r} outside an expression", text, tok.start(1))
-        else:
-            frames[-1][1].append(tok)
-    if tok is None:
+    body = _Body(text, end, k)
+    if not body.events:
         raise _error("missing expression after header", text, start)
+    stack = []  # open operators: [event, operator, colour, colour, arguments so far...]
+    root = None
+    for i, (vertex, color, op, a, b, bare, token) in enumerate(body.events):
+        if root is not None:
+            raise body.error("unexpected trailing input after expression", i)
+        if op or bare:
+            stack.append([i, op or bare, a, b])
+            continue
+        if vertex:
+            c = int(color)
+            node = Leaf(vertex, c) if 0 < c <= k else body.node([i, "v", vertex, color])
+        elif token == ")":
+            if not stack:
+                raise body.error("unmatched ')'", i)
+            _, op, a, b, *args = frame = stack.pop()
+            x, y = (int(a), int(b)) if a else (0, 0)  # only a recolor or join has colours here
+            if op == "union" and len(args) == 2 and int not in map(type, args):
+                node = Union(*args)
+            elif (len(args) == 1 and type(args[0]) is not int and x != y
+                  and 0 < x <= k and 0 < y <= k):
+                node = (Recolor if op == "recolor" else Join)(x, y, args[0])
+            else:
+                node = body.node(frame)
+        elif token == "(":
+            after = body.events[i + 1][6] if i + 1 < len(body.events) else ""
+            if not after or after in "()":
+                raise body.error("expected an operator after '('", i)
+            raise body.error(f"unknown operator {after!r}", i + 1)
+        elif stack:
+            stack[-1].append(i)
+            continue
+        else:
+            raise body.error(f"unexpected atom {token!r} outside an expression", i)
+        if stack:
+            stack[-1].append(node)
+        else:
+            root = node
     if root is None:
-        raise _error("unexpected end of input, unclosed '('", text, tok.start(1))
+        raise body.error("unexpected end of input, unclosed '('", len(body.events) - 1, -1)
     return CwExpr(k, root)
 
 
@@ -363,10 +418,10 @@ def _pour(state: dict, color: int, parts: list) -> None:
         state[color] = parts
 
 
-def _outside(k: int, kind: str, *colors) -> list:
+def _outside(k: int, kind: str, *colors) -> tuple:
     """A COLOR_RANGE violation for each colour outside 1..k."""
-    return [(RULE_COLOR_RANGE, f"{kind} colour {c} outside 1..{k}")
-            for c in colors if not 1 <= c <= k]
+    return tuple((RULE_COLOR_RANGE, f"{kind} colour {c} outside 1..{k}")
+                 for c in colors if not 1 <= c <= k)
 
 
 class _State(dict):
@@ -484,33 +539,34 @@ class _Semantics:
             q.full[p.leaf] = (len(q.members), len(p.members))
         return bool(added)
 
-    def step(self, node: Node, kids: tuple) -> tuple:
+    def step(self, kind: int, node: Node, kids: tuple) -> tuple:
         """(state after node, its broken strict rules as (rule, message) pairs).
 
-        A duplicated vertex id has no message here: its message names a path.
+        kind is _kind(node).  A rule is listed only when it breaks.  A
+        duplicated vertex id has no message here: its message names a path.
         """
         k = self.k
-        if isinstance(node, Leaf):
-            broken = _outside(k, "leaf", node.color)
+        if kind == LEAF:
+            broken = () if 1 <= node.color <= k else _outside(k, "leaf", node.color)
             if node.vertex in self.last:
-                broken.append((RULE_DUP_VERTEX, None))
+                broken += ((RULE_DUP_VERTEX, None),)
             return self.leaf(node), broken
-        if isinstance(node, Union):
-            return self.union(*kids), []
+        if kind == UNION:
+            return self.union(*kids), ()
         state = kids[0]
-        if isinstance(node, Recolor):
+        if kind == RECOLOR:
             old, new = node.old_color, node.new_color
-            broken = _outside(k, "recolor", old, new)
+            broken = () if 1 <= old <= k and 1 <= new <= k else _outside(k, "recolor", old, new)
             had_old, had_new = self.recolor(state, old, new)
             if not had_old:
-                broken.append((RULE_OP2_I_UNUSED, f"recolor source colour {old} unused below"))
+                broken += ((RULE_OP2_I_UNUSED, f"recolor source colour {old} unused below"),)
             if not had_new:
-                broken.append((RULE_OP2_J_UNUSED, f"recolor target colour {new} unused below"))
+                broken += ((RULE_OP2_J_UNUSED, f"recolor target colour {new} unused below"),)
             return state, broken
         a, b = node.color_a, node.color_b
-        broken = _outside(k, "join", a, b)
+        broken = () if 1 <= a <= k and 1 <= b <= k else _outside(k, "join", a, b)
         if not self.join(state, a, b):
-            broken.append((RULE_OP3_NO_NEW_EDGE, f"join of colours {a},{b} adds no new edge"))
+            broken += ((RULE_OP3_NO_NEW_EDGE, f"join of colours {a},{b} adds no new edge"),)
         return state, broken
 
 
@@ -521,7 +577,7 @@ def evaluate(e: CwExpr) -> ColoredGraph:
     strictness side conditions are validate_strict's business, not ours.
     """
     core = _Semantics(e.k)
-    state = fold_postorder(e.root, lambda node, kids: core.step(node, kids)[0])
+    state = fold_postorder(e.root, lambda node, kids: core.step(_kind(node), node, kids)[0])
     return _graph_of(core, state)
 
 
@@ -578,7 +634,7 @@ def validate_strict(e: CwExpr) -> ValidationReport:
     found = {}  # id(node) -> its broken rules, the same at every occurrence
 
     def step(node, kids):
-        state, broken = core.step(node, kids)
+        state, broken = core.step(_kind(node), node, kids)
         if broken:
             found[id(node)] = broken
         return state
@@ -633,7 +689,7 @@ def normalize(e: CwExpr) -> CwExpr:
 
     def step(node, kids):
         # Each folded value is (rewritten node, state).
-        state, broken = core.step(node, tuple(st for _, st in kids))
+        state, broken = core.step(_kind(node), node, tuple(st for _, st in kids))
         rules = {rule for rule, _ in broken}
         if RULE_COLOR_RANGE in rules:
             if isinstance(node, Leaf):

@@ -2,9 +2,15 @@
 
 Everything here is implemented from scratch against the definitions, on
 purpose: expected values come from these, never from the code under test.
+Only the expression node classes and ParseError come from cwkit, so that a
+reference parse can be compared with parse's result and errors directly.
 """
 
 import itertools
+import math
+import re
+
+from cwkit import CwExpr, Join, Leaf, ParseError, Recolor, Union
 
 
 def adjacency(vertices, edges):
@@ -463,3 +469,131 @@ def random_groups(rng, vertices):
     for v in vertices:
         groups.setdefault(rng.randrange(k), set()).add(v)
     return groups
+
+
+# ------------------------------------------------------------------ parsing
+
+_NAIVE_BLANK_LINES_RE = re.compile(r"(?:[^\S\n]*\n)*")
+_NAIVE_HEADER_RE = re.compile(r"\s*cw\s+k\s*=\s*([0-9]+)\s*$")
+_NAIVE_TOKEN_RE = re.compile(r"\s*([()]|[A-Za-z0-9_.-]+)")  # blanks, then the token as group 1
+_NAIVE_STRAY_RE = re.compile(r"[^\s()A-Za-z0-9_.-]")
+
+# operator -> (which of its arguments are atoms, the error when they are not)
+_NAIVE_SHAPES = {
+    "v": ((True, True), "leaf takes a vertex id and a colour"),
+    "union": ((False, False), "union takes exactly two subexpressions"),
+    "recolor": ((True, True, False), "recolor takes two colours and one subexpression"),
+    "join": ((True, True, False), "join takes two colours and one subexpression"),
+}
+
+
+def _naive_error(message, text, at):
+    """A ParseError at offset at of text; only "\\n" starts a line."""
+    return ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+
+
+def _naive_read_int(digits):
+    """int(digits), or infinity past int()'s digit limit; leading zeros do not count."""
+    try:
+        return int(digits.lstrip("0") or "0")
+    except ValueError:
+        return math.inf
+
+
+def _naive_node(op, args, k, text):
+    """The node an operator token and its arguments (atom tokens or nodes) make."""
+    kind = op[1]
+    shape, message = _NAIVE_SHAPES[kind]
+    if tuple(isinstance(a, re.Match) for a in args) != shape:
+        raise _naive_error(message, text, op.start(1))
+    if kind == "union":
+        return Union(*args)
+    what = "leaf" if kind == "v" else kind
+    colors = []
+    for atom in (args[1:] if kind == "v" else args[:2]):
+        value, at = atom[1], atom.start(1)
+        if not value.isdigit():
+            raise _naive_error(f"{what} colour must be an integer, got {value!r}", text, at)
+        colors.append(_naive_read_int(value))
+        if not 1 <= colors[-1] <= k:  # one too long to read is above every readable k
+            raise _naive_error(f"{what} colour {value.lstrip('0') or 0} out of range 1..{k}",
+                               text, at)
+    if kind == "v":
+        return Leaf(args[0][1], colors[0])
+    if colors[0] == colors[1]:
+        raise _naive_error(f"{kind} colours must differ, both are {colors[0]}", text,
+                           args[1].start(1))
+    return (Recolor if kind == "recolor" else Join)(*colors, args[2])
+
+
+def naive_parse(text):
+    """A .cwx document read one token at a time: the reference for parse's results and errors."""
+    start = _NAIVE_BLANK_LINES_RE.match(text).end()  # the header's line is the first nonblank
+    end = text.find("\n", start)
+    end = len(text) if end < 0 else end
+    if not text[start:end].strip():
+        raise ParseError("empty input, expected a 'cw k=<int>' header", 1, 1)
+    m = _NAIVE_HEADER_RE.match(text, start, end)
+    if not m:
+        raise _naive_error("expected header 'cw k=<int>'", text, start)
+    k = _naive_read_int(m.group(1))
+    if k == math.inf:
+        raise _naive_error("palette size k has too many digits", text, m.start(1))
+    if k < 1:
+        raise _naive_error("palette size k must be >= 1", text, start)
+    stray = _NAIVE_STRAY_RE.search(text, end)
+    if stray:
+        raise _naive_error(f"unexpected character {stray.group()!r}", text, stray.start())
+
+    frames = []  # (operator token, its arguments so far)
+    root = tok = None
+    tokens = _NAIVE_TOKEN_RE.finditer(text, end, len(text.rstrip()))
+    for tok in tokens:
+        if root is not None:
+            raise _naive_error("unexpected trailing input after expression", text, tok.start(1))
+        if tok[1] == "(":
+            paren, tok = tok, next(tokens, None)
+            if tok is None or tok[1] in "()":
+                raise _naive_error("expected an operator after '('", text, paren.start(1))
+            if tok[1] not in _NAIVE_SHAPES:
+                raise _naive_error(f"unknown operator {tok[1]!r}", text, tok.start(1))
+            frames.append((tok, []))
+        elif tok[1] == ")":
+            if not frames:
+                raise _naive_error("unmatched ')'", text, tok.start(1))
+            node = _naive_node(*frames.pop(), k, text)
+            if frames:
+                frames[-1][1].append(node)
+            else:
+                root = node
+        elif not frames:
+            raise _naive_error(f"unexpected atom {tok[1]!r} outside an expression", text,
+                               tok.start(1))
+        else:
+            frames[-1][1].append(tok)
+    if tok is None:
+        raise _naive_error("missing expression after header", text, start)
+    if root is None:
+        raise _naive_error("unexpected end of input, unclosed '('", text, tok.start(1))
+    return CwExpr(k, root)
+
+
+def one_line_text(e):
+    """The .cwx text of e with its whole expression on one line, written without recursion."""
+    out, todo = [f"cw k={e.k}\n"], [e.root]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Leaf):
+            out.append(f"(v {node.vertex} {node.color})")
+        elif isinstance(node, Union):
+            out.append("(union ")
+            todo += [")", node.right, " ", node.left]
+        elif isinstance(node, Recolor):
+            out.append(f"(recolor {node.old_color} {node.new_color} ")
+            todo += [")", node.child]
+        else:
+            out.append(f"(join {node.color_a} {node.color_b} ")
+            todo += [")", node.child]
+    return "".join(out) + "\n"

@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,10 +17,14 @@ except ImportError:  # not on every platform
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cwkit import (Graph, decompose, evaluate, gen_path, gen_subdivided_clique,
-                   graph_to_json_dict, graphs, quasiiso, quotient, write_cwx)
+from cwkit import (Graph, decompose, evaluate, format_expr, gen_path, gen_spider,
+                   gen_subdivided_clique, generate_corpus, graph_to_json_dict, graphs,
+                   quasiiso, quotient, write_cwx)
 from cwkit import cli
 from cwkit.cli import main
+
+from helpers import one_line_text
+from test_golden import mutate_text
 
 K2_TEXT = """cw k=2
 (join 1 2
@@ -264,6 +269,18 @@ class TestCorpus:
             (second / "summary.json").read_text()
         assert (first / "expr_0005.cwx").read_text() == \
             (second / "expr_0005.cwx").read_text()
+
+    def test_summary_is_serialized_once(self, capsys, tmp_path, monkeypatch):
+        dumps = []
+        real = cli._dump
+        monkeypatch.setattr(cli, "_dump", lambda obj: dumps.append(obj) or real(obj))
+        argv = ["corpus", "--seed", "3", "--count", "4", "--out-dir", str(tmp_path)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(dumps) == 1
+        assert out == (tmp_path / "summary.json").read_text(encoding="utf-8")
+        code, pretty, _ = run(capsys, *argv, "--pretty")
+        assert pretty == f"4/4 instances pass\nwritten to {tmp_path}\n"
 
     def test_empty_corpus(self, capsys, tmp_path):
         code, out, _ = run(capsys, "corpus", "--seed", "1", "--count", "0",
@@ -860,6 +877,8 @@ class TestParser:
 FLOAT_EDGES = ("nan", "inf", "-inf", "-1", "0", "0.5", "1", "2.5", "1e154", "1e308", "5e-324")
 FLOATS = st.sampled_from(FLOAT_EDGES)
 SIZES = st.sampled_from(["-1", "0", "1", "2", "3", "4"])
+FUZZ_SEED = 9091
+FUZZ_COUNT = 300
 
 
 @pytest.fixture(scope="module")
@@ -935,6 +954,29 @@ class TestContract:
         if out and not {"--pretty", "--dot"} & set(argv) and name not in ("generate",
                                                                           "export-dot"):
             strict_json(out)
+
+    def test_mutated_expression_files(self, tmp_path):
+        # Seeded character edits of small canonical and one-line texts, each
+        # read by every subcommand that takes a .cwx file.
+        rng = random.Random(FUZZ_SEED)
+        exprs = [gen_path("x", "y", 4, 3, 1, 2, 1), gen_spider(3, [1, 2, 1]),
+                 gen_subdivided_clique(4, 1), *generate_corpus(FUZZ_SEED, 4, 3, 6)]
+        texts = [K2_TEXT, VACUOUS_TEXT] + [f(e) for e in exprs
+                                           for f in (format_expr, one_line_text)]
+        codes = []
+        for i in range(FUZZ_COUNT):
+            path = tmp_path / f"m{i}.cwx"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(mutate_text(rng, rng.choice(texts)))
+            for argv in (["eval"], ["decompose"], ["qi-check"], ["cover-pullback"],
+                         ["treewidth", "--quotient"]):
+                code, out, err = exit_of(main, [argv[0], str(path), *argv[1:]])
+                assert code in (0, 2, 3, 4), (path.read_text(encoding="utf-8"), argv, code, err)
+                assert "Traceback" not in err
+                if code == 0:
+                    strict_json(out)
+                codes.append(code)
+        assert {0, 2, 3} <= set(codes), sorted(set(codes))
 
     @pytest.mark.parametrize("exhaustive", [(), ("--exhaustive",)], ids=["default", "exhaustive"])
     def test_qi_check_parameters_on_both_sides_of_the_certificate(self, witness, exhaustive):

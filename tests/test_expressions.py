@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import time
 import tracemalloc
 
@@ -17,6 +18,9 @@ from cwkit.expressions import (RULE_COLOR_RANGE, RULE_DUP_VERTEX,
                                RULE_EMPTY_OPERAND, RULE_OP2_I_UNUSED,
                                RULE_OP2_J_UNUSED, RULE_OP3_NO_NEW_EDGE,
                                fold_postorder, render_path, walk_with_paths)
+
+from helpers import naive_parse, one_line_text
+from test_golden import mutate_text, parse_outcome, text_mutants
 
 K2_TEXT = "cw k=2\n(join 1 2\n  (union\n    (v a 1)\n    (v b 2)))\n"
 
@@ -113,6 +117,87 @@ class TestParser:
             parse("cw k=2\n(join 1 (v a 1))")
         with pytest.raises(ParseError):
             parse("cw k=2\n(v a 1 2)")
+
+
+DIFF_SEED = 6262
+DIFF_COUNT = 5000
+# Line breaks and blanks the parser must read as whitespace, beyond the space.
+BLANKS = ("\r\n", "\t", "\x0b", "\x0c", "\u00a0", "\u2028")
+# Digit runs inserted before a digit: leading zeros up to and past int()'s
+# 4300-digit limit, which leave a colour or k as it was, and values that
+# are out of every palette, readable by int() or not.
+DIGIT_RUNS = ("0" * 20, "0" * 4400, "5" * 20, "9" * 4400)
+
+
+def differential_texts():
+    """Seeded mutants of corpus and generator texts, one-line and canonical, with
+    CRLF and other whitespace, long digit runs, headers cut to k=1, and strict
+    expressions on one colour."""
+    rng = random.Random(DIFF_SEED)
+    texts = []
+    for text in text_mutants(DIFF_SEED, DIFF_COUNT - 200):
+        roll = rng.random()
+        if roll < 0.15:
+            text = text.replace("\n", "\r\n")
+        elif roll < 0.3:
+            text = "".join(rng.choice(BLANKS) if ch == " " and rng.random() < 0.3 else ch
+                           for ch in text)
+        elif roll < 0.45:
+            digits = [i for i, ch in enumerate(text) if ch.isdigit()]
+            at = rng.choice(digits) if digits else 0
+            text = text[:at] + rng.choice(DIGIT_RUNS) + text[at:]
+        elif roll < 0.55:
+            text = re.sub(r"k=[0-9]+", "k=1", text, count=1)
+        elif roll < 0.7:  # one colour set to a small value: equal, zero or out of range
+            numbers = list(re.finditer(r"(?<=\s)[0-9]+(?=[\s)])", text))
+            if numbers:
+                m = rng.choice(numbers)
+                text = text[:m.start()] + rng.choice(("0", "1", "2", "3", "01", "9")) + text[m.end():]
+        texts.append(text)
+    for _ in range(200):
+        e = random_strict_expr(rng, 1, rng.randint(1, 8))
+        text = format_expr(e) if rng.random() < 0.5 else one_line_text(e)
+        texts.append(mutate_text(rng, text) if rng.random() < 0.5 else text)
+    return texts
+
+
+def naive_outcome(text):
+    """parse_outcome with the token-at-a-time reference parser."""
+    try:
+        return format_expr(naive_parse(text))
+    except ParseError as exc:
+        return [type(exc).__name__, str(exc), exc.line, exc.column]
+
+
+class TestParserDifferential:
+    """parse against the reference that reads one token at a time."""
+
+    def test_same_outcome_on_seeded_mutants(self):
+        texts = differential_texts()
+        assert len(texts) == DIFF_COUNT
+        outcomes = [(parse_outcome(t), naive_outcome(t)) for t in texts]
+        mismatched = [t for t, (got, want) in zip(texts, outcomes) if got != want]
+        assert not mismatched, (len(mismatched), mismatched[0][:300])
+        parsed = sum(isinstance(got, str) for got, _ in outcomes)
+        messages = {got[1].split(" (line")[0].split(",")[0].split(" '")[0]
+                    for got, _ in outcomes if not isinstance(got, str)}
+        assert parsed > DIFF_COUNT // 10
+        assert len(messages) > 15, messages
+        for kind in ("leaf", "recolor", "join"):
+            assert {f"{kind} colour must be an integer", f"{kind} colour 0 out of range 1..3",
+                    f"{kind} colour 9 out of range 1..3"} <= messages, kind
+        assert {"recolor colours must differ", "join colours must differ"} <= messages
+        # each kind of edit reached both parsers, on texts that parse and texts that fail
+        for mark in ("\r\n", "\u2028", "0" * 4400, "9" * 4400, "cw k=1\n"):
+            kinds = {isinstance(got, str) for t, (got, _) in zip(texts, outcomes) if mark in t}
+            assert kinds == {True, False}, mark
+
+    def test_same_errors_at_every_cut(self):
+        # every prefix of a one-line and a canonical text ends inside some node
+        e = CwExpr(3, Join(1, 2, Union(Recolor(3, 2, Leaf("a", 3)), Leaf("b", 1))))
+        for text in (format_expr(e), one_line_text(e)):
+            for end in range(len(text) + 1):
+                assert parse_outcome(text[:end]) == naive_outcome(text[:end]), text[:end]
 
 
 class TestPrinter:
@@ -404,6 +489,29 @@ class TestWalkHelpers:
         root = Union(shared, Leaf("b", 1))
         assert fold_postorder(root, fn) == 3
         assert len(calls) == 3
+
+    def test_subclassed_nodes_fold_as_their_base_classes(self):
+        kinds = [type(f"My{cls.__name__}", (cls,), {}) for cls in (Leaf, Union, Recolor, Join)]
+
+        def rebuild(node, kids):  # the same expression, every node of a subclass
+            if isinstance(node, Leaf):
+                return kinds[0](node.vertex, node.color)
+            if isinstance(node, Union):
+                return kinds[1](*kids)
+            if isinstance(node, Recolor):
+                return kinds[2](node.old_color, node.new_color, kids[0])
+            return kinds[3](node.color_a, node.color_b, kids[0])
+
+        rng = random.Random(77)
+        exprs = [random_strict_expr(rng, rng.randint(1, 5), 12) for _ in range(20)]
+        exprs.append(CwExpr(2, Join(1, 2, Union(Leaf("a", 1), Leaf("a", 1)))))  # not strict
+        for e in exprs:
+            sub = CwExpr(e.k, fold_postorder(e.root, rebuild))
+            assert {type(node) for _, node in walk_with_paths(sub.root)} <= set(kinds)
+            assert validate_strict(sub) == validate_strict(e)
+            if validate_strict(e).strict_valid:
+                assert evaluate(sub) == evaluate(e)
+                assert _decompose(sub)[0] == _decompose(e)[0]
 
 
 class TestNormalize:

@@ -43,7 +43,7 @@ from cwkit import (CwExpr, CwkitError, Graph, InputError, Join, Leaf, Partition,
                    result_to_json_dict, validate_strict, verify_result, write_cwx)
 from cwkit.cli import main
 
-from helpers import naive_distance_pairs, random_graph_data, random_groups
+from helpers import naive_distance_pairs, one_line_text, random_graph_data, random_groups
 from test_acceptance import (COUNT, MAX_K, MAX_LEAVES, SEED, clique_cases,
                              path_cases, spider_cases)
 from test_generators import build, wide_sweep
@@ -308,6 +308,22 @@ def test_core_memory_grows_linearly():
     # Built as ASTs, never as text: the canonical text itself grows quadratically
     # with depth.  Twice the length should cost about twice the memory.
     small, large = core_peak(1000), core_peak(2000)
+    assert large < 3 * small, (small, large)
+
+
+def parse_peak(length) -> int:
+    text = one_line_text(gen_path("x", "y", length, 3, 1, 2, 1))
+    tracemalloc.start()
+    try:
+        parse(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_memory_grows_linearly():
+    # The one-line text is O(L) long, and its events and nodes must stay O(L) too.
+    small, large = parse_peak(1000), parse_peak(2000)
     assert large < 3 * small, (small, large)
 
 
