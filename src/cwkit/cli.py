@@ -25,10 +25,9 @@ from .expressions import (evaluate, format_expr, normalize, read_cwx,
 from .generators import (build_minor_model, complete_graph, gen_path,
                          gen_spider, gen_subdivided_clique, model_to_json_dict,
                          subdivide)
-from .graphs import (INFINITE, graph_from_json_dict, graph_to_dot,
-                     graph_to_json_dict, quotient, weak_diameter)
-from .quasiiso import (QiMap, _certify_projection, _check_projection, _fibre_width,
-                       check_partqi_tight, check_qi, projection_map, qimap_from_json_dict)
+from .graphs import graph_from_json_dict, graph_to_dot, graph_to_json_dict, quotient, weak_diameter
+from .quasiiso import (QiMap, _verify_projection, check_qi, projection_map,
+                       qimap_from_json_dict)
 from .treedecomp import brute_treewidth, has_minor, width
 
 
@@ -157,17 +156,12 @@ def cmd_corpus(args) -> int:
         write_cwx(os.path.join(args.out_dir, name), e)
         result, cg = _decompose(e)
         report = verify_result(cg, result)
-        m = projection_map(cg.graph, result.partition, 3.0)
-        # By the projection lemma (quasiiso._bounds_witness) a finite fibre
-        # width d gives the tight bounds, density 0 and every c >= d + 1.
-        d = _fibre_width(m)
-        tight_ok = d < INFINITE or check_partqi_tight(cg.graph, result.partition).ok
-        qi3_ok = d + 1 <= m.c or check_qi(m).ok
-        ok = report.ok and tight_ok and qi3_ok
+        tight, qi3, _ = _verify_projection(cg.graph, result.partition, 3.0)
+        ok = report.ok and tight.ok and qi3.ok
         failed = [c.name for c in report.failed()]
-        if not tight_ok:
+        if not tight.ok:
             failed.append("tight_projection_bounds")
-        if not qi3_ok:
+        if not qi3.ok:
             failed.append("qi_at_3")
         all_pass = all_pass and ok
         instances.append({"file": name, "k": e.k, "vertices": len(cg.graph),
@@ -201,14 +195,11 @@ def cmd_qi_check(args) -> int:
     if not args.file:
         raise InputError("give an expression file, or --map with --source/--target")
     result, cg = _decompose(read_cwx(args.file))
-    if args.exhaustive:  # exact worst margins over every pair, from one scan
-        tight, rep = _check_projection(cg.graph, result.partition, args.c)
-        certificate = None
-    else:
-        tight, rep, certificate = _certify_projection(cg.graph, result.partition, args.c)
+    tight, rep, certificate = _verify_projection(cg.graph, result.partition, args.c,
+                                                 args.exhaustive)
     obj = {"c": rep.c, "qi": rep.to_json_dict(),
            "tight_projection_bounds": tight.to_json_dict()}
-    if certificate:
+    if not args.exhaustive:
         obj["certificate"] = certificate
     _emit(args, obj, [f"c = {rep.c}",
                       f"qi = {'pass' if rep.ok else 'FAIL'}",

@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContractError, InputError
-from .graphs import (INFINITE, Graph, _closest_sets, _first_close_pair,
-                     connected_components, weak_diameter)
+from .graphs import INFINITE, Graph, _close_pair, connected_components, weak_diameter
 from .quasiiso import QiMap, _bounds_witness, _fibres
 from .treedecomp import VerificationReport, _verdict
 
@@ -76,10 +75,10 @@ def validate_cover(g: Graph, cf: CoverFamily) -> VerificationReport:
         covered |= s
     missing = sorted(set(g.vertices) - covered)
 
-    def too_close():  # one labelled search per collection; the first pair only on a failure
+    def too_close():
         for idx, coll in enumerate(cf.collections):
-            if len(coll) > 1 and _closest_sets(g, coll, cf.r) <= cf.r:
-                _, _, d = _first_close_pair(g, coll, cf.r)
+            if pair := _close_pair(g, coll, cf.r):
+                d = pair[2]
                 yield (f"collection {idx} has overlapping sets" if d == 0 else
                        f"collection {idx}: sets at distance {d} <= scale {cf.r}")
 

@@ -18,8 +18,8 @@ from itertools import combinations
 
 from .errors import ContractError, InputError
 from .expressions import CwExpr, Join, Leaf, Recolor, Union
-from .graphs import (INFINITE, Graph, _closest_sets, _connected_within, _first_close_pair,
-                     _near_owners, closed_r_neighborhood)
+from .graphs import (INFINITE, Graph, _close_pair, _connected_within, _near_owners,
+                     closed_r_neighborhood)
 from .quasiiso import QiMap, _bounds_witness
 
 
@@ -329,14 +329,12 @@ def build_minor_model(h: Graph, g: Graph, f: QiMap, c: float) -> MinorModel:
     balls = {v: closed_r_neighborhood(source, [v], z) for v in h.vertices}
     stretches = {e: frozenset(seq[cut:len(seq) - cut]) for e, seq in paths.items()}
 
-    # d < 2z, for every distance d below len(source): one labelled search per
-    # family, and the first pair in order only on a failure
+    # d < 2z, for every distance d below len(source): one labelled search per family
     reach = math.ceil(min(2 * z, len(source))) - 1
     hv, he = sorted(h.vertices), sorted(paths)
     for keys, sets, name in ((hv, balls, "ball({!r})"), (he, stretches, "stretch{!r}")):
-        family = [sets[key] for key in keys]
-        if len(family) > 1 and _closest_sets(source, family, reach) <= reach:
-            i, j, d = _first_close_pair(source, family, reach)
+        if pair := _close_pair(source, [sets[key] for key in keys], reach):
+            i, j, d = pair
             raise ContractError(f"{name.format(keys[i])} and {name.format(keys[j])} "
                                 f"are at distance {d}, need >= {2 * z}")
     owners = {x: (v,) for v in hv for x in balls[v]}  # the balls are disjoint now

@@ -11,7 +11,7 @@ The metric checks take a bounded number of searches: weak_diameter stops by
 iFUB's rule or by eccentricity bounds (its docstring has the argument) and
 keeps the whole graph's diameter on the graph, and a family of sets that must
 lie apart is checked by one labelled multi-source BFS (_closest_sets), with
-one bounded BFS per set only to name the first pair that fails.
+one bounded BFS per set only to name the first pair that fails (_close_pair).
 Every component search is one DFS, _components_within: connected_components,
 is_connected and the validators' subtree and branch-set checks all use it.
 """
@@ -308,6 +308,13 @@ def _first_close_pair(g: Graph, sets, reach):
         for j in range(i + 1, len(sets)):
             if (d := near.get(j, INFINITE)) <= reach:
                 return i, j, d
+    return None
+
+
+def _close_pair(g: Graph, sets, reach):
+    """_first_close_pair(g, sets, reach), run only once _closest_sets finds a pair."""
+    if len(sets) > 1 and _closest_sets(g, sets, reach) <= reach:
+        return _first_close_pair(g, sets, reach)
     return None
 
 

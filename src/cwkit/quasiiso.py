@@ -11,10 +11,10 @@ both are windows of one scan over the source pairs: one source BFS row per
 vertex, folded into its distinct (r, r') pairs and searched pair by pair only
 where one breaks a bound; O(n * (n + m)) time, O(n + |image|*|target|) memory.
 
-Projections take the projection lemma's certificate instead (_bounds_witness,
-_certify_projection): its premises cost O(|V| + |E|) plus the fibres' weak
-diameters, and the scan runs only if one fails or c < D + 1, or when
-qi-check is asked for the exact margins (--exhaustive).
+Projections take the projection lemma's certificate (_lemma) instead: it costs
+O(|V| + |E|) plus the fibres' weak diameters, and the scan runs only if it fails
+or when qi-check asks for the exact margins.  _verify_projection alone decides a
+projection for qi-check, corpus and check_partqi_tight; _bounds_witness, any map.
 """
 
 from __future__ import annotations
@@ -63,13 +63,14 @@ def projection_map(g: Graph, p: Partition, c: float | None = None) -> QiMap:
     part, which the projection provably achieves; refused if D is infinite.
     """
     if c is None:
-        c = _finite_width(max(weak_diameter(g, members) for _, members in p)) + 1
+        c = _part_width(g, p) + 1
     q, proj = quotient(g, p)
     return QiMap(g, q, proj, c)
 
 
-def _finite_width(d):
-    """d, the largest weak diameter of a part, refused if it is infinite."""
+def _part_width(g: Graph, p: Partition):
+    """D, the largest weak diameter of a part, in p's order; refused if infinite."""
+    d = max(weak_diameter(g, members) for _, members in p)
     if d == INFINITE:
         raise InputError("a part has infinite weak diameter (spans components)")
     return d
@@ -130,7 +131,7 @@ class QiReport:
     """Outcome of check_qi with the worst slack seen on each bound.
 
     With lower_is_bound, worst_lower_margin is the projection lemma's upper
-    bound on that margin, not the margin itself (_certify_projection).
+    bound on that margin, not the margin itself (_verify_projection).
     """
 
     c: float
@@ -163,14 +164,13 @@ class QiReport:
         }
 
 
-def _qi_report(m: QiMap, worst_lower, worst_upper, _lo, _up, witness,
-               lower_is_bound=False) -> QiReport:
+def _qi_report(m: QiMap, worst_lower, worst_upper, _lo, _up, witness) -> QiReport:
     """check_qi's report from m's (c, c, c, c) window scan, plus density."""
     pos = _positions(m.target)  # one BFS from the image: distance is symmetric
     gaps = _distance_row(m.target, {pos[w] for w in m.mapping.values()})
     far = [w for w, gap in zip(m.target.vertices, gaps) if gap > m.c]
     return QiReport(m.c, witness is None, witness, not far, far[0] if far else None,
-                    worst_lower, worst_upper, max([0] + gaps), lower_is_bound)
+                    worst_lower, worst_upper, max([0] + gaps))
 
 
 def check_qi(m: QiMap) -> QiReport:
@@ -192,40 +192,37 @@ def _fibres(source: Graph, f: Mapping) -> dict:
     return out
 
 
-def _lemma(source: Graph, target: Graph, f: Mapping) -> tuple:
-    """The projection lemma's premises for the map f, checked from scratch, and D.
+def _lemma(source: Graph, target: Graph, f: Mapping, c, d=None) -> dict:
+    """The projection lemma's certificate for the map f at parameter c.
 
-    (onto, exact, D): whether f is onto, whether its source edges between two
-    fibres land on exactly the target's edges, and the largest weak diameter
-    of a fibre f^-1(w).
+    The premises, checked from scratch: f is "onto", and its source edges
+    between two fibres land on exactly the target's edges.  D, the largest
+    weak diameter of a fibre f^-1(w), is measured unless the caller did so
+    on the same sets.  It "applied" if both hold and c >= D + 1 (_bounds_witness).
     """
     fibres = _fibres(source, f)
     crossing = {(f[u], f[v]) if f[u] < f[v] else (f[v], f[u])
                 for u, v in source.edges if f[u] != f[v]}
-    return (len(fibres) == len(target), crossing == set(target.edges),
-            max((weak_diameter(source, s) for s in fibres.values()), default=0))
-
-
-def _fibre_width(m: QiMap):
-    """D, the largest weak diameter of a fibre, if m meets both premises of
-    _lemma; INFINITE otherwise."""
-    onto, exact, d = _lemma(m.source, m.target, m.mapping)
-    return d if onto and exact else INFINITE
+    if d is None:
+        d = max((weak_diameter(source, s) for s in fibres.values()), default=0)
+    onto, exact = len(fibres) == len(target), crossing == set(target.edges)
+    return {"D": d, "onto": onto, "crossing_edges_exact": exact,
+            "c_at_least_D_plus_1": c >= d + 1, "applied": onto and exact and c >= d + 1}
 
 
 def _bounds_witness(m: QiMap):
     """check_qi(m).bounds_witness, certified by the projection lemma when it applies.
 
-    Take D = _fibre_width(m).  A source path of length r maps to a walk of
-    at most r target edges, so r' <= r.  A target path P_0 ... P_r' from
-    f(x) to f(y) lifts, through source edges hitting its edges, to r'
-    crossing edges plus at most D steps inside each of its r' + 1 fibres, so
+    Take D from _lemma.  A source path of length r maps to a walk of at most
+    r target edges, so r' <= r.  A target path P_0 ... P_r' from f(x) to
+    f(y) lifts, through source edges hitting its edges, to r' crossing edges
+    plus at most D steps inside each of its r' + 1 fibres, so
     r <= (D+1)*r' + D.  So r is infinite exactly when r' is, and for
     c >= D + 1 (so c >= 1), r <= c*r' + c*c and r' <= r <= c*r + c: there is
     no witness.  The same bounds give check_partqi_tight's window at its c = D,
     and an onto map has density 0.  Otherwise the exact scan decides.
     """
-    if m.c >= _fibre_width(m) + 1:
+    if _lemma(m.source, m.target, m.mapping, m.c)["applied"]:
         return None
     return _window(m, (m.c,) * 4)[0][4]
 
@@ -235,7 +232,7 @@ class PartitionQiReport:
     """Outcome of the tight projection bounds r/(c+1) - 1 <= r' <= r.
 
     With lower_is_bound, worst_lower_margin is the projection lemma's upper
-    bound on that margin (_certify_projection).
+    bound on that margin (_verify_projection).
     """
 
     c: float
@@ -272,52 +269,37 @@ def check_partqi_tight(g: Graph, p: Partition) -> PartitionQiReport:
     r/(c+1) - 1 <= r' <= r must hold.  Parts spanning several components
     have infinite weak diameter and are rejected.
     """
-    return _check_projection(g, p)[0]
+    return _verify_projection(g, p, exhaustive=True)[0]
 
 
-def _check_projection(g: Graph, p: Partition, qi_c=None) -> tuple:
-    """check_partqi_tight(g, p) and check_qi at qi_c (default c + 1), from one scan."""
-    m = projection_map(g, p)
-    c = m.c - 1  # D
-    if qi_c is not None:
-        m = m.with_c(qi_c)
-    return _scan_projection(m, c)
+def _verify_projection(g: Graph, p: Partition, qi_c=None, exhaustive=False) -> tuple:
+    """(tight, qi, certificate): check_partqi_tight(g, p), check_qi of the
+    projection at qi_c (default D + 1), and the projection lemma's certificate.
 
-
-def _scan_projection(m: QiMap, d) -> tuple:
-    """The tight bounds at c = d and check_qi at m.c, from one scan of projection m."""
-    (lo, up, lo_wit, up_wit, _), qi = _window(m, (d + 1, 1, 1, 0), (m.c,) * 4)
-    # The pairs x == y, left out of the scan, give margins -1.0 and 0.
-    tight = PartitionQiReport(d, lo_wit is None, lo_wit, up_wit is None, up_wit,
-                              max(-1.0, lo), max(0, up))
-    return tight, _qi_report(m, *qi)
-
-
-def _certify_projection(g: Graph, p: Partition, qi_c=None) -> tuple:
-    """_check_projection's two reports, decided by the projection lemma, and its certificate.
-
-    D is measured once, on the projection's fibres.  If both premises hold
-    and c >= D + 1, no pair is scanned (see _bounds_witness): r <= (D+1)*r' + D
-    bounds the lower margins by D/c - c and -1/(D+1), which the reports carry
-    as bounds, and r' <= r with c >= 1 puts the worst upper margin
-    r' - c*r - c at r = 1, where r' = 1 if the target has an edge; the tight
-    one is 0, from x == y.  Otherwise the scan decides, at the same D.
+    D is measured once, on the parts and before the quotient's cover check, so
+    a foreign vertex or a part spanning components is named first.  If the
+    certificate applies and exhaustive is false, no pair is scanned (see
+    _bounds_witness): r <= (D+1)*r' + D bounds the lower margins by D/c - c
+    and -1/(D+1), which the reports carry as bounds; r' <= r with c >= 1 puts
+    the worst upper margin r' - c*r - c at r = 1, where r' = 1 if the target
+    has an edge, and the tight one is 0, from x == y; an onto map has
+    density 0.  Otherwise one scan gives both reports' exact margins.
     """
+    d = _part_width(g, p)
     q, proj = quotient(g, p)
-    onto, exact, d = _lemma(g, q, proj)
-    d = _finite_width(d)
     m = QiMap(g, q, proj, d + 1 if qi_c is None else float(qi_c))  # built once D is known
-    applied = onto and exact and m.c >= d + 1
-    certificate = {"D": d, "onto": onto, "crossing_edges_exact": exact,
-                   "c_at_least_D_plus_1": m.c >= d + 1, "applied": applied}
-    if not applied:
-        return (*_scan_projection(m, d), certificate)
-    upper = -INFINITE  # no pair at a finite distance, as in the scan
-    if g.edges:
-        rp = 1 if m.target.edges else 0
-        upper = rp - m.c * 1 - m.c  # the scan's own expression, at r = 1
+    certificate = _lemma(g, q, proj, m.c, d)
+    if exhaustive or not certificate["applied"]:
+        (lo, up, lo_wit, up_wit, _), qi = _window(m, (d + 1, 1, 1, 0), (m.c,) * 4)
+        # The pairs x == y, left out of the scan, give margins -1.0 and 0.
+        tight = PartitionQiReport(d, lo_wit is None, lo_wit, up_wit is None, up_wit,
+                                  max(-1.0, lo), max(0, up))
+        return tight, _qi_report(m, *qi), certificate
+    # the scan's own expression at r = 1; with no edge, no pair at a finite distance
+    upper = (1 if q.edges else 0) - m.c * 1 - m.c if g.edges else -INFINITE
     tight = PartitionQiReport(d, True, None, True, None, -1 / (d + 1), 0, True)
-    return tight, _qi_report(m, d / m.c - m.c, upper, None, None, None, True), certificate
+    qi = QiReport(m.c, True, None, True, None, d / m.c - m.c, upper, 0, True)
+    return tight, qi, certificate
 
 
 # ---------------------------------------------------------------- interop
@@ -329,6 +311,8 @@ def qimap_to_json_dict(m: QiMap) -> dict:
 def qimap_from_json_dict(obj: Mapping, source: Graph, target: Graph) -> QiMap:
     try:
         raw = dict(obj["f"])
+        if isinstance(obj["c"], bool):
+            raise TypeError(f"c must be a number, not {obj['c']!r}")  # float() reads true as 1
         c = float(obj["c"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an int too big for a float
         raise InputError(f"malformed quasi-isometry map object: {exc}") from None

@@ -422,6 +422,19 @@ class TestQiCheck:
         assert (code, out) == (3, "")
         assert err.startswith("error: malformed quasi-isometry map object: ")
 
+    @pytest.mark.parametrize("flag", ["true", "false"])
+    def test_boolean_map_parameter_exits_3(self, capsys, tmp_path, flag):
+        # float() would read true as c = 1 and pass the identity map
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+        mpath = tmp_path / "map.json"
+        mpath.write_text('{"f": {"a": "a", "b": "b"}, "c": %s}' % flag)
+        code, out, err = run(capsys, "qi-check", "--map", str(mpath),
+                             "--source", str(gpath), "--target", str(gpath))
+        assert (code, out) == (3, "")
+        assert err == ("error: malformed quasi-isometry map object: "
+                       f"c must be a number, not {flag.title()}\n")
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_c_exits_3(self, capsys, k2_file, bad):
         code, out, err = run(capsys, "qi-check", k2_file, "--c", bad)
@@ -775,6 +788,20 @@ class TestCertifiedVerdicts:
         assert scans == []
         assert json.loads(out)["certificate"]["applied"] is True
 
+    def test_certified_qi_check_runs_no_bfs_on_the_quotient(self, capsys, tmp_path, monkeypatch):
+        # the certificate's map is onto, so its density is 0 with no BFS from the image
+        calls, targets = [], []
+        real_bfs, real_quotient = graphs._distance_row, quasiiso.quotient
+        for module in (graphs, quasiiso):
+            monkeypatch.setattr(module, "_distance_row",
+                                lambda g, s: calls.append(g) or real_bfs(g, s))
+        monkeypatch.setattr(quasiiso, "quotient",
+                            lambda g, p: targets.append(real_quotient(g, p)) or targets[-1])
+        code, out, _ = run(capsys, "qi-check", self.path_file(tmp_path, 40))
+        assert code == 0 and json.loads(out)["certificate"]["applied"] is True
+        assert len(targets) == 1
+        assert sum(g is targets[0][0] for g in calls) == 0
+
     def test_minor_model_and_corpus_make_no_pair_scan(self, capsys, tmp_path, monkeypatch):
         scans = []
         real = quasiiso._window
@@ -879,6 +906,40 @@ FLOATS = st.sampled_from(FLOAT_EDGES)
 SIZES = st.sampled_from(["-1", "0", "1", "2", "3", "4"])
 FUZZ_SEED = 9091
 FUZZ_COUNT = 300
+JSON_FUZZ_COUNT = 300
+# values that JSON input files may hold in place of the right one: each kind,
+# the edges of the numbers (json.load reads NaN and Infinity too), and ids
+JSON_VALUES = (None, True, False, 0, -1, 1, 2.5, 1e308, 10 ** 400, float("nan"), float("inf"),
+               "", "x", "p", "infinite", "nan", [], {}, ["x"], [["x", "y"]], {"x": 1})
+
+
+def mutate_json(rng, obj):
+    """A copy of obj with one to three seeded edits inside it: a value or an item
+    replaced, dropped, added or copied next to itself."""
+    obj = json.loads(json.dumps(obj))
+    for _ in range(rng.randint(1, 3)):
+        nodes, stack = [], [obj]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (list, dict)):
+                nodes.append(node)
+                stack.extend(node.values() if isinstance(node, dict) else node)
+        node = rng.choice(nodes)
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        kind = rng.choice(("replace", "replace", "drop", "add", "copy")) if keys else "add"
+        value = json.loads(json.dumps(rng.choice(JSON_VALUES)))  # a fresh list or object
+        if kind == "replace":
+            node[rng.choice(keys)] = value
+        elif kind == "drop":
+            del node[rng.choice(keys)]
+        elif kind == "copy":
+            value = json.loads(json.dumps(node[rng.choice(keys)]))
+        if kind in ("add", "copy"):
+            if isinstance(node, dict):
+                node[rng.choice(("x", "c", "f", "r", "bound", "colors", "edges"))] = value
+            else:
+                node.append(value)
+    return obj
 
 
 @pytest.fixture(scope="module")
@@ -974,6 +1035,41 @@ class TestContract:
                 assert code in (0, 2, 3, 4), (path.read_text(encoding="utf-8"), argv, code, err)
                 assert "Traceback" not in err
                 if code == 0:
+                    strict_json(out)
+                codes.append(code)
+        assert {0, 2, 3} <= set(codes), sorted(set(codes))
+
+    def test_mutated_json_files(self, witness, tmp_path):
+        # Seeded edits of graph, map and cover files, each read by every
+        # subcommand that takes one; the other inputs stay the witness's own
+        rng = random.Random(FUZZ_SEED)
+        cg = evaluate(gen_path("x", "y", 3, 3, 1, 2, 1))
+        bases = {"graph": [graph_to_json_dict(cg.graph), graph_to_json_dict(cg.graph, cg.colors)]}
+        for kind in ("map", "cover"):
+            with open(witness[kind], encoding="utf-8") as fh:
+                bases[kind] = [json.load(fh)]
+        w = witness
+        runs = {"graph": lambda f: [["treewidth", f], ["export-dot", f],
+                                    ["qi-check", "--map", w["map"], "--source", f,
+                                     "--target", w["json"]],
+                                    ["qi-check", "--map", w["map"], "--source", w["json"],
+                                     "--target", f]],
+                "map": lambda f: [["qi-check", "--map", f, "--source", w["json"],
+                                   "--target", w["json"]]],
+                "cover": lambda f: [["cover-pullback", w["cwx"], "--cover", f]]}
+        codes = []
+        for i in range(JSON_FUZZ_COUNT):
+            kind = rng.choice(sorted(bases))
+            text = json.dumps(mutate_json(rng, rng.choice(bases[kind])))
+            if rng.random() < 0.2:
+                text = mutate_text(rng, text)
+            path = tmp_path / f"{kind}{i}.json"
+            path.write_text(text, encoding="utf-8")
+            for argv in runs[kind](str(path)):
+                code, out, err = exit_of(main, argv)
+                assert code in (0, 2, 3, 4), (text, argv, code, err)
+                assert "Traceback" not in err
+                if code == 0 and argv[0] != "export-dot":
                     strict_json(out)
                 codes.append(code)
         assert {0, 2, 3} <= set(codes), sorted(set(codes))

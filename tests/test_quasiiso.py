@@ -184,6 +184,21 @@ class TestPartqiTight:
         with pytest.raises(InputError, match="infinite weak diameter"):
             check_partqi_tight(g, Partition({"all": ["a", "b"]}))
 
+    @pytest.mark.parametrize("parts, message", [
+        ({"ab": ["a", "b"], "cz": ["c", "z"]}, "unknown vertex 'z'"),
+        ({"abc": ["a", "b", "c"]}, "a part has infinite weak diameter (spans components)"),
+        ({"ab": ["a", "b"], "c": ["c"]}, "partition does not cover exactly the graph's vertices"),
+    ], ids=["foreign vertex", "missed vertex and a split part", "missed vertex"])
+    def test_errors_name_the_parts_before_the_cover(self, parts, message):
+        # D is measured on the parts, in projection_map's order, before the
+        # quotient checks that they cover g: a foreign vertex or a part that
+        # spans components is named first, in both modes
+        g = Graph(["a", "b", "c", "d"], [("a", "b")])
+        for check in (check_partqi_tight, quasiiso._verify_projection, projection_map):
+            with pytest.raises(InputError) as exc:
+                check(g, Partition(parts))
+            assert str(exc.value) == message, check
+
     def test_json_shape(self):
         g = G(path_data(4))
         p = Partition({"left": ["p0", "p1"], "right": ["p2", "p3"]})
@@ -230,6 +245,15 @@ class TestInterop:
             qimap_from_json_dict({"c": 1}, g, g)
         with pytest.raises(InputError, match="not a source vertex"):
             qimap_from_json_dict({"f": {"zz": "p0"}, "c": 1}, g, g)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_parameter_rejected(self, flag):
+        # float() reads true as 1.0 and false as 0.0; JSON booleans are no numbers
+        g = G(path_data(2))
+        with pytest.raises(InputError, match="^malformed quasi-isometry map object: "
+                                             "c must be a number"):
+            qimap_from_json_dict({"f": {"p0": "p0", "p1": "p1"}, "c": flag}, g, g)
+        assert qimap_from_json_dict({"f": {"p0": "p0", "p1": "p1"}, "c": "2"}, g, g).c == 2.0
 
 
 def as_json(obj) -> str:
@@ -483,7 +507,7 @@ def projection_mutants(rng, g, p):
 
 
 class TestProjectionCertificate:
-    """_fibre_width and _bounds_witness against the Floyd-Warshall oracles in helpers.py."""
+    """_lemma and _bounds_witness against the Floyd-Warshall oracles in helpers.py."""
 
     def certify(self, monkeypatch, m):
         """_bounds_witness(m) and how many window scans it ran."""
@@ -500,10 +524,10 @@ class TestProjectionCertificate:
         g, p = evaluate(e).graph, decompose(e).partition
         built, real = [], QiMap.__post_init__
         monkeypatch.setattr(QiMap, "__post_init__", lambda m: built.append(m.c) or real(m))
-        tight, _, certificate = quasiiso._certify_projection(g, p)
+        tight, _, certificate = quasiiso._verify_projection(g, p)
         assert certificate["applied"] and built == [tight.c + 1]
         built.clear()
-        quasiiso._certify_projection(g, p, 2.5)
+        quasiiso._verify_projection(g, p, 2.5)
         assert built == [2.5]
 
     def test_agrees_with_the_pair_scan_on_projections_and_mutants(self, monkeypatch):
@@ -519,7 +543,8 @@ class TestProjectionCertificate:
                 width = naive_fibre_width(source, target, m.mapping)
                 if breaks is not None:
                     assert (width is None) == breaks, name
-                got = quasiiso._fibre_width(m)
+                lemma = quasiiso._lemma(m.source, m.target, m.mapping, m.c)
+                got = lemma["D"] if lemma["onto"] and lemma["crossing_edges_exact"] else INFINITE
                 assert got == (INFINITE if width is None else width), name
                 seen.add((name, width is None))
                 if width is not None and name != "merged 3 apart":
@@ -574,7 +599,7 @@ class TestProjectionCertificate:
         assert not low["ok"] or high["ok"]
 
     def test_certified_reports_match_the_scan_on_random_partitions(self, monkeypatch):
-        """_certify_projection against _check_projection's scan, one-part partitions too."""
+        """_verify_projection's certified reports against its scan, one-part partitions too."""
         rng = random.Random(707)
         cases = set()
         for _ in range(300):
@@ -582,16 +607,17 @@ class TestProjectionCertificate:
             groups = random_groups(rng, g.vertices) if rng.random() < 0.7 else {0: g.vertices}
             qi_c = rng.choice((None, 0.5, 1, 2, 3.0, 1e308))
             try:
-                want_tight, want_qi = quasiiso._check_projection(g, Partition(groups), qi_c)
+                want_tight, want_qi, _ = quasiiso._verify_projection(g, Partition(groups), qi_c,
+                                                                     exhaustive=True)
             except InputError as exc:
                 with pytest.raises(InputError) as got:
-                    quasiiso._certify_projection(g, Partition(groups), qi_c)
+                    quasiiso._verify_projection(g, Partition(groups), qi_c)
                 assert str(got.value) == str(exc)
                 continue
             scans = []
             real = quasiiso._window
             monkeypatch.setattr(quasiiso, "_window", lambda *a: scans.append(a) or real(*a))
-            tight, qi, certificate = quasiiso._certify_projection(g, Partition(groups), qi_c)
+            tight, qi, certificate = quasiiso._verify_projection(g, Partition(groups), qi_c)
             monkeypatch.setattr(quasiiso, "_window", real)
             d = want_tight.c
             assert certificate == {"D": d, "onto": True, "crossing_edges_exact": True,
