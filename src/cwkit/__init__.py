@@ -4,8 +4,9 @@ Parse and evaluate width-k expressions, split the resulting graph into a
 dominated monochromatic partition whose quotient carries a width-(k-1)
 tree decomposition, certify the projection as a quasi-isometry, build
 low-palette witness expressions and minor models, and pull scaled covers
-back through distance-respecting maps.  Small exact oracles (treewidth,
-minor containment) double-check everything within configurable size caps.
+back through distance-respecting maps.  A small exact treewidth oracle
+double-checks everything within a configurable size cap; above it, a
+linear clique-minor bound certifies min(tw, 3).
 """
 
 from .corpus import generate_corpus, random_strict_expr
@@ -24,7 +25,7 @@ from .expressions import (CwExpr, Join, Leaf, Recolor, Union,
 from .generators import (MinorModel, build_minor_model, complete_graph,
                          gen_path, gen_spider, gen_subdivided_clique,
                          model_to_json_dict, spider_graph, subdivide,
-                         subdivision_path)
+                         subdivision_path, validate_minor_model)
 from .graphs import (INFINITE, ColoredGraph, Graph, Partition, bfs_distances,
                      closed_r_neighborhood, connected_components, distance,
                      graph_from_json_dict, graph_to_dot, graph_to_json_dict,
@@ -34,7 +35,7 @@ from .quasiiso import (PartitionQiReport, QiMap, QiReport, check_partqi_tight,
                        check_qi, projection_map, qimap_from_json_dict,
                        qimap_to_json_dict)
 from .treedecomp import (CheckResult, TreeDecomposition, VerificationReport,
-                         brute_treewidth, has_minor, is_tree, td_from_json_dict,
+                         brute_treewidth, is_tree, td_from_json_dict,
                          td_to_dot, td_to_json_dict, validate_td, width)
 
 __version__ = "0.1.0"

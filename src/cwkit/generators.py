@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import ContractError, InputError
 from .expressions import CwExpr, Join, Leaf, Recolor, Union
 from .graphs import (INFINITE, Graph, _close_pair, _connected_within, _near_owners,
                      closed_r_neighborhood)
 from .quasiiso import QiMap, _bounds_witness
+from .treedecomp import VerificationReport, _verdict
 
 
 # ------------------------------------------------------------ subdivisions
@@ -351,30 +351,65 @@ def build_minor_model(h: Graph, g: Graph, f: QiMap, c: float) -> MinorModel:
     def fatten(s):
         return closed_r_neighborhood(g, {f(v) for v in s}, c)
 
-    branch_sets = {v: fatten(balls[v]) for v in hv}
-    edge_paths = {e: fatten(stretches[e]) for e in he}
+    model = MinorModel({v: fatten(balls[v]) for v in hv}, {e: fatten(stretches[e]) for e in he})
+    if failed := validate_minor_model(h, g, model).failed():
+        raise ContractError(failed[0].witness)
+    return model
 
-    for v in hv:
-        if not _connected_within(g, branch_sets[v]):
-            raise ContractError(f"model set of {v!r} is disconnected in the host")
-    for e in he:
-        if not _connected_within(g, edge_paths[e]):
-            raise ContractError(f"model path of {e!r} is disconnected in the host")
-    for v, w in combinations(hv, 2):
-        if not branch_sets[v].isdisjoint(branch_sets[w]):
-            raise ContractError(f"model sets of {v!r} and {w!r} intersect")
-    for e, e2 in combinations(he, 2):
-        if not edge_paths[e].isdisjoint(edge_paths[e2]):
-            raise ContractError(f"model paths of {e!r} and {e2!r} intersect")
-    for e in he:
-        for v in hv:
-            meets = not edge_paths[e].isdisjoint(branch_sets[v])
-            if v in e and not meets:
-                raise ContractError(f"model path of {e!r} misses the set of endpoint {v!r}")
-            if v not in e and meets:
-                raise ContractError(f"model path of {e!r} touches non-endpoint {v!r}")
 
-    return MinorModel(branch_sets, edge_paths)
+def _owners(sets) -> dict:
+    """Each vertex in one of sets -> the indices of the sets holding it, ascending."""
+    owners = {}
+    for i, s in enumerate(sets):
+        for x in s:
+            owners.setdefault(x, []).append(i)
+    return owners
+
+
+def validate_minor_model(h: Graph, g: Graph, model: MinorModel) -> VerificationReport:
+    """Check model against the definition of an h minor in g, in O(|V| + |E| + the sets' sizes).
+
+    connected: every set induces a nonempty connected subgraph of g.  disjoint:
+    the branch sets are pairwise disjoint, and so are the edge paths.  incident:
+    each edge path meets its ends' branch sets and no other.  Witnesses name the
+    first failing set or pair in sorted order.  Sets keyed other than by h's
+    vertices and edges, or naming a vertex outside g, raise InputError.
+
+    These give an h minor: the path P of an edge uv holds a shortest path Q from
+    B_u to B_v in G[P], whose interior misses every branch set (B_u and B_v as Q
+    is shortest, the others as P does) and every other edge's P; adding it to
+    B_u joins B_u to B_v and keeps the branch sets disjoint and connected.
+    """
+    hv, he = sorted(h.vertices), sorted(h.edges)
+    if model.branch_sets.keys() != set(hv) or model.edge_paths.keys() != set(he):
+        raise InputError("model sets must be keyed by exactly the pattern's vertices and edges")
+    branch, paths = [model.branch_sets[v] for v in hv], [model.edge_paths[e] for e in he]
+    for s in (*branch, *paths):
+        if foreign := s - g._adj.keys():
+            raise InputError(f"model mentions unknown vertex {min(foreign, key=repr)!r}")
+    owners, index = _owners(branch), {v: i for i, v in enumerate(hv)}
+
+    def first_pair(keys, held):  # the least pair of indices that share a vertex
+        shared = [ids[:2] for ids in held.values() if len(ids) > 1]
+        return [tuple(keys[i] for i in min(shared))] if shared else []
+
+    def misplaced():
+        for e, path in zip(he, paths):
+            met = {i for x in path for i in owners.get(x, ())}
+            if wrong := met.symmetric_difference(map(index.get, e)):
+                v = hv[min(wrong)]
+                yield (f"model path of {e!r} misses the set of endpoint {v!r}" if v in e else
+                       f"model path of {e!r} touches non-endpoint {v!r}")
+
+    return VerificationReport((
+        _verdict("connected", [f"model {kind} of {key!r} is disconnected in the host"
+                               for kind, keys, sets in (("set", hv, branch), ("path", he, paths))
+                               for key, s in zip(keys, sets) if not _connected_within(g, s)]),
+        _verdict("disjoint", [f"model {kind}s of {a!r} and {b!r} intersect"
+                              for kind, keys, held in (("set", hv, owners),
+                                                       ("path", he, _owners(paths)))
+                              for a, b in first_pair(keys, held)]),
+        _verdict("incident", misplaced())))
 
 
 def model_to_json_dict(model: MinorModel) -> dict:

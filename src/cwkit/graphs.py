@@ -548,6 +548,9 @@ def graph_from_json_dict(obj: Mapping) -> tuple:
     except TypeError as exc:  # unhashable ids, or ids of kinds that do not sort together
         raise InputError(f"malformed graph object: vertex ids must be hashable "
                          f"and mutually ordered: {exc}") from None
+    for v in (*vertices, *(x for e in edges for x in e)):
+        if isinstance(v, (bool, float)):  # Python's equality would merge true and 1.0 with 1
+            raise InputError(f"malformed graph object: vertex id {v!r} is a {type(v).__name__}")
     if colors is None:
         return g, None
     if not isinstance(colors, Mapping):

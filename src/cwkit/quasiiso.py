@@ -311,8 +311,8 @@ def qimap_to_json_dict(m: QiMap) -> dict:
 def qimap_from_json_dict(obj: Mapping, source: Graph, target: Graph) -> QiMap:
     try:
         raw = dict(obj["f"])
-        if isinstance(obj["c"], bool):
-            raise TypeError(f"c must be a number, not {obj['c']!r}")  # float() reads true as 1
+        if isinstance(obj["c"], bool) or not isinstance(obj["c"], (int, float)):
+            raise TypeError(f"c must be a number, not {obj['c']!r}")  # float() reads true and "2"
         c = float(obj["c"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an int too big for a float
         raise InputError(f"malformed quasi-isometry map object: {exc}") from None

@@ -1,15 +1,11 @@
-"""Tree decompositions, an exact treewidth oracle, and minor containment.
+"""Tree decompositions, an exact treewidth oracle, and a clique-minor bound.
 
-Both oracles are exponential and exist to cross-check the constructive code
-on desk-sized instances.  brute_treewidth runs the elimination-ordering DP
-over vertex subsets; has_minor backtracks over partial branch-set
-assignments.  The CWQ_ORACLE_CAP environment variable overrides both size
-caps when set.
+brute_treewidth, a DP over vertex subsets, is exponential and refuses graphs
+above its size cap.  _clique_minor_bound gives min(tw, 3) in linear time.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from collections.abc import Mapping
 
@@ -17,20 +13,6 @@ from .errors import InputError, SizeCapError
 from .graphs import Graph, _components_within, _connected_within, _dot, is_connected
 
 DEFAULT_TREEWIDTH_CAP = 12
-DEFAULT_MINOR_HOST_CAP = 50
-DEFAULT_MINOR_PATTERN_CAP = 6
-
-
-def _effective_cap(explicit, default):
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("CWQ_ORACLE_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"CWQ_ORACLE_CAP must be an integer, got {env!r}") from None
-    return default
 
 
 class TreeDecomposition:
@@ -82,8 +64,8 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Named checks, each with its first witness; validate_td, verify_result and
-    validate_cover all report this way."""
+    """Named checks, each with its first witness; validate_td, verify_result,
+    validate_cover and validate_minor_model all report this way."""
 
     checks: tuple
 
@@ -169,7 +151,7 @@ def brute_treewidth(g: Graph, cap: int | None = None) -> int:
     n = len(g)
     if n == 0:
         raise InputError("treewidth of the empty graph")
-    cap = _effective_cap(cap, DEFAULT_TREEWIDTH_CAP)
+    cap = DEFAULT_TREEWIDTH_CAP if cap is None else cap
     if n > cap:
         raise SizeCapError(f"graph has {n} vertices, exact treewidth capped at {cap}")
 
@@ -220,126 +202,30 @@ def brute_treewidth(g: Graph, cap: int | None = None) -> int:
     return dp[full]
 
 
-# ------------------------------------------------------------ minor search
+# ------------------------------------------------------------ minor bound
 
-def has_minor(g: Graph, h: Graph, g_cap: int | None = None,
-              h_cap: int = DEFAULT_MINOR_PATTERN_CAP) -> bool:
-    """Whether h is a minor of g, by exhaustive branch-set backtracking.
+def _clique_minor_bound(g: Graph) -> int:
+    """min(tw(g), 3): one less than the largest m <= 4 such that g has a K_m minor.
 
-    Searches for pairwise disjoint connected vertex sets of g, one per
-    vertex of h, with an edge of g between the sets of every edge of h.
-    Demand-driven: the search always extends the assignment toward the
-    first broken requirement, so each branch grows one branch set by one
-    vertex.  Complete, exponential, desk scale only.
+    K_2 is an edge and K_3 a cycle, which a forest (|E| = |V| - #components)
+    lacks.  g has no K_4 minor iff deleting vertices of degree <= 1 and
+    suppressing those of degree 2 (joining their two neighbours) empties it
+    (Duffin 1965); neither step raises a degree, so one worklist pass does.
     """
-    g_cap = _effective_cap(g_cap, DEFAULT_MINOR_HOST_CAP)
-    if len(g) > g_cap:
-        raise SizeCapError(f"host graph has {len(g)} vertices, minor search capped at {g_cap}")
-    if len(h) > h_cap:
-        raise SizeCapError(f"pattern graph has {len(h)} vertices, minor search capped at {h_cap}")
-    if len(h) == 0:
-        return True
-    if len(h) > len(g) or h.num_edges() > g.num_edges():
-        return False
-
-    hs = sorted(h.vertices, key=lambda v: (-h.degree(v), v))
-    hidx = {v: i for i, v in enumerate(hs)}
-    hedges = [(hidx[u], hidx[v]) for u, v in h.edges]
-    hedges = [(min(a, b), max(a, b)) for a, b in hedges]
-    gv = list(g.vertices)
-
-    visited = set()
-
-    def reachable_through(passable: set, seeds: set) -> set:
-        """Vertices reachable from seeds along paths whose interior is passable."""
-        seen = set(seeds)
-        stack = list(seeds)
-        out = set(seeds)
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w in seen:
-                    continue
-                seen.add(w)
-                out.add(w)
-                if w in passable:
-                    stack.append(w)
-        return out
-
-    def solve(assign: dict) -> bool:
-        key = frozenset(assign.items())
-        if key in visited:
-            return False
-        visited.add(key)
-
-        classes = [set() for _ in hs]
-        for v, i in assign.items():
-            classes[i].add(v)
-        unassigned = {v for v in gv if v not in assign}
-
-        if sum(1 for c in classes if not c) > len(unassigned):
-            return False
-
-        # Broken connectivity first: grow the smallest component.
-        for i, cls in enumerate(classes):
-            if not cls:
-                continue
-            comps = _components_within(g, cls)
-            if len(comps) == 1:
-                continue
-            # feasibility: every component reachable from the first through
-            # vertices the final class may still contain
-            whole = reachable_through(unassigned | cls, comps[0])
-            if any(c.isdisjoint(whole) for c in comps[1:]):
-                return False
-            comp = min(comps, key=lambda c: (len(c), sorted(c)[0]))
-            cands = sorted({w for u in comp for w in g.neighbors(u) if w in unassigned})
-            for u in cands:
-                child = dict(assign)
-                child[u] = i
-                if solve(child):
-                    return True
-            return False
-
-        # Unrealized pattern edges next.
-        for a, b in hedges:
-            ca, cb = classes[a], classes[b]
-            if not ca and not cb:
-                continue
-            if ca and cb:
-                if any(w in cb for u in ca for w in g.neighbors(u)):
-                    continue
-                # feasibility: some path from ca to cb through unassigned
-                if cb.isdisjoint(reachable_through(unassigned, ca)):
-                    return False
-            side, other = (a, b) if ca else (b, a)
-            if classes[other] and len(classes[other]) < len(classes[side]):
-                side, other = other, side
-            cands = sorted({w for u in classes[side] for w in g.neighbors(u) if w in unassigned})
-            if not cands:
-                return False
-            for u in cands:
-                for target in (other, side):
-                    child = dict(assign)
-                    child[u] = target
-                    if solve(child):
-                        return True
-            return False
-
-        # Finally seed any pattern vertex not yet placed.
-        for i, cls in enumerate(classes):
-            if cls:
-                continue
-            for u in sorted(unassigned):
-                child = dict(assign)
-                child[u] = i
-                if solve(child):
-                    return True
-            return False
-
-        return True
-
-    return solve({})
+    m = g.num_edges()
+    if m == len(g) - len(_components_within(g, g.vertices)):
+        return min(m, 1)
+    adj = {v: set(ws) for v, ws in g._adj.items()}
+    low = [v for v, ws in adj.items() if len(ws) <= 2]
+    while low:
+        v = low.pop()
+        if v in adj:
+            ws = adj.pop(v)
+            for w in ws:
+                adj[w].discard(v)
+                adj[w].update(ws - {w})
+            low.extend(w for w in ws if len(adj[w]) <= 2)
+    return 3 if adj else 2
 
 
 # ---------------------------------------------------------------- interop

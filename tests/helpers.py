@@ -403,6 +403,37 @@ def pair_scan_minor_separation(vertices, edges, balls, stretches, z):
     return None
 
 
+def pair_scan_minor_model(edges, h_vertices, h_edges, branch_sets, edge_paths):
+    """The first failure of a minor model by the checks of every pair, or None.
+
+    edges are the host's edges; branch_sets maps each vertex of h to its set,
+    edge_paths each edge (u, v) of h, u < v, to its path.  Sets must be
+    connected, branch sets pairwise disjoint and paths too, and each path must
+    meet the sets of its ends and no other set, checked in that order.
+    """
+    hv, he = sorted(h_vertices), sorted(h_edges)
+    for v in hv:
+        if not naive_connected(edges, branch_sets[v]):
+            return f"model set of {v!r} is disconnected in the host"
+    for e in he:
+        if not naive_connected(edges, edge_paths[e]):
+            return f"model path of {e!r} is disconnected in the host"
+    for v, w in itertools.combinations(hv, 2):
+        if set(branch_sets[v]) & set(branch_sets[w]):
+            return f"model sets of {v!r} and {w!r} intersect"
+    for e, f in itertools.combinations(he, 2):
+        if set(edge_paths[e]) & set(edge_paths[f]):
+            return f"model paths of {e!r} and {f!r} intersect"
+    for e in he:
+        for v in hv:
+            meets = bool(set(edge_paths[e]) & set(branch_sets[v]))
+            if v in e and not meets:
+                return f"model path of {e!r} misses the set of endpoint {v!r}"
+            if v not in e and meets:
+                return f"model path of {e!r} touches non-endpoint {v!r}"
+    return None
+
+
 def naive_fibre_width(source, target, mapping):
     """The projection lemma's D for mapping, or None when a premise fails.
 
@@ -419,6 +450,128 @@ def naive_fibre_width(source, target, mapping):
     dist = floyd_warshall(sorted(svs), ses)
     d = max(dist[a].get(b, float("inf")) for a in svs for b in svs if mapping[a] == mapping[b])
     return None if d == float("inf") else d
+
+
+# ------------------------------------------------------------ minor search
+
+def has_minor(g, h):
+    """Whether h is a minor of g, by exhaustive branch-set backtracking.
+
+    g and h are graphs (anything with vertices and edges).  Searches for
+    pairwise disjoint connected vertex sets of g, one per vertex of h, with
+    an edge of g between the sets of every edge of h.  Demand-driven: the
+    search always extends the assignment toward the first broken
+    requirement, so each branch grows one branch set by one vertex.
+    Complete and exponential, with no size cap: desk-sized inputs only.
+    """
+    adj = adjacency(g.vertices, g.edges)
+    hadj = adjacency(h.vertices, h.edges)
+    if not hadj:
+        return True
+    if len(hadj) > len(adj) or len(h.edges) > len(g.edges):
+        return False
+
+    hs = sorted(hadj, key=lambda v: (-len(hadj[v]), v))
+    hidx = {v: i for i, v in enumerate(hs)}
+    hedges = [tuple(sorted((hidx[u], hidx[v]))) for u, v in h.edges]
+    gv = list(g.vertices)
+
+    visited = set()
+
+    def components(nodes):
+        left, comps = set(nodes), []
+        for start in sorted(nodes):
+            if start in left:
+                left.discard(start)
+                comp, stack = {start}, [start]
+                while stack:
+                    for w in adj[stack.pop()]:
+                        if w in left:
+                            left.discard(w)
+                            comp.add(w)
+                            stack.append(w)
+                comps.append(comp)
+        return comps
+
+    def reachable_through(passable, seeds):
+        """Vertices reachable from seeds along paths whose interior is passable."""
+        seen = set(seeds)
+        stack = list(seeds)
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    if w in passable:
+                        stack.append(w)
+        return seen
+
+    def solve(assign):
+        key = frozenset(assign.items())
+        if key in visited:
+            return False
+        visited.add(key)
+
+        classes = [set() for _ in hs]
+        for v, i in assign.items():
+            classes[i].add(v)
+        unassigned = {v for v in gv if v not in assign}
+
+        if sum(1 for c in classes if not c) > len(unassigned):
+            return False
+
+        # Broken connectivity first: grow the smallest component.
+        for i, cls in enumerate(classes):
+            if not cls:
+                continue
+            comps = components(cls)
+            if len(comps) == 1:
+                continue
+            # feasibility: every component reachable from the first through
+            # vertices the final class may still contain
+            whole = reachable_through(unassigned | cls, comps[0])
+            if any(c.isdisjoint(whole) for c in comps[1:]):
+                return False
+            comp = min(comps, key=lambda c: (len(c), min(c)))
+            for u in sorted({w for x in comp for w in adj[x] if w in unassigned}):
+                if solve({**assign, u: i}):
+                    return True
+            return False
+
+        # Unrealized pattern edges next.
+        for a, b in hedges:
+            ca, cb = classes[a], classes[b]
+            if not ca and not cb:
+                continue
+            if ca and cb:
+                if any(w in cb for x in ca for w in adj[x]):
+                    continue
+                # feasibility: some path from ca to cb through unassigned
+                if cb.isdisjoint(reachable_through(unassigned, ca)):
+                    return False
+            side, other = (a, b) if ca else (b, a)
+            if classes[other] and len(classes[other]) < len(classes[side]):
+                side, other = other, side
+            cands = sorted({w for x in classes[side] for w in adj[x] if w in unassigned})
+            if not cands:
+                return False
+            for u in cands:
+                for target in (other, side):
+                    if solve({**assign, u: target}):
+                        return True
+            return False
+
+        # Finally seed any pattern vertex not yet placed.
+        for i, cls in enumerate(classes):
+            if cls:
+                continue
+            for u in sorted(unassigned):
+                if solve({**assign, u: i}):
+                    return True
+            return False
+
+        return True
+
+    return solve({})
 
 
 # ---------------------------------------------------------- graph builders

@@ -16,11 +16,11 @@ from cwkit import (ControlDilation, Graph, Partition, QiMap,
                    check_partqi_tight, check_qi, complete_graph,
                    cover_by_components, decompose, evaluate, gen_path,
                    gen_spider, gen_subdivided_clique, generate_corpus,
-                   has_minor, parse, projection_map, pullback_cover, quotient,
+                   parse, projection_map, pullback_cover, quotient,
                    spider_graph, subdivide, subdivision_path,
                    validate_strict, verify_result, width)
 
-from helpers import floyd_warshall
+from helpers import floyd_warshall, has_minor
 
 SEED = 20260815
 COUNT = 520

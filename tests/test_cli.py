@@ -190,6 +190,18 @@ class TestDecompose:
         assert obj["quotient_treewidth_lower_bound"] == 1
         assert "complete minor" in obj["oracle_note"]
 
+    def test_oracle_bounds_a_large_quotient_without_a_cap(self, capsys, tmp_path):
+        # K_5 at 7 subdivisions has a 72-vertex quotient, above the old minor search's cap
+        path = tmp_path / "k5.cwx"
+        write_cwx(path, gen_subdivided_clique(5, 7))
+        code, out, err = run(capsys, "decompose", str(path), "--oracle")
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert len(obj["result"]["parts"]) == 72
+        assert obj["quotient_treewidth_lower_bound"] == 3
+        assert obj["oracle_note"] == ("exact oracle above its size cap; "
+                                      "bound certified by a complete minor")
+
     def test_dot_output(self, capsys, k2_file):
         code, out, _ = run(capsys, "decompose", k2_file, "--dot")
         assert code == 0
@@ -435,6 +447,19 @@ class TestQiCheck:
         assert err == ("error: malformed quasi-isometry map object: "
                        f"c must be a number, not {flag.title()}\n")
 
+    @pytest.mark.parametrize("text", ["2", "1e3", " 3 ", "nan"])
+    def test_string_map_parameter_exits_3(self, capsys, tmp_path, text):
+        # float() would read "2" as c = 2 and pass the identity map
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+        mpath = tmp_path / "map.json"
+        mpath.write_text(json.dumps({"f": {"a": "a", "b": "b"}, "c": text}))
+        code, out, err = run(capsys, "qi-check", "--map", str(mpath),
+                             "--source", str(gpath), "--target", str(gpath))
+        assert (code, out) == (3, "")
+        assert err == ("error: malformed quasi-isometry map object: "
+                       f"c must be a number, not {text!r}\n")
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_c_exits_3(self, capsys, k2_file, bad):
         code, out, err = run(capsys, "qi-check", k2_file, "--c", bad)
@@ -456,6 +481,14 @@ class TestMinorModel:
                            "--oracle")
         assert code == 0
         assert json.loads(out)["oracle_minor"] is True
+
+    def test_oracle_checks_a_large_host_without_a_cap(self, capsys):
+        # the host has 5 + 10 * 8 = 85 vertices, above the old minor search's cap
+        code, out, err = run(capsys, "minor-model", "--n", "5", "--times", "8", "--oracle")
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert obj["oracle_minor"] is True
+        assert len(obj["model"]["edge_paths"]) == 10
 
     def test_shallow_subdivision_exits_3(self, capsys):
         code, _, err = run(capsys, "minor-model", "--n", "4", "--times", "3")
@@ -682,6 +715,12 @@ class TestTreewidth:
         ({"vertices": ["a"], "edges": [], "colors": {"a": 2.7}}, "not an integer"),
         ({"vertices": ["a"], "edges": [], "colors": {"a": True}}, "not an integer"),
         ({"vertices": ["a"], "edges": [], "colors": {"a": float("inf")}}, "not an integer"),
+        # JSON true, false and 1.0 are equal to 1 and 0 in Python and would merge with them
+        ({"vertices": [1, True, 2], "edges": [[True, 2]]}, "vertex id True is a bool"),
+        ({"vertices": [1, 2], "edges": [[True, 2]]}, "vertex id True is a bool"),
+        ({"vertices": [0, False], "edges": []}, "vertex id False is a bool"),
+        ({"vertices": [1.0, 2], "edges": [[1.0, 2]]}, "vertex id 1.0 is a float"),
+        ({"vertices": [1, 2], "edges": [[1, 2.0]]}, "vertex id 2.0 is a float"),
     ])
     def test_malformed_graph_file_exits_3(self, capsys, tmp_path, graph, why):
         path = tmp_path / "bad.json"

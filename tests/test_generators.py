@@ -2,19 +2,21 @@
 claim to produce, plus the minor-model pullback."""
 
 import json
+import random
+import sys
 import tracemalloc
 from itertools import product
 
 import pytest
 
 import cwkit.expressions
-from cwkit import (ContractError, CwkitError, Graph, InputError, QiMap,
+from cwkit import (ContractError, CwkitError, Graph, InputError, MinorModel, QiMap,
                    build_minor_model, closed_r_neighborhood, complete_graph, evaluate,
-                   format_expr, gen_path, gen_spider, gen_subdivided_clique,
+                   format_expr, gen_path, gen_spider, gen_subdivided_clique, generators,
                    model_to_json_dict, normalize, spider_graph, subdivide, subdivision_path,
-                   validate_strict)
+                   validate_minor_model, validate_strict)
 
-from helpers import pair_scan_minor_separation
+from helpers import has_minor, pair_scan_minor_model, pair_scan_minor_separation
 
 
 def identity_qi(g, c=1.0):
@@ -370,3 +372,151 @@ class TestBuildMinorModel:
         assert "1--2" in obj["edge_paths"]
         assert obj["branch_sets"]["1"] == sorted(model.branch_sets["1"])
         json.dumps(obj)
+
+
+def k4_model():
+    """K_4, its 7-subdivision, and the model build_minor_model pulls through the identity."""
+    k4 = complete_graph(4)
+    sub = subdivide(k4, 7)
+    return k4, sub, build_minor_model(k4, sub, identity_qi(sub), 1.0)
+
+
+def mutant(model, branch=None, paths=None):
+    return MinorModel({**model.branch_sets, **(branch or {})},
+                      {**model.edge_paths, **(paths or {})})
+
+
+def first_witness(h, g, model):
+    failed = validate_minor_model(h, g, model).failed()
+    return failed[0].witness if failed else None
+
+
+def reference_witness(h, g, model):
+    return pair_scan_minor_model(g.edges, h.vertices, h.edges, model.branch_sets,
+                                 model.edge_paths)
+
+
+class TestValidateMinorModel:
+    @pytest.mark.parametrize("n, times", [(0, 0), (1, 0), (2, 7), (3, 8), (4, 7), (5, 8),
+                                          (6, 8)])
+    def test_built_models_pass(self, n, times):
+        h = complete_graph(n)
+        sub = subdivide(h, times)
+        model = build_minor_model(h, sub, identity_qi(sub), 1.0)
+        report = validate_minor_model(h, sub, model)
+        assert [c.name for c in report.checks] == ["connected", "disjoint", "incident"]
+        assert report.ok and reference_witness(h, sub, model) is None
+        if 0 < len(sub) <= 30:
+            assert has_minor(sub, h)
+
+    def test_mutants_fail_with_the_build_texts(self):
+        k4, sub, model = k4_model()
+        b, p = model.branch_sets, model.edge_paths
+        merged = b["1"] | p[("1", "2")] | b["2"]
+        # a new vertex w joins the middle of the 1--2 path to branch vertex 3
+        wired = Graph([*sub.vertices, "w"], [*sub.edges, ("1-2.4", "w"), ("w", "3")])
+        cases = [
+            (sub, mutant(model, {"1": merged, "2": merged}),
+             "disjoint", "model sets of '1' and '2' intersect"),
+            (sub, mutant(model, paths={("1", "2"): p[("1", "2")] - {"1-2.4"}}),
+             "connected", "model path of ('1', '2') is disconnected in the host"),
+            (wired, mutant(model, paths={("1", "2"): p[("1", "2")] | {"w", "3"}}),
+             "incident", "model path of ('1', '2') touches non-endpoint '3'"),
+            (sub, mutant(model, {"1": b["1"] - {"1"}}),
+             "connected", "model set of '1' is disconnected in the host"),
+            (sub, mutant(model, paths={("1", "2"): p[("1", "2")] | b["1"] | p[("1", "3")]}),
+             "disjoint", "model paths of ('1', '2') and ('1', '3') intersect"),
+            (sub, mutant(model, paths={("1", "2"): p[("1", "2")] - b["1"]}),
+             "incident", "model path of ('1', '2') misses the set of endpoint '1'"),
+        ]
+        for g, bad, check, witness in cases:
+            report = validate_minor_model(k4, g, bad)
+            assert report.check(check).witness == witness
+            assert report.failed()[0].witness == witness == reference_witness(k4, g, bad)
+        assert validate_minor_model(k4, wired, model).ok
+
+    def test_sets_must_be_keyed_by_the_pattern(self):
+        k4, sub, model = k4_model()
+        b, p = dict(model.branch_sets), dict(model.edge_paths)
+        extra = {**b, "5": b["4"]}
+        del b["4"]
+        del p[("3", "4")]
+        for bad in (MinorModel(b, model.edge_paths), MinorModel(extra, model.edge_paths),
+                    MinorModel(model.branch_sets, p)):
+            with pytest.raises(InputError, match="^model sets must be keyed by exactly the "
+                                                 "pattern's vertices and edges$"):
+                validate_minor_model(k4, sub, bad)
+
+    def test_unknown_vertex_raises(self):
+        k4, sub, model = k4_model()
+        with pytest.raises(InputError, match="^model mentions unknown vertex 'zz'$"):
+            validate_minor_model(k4, sub, mutant(model, {"1": model.branch_sets["1"] | {"zz"}}))
+
+    def test_first_failure_matches_the_pair_scan_on_random_mutants(self):
+        # one to three random edits of random sets of deep K_3 and K_4 models:
+        # add a vertex, drop one, or add or remove another set's members
+        rng = random.Random(1606)
+        failed = set()
+        for h, times in ((complete_graph(3), 8), (complete_graph(4), 7)):
+            sub = subdivide(h, times)
+            model = build_minor_model(h, sub, identity_qi(sub), 1.0)
+            names = [("b", v) for v in model.branch_sets] + [("p", e) for e in model.edge_paths]
+            for _ in range(300):
+                sets = {"b": dict(model.branch_sets), "p": dict(model.edge_paths)}
+                for _ in range(rng.randint(1, 3)):
+                    kind, key = rng.choice(names)
+                    s = sets[kind][key]
+                    other_kind, other = rng.choice(names)
+                    edit = rng.choice(("add", "drop", "copy", "cut"))
+                    if edit == "add":
+                        s = s | {rng.choice(sub.vertices)}
+                    elif edit == "drop" and s:
+                        s = s - {rng.choice(sorted(s))}
+                    elif edit == "copy":
+                        s = s | sets[other_kind][other]
+                    else:
+                        s = s - sets[other_kind][other]
+                    sets[kind][key] = s
+                bad = MinorModel(sets["b"], sets["p"])
+                got = first_witness(h, sub, bad)
+                assert got == reference_witness(h, sub, bad), (sets, got)
+                if got:
+                    failed.add(validate_minor_model(h, sub, bad).failed()[0].name)
+        assert failed == {"connected", "disjoint", "incident"}
+
+    def test_build_raises_the_first_failed_witness(self, monkeypatch):
+        k4 = complete_graph(4)
+        sub = subdivide(k4, 7)
+        real = generators.closed_r_neighborhood
+
+        def fatten_without_branch_vertex_1(g, sources, r):
+            out = real(g, sources, r)
+            return out - {"1"} if r == 1.0 and "1" in sources else out
+
+        monkeypatch.setattr(generators, "closed_r_neighborhood", fatten_without_branch_vertex_1)
+        with pytest.raises(ContractError) as exc:
+            build_minor_model(k4, sub, identity_qi(sub), 1.0)
+        assert str(exc.value) == "model set of '1' is disconnected in the host"
+
+    def test_validation_grows_linearly(self):
+        # traced lines and calls per unit of |V| + |E| + the sets' sizes stay flat from
+        # K_6 to K_18: a check of every pair of the 153 edge paths would add 11,628 pairs
+        def events_per_unit(n):
+            h = complete_graph(n)
+            sub = subdivide(h, 8)
+            model = build_minor_model(h, sub, identity_qi(sub), 1.0)
+            count = [0]
+
+            def tracer(frame, event, arg):
+                count[0] += 1
+                return tracer
+
+            sys.settrace(tracer)
+            try:
+                assert validate_minor_model(h, sub, model).ok
+            finally:
+                sys.settrace(None)
+            sets = [*model.branch_sets.values(), *model.edge_paths.values()]
+            return count[0] / (len(sub) + sub.num_edges() + sum(map(len, sets)))
+
+        assert events_per_unit(18) < 1.2 * events_per_unit(6)

@@ -56,7 +56,7 @@ class TestQiMapValidation:
     def test_map_file_with_non_finite_c_rejected(self):
         g = G(path_data(2))
         with pytest.raises(InputError, match="finite"):
-            qimap_from_json_dict({"f": {"p0": "p0", "p1": "p1"}, "c": "nan"}, g, g)
+            qimap_from_json_dict({"f": {"p0": "p0", "p1": "p1"}, "c": float("nan")}, g, g)
 
     def test_domain_must_equal_source_vertices(self):
         g = G(path_data(3))
@@ -253,7 +253,9 @@ class TestInterop:
         with pytest.raises(InputError, match="^malformed quasi-isometry map object: "
                                              "c must be a number"):
             qimap_from_json_dict({"f": {"p0": "p0", "p1": "p1"}, "c": flag}, g, g)
-        assert qimap_from_json_dict({"f": {"p0": "p0", "p1": "p1"}, "c": "2"}, g, g).c == 2.0
+        with pytest.raises(InputError, match="^malformed quasi-isometry map object: "
+                                             "c must be a number, not '2'$"):
+            qimap_from_json_dict({"f": {"p0": "p0", "p1": "p1"}, "c": "2"}, g, g)
 
 
 def as_json(obj) -> str:

@@ -1,4 +1,5 @@
-"""Tree decomposition validation and the two exact oracles."""
+"""Tree decomposition validation, the exact treewidth oracle, the linear
+clique-minor bound, and the exponential minor grader it is checked against."""
 
 import json
 import random
@@ -7,10 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cwkit import (CheckResult, Graph, InputError, SizeCapError, TreeDecomposition,
-                   brute_treewidth, has_minor, is_tree, td_from_json_dict,
-                   td_to_dot, td_to_json_dict, validate_td, width)
+                   brute_treewidth, complete_graph, generate_corpus, gen_subdivided_clique,
+                   is_tree, quotient, subdivide, td_from_json_dict, td_to_dot,
+                   td_to_json_dict, validate_td, width)
+from cwkit.decomposition import _decompose
+from cwkit.treedecomp import _clique_minor_bound
 
-from helpers import (clique_data, cycle_data, grid_data, naive_validate_td,
+from helpers import (clique_data, cycle_data, grid_data, has_minor, naive_validate_td,
                      path_data, perm_treewidth, star_data)
 
 
@@ -209,18 +213,6 @@ class TestBruteTreewidth:
         with pytest.raises(SizeCapError):
             brute_treewidth(G(path_data(5)), cap=4)
 
-    def test_env_cap_override(self, monkeypatch):
-        monkeypatch.setenv("CWQ_ORACLE_CAP", "3")
-        with pytest.raises(SizeCapError):
-            brute_treewidth(G(path_data(4)))
-        # explicit argument still wins over the environment
-        assert brute_treewidth(G(path_data(4)), cap=12) == 1
-        monkeypatch.setenv("CWQ_ORACLE_CAP", "14")
-        assert brute_treewidth(G(path_data(13))) == 1
-        monkeypatch.setenv("CWQ_ORACLE_CAP", "twelve")
-        with pytest.raises(InputError, match="CWQ_ORACLE_CAP"):
-            brute_treewidth(G(path_data(4)))
-
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_matches_elimination_order_oracle(self, seed):
@@ -261,23 +253,6 @@ class TestHasMinor:
         assert has_minor(g, Graph([], []))
         assert not has_minor(g, G(path_data(4)))
 
-    def test_host_cap(self):
-        vs, es = path_data(51)
-        with pytest.raises(SizeCapError, match="host"):
-            has_minor(Graph(vs, es), G(path_data(2)))
-        assert has_minor(Graph(vs, es), G(path_data(2)), g_cap=60)
-
-    def test_pattern_cap(self):
-        with pytest.raises(SizeCapError, match="pattern"):
-            has_minor(G(clique_data(8)), G(path_data(7)))
-        assert has_minor(G(clique_data(8)), G(path_data(7)),
-                         g_cap=10, h_cap=8)
-
-    def test_env_cap_applies_to_host(self, monkeypatch):
-        monkeypatch.setenv("CWQ_ORACLE_CAP", "4")
-        with pytest.raises(SizeCapError):
-            has_minor(G(path_data(5)), G(path_data(2)))
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_every_graph_is_its_own_minor(self, seed):
@@ -295,6 +270,46 @@ class TestHasMinor:
         tw = brute_treewidth(g)
         assert has_minor(g, G(clique_data(3))) == (tw >= 2)
         assert has_minor(g, G(clique_data(4))) == (tw >= 3)
+
+
+class TestCliqueMinorBound:
+    @pytest.mark.parametrize("data, bound", [
+        (([], []), 0), ((["x", "y"], []), 0), (path_data(6), 1), (star_data(5), 1),
+        (cycle_data(3), 2), (cycle_data(9), 2), (grid_data(2, 6), 2), (clique_data(4), 3),
+        (grid_data(3, 3), 3), (clique_data(7), 3)])
+    def test_known_graphs(self, data, bound):
+        assert _clique_minor_bound(G(data)) == bound
+
+    def test_forest_beside_a_cycle(self):
+        vs, es = path_data(5)
+        cvs, ces = cycle_data(4)
+        assert _clique_minor_bound(Graph(vs + cvs, es + ces)) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_is_treewidth_capped_at_three(self, seed):
+        vs, es = small_graph_data(seed)
+        assert _clique_minor_bound(Graph(vs, es)) == min(3, perm_treewidth(vs, es))
+
+    def test_matches_the_minor_grader_on_quotients(self):
+        # the largest m <= 4 with a K_m minor, on every corpus quotient of at most 50
+        # vertices and on the quotients of the smallest subdivided cliques
+        exprs = [*generate_corpus(1, 300, 6, 40),
+                 *(gen_subdivided_clique(n, t) for n in (4, 5) for t in (0, 1, 2))]
+        sizes = []
+        for e in exprs:
+            result, cg = _decompose(e)
+            q, _ = quotient(cg.graph, result.partition)
+            if len(q) > 50:
+                continue
+            sizes.append(len(q))
+            want = next((m - 1 for m in (4, 3, 2) if has_minor(q, complete_graph(m))), 0)
+            assert _clique_minor_bound(q) == want
+        assert len(sizes) > 300 and max(sizes) > 30
+
+    def test_subdivided_cliques_keep_their_k4_minor(self):
+        for n, t in ((4, 48), (12, 48)):
+            assert _clique_minor_bound(subdivide(complete_graph(n), t)) == 3
 
 
 class TestInterop:
