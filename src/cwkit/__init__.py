@@ -13,8 +13,7 @@ from .corpus import generate_corpus, random_strict_expr
 from .covers import (ControlDilation, CoverFamily, cover_by_components,
                      cover_from_json_dict, cover_to_json_dict, pullback_cover,
                      validate_cover)
-from .decomposition import (DecompositionResult, decompose,
-                            result_from_json_dict, result_to_dot,
+from .decomposition import (DecompositionResult, decompose, result_to_dot,
                             result_to_json_dict, verify_result)
 from .errors import (ContractError, CwkitError, InputError, ParseError,
                      SizeCapError)
@@ -27,16 +26,15 @@ from .generators import (MinorModel, build_minor_model, complete_graph,
                          model_to_json_dict, spider_graph, subdivide,
                          subdivision_path, validate_minor_model)
 from .graphs import (INFINITE, ColoredGraph, Graph, Partition, bfs_distances,
-                     closed_r_neighborhood, connected_components, distance,
+                     closed_r_neighborhood, connected_components,
                      graph_from_json_dict, graph_to_dot, graph_to_json_dict,
                      is_connected, is_dominated, quotient, set_distance,
                      weak_diameter)
 from .quasiiso import (PartitionQiReport, QiMap, QiReport, check_partqi_tight,
-                       check_qi, projection_map, qimap_from_json_dict,
-                       qimap_to_json_dict)
+                       check_qi, projection_map, qimap_from_json_dict)
 from .treedecomp import (CheckResult, TreeDecomposition, VerificationReport,
-                         brute_treewidth, is_tree, td_from_json_dict,
-                         td_to_dot, td_to_json_dict, validate_td, width)
+                         brute_treewidth, is_tree, td_to_dot, td_to_json_dict,
+                         validate_td, width)
 
 __version__ = "0.1.0"
 

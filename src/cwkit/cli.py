@@ -17,14 +17,13 @@ from .corpus import generate_corpus
 from .covers import (ControlDilation, _check_scale, cover_by_components,
                      cover_from_json_dict, cover_to_json_dict, pullback_cover,
                      validate_cover)
-from .decomposition import (_decompose, decompose, result_to_dot, result_to_json_dict,
-                            verify_result)
+from .decomposition import _decompose, result_to_dot, result_to_json_dict, verify_result
 from .errors import ContractError, InputError, ParseError, SizeCapError
 from .expressions import (evaluate, format_expr, normalize, read_cwx,
                           validate_strict, write_cwx)
 from .generators import (build_minor_model, complete_graph, gen_path,
                          gen_spider, gen_subdivided_clique, model_to_json_dict,
-                         subdivide, validate_minor_model)
+                         subdivide)
 from .graphs import graph_from_json_dict, graph_to_dot, graph_to_json_dict, quotient, weak_diameter
 from .quasiiso import (QiMap, _verify_projection, check_qi, projection_map,
                        qimap_from_json_dict)
@@ -77,9 +76,6 @@ def cmd_eval(args) -> int:
     e = read_cwx(args.file)
     report = validate_strict(e)
     cg = evaluate(e)
-    if args.dot:
-        _write(graph_to_dot(cg.graph, cg.colors), args.out)
-        return 0
     obj = {"k": e.k,
            "graph": graph_to_json_dict(cg.graph, cg.colors),
            "validation": report.to_json_dict()}
@@ -207,17 +203,11 @@ def cmd_minor_model(args) -> int:
     host = subdivide(h, args.times)
     f = QiMap(host, host, {v: v for v in host.vertices}, float(args.c))
     model = build_minor_model(h, host, f, float(args.c))
-    obj = model_to_json_dict(model)
-    lines = [f"pattern = K_{args.n}, {args.times}-subdivision "
-             f"({len(host)} vertices)",
-             f"branch sets = {len(model.branch_sets)}",
-             f"edge paths = {len(model.edge_paths)}"]
-    confirmed = not args.oracle or validate_minor_model(h, host, model).ok
-    if args.oracle:
-        obj = {"model": obj, "oracle_minor": confirmed}
-        lines.append(f"oracle minor check = {'pass' if confirmed else 'FAIL'}")
-    _emit(args, obj, lines)
-    return 0 if confirmed else 3
+    _emit(args, model_to_json_dict(model),
+          [f"pattern = K_{args.n}, {args.times}-subdivision ({len(host)} vertices)",
+           f"branch sets = {len(model.branch_sets)}",
+           f"edge paths = {len(model.edge_paths)}"])
+    return 0
 
 
 def cmd_cover_pullback(args) -> int:
@@ -265,19 +255,7 @@ def cmd_treewidth(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    kind = args.kind
-    if kind is None:
-        kind = "expr" if str(args.file).endswith(".cwx") else "graph"
-    if kind == "decomposition":
-        result = decompose(read_cwx(args.file))
-        text = result_to_dot(result)
-    elif kind == "expr":
-        cg = evaluate(read_cwx(args.file))
-        text = graph_to_dot(cg.graph, cg.colors)
-    else:
-        g, colors = _load_graph(args.file)
-        text = graph_to_dot(g, colors)
-    _write(text, args.out)
+    _write(graph_to_dot(*_load_graph(args.file)), args.out)
     return 0
 
 
@@ -293,9 +271,7 @@ _COMMON = (_arg("--out", help="write output to this file instead of stdout"),
 
 # name -> (help, handler, arguments), in the order the help lists them
 _COMMANDS = {
-    "eval": ("evaluate an expression file to a coloured graph", cmd_eval, (
-        _arg("file"),
-        _arg("--dot", action="store_true", help="emit DOT instead of JSON"))),
+    "eval": ("evaluate an expression file to a coloured graph", cmd_eval, (_arg("file"),)),
     "decompose": ("partition, quotient tree decomposition, verification", cmd_decompose, (
         _arg("file"),
         _arg("--normalize", action="store_true", help="repair a non-strict expression first"),
@@ -333,9 +309,7 @@ _COMMANDS = {
     "minor-model": ("pull a clique minor model through an embedding", cmd_minor_model, (
         _arg("--n", type=int, default=4, help="pattern clique size"),
         _arg("--times", type=int, default=7, help="subdivisions per edge"),
-        _arg("--c", type=float, default=1.0),
-        _arg("--oracle", action="store_true",
-             help="re-check the model against the definition of a minor"))),
+        _arg("--c", type=float, default=1.0))),
     "cover-pullback": ("pull a cover of the quotient back to the graph", cmd_cover_pullback, (
         _arg("file"),
         _arg("--r", type=float, default=1.0, help="source scale (>= 1)"),
@@ -347,9 +321,8 @@ _COMMANDS = {
         _arg("--quotient", action="store_true",
              help="use the decomposer's quotient of a .cwx input"),
         _arg("--cap", type=int, default=None, help="size cap override"))),
-    "export-dot": ("DOT rendering of a graph, expression, or decomposition", cmd_export_dot, (
-        _arg("file"),
-        _arg("--kind", choices=("graph", "expr", "decomposition"), default=None))),
+    "export-dot": ("DOT rendering of a graph JSON or expression file", cmd_export_dot,
+                   (_arg("file"),)),
 }
 
 

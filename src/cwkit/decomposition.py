@@ -18,13 +18,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from collections.abc import Mapping
 
-from .errors import ContractError, InputError
+from .errors import ContractError
 from .expressions import (LEAF, RECOLOR, UNION, CwExpr, _find, _graph_of, _kind,
                           _Semantics, fold_postorder, validate_strict)
 from .graphs import ColoredGraph, Graph, Partition, is_dominated, quotient
 from .treedecomp import (CheckResult, TreeDecomposition, VerificationReport, _holding,
-                         _td_checks, _td_witnesses, _verdict, is_tree, td_from_json_dict,
-                         td_to_dot, td_to_json_dict)
+                         _td_checks, _td_witnesses, _verdict, is_tree, td_to_dot,
+                         td_to_json_dict)
 
 # Why each strictness rule matters to the construction below; quoted in the
 # error raised on non-strict input.
@@ -229,17 +229,6 @@ def result_to_json_dict(result: DecompositionResult) -> dict:
         "tree": td_to_json_dict(result.tree),
         "rainbow_node": result.rainbow_node,
     }
-
-
-def result_from_json_dict(obj: Mapping) -> DecompositionResult:
-    try:
-        parts = {pid: members for pid, members in obj["parts"].items()}
-        part_colors = {pid: int(c) for pid, c in obj["part_colors"].items()}
-        td = td_from_json_dict(obj["tree"])
-        rainbow = obj["rainbow_node"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed decomposition object: {exc}") from None
-    return DecompositionResult(Partition(parts), part_colors, td, rainbow)
 
 
 def result_to_dot(result: DecompositionResult) -> str:

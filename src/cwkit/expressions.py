@@ -25,7 +25,6 @@ import heapq
 import itertools
 import re
 from dataclasses import dataclass
-from collections.abc import Mapping
 
 from .errors import InputError, ParseError
 from .graphs import INFINITE, ColoredGraph, Graph
@@ -659,21 +658,6 @@ def validate_strict(e: CwExpr) -> ValidationReport:
 
 # ---------------------------------------------------------- normalization
 
-def _permute_node(root: Node, mapping: Mapping) -> Node:
-    def step(node, kids):
-        if isinstance(node, Leaf):
-            return Leaf(node.vertex, mapping.get(node.color, node.color))
-        if isinstance(node, Union):
-            return Union(*kids)
-        if isinstance(node, Recolor):
-            return Recolor(mapping.get(node.old_color, node.old_color),
-                           mapping.get(node.new_color, node.new_color), kids[0])
-        return Join(mapping.get(node.color_a, node.color_a),
-                    mapping.get(node.color_b, node.color_b), kids[0])
-
-    return fold_postorder(root, step)
-
-
 def normalize(e: CwExpr) -> CwExpr:
     """Rewrite to an equivalent strict-valid expression.
 
@@ -681,33 +665,51 @@ def normalize(e: CwExpr) -> CwExpr:
     colour is unused are dropped; recolors whose target colour is unused are
     pure renamings and are realized by swapping the two colours inside the
     subtree instead.  The result evaluates to the same coloured graph, and
-    normalize(normalize(e)) == normalize(e).
+    normalize(normalize(e)) == normalize(e).  Each node's fate is decided by
+    one fold and its colours are renamed by one preorder pass, in linear time.
 
     The input must evaluate successfully and keep colours within 1..k.
     """
     core = _Semantics(e.k)
+    dropped = {}  # id(node) -> the two colours its removal swaps below, or ()
 
-    def step(node, kids):
-        # Each folded value is (rewritten node, state).
-        state, broken = core.step(_kind(node), node, tuple(st for _, st in kids))
+    def decide(node, kids):
+        state, broken = core.step(_kind(node), node, kids)
         rules = {rule for rule, _ in broken}
         if RULE_COLOR_RANGE in rules:
-            if isinstance(node, Leaf):
-                raise InputError(broken[0][1])
-            raise InputError(f"{type(node).__name__.lower()} colour outside the palette")
-        if isinstance(node, Leaf):
-            return node, state
-        if isinstance(node, Union):
-            return Union(kids[0][0], kids[1][0]), state
-        child = kids[0][0]
+            raise InputError(broken[0][1] if isinstance(node, Leaf) else
+                             f"{type(node).__name__.lower()} colour outside the palette")
         if rules & {RULE_OP2_I_UNUSED, RULE_OP3_NO_NEW_EDGE}:
-            return child, state
-        if isinstance(node, Join):
-            return Join(node.color_a, node.color_b, child), state
-        old, new = node.old_color, node.new_color
-        if RULE_OP2_J_UNUSED in rules:
-            return _permute_node(child, {old: new, new: old}), state
-        return Recolor(old, new, child), state
+            dropped[id(node)] = ()
+        elif RULE_OP2_J_UNUSED in rules:
+            dropped[id(node)] = (node.old_color, node.new_color)
+        return state
 
-    root, _ = fold_postorder(e.root, step)
-    return CwExpr(e.k, root)
+    fold_postorder(e.root, decide)
+    rename, colours, stack = {}, {}, [e.root]  # rename: colour -> colour, by the swaps above
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):  # a swapped subtree is done: restore the renaming above it
+            rename.update(node)
+            continue
+        if swap := dropped.get(id(node)):
+            old, new = swap
+            stack.append({old: rename.get(old, old), new: rename.get(new, new)})
+            rename[old], rename[new] = stack[-1][new], stack[-1][old]
+        kind = _kind(node)
+        own = ((node.color,) if kind == LEAF else () if kind == UNION else
+               (node.old_color, node.new_color) if kind == RECOLOR else (node.color_a, node.color_b))
+        colours[id(node)] = [rename.get(c, c) for c in own]
+        stack.extend(_children(node))
+
+    def build(node, kids):
+        if id(node) in dropped:
+            return kids[0]
+        c = colours[id(node)]
+        if isinstance(node, Leaf):
+            return node if c == [node.color] else Leaf(node.vertex, *c)
+        if isinstance(node, Union):
+            return Union(*kids)
+        return (Recolor if isinstance(node, Recolor) else Join)(*c, kids[0])
+
+    return CwExpr(e.k, fold_postorder(e.root, build))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import ContractError, InputError
 from .expressions import CwExpr, Join, Leaf, Recolor, Union
 from .graphs import (INFINITE, Graph, _close_pair, _connected_within, _near_owners,
-                     closed_r_neighborhood)
+                     _owners, closed_r_neighborhood)
 from .quasiiso import QiMap, _bounds_witness
 from .treedecomp import VerificationReport, _verdict
 
@@ -355,15 +355,6 @@ def build_minor_model(h: Graph, g: Graph, f: QiMap, c: float) -> MinorModel:
     if failed := validate_minor_model(h, g, model).failed():
         raise ContractError(failed[0].witness)
     return model
-
-
-def _owners(sets) -> dict:
-    """Each vertex in one of sets -> the indices of the sets holding it, ascending."""
-    owners = {}
-    for i, s in enumerate(sets):
-        for x in s:
-            owners.setdefault(x, []).append(i)
-    return owners
 
 
 def validate_minor_model(h: Graph, g: Graph, model: MinorModel) -> VerificationReport:

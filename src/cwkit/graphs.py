@@ -115,13 +115,6 @@ def bfs_distances(g: Graph, sources: Iterable) -> dict:
     return dist
 
 
-def distance(g: Graph, u, v):
-    """Shortest-path distance between u and v, INFINITE if disconnected."""
-    if not g.has_vertex(v):
-        raise InputError(f"unknown vertex {v!r}")
-    return bfs_distances(g, [u]).get(v, INFINITE)
-
-
 def _positions(g: Graph) -> dict:
     """vertex -> its index in g.vertices."""
     return dict(zip(g.vertices, range(len(g))))
@@ -296,13 +289,19 @@ def _near_owners(g: Graph, s, owners: Mapping, reach) -> dict:
     return near
 
 
+def _owners(sets) -> dict:
+    """Each vertex in one of sets -> the indices of the sets holding it, ascending."""
+    owners = {}
+    for i, s in enumerate(sets):
+        for x in s:
+            owners.setdefault(x, []).append(i)
+    return owners
+
+
 def _first_close_pair(g: Graph, sets, reach):
     """(i, j, distance) for the first pair i < j of sets, in order, at most reach
     apart (an infinite reach takes disconnected pairs too), or None: one bounded BFS per set."""
-    owners = {}
-    for j, s in enumerate(sets):
-        for v in s:
-            owners.setdefault(v, []).append(j)
+    owners = _owners(sets)
     for i, s in enumerate(sets):
         near = _near_owners(g, s, owners, reach)
         for j in range(i + 1, len(sets)):

@@ -304,10 +304,6 @@ def _verify_projection(g: Graph, p: Partition, qi_c=None, exhaustive=False) -> t
 
 # ---------------------------------------------------------------- interop
 
-def qimap_to_json_dict(m: QiMap) -> dict:
-    return {"f": {str(v): m.mapping[v] for v in m.source.vertices}, "c": m.c}
-
-
 def qimap_from_json_dict(obj: Mapping, source: Graph, target: Graph) -> QiMap:
     try:
         raw = dict(obj["f"])
@@ -323,7 +319,7 @@ def qimap_from_json_dict(obj: Mapping, source: Graph, target: Graph) -> QiMap:
     for key, val in raw.items():
         if key not in by_str:
             raise InputError(f"map key {key!r} is not a source vertex")
-        if isinstance(val, (list, dict)):  # the JSON values that cannot be vertex ids
+        if isinstance(val, (bool, float, list, dict)):  # true and 1.0 would equal 1
             raise InputError(f"map sends {key!r} to {val!r}, which is not a vertex id")
         mapping[by_str[key]] = to_str.get(str(val), val)
     return QiMap(source, target, mapping, c)

@@ -238,22 +238,5 @@ def td_to_json_dict(td: TreeDecomposition) -> dict:
     }
 
 
-def td_from_json_dict(obj: Mapping) -> TreeDecomposition:
-    try:
-        nodes = obj["nodes"]
-        edges = [tuple(e) for e in obj["edges"]]
-        raw_bags = obj["bags"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed tree decomposition object: {exc}") from None
-    tree = Graph(nodes, edges)
-    by_str = {str(t): t for t in tree.vertices}
-    bags = {}
-    for key, members in raw_bags.items():
-        if key not in by_str:
-            raise InputError(f"bag key {key!r} is not a tree node")
-        bags[by_str[key]] = frozenset(members)
-    return TreeDecomposition(tree, bags)
-
-
 def td_to_dot(td: TreeDecomposition, name: str = "decomposition") -> str:
     return _dot(td.tree, name, lambda t: "{" + ", ".join(str(x) for x in sorted(td.bags[t])) + "}")

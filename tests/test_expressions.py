@@ -3,6 +3,7 @@
 import gc
 import random
 import re
+import sys
 import time
 import tracemalloc
 
@@ -561,3 +562,57 @@ class TestNormalize:
     def test_out_of_palette_color_rejected(self):
         with pytest.raises(InputError):
             normalize(CwExpr(1, Leaf("a", 2)))
+
+    @staticmethod
+    def comb(m):
+        """m colour-1 leaves joined by unions, with Recolor(1, 2) and Recolor(2, 1) in
+        turn after every other union; each Recolor(1, 2) renames onto an unused colour."""
+        node = Leaf("v0", 1)
+        for i in range(1, m):
+            node = Union(node, Leaf(f"v{i}", 1))
+            if i % 2:
+                node = Recolor(1, 2, node) if i % 4 == 1 else Recolor(2, 1, node)
+        return CwExpr(2, node)
+
+    def test_comb_swaps_every_renaming_away(self):
+        e = self.comb(9)
+        n = normalize(e)
+        assert evaluate(n) == evaluate(e) and validate_strict(n).strict_valid
+        assert sum(isinstance(node, Recolor) for _, node in walk_with_paths(n.root)) == 2
+
+    def test_traced_lines_per_node_stay_flat(self):
+        # a rewrite of the whole subtree below each of the m / 4 renamings
+        # would make the lines per node grow linearly in m
+        def lines_per_node(m):
+            e, count = self.comb(m), [0]
+
+            def tracer(frame, event, arg):
+                count[0] += event == "line"
+                return tracer
+
+            sys.settrace(tracer)
+            try:
+                normalize(e)
+            finally:
+                sys.settrace(None)
+            return count[0] / sum(1 for _ in walk_with_paths(e.root))
+
+        assert lines_per_node(1000) < 1.2 * lines_per_node(250)
+
+    def test_chain_of_renamings_takes_linear_memory(self):
+        # Recolor(i, i + 1) for i = 1..s over two colour-1 leaves: every recolor
+        # renames onto an unused colour, so the composed renaming below the chain
+        # holds s colours, and a copy of it per renaming would take memory in s**2
+        def peak_per_node(s):
+            node = Union(Leaf("a", 1), Leaf("b", 1))
+            for i in range(1, s + 1):
+                node = Recolor(i, i + 1, node)
+            e = CwExpr(s + 1, node)
+            tracemalloc.start()
+            try:
+                assert normalize(e) == CwExpr(s + 1, Union(Leaf("a", s + 1), Leaf("b", s + 1)))
+                return tracemalloc.get_traced_memory()[1] / (s + 3)
+            finally:
+                tracemalloc.stop()
+
+        assert peak_per_node(1000) < 1.3 * peak_per_node(250)

@@ -480,3 +480,35 @@ def test_minor_model_output_matches_golden():
 def test_tight_bounds_on_random_partitions_match_golden():
     got = digest(random_partition_reports())
     assert got == METRIC_GOLDEN["tight_random_partitions"]
+
+
+# ------------------------------------------------------------------- DOT
+
+# Each subcommand run is [exit code, stdout, stderr] on every acceptance-corpus
+# expression ("corpus_") and every non-strict mutant ("mutant_").  The graph
+# digests were recorded from `eval F --dot` and the decomposition digests from
+# `export-dot F --kind decomposition`, before `export-dot F` and
+# `decompose F --dot` became the one route to each.
+DOT_GOLDEN = {
+    "corpus_graph_dot":
+        "cf217b8f29fa0695b9e4736ee30607b6510c4ca2b634d7317cf33d0d8221bcee",
+    "corpus_decomposition_dot":
+        "ed377ba8e96db3e09edfaf670fdb945d55056a53c49530885a5f7dfcaf8fc65d",
+    "mutant_graph_dot":
+        "8bda62025fa35232199ac67b92f6cd0cb1aa2ce001782aa3f6d8184ad3048e21",
+    "mutant_decomposition_dot":
+        "c305912441079f6fcc89f90ae66486f1785b9088a039991fba9eeb01261cbdd1",
+}
+
+
+def test_dot_output_matches_golden(tmp_path):
+    sets = {"corpus": generate_corpus(SEED, COUNT, MAX_K, MAX_LEAVES),
+            "mutant": [e for _, e in mutants()]}
+    got = {}
+    for name, exprs in sets.items():
+        files = [tmp_path / f"{name}{i:04d}.cwx" for i in range(len(exprs))]
+        for path, e in zip(files, exprs):
+            write_cwx(path, e)
+        got[f"{name}_graph_dot"] = digest(cli("export-dot", f) for f in files)
+        got[f"{name}_decomposition_dot"] = digest(cli("decompose", f, "--dot") for f in files)
+    assert got == DOT_GOLDEN
