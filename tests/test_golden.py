@@ -512,3 +512,36 @@ def test_dot_output_matches_golden(tmp_path):
         got[f"{name}_graph_dot"] = digest(cli("export-dot", f) for f in files)
         got[f"{name}_decomposition_dot"] = digest(cli("decompose", f, "--dot") for f in files)
     assert got == DOT_GOLDEN
+
+
+# ------------------------------------------------------------- decompose
+
+# [exit code, stdout, stderr] of `decompose F` on the metric-layer files, on
+# the non-strict mutants written as .cwx, and on the character-level text
+# mutants written as files.  Recorded from the implementation that parsed
+# every file into an AST before folding it; they pin the printed JSON and
+# which error wins when a file has more than one, such as a non-strict node
+# before a cut or a stray character.
+DECOMPOSE_GOLDEN = {
+    "metric_decompose":
+        "b7f8aa1718bfbfa45f59ff8911aa30405d45cc69ff7cad6605715d30deb19c8b",
+    "mutant_decompose":
+        "c305912441079f6fcc89f90ae66486f1785b9088a039991fba9eeb01261cbdd1",
+    "text_decompose":
+        "7a3d99c48e2ac1da7af1bde87dbbea6b2ae7661bcde84e56061f68eb1d9cce4d",
+}
+
+
+def test_decompose_output_matches_golden(metric_files, tmp_path):
+    mutant_files = [tmp_path / f"mutant{i:04d}.cwx" for i in range(MUTANT_COUNT)]
+    for path, (_, e) in zip(mutant_files, mutants()):
+        write_cwx(path, e)
+    text_files = [tmp_path / f"text{i:04d}.cwx" for i in range(TEXT_COUNT)]
+    for path, text in zip(text_files, text_mutants()):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    runs = {name: [cli("decompose", f) for f in files] for name, files in (
+        ("metric_decompose", metric_files), ("mutant_decompose", mutant_files),
+        ("text_decompose", text_files))}
+    assert {code for code, _, _ in runs["text_decompose"]} == {0, 2, 3}
+    assert {name: digest(outcomes) for name, outcomes in runs.items()} == DECOMPOSE_GOLDEN
