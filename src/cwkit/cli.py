@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -17,7 +18,8 @@ from .corpus import generate_corpus
 from .covers import (ControlDilation, _check_scale, cover_by_components,
                      cover_from_json_dict, cover_to_json_dict, pullback_cover,
                      validate_cover)
-from .decomposition import _decompose, result_to_dot, result_to_json_dict, verify_result
+from .decomposition import (_decompose, _decompose_cwx, result_to_dot, result_to_json_dict,
+                            verify_result)
 from .errors import ContractError, InputError, ParseError, SizeCapError
 from .expressions import (evaluate, format_expr, normalize, read_cwx,
                           validate_strict, write_cwx)
@@ -32,10 +34,52 @@ from .treedecomp import _clique_minor_bound, brute_treewidth, width
 
 def _dump(obj) -> str:
     """Strict JSON: a NaN or an infinity here is a bug, not output."""
+    out = []
     try:
-        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        try:
+            _json(obj, "\n", out)
+        except (KeyError, TypeError):  # what _json does not write, json.dumps writes or refuses
+            return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise ContractError(f"output is not strict JSON: {exc}") from None
+    out.append("\n")
+    return "".join(out)
+
+
+def _finite(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    raise KeyError(x)  # json.dumps words the error
+
+
+# What json.dumps writes for each scalar type; a subclass, say of int, is not looked up,
+# and the str entry raises TypeError on a key of another type.
+_SCALARS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__, float: _finite,
+            bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _json(obj, newline: str, out: list) -> None:
+    """Append to out the text json.dumps(obj, indent=2, sort_keys=True) gives obj after
+    newline, a newline and the indent; KeyError or TypeError on a type it does not
+    write.  One list joined once holds no second copy of a large value's text."""
+    kind = type(obj)
+    if kind is not dict and kind is not list and kind is not tuple:
+        return out.append(_SCALARS[kind](obj))
+    opening, closing = "{}" if kind is dict else "[]"
+    if not obj:
+        return out.append(opening + closing)
+    inner = newline + "  "
+    kinds = set() if kind is dict else set(map(type, obj))
+    scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    if scalar:  # a list of one scalar type, in one join
+        return out.append(opening + inner + ("," + inner).join(map(scalar, obj)) + newline
+                          + closing)
+    sep = opening + inner
+    for key, value in sorted(obj.items()) if kind is dict else enumerate(obj):
+        out.append(sep + _SCALARS[str](key) + ": " if kind is dict else sep)
+        _json(value, inner, out)
+        sep = "," + inner
+    out.append(newline + closing)
 
 
 def _write(text: str, out) -> None:
@@ -87,10 +131,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    e = read_cwx(args.file)
     if args.normalize:
-        e = normalize(e)
-    result, cg = _decompose(e)
+        result, cg = _decompose(normalize(read_cwx(args.file)))
+    else:
+        result, cg = _decompose_cwx(args.file)
     report = verify_result(cg, result)
     if args.dot:
         _write(result_to_dot(result), args.out)
@@ -185,7 +229,7 @@ def cmd_qi_check(args) -> int:
         return 0 if rep.ok else 3
     if not args.file:
         raise InputError("give an expression file, or --map with --source/--target")
-    result, cg = _decompose(read_cwx(args.file))
+    result, cg = _decompose_cwx(args.file)
     tight, rep, certificate = _verify_projection(cg.graph, result.partition, args.c,
                                                  args.exhaustive)
     obj = {"c": rep.c, "qi": rep.to_json_dict(),
@@ -211,7 +255,7 @@ def cmd_minor_model(args) -> int:
 
 
 def cmd_cover_pullback(args) -> int:
-    result, cg = _decompose(read_cwx(args.file))
+    result, cg = _decompose_cwx(args.file)
     m = projection_map(cg.graph, result.partition)
     r_target = m.c * args.r + m.c
     if args.cover:
@@ -242,7 +286,7 @@ def cmd_cover_pullback(args) -> int:
 
 def cmd_treewidth(args) -> int:
     if args.quotient and str(args.file).endswith(".cwx"):
-        result, cg = _decompose(read_cwx(args.file))
+        result, cg = _decompose_cwx(args.file)
         g, _ = quotient(cg.graph, result.partition)
     else:
         g, _ = _load_graph(args.file)
@@ -266,19 +310,20 @@ def _arg(*flags, **options) -> tuple:
     return flags, options
 
 
-_COMMON = (_arg("--out", help="write output to this file instead of stdout"),
-           _arg("--pretty", action="store_true", help="human summary instead of JSON"))
+_COMMON = (_arg("--out", help="write output to this file instead of stdout"),)
+_PRETTY = _arg("--pretty", action="store_true", help="human summary instead of JSON")
 
-# name -> (help, handler, arguments), in the order the help lists them
+# name -> (help, handler, arguments), in the order the help lists them; a list of
+# arguments is a group of which a call may give one
 _COMMANDS = {
-    "eval": ("evaluate an expression file to a coloured graph", cmd_eval, (_arg("file"),)),
+    "eval": ("evaluate an expression file to a coloured graph", cmd_eval, (_PRETTY, _arg("file"))),
     "decompose": ("partition, quotient tree decomposition, verification", cmd_decompose, (
+        [_PRETTY, _arg("--dot", action="store_true", help="emit DOT instead of JSON")],
         _arg("file"),
         _arg("--normalize", action="store_true", help="repair a non-strict expression first"),
         _arg("--oracle", action="store_true",
              help="also compute the quotient's exact treewidth"),
-        _arg("--cap", type=int, default=None, help="oracle size cap override"),
-        _arg("--dot", action="store_true", help="emit DOT instead of JSON"))),
+        _arg("--cap", type=int, default=None, help="oracle size cap override"))),
     "generate": ("write a constructive witness expression", cmd_generate, (
         _arg("kind", choices=("path", "spider", "subdivided-clique")),
         _arg("--x", default="x", help="path: first endpoint name"),
@@ -293,12 +338,14 @@ _COMMANDS = {
         _arg("--n", type=int, default=4, help="clique: branch vertex count"),
         _arg("--times", type=int, default=7, help="clique: subdivisions per edge"))),
     "corpus": ("seeded random expressions plus batch verification", cmd_corpus, (
+        _PRETTY,
         _arg("--seed", type=int, required=True),
         _arg("--count", type=int, default=100),
         _arg("--max-k", type=int, default=5),
         _arg("--max-leaves", type=int, default=30),
         _arg("--out-dir", required=True))),
     "qi-check": ("check the quasi-isometry conditions", cmd_qi_check, (
+        _PRETTY,
         _arg("file", nargs="?", help="expression file (projection pipeline)"),
         _arg("--c", type=float, default=None, help="parameter override"),
         _arg("--exhaustive", action="store_true",
@@ -307,16 +354,19 @@ _COMMANDS = {
         _arg("--source", help="source graph for --map"),
         _arg("--target", help="target graph for --map"))),
     "minor-model": ("pull a clique minor model through an embedding", cmd_minor_model, (
+        _PRETTY,
         _arg("--n", type=int, default=4, help="pattern clique size"),
         _arg("--times", type=int, default=7, help="subdivisions per edge"),
         _arg("--c", type=float, default=1.0))),
     "cover-pullback": ("pull a cover of the quotient back to the graph", cmd_cover_pullback, (
+        _PRETTY,
         _arg("file"),
         _arg("--r", type=float, default=1.0, help="source scale (>= 1)"),
         _arg("--slope", type=float, default=None,
              help="target dilation slope (default: smallest adequate)"),
         _arg("--cover", help="target cover JSON (default: by components)"))),
     "treewidth": ("exact treewidth of a small graph", cmd_treewidth, (
+        _PRETTY,
         _arg("file", help="graph JSON or .cwx file"),
         _arg("--quotient", action="store_true",
              help="use the decomposer's quotient of a .cwx input"),
@@ -344,8 +394,10 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     for name, (help_text, handler, arguments) in _COMMANDS.items():
         if only in (None, name):
             p = sub.add_parser(name, help=help_text)
-            for flags, options in _COMMON + arguments:
-                p.add_argument(*flags, **options)
+            for item in _COMMON + arguments:
+                group = p.add_mutually_exclusive_group() if isinstance(item, list) else p
+                for flags, options in item if isinstance(item, list) else [item]:
+                    group.add_argument(*flags, **options)
             p.set_defaults(func=handler)
     return parser
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 
 from .errors import InputError
-from .expressions import LEAF, UNION, CwExpr, Join, Leaf, Recolor, Union, _kind, _Semantics
+from .expressions import (JOIN, LEAF, RECOLOR, UNION, CwExpr, Join, Leaf, Recolor, Union,
+                          _Semantics)
 
 
 def random_strict_expr(rng: random.Random, palette: int, max_leaves: int) -> CwExpr:
@@ -26,7 +27,7 @@ def random_strict_expr(rng: random.Random, palette: int, max_leaves: int) -> CwE
     segments = []  # (fragment, its state)
     for i in range(rng.randint(1, max_leaves)):
         leaf = Leaf(f"v{i}", rng.randint(1, palette))
-        segments.append((leaf, core.step(LEAF, leaf, ())[0]))
+        segments.append((leaf, core.step(LEAF, leaf.vertex, leaf.color, ())[0]))
 
     def merge_two():
         i, j = rng.sample(range(len(segments)), 2)
@@ -34,7 +35,7 @@ def random_strict_expr(rng: random.Random, palette: int, max_leaves: int) -> CwE
         for idx in sorted((i, j), reverse=True):
             del segments[idx]
         node = Union(left, right)
-        segments.append((node, core.step(UNION, node, (left_state, right_state))[0]))
+        segments.append((node, core.step(UNION, None, None, (left_state, right_state))[0]))
 
     def try_mutate(idx: int) -> bool:
         node, state = segments[idx]
@@ -47,13 +48,14 @@ def random_strict_expr(rng: random.Random, palette: int, max_leaves: int) -> CwE
             a, b = rng.choice(cands)
             if rng.random() < 0.5:
                 a, b = b, a
-            node = Join(a, b, node)
+            kind, node = JOIN, Join(a, b, node)
         else:
             cands = [(a, b) for a in used for b in used if a != b]
             if not cands:
                 return False
-            node = Recolor(*rng.choice(cands), node)
-        segments[idx] = (node, core.step(_kind(node), node, (state,))[0])
+            a, b = rng.choice(cands)
+            kind, node = RECOLOR, Recolor(a, b, node)
+        segments[idx] = (node, core.step(kind, a, b, (state,))[0])
         return True
 
     while len(segments) > 1:

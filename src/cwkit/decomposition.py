@@ -5,7 +5,9 @@ for every subexpression, a partition of its vertices into single-coloured
 dominated parts plus a tree decomposition of the quotient.  Two invariants
 carry the induction: a distinguished "rainbow" node whose bag holds a part
 of every colour in use, and, per colour, connectedness of the tree nodes
-whose bags meet that colour.
+whose bags meet that colour.  The recursion is one fold step; it folds an
+AST, or the parser's events straight from a .cwx file's text, which builds
+no AST.
 
 verify_result() re-derives every claimed property from the evaluated graph
 alone, so tests can mutate results and watch the right check fail.
@@ -18,9 +20,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from collections.abc import Mapping
 
-from .errors import ContractError
-from .expressions import (LEAF, RECOLOR, UNION, CwExpr, _find, _graph_of, _kind,
-                          _Semantics, fold_postorder, validate_strict)
+from .errors import ContractError, CwkitError
+from .expressions import (LEAF, RECOLOR, UNION, CwExpr, _fields, _find, _graph_of,
+                          _Semantics, _Text, fold_postorder, parse, read_text,
+                          validate_strict)
 from .graphs import ColoredGraph, Graph, Partition, is_dominated, quotient
 from .treedecomp import (CheckResult, TreeDecomposition, VerificationReport, _holding,
                          _td_checks, _td_witnesses, _verdict, is_tree, td_to_dot,
@@ -60,53 +63,77 @@ def decompose(e: CwExpr) -> DecompositionResult:
     return _decompose(e)[0]
 
 
+class _NotStrict(ContractError):
+    """A broken strict rule, met by a fold step, which cannot name the node's path."""
+
+
 def _decompose(e: CwExpr) -> tuple:
     """(decompose(e), the coloured graph e denotes), in one fold."""
-    core = _Semantics(e.k)
+    try:
+        return _folded(e.k, lambda step: fold_postorder(
+            e.root, lambda node, kids: step(*_fields(node), kids)))
+    except _NotStrict:
+        v = validate_strict(e).first()
+        why = _RULE_WHY.get(v.rule, "required by the construction")
+        raise ContractError(f"expression is not strict: {v} ({why})") from None
+
+
+def _decompose_cwx(path) -> tuple:
+    """_decompose(read_cwx(path)), folded straight from the parser's events; on any
+    error the text is parsed and its AST folded, so the error that wins is theirs."""
+    text = read_text(path)
+    try:
+        body = _Text(text)
+        return _folded(body.k, body.fold)
+    except CwkitError:
+        return _decompose(parse(text))
+
+
+def _folded(k: int, fold) -> tuple:
+    """(the result, the coloured graph) of fold(step), a fold of step(kind, x, y, kids)
+    over an expression on palette k; step raises _NotStrict at a broken strict rule."""
+    core = _Semantics(k)
     names = {}       # part -> part id
     bags = []        # tree node -> parts, resolved to part ids at the end
     tree_edges = []
     merge_counter = itertools.count()
 
-    def apply(kind, node, states):
-        st, broken = core.step(kind, node, states)
-        if broken:
-            v = validate_strict(e).first()
-            why = _RULE_WHY.get(v.rule, "required by the construction")
-            raise ContractError(f"expression is not strict: {v} ({why})")
-        return st
-
     # Each folded value is (state, rainbow node, the rainbow bag's parts by colour).
-    def step(node, kids):
-        kind = _kind(node)
+    def step(kind, x, y, kids):
         if kind == LEAF:
-            st = apply(kind, node, ())
-            part = st[node.color][0]
-            names[part] = node.vertex
+            st, broken = core.step(kind, x, y, ())
+            if broken:
+                raise _NotStrict
+            part = st[y][0]
+            names[part] = x
             bags.append([part])
-            return st, len(bags) - 1, {node.color: [part]}
+            return st, len(bags) - 1, {y: [part]}
         if kind == UNION:
-            (left_st, left, left_rb), (right_st, right, right_rb) = kids
-            st = apply(kind, node, (left_st, right_st))
+            (left_st, left, rb), (right_st, right, right_rb) = kids
+            st, _ = core.step(kind, x, y, (left_st, right_st))  # a union breaks no rule
             q = len(bags)
             tree_edges.extend(((q, left), (q, right)))
-            bag, rb = [], {}
+            bag = []  # the left operand's rainbow bag becomes this one's
             for c in sorted(st):
-                held = left_rb.get(c) or right_rb[c]
-                rb[c] = [held[0] if len(held) == 1 else min(held, key=names.get)]
-                bag += rb[c]
+                held = rb.get(c) or right_rb[c]
+                if len(held) > 1:
+                    held = [min(held, key=names.get)]
+                rb[c] = held
+                bag.append(held[0])
             bags.append(bag)
             return st, q, rb
         st, rainbow, rb = kids[0]
         if kind == RECOLOR:
-            apply(kind, node, (st,))
-            moved = rb.pop(node.old_color, None)
+            if core.step(kind, x, y, (st,))[1]:
+                raise _NotStrict
+            moved = rb.pop(x, None)
             if moved:
-                rb.setdefault(node.new_color, []).extend(moved)
+                rb.setdefault(y, []).extend(moved)
             return st, rainbow, rb
-        colors = (node.color_a, node.color_b)
+        colors = (x, y)
         sizes = [len(st.get(c, ())) for c in colors]
-        apply(kind, node, (st,))
+        if core.step(kind, x, y, (st,))[1]:
+            raise _NotStrict
         # The core fused each of the two colour classes into one part.
         for color, size in zip(colors, sizes):
             if not size:
@@ -122,7 +149,7 @@ def _decompose(e: CwExpr) -> tuple:
                 rb[color] = [fused]
         return st, rainbow, rb
 
-    final, rainbow, _ = fold_postorder(e.root, step)
+    final, rainbow, _ = fold(step)
 
     parts, part_colors = {}, {}
     for color, bucket in final.items():

@@ -13,6 +13,10 @@ Grammar (parenthesized prefix form, whitespace-insensitive):
 Vertex ids match [A-Za-z0-9_.-]+.  The canonical printer writes one node per
 line with two-space indentation and parse(format_expr(e)) == e holds exactly.
 
+The semantics is one step, _Semantics.step(kind, x, y, kids), folded over an
+AST or over a text's events, which complete nodes in the same postorder;
+parse is the text fold with a step that builds the nodes.
+
 Strict validity adds the side conditions the decomposition algorithm leans
 on: leaf vertex ids globally distinct, every colour within 1..k, both
 recolor colours present in the child's colouring, and every join adding at
@@ -100,15 +104,18 @@ class CwExpr:
 
 
 LEAF, UNION, RECOLOR, JOIN = range(4)
-_KINDS = {Leaf: LEAF, Union: UNION, Recolor: RECOLOR, Join: JOIN}
 
 
-def _kind(node: Node) -> int:
-    """LEAF, UNION, RECOLOR or JOIN; a subclass of a node class folds as that class."""
-    kind = _KINDS.get(type(node))
-    if kind is None:
-        kind = next((kind for cls, kind in _KINDS.items() if isinstance(node, cls)), JOIN)
-    return kind
+def _fields(node: Node) -> tuple:
+    """(kind, x, y): LEAF with the vertex and colour, UNION, or RECOLOR or JOIN with the
+    two colours; a subclass of a node class reads as that class."""
+    if isinstance(node, Leaf):
+        return LEAF, node.vertex, node.color
+    if isinstance(node, Union):
+        return UNION, None, None
+    if isinstance(node, Recolor):
+        return RECOLOR, node.old_color, node.new_color
+    return JOIN, node.color_a, node.color_b
 
 
 def _children(node: Node) -> tuple:
@@ -213,13 +220,32 @@ def _read_int(digits: str):
         return INFINITE
 
 
-class _Body:
-    """The expression after the header: its events, and where their tokens start."""
+class _Text:
+    """A .cwx document: its palette size k, the events of its expression, and where
+    their tokens start.  Header errors are raised here, expression errors by fold."""
 
-    def __init__(self, text: str, start: int, k: int):
+    def __init__(self, text: str):
+        start = _BLANK_LINES_RE.match(text).end()  # the header's line is the first nonblank
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        if not text[start:end].strip():
+            raise ParseError("empty input, expected a 'cw k=<int>' header", 1, 1)
+        m = _HEADER_RE.match(text, start, end)
+        if not m:
+            raise _error("expected header 'cw k=<int>'", text, start)
+        self.k = _read_int(m.group(1))
+        if self.k == INFINITE:
+            raise _error("palette size k has too many digits", text, m.start(1))
+        if self.k < 1:
+            raise _error("palette size k must be >= 1", text, start)
+        stray = _ALLOWED_RE.match(text, end).end()
+        if stray < len(text):
+            raise _error(f"unexpected character {text[stray]!r}", text, stray)
         # The scan ends at the last token: in trailing blanks each start would rescan the rest.
-        self.text, self.span, self.k = text, (start, len(text.rstrip())), k
+        self.text, self.span = text, (end, len(text.rstrip()))
         self.events = _EVENT_RE.findall(text, *self.span)
+        if not self.events:
+            raise _error("missing expression after header", text, start)
 
     def error(self, message: str, event: int, nth: int = 0) -> ParseError:
         """A ParseError at the nth token of the event-th event (-1: its last), found by a
@@ -228,100 +254,96 @@ class _Body:
         starts = [t.start(1) for t in _TOKEN_RE.finditer(self.text, m.start(), m.end())]
         return _error(message, self.text, starts[nth])
 
-    def node(self, frame: list) -> Node:
-        """The node of a frame that failed parse's quick check, or the error the
-        token parser raises at its ')'."""
-        at, kind, a, b, *rest = frame
-        # An atom is (token, event, nth token of the event); an int in a frame is an atom's event.
+    def fields(self, frame: list) -> tuple:
+        """The (kind, x, y, kids) of a frame that failed fold's quick check, or the error
+        the token parser raises at its ')'."""
+        at, op, a, b, *rest = frame
+        # An int in a frame is an atom's event; a whole leaf or a recolor or join head holds two.
+        shape, message = _SHAPES[op]
+        if (True, True) * bool(a) + tuple(type(x) is int for x in rest) != shape:
+            raise self.error(message, at, 1)
+        if op == "union":
+            return UNION, None, None, rest
+        # An atom is read as (token, event, nth token of the event).
         args = [(a, at, 2), (b, at, 3)] if a else []
         args += [(self.events[x][6], x, 0) if type(x) is int else x for x in rest]
-        shape, message = _SHAPES[kind]
-        if tuple(type(arg) is tuple for arg in args) != shape:
-            raise self.error(message, at, 1)
-        if kind == "union":
-            return Union(*args)
-        what = "leaf" if kind == "v" else kind
+        what = "leaf" if op == "v" else op
         colors = []
-        for value, event, nth in (args[1:] if kind == "v" else args[:2]):
+        for value, event, nth in (args[1:] if op == "v" else args[:2]):
             if not value.isdigit():
                 raise self.error(f"{what} colour must be an integer, got {value!r}", event, nth)
             colors.append(_read_int(value))
             if not 1 <= colors[-1] <= self.k:  # one too long to read is above every readable k
                 raise self.error(f"{what} colour {value.lstrip('0') or 0} out of range "
                                  f"1..{self.k}", event, nth)
-        if kind == "v":
-            return Leaf(args[0][0], colors[0])
+        if op == "v":
+            return LEAF, args[0][0], colors[0], ()
         if colors[0] == colors[1]:
-            raise self.error(f"{kind} colours must differ, both are {colors[0]}", *args[1][1:])
-        return (Recolor if kind == "recolor" else Join)(*colors, args[2])
+            raise self.error(f"{op} colours must differ, both are {colors[0]}", *args[1][1:])
+        return (RECOLOR if op == "recolor" else JOIN), *colors, args[2:]
+
+    def fold(self, step):
+        """step(kind, x, y, kids) folded over the expression, in time linear in the text
+        and in fold_postorder's order; step returns neither None nor an int.  Each node
+        is checked once, at its ')'; only one that fails the quick check is checked
+        token by token, for its error's message and place."""
+        k, events = self.k, self.events
+        stack = []  # open operators: [event, operator, colour, colour, arguments so far...]
+        root = None
+        for i, (vertex, color, op, a, b, bare, token) in enumerate(events):
+            if root is not None:
+                raise self.error("unexpected trailing input after expression", i)
+            if op or bare:
+                stack.append([i, op or bare, a, b])
+                continue
+            if vertex:
+                c = int(color)
+                value = (step(LEAF, vertex, c, ()) if 0 < c <= k
+                         else step(*self.fields([i, "v", vertex, color])))
+            elif token == ")":
+                if not stack:
+                    raise self.error("unmatched ')'", i)
+                _, op, a, b, *args = frame = stack.pop()
+                x, y = (int(a), int(b)) if a else (0, 0)  # only a recolor or join has colours here
+                if op == "union" and len(args) == 2 and int not in map(type, args):
+                    value = step(UNION, None, None, args)
+                elif (len(args) == 1 and type(args[0]) is not int and x != y
+                      and 0 < x <= k and 0 < y <= k):
+                    value = step(RECOLOR if op == "recolor" else JOIN, x, y, args)
+                else:
+                    value = step(*self.fields(frame))
+            elif token == "(":
+                after = events[i + 1][6] if i + 1 < len(events) else ""
+                if not after or after in "()":
+                    raise self.error("expected an operator after '('", i)
+                raise self.error(f"unknown operator {after!r}", i + 1)
+            elif stack:
+                stack[-1].append(i)
+                continue
+            else:
+                raise self.error(f"unexpected atom {token!r} outside an expression", i)
+            if stack:
+                stack[-1].append(value)
+            else:
+                root = value
+        if root is None:
+            raise self.error("unexpected end of input, unclosed '('", len(events) - 1, -1)
+        return root
+
+
+def _node(kind: int, x, y, kids) -> Node:
+    """The node a fold step makes from its fields and children."""
+    if kind == LEAF:
+        return Leaf(x, y)
+    if kind == UNION:
+        return Union(*kids)
+    return (Recolor if kind == RECOLOR else Join)(x, y, kids[0])
 
 
 def parse(text: str) -> CwExpr:
-    """Parse a .cwx document (header line plus one expression) in time linear in the text.
-
-    Each node is checked once, at its ')'; only one that fails the quick
-    check is checked token by token, for its error's message and place.
-    """
-    start = _BLANK_LINES_RE.match(text).end()  # the header's line is the first nonblank
-    end = text.find("\n", start)
-    end = len(text) if end < 0 else end
-    if not text[start:end].strip():
-        raise ParseError("empty input, expected a 'cw k=<int>' header", 1, 1)
-    m = _HEADER_RE.match(text, start, end)
-    if not m:
-        raise _error("expected header 'cw k=<int>'", text, start)
-    k = _read_int(m.group(1))
-    if k == INFINITE:
-        raise _error("palette size k has too many digits", text, m.start(1))
-    if k < 1:
-        raise _error("palette size k must be >= 1", text, start)
-    stray = _ALLOWED_RE.match(text, end).end()
-    if stray < len(text):
-        raise _error(f"unexpected character {text[stray]!r}", text, stray)
-
-    body = _Body(text, end, k)
-    if not body.events:
-        raise _error("missing expression after header", text, start)
-    stack = []  # open operators: [event, operator, colour, colour, arguments so far...]
-    root = None
-    for i, (vertex, color, op, a, b, bare, token) in enumerate(body.events):
-        if root is not None:
-            raise body.error("unexpected trailing input after expression", i)
-        if op or bare:
-            stack.append([i, op or bare, a, b])
-            continue
-        if vertex:
-            c = int(color)
-            node = Leaf(vertex, c) if 0 < c <= k else body.node([i, "v", vertex, color])
-        elif token == ")":
-            if not stack:
-                raise body.error("unmatched ')'", i)
-            _, op, a, b, *args = frame = stack.pop()
-            x, y = (int(a), int(b)) if a else (0, 0)  # only a recolor or join has colours here
-            if op == "union" and len(args) == 2 and int not in map(type, args):
-                node = Union(*args)
-            elif (len(args) == 1 and type(args[0]) is not int and x != y
-                  and 0 < x <= k and 0 < y <= k):
-                node = (Recolor if op == "recolor" else Join)(x, y, args[0])
-            else:
-                node = body.node(frame)
-        elif token == "(":
-            after = body.events[i + 1][6] if i + 1 < len(body.events) else ""
-            if not after or after in "()":
-                raise body.error("expected an operator after '('", i)
-            raise body.error(f"unknown operator {after!r}", i + 1)
-        elif stack:
-            stack[-1].append(i)
-            continue
-        else:
-            raise body.error(f"unexpected atom {token!r} outside an expression", i)
-        if stack:
-            stack[-1].append(node)
-        else:
-            root = node
-    if root is None:
-        raise body.error("unexpected end of input, unclosed '('", len(body.events) - 1, -1)
-    return CwExpr(k, root)
+    """Parse a .cwx document (header line plus one expression) in time linear in the text."""
+    body = _Text(text)
+    return CwExpr(body.k, body.fold(_node))
 
 
 # --------------------------------------------------------------- printing
@@ -350,13 +372,16 @@ def format_expr(e: CwExpr) -> str:
     return f"cw k={e.k}\n" + "\n".join(lines) + "\n"
 
 
-def read_cwx(path) -> CwExpr:
+def read_text(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            return fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
-    return parse(text)
+
+
+def read_cwx(path) -> CwExpr:
+    return parse(read_text(path))
 
 
 def write_cwx(path, e: CwExpr) -> None:
@@ -450,16 +475,16 @@ class _Semantics:
         self.last = {}     # vertex id -> its latest vertex
         self.dups = []     # heap of (-earlier vertex, id) not yet met at a union
 
-    def leaf(self, node: Leaf) -> _State:
+    def leaf(self, vertex: str, color: int) -> _State:
         v = len(self.names)
         part = _Part(v)
-        self.names.append(node.vertex)
+        self.names.append(vertex)
         self.leaves.append(part)
         self.adj.append(set())
-        if node.vertex in self.last:
-            heapq.heappush(self.dups, (-self.last[node.vertex], node.vertex))
-        self.last[node.vertex] = v
-        state = _State({node.color: [part]})
+        if vertex in self.last:
+            heapq.heappush(self.dups, (-self.last[vertex], vertex))
+        self.last[vertex] = v
+        state = _State({color: [part]})
         state.first = v
         return state
 
@@ -538,34 +563,33 @@ class _Semantics:
             q.full[p.leaf] = (len(q.members), len(p.members))
         return bool(added)
 
-    def step(self, kind: int, node: Node, kids: tuple) -> tuple:
-        """(state after node, its broken strict rules as (rule, message) pairs).
+    def step(self, kind: int, x, y, kids) -> tuple:
+        """(state after a node, its broken strict rules as (rule, message) pairs).
 
-        kind is _kind(node).  A rule is listed only when it breaks.  A
-        duplicated vertex id has no message here: its message names a path.
+        kind, x and y are the node's _fields, kids its children's states.  A rule
+        is listed only when it breaks.  A duplicated vertex id has no message here:
+        its message names a path.
         """
         k = self.k
         if kind == LEAF:
-            broken = () if 1 <= node.color <= k else _outside(k, "leaf", node.color)
-            if node.vertex in self.last:
+            broken = () if 1 <= y <= k else _outside(k, "leaf", y)
+            if x in self.last:
                 broken += ((RULE_DUP_VERTEX, None),)
-            return self.leaf(node), broken
+            return self.leaf(x, y), broken
         if kind == UNION:
             return self.union(*kids), ()
         state = kids[0]
         if kind == RECOLOR:
-            old, new = node.old_color, node.new_color
-            broken = () if 1 <= old <= k and 1 <= new <= k else _outside(k, "recolor", old, new)
-            had_old, had_new = self.recolor(state, old, new)
+            broken = () if 1 <= x <= k and 1 <= y <= k else _outside(k, "recolor", x, y)
+            had_old, had_new = self.recolor(state, x, y)
             if not had_old:
-                broken += ((RULE_OP2_I_UNUSED, f"recolor source colour {old} unused below"),)
+                broken += ((RULE_OP2_I_UNUSED, f"recolor source colour {x} unused below"),)
             if not had_new:
-                broken += ((RULE_OP2_J_UNUSED, f"recolor target colour {new} unused below"),)
+                broken += ((RULE_OP2_J_UNUSED, f"recolor target colour {y} unused below"),)
             return state, broken
-        a, b = node.color_a, node.color_b
-        broken = () if 1 <= a <= k and 1 <= b <= k else _outside(k, "join", a, b)
-        if not self.join(state, a, b):
-            broken += ((RULE_OP3_NO_NEW_EDGE, f"join of colours {a},{b} adds no new edge"),)
+        broken = () if 1 <= x <= k and 1 <= y <= k else _outside(k, "join", x, y)
+        if not self.join(state, x, y):
+            broken += ((RULE_OP3_NO_NEW_EDGE, f"join of colours {x},{y} adds no new edge"),)
         return state, broken
 
 
@@ -576,7 +600,7 @@ def evaluate(e: CwExpr) -> ColoredGraph:
     strictness side conditions are validate_strict's business, not ours.
     """
     core = _Semantics(e.k)
-    state = fold_postorder(e.root, lambda node, kids: core.step(_kind(node), node, kids)[0])
+    state = fold_postorder(e.root, lambda node, kids: core.step(*_fields(node), kids)[0])
     return _graph_of(core, state)
 
 
@@ -633,7 +657,7 @@ def validate_strict(e: CwExpr) -> ValidationReport:
     found = {}  # id(node) -> its broken rules, the same at every occurrence
 
     def step(node, kids):
-        state, broken = core.step(_kind(node), node, kids)
+        state, broken = core.step(*_fields(node), kids)
         if broken:
             found[id(node)] = broken
         return state
@@ -674,19 +698,20 @@ def normalize(e: CwExpr) -> CwExpr:
     dropped = {}  # id(node) -> the two colours its removal swaps below, or ()
 
     def decide(node, kids):
-        state, broken = core.step(_kind(node), node, kids)
+        kind, x, y = _fields(node)
+        state, broken = core.step(kind, x, y, kids)
         rules = {rule for rule, _ in broken}
         if RULE_COLOR_RANGE in rules:
-            raise InputError(broken[0][1] if isinstance(node, Leaf) else
+            raise InputError(broken[0][1] if kind == LEAF else
                              f"{type(node).__name__.lower()} colour outside the palette")
         if rules & {RULE_OP2_I_UNUSED, RULE_OP3_NO_NEW_EDGE}:
             dropped[id(node)] = ()
         elif RULE_OP2_J_UNUSED in rules:
-            dropped[id(node)] = (node.old_color, node.new_color)
+            dropped[id(node)] = (x, y)
         return state
 
     fold_postorder(e.root, decide)
-    rename, colours, stack = {}, {}, [e.root]  # rename: colour -> colour, by the swaps above
+    rename, renamed, stack = {}, {}, [e.root]  # rename: colour -> colour, by the swaps above
     while stack:
         node = stack.pop()
         if isinstance(node, dict):  # a swapped subtree is done: restore the renaming above it
@@ -696,20 +721,14 @@ def normalize(e: CwExpr) -> CwExpr:
             old, new = swap
             stack.append({old: rename.get(old, old), new: rename.get(new, new)})
             rename[old], rename[new] = stack[-1][new], stack[-1][old]
-        kind = _kind(node)
-        own = ((node.color,) if kind == LEAF else () if kind == UNION else
-               (node.old_color, node.new_color) if kind == RECOLOR else (node.color_a, node.color_b))
-        colours[id(node)] = [rename.get(c, c) for c in own]
+        kind, x, y = _fields(node)  # a leaf's x is its vertex, which no swap renames
+        renamed[id(node)] = kind, x if kind == LEAF else rename.get(x, x), rename.get(y, y)
         stack.extend(_children(node))
 
     def build(node, kids):
         if id(node) in dropped:
             return kids[0]
-        c = colours[id(node)]
-        if isinstance(node, Leaf):
-            return node if c == [node.color] else Leaf(node.vertex, *c)
-        if isinstance(node, Union):
-            return Union(*kids)
-        return (Recolor if isinstance(node, Recolor) else Join)(*c, kids[0])
+        kind, x, y = renamed[id(node)]
+        return node if kind == LEAF and y == node.color else _node(kind, x, y, kids)
 
     return CwExpr(e.k, fold_postorder(e.root, build))

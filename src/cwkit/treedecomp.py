@@ -6,11 +6,12 @@ above its size cap.  _clique_minor_bound gives min(tw, 3) in linear time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Mapping
 
 from .errors import InputError, SizeCapError
-from .graphs import Graph, _components_within, _connected_within, _dot, is_connected
+from .graphs import Graph, _components_within, _dot, is_connected
 
 DEFAULT_TREEWIDTH_CAP = 12
 
@@ -122,9 +123,16 @@ def _td_checks(g: Graph, td: TreeDecomposition, holding: dict, vertex_noun: str,
 
 
 def _td_witnesses(g: Graph, td: TreeDecomposition, holding: dict) -> tuple:
-    """(the first vertex of g whose bags induce no subtree, the first edge of g in
-    no bag), each None when there is none; holding inverts td's bags."""
-    split = next((v for v in g.vertices if not _connected_within(td.tree, holding[v])), None)
+    """(the first vertex of g whose nodes induce no subtree, the first edge of g whose
+    ends share no node), each None when there is none; holding maps each vertex of g
+    to its nodes of td.tree, a tree.  Nodes of a tree induce a subtree iff there are
+    some and they span one tree edge fewer than their number."""
+    at = {t: set() for t in td.tree.vertices}  # tree node -> the vertices holding puts there
+    for v in g.vertices:
+        for t in holding[v]:
+            at[t].add(v)
+    spanned = Counter(v for s, t in td.tree.edges for v in at[s] & at[t])
+    split = next((v for v in g.vertices if spanned[v] != len(holding[v]) - 1), None)
     uncovered = next(((u, v) for u, v in g.edges if holding[u].isdisjoint(holding[v])), None)
     return split, uncovered
 

@@ -869,6 +869,54 @@ COMMANDS = ("eval", "decompose", "generate", "corpus", "qi-check", "minor-model"
             "cover-pullback", "treewidth", "export-dot")
 
 
+# Strings the writer must escape as json.dumps does: non-ASCII (astral too), control
+# characters, quotes, backslashes and brackets.
+JSON_TEXT = st.text(st.sampled_from('az09"\\/[]{}:, \n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+JSON_SCALARS = (JSON_TEXT | st.integers() | st.integers(-10 ** 40, 10 ** 40) | st.booleans()
+                | st.none() | st.sampled_from([-0.0, 0.0, 1e16, 1e-7, 0.1, -2.5e300])
+                | st.floats(allow_nan=False, allow_infinity=False))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda kids: (
+    st.lists(kids, max_size=4) | st.tuples(kids, kids)
+    | st.lists(st.sampled_from([1, 2]), max_size=3).map(tuple)  # one scalar type, in a tuple
+    | st.dictionaries(JSON_TEXT, kids, max_size=4)), max_leaves=25)
+
+
+def stdlib_dump(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+class TestJsonWriter:
+    """cli._dump writes what json.dumps(indent=2, sort_keys=True) writes, or hands over."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(JSON_VALUES)
+    def test_same_text_as_the_stdlib(self, obj):
+        assert cli._dump(obj) == stdlib_dump(obj)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_floats_are_a_contract_error(self, bad):
+        for obj in (bad, [1, bad], {"a": [bad, 1.0]}, {"a": 1, "b": {"c": (bad,)}}):
+            with pytest.raises(ValueError) as want:
+                stdlib_dump(obj)
+            with pytest.raises(cli.ContractError) as got:
+                cli._dump(obj)
+            assert str(got.value) == f"output is not strict JSON: {want.value}"
+
+    @pytest.mark.parametrize("obj", [{1: "a", 2: [3]}, {"a": {None: 1}}, [{True: 0, False: 1}],
+                                     {"x": {2.5: "y"}}, {"a": [1, True, 2]}, {"a": [1.5, 2]}])
+    def test_other_keys_and_mixed_lists_match_the_stdlib(self, obj):
+        assert cli._dump(obj) == stdlib_dump(obj)
+
+    def test_a_type_it_does_not_write_reaches_the_stdlib(self):
+        class Count(int):
+            pass
+
+        for obj in ({"a": Count(3)}, [Count(1), Count(2)], {"a": {"b": Count(-4)}}):
+            assert cli._dump(obj) == stdlib_dump(obj)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._dump({"a": {1, 2}})
+
+
 def exit_of(call, argv):
     """(exit code, stdout, stderr) of call(argv); an argparse exit is ("SystemExit", code)."""
     out, err = io.StringIO(), io.StringIO()
@@ -922,6 +970,21 @@ class TestParser:
         assert (code, out) == (("SystemExit", 2), "")
         assert err.endswith(f"error: unrecognized arguments: {rest}\n")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, error", [
+        (["generate", "path", "--pretty"], "unrecognized arguments: --pretty"),
+        (["export-dot", "F", "--pretty"], "unrecognized arguments: --pretty"),
+        (["decompose", "F", "--dot", "--pretty"],
+         "argument --pretty: not allowed with argument --dot")],
+        ids=["generate", "export-dot", "decompose --dot"])
+    def test_pretty_is_refused_where_it_changes_nothing(self, argv, error):
+        # these routes write expression or DOT text, which has no human summary
+        code, out, err = exit_of(main, argv)
+        assert (code, out) == (("SystemExit", 2), "")
+        assert err.endswith(f"error: {error}\n")
+        assert "Traceback" not in err
+        help_text = exit_of(main, [argv[0], "-h"])[1]
+        assert ("--pretty" in help_text) == (argv[0] == "decompose")
 
     @pytest.mark.parametrize("argv", [[name, "-h"] for name in COMMANDS]
                              + [["generate", "path", "--length", "3"], [], ["bogus"],

@@ -289,8 +289,8 @@ class TestJoinCost:
     def pairs_examined(self, monkeypatch, e):
         original = expressions._Semantics.leaf
 
-        def leaf(self, node):
-            state = original(self, node)
+        def leaf(self, *fields):
+            state = original(self, *fields)
             self.adj[-1] = _CountingSet()
             return state
 
@@ -357,8 +357,8 @@ class TestValidationCost:
     def members_scanned(self, monkeypatch, e):
         original = expressions._Semantics.leaf
 
-        def leaf(self, node):
-            state = original(self, node)
+        def leaf(self, *fields):
+            state = original(self, *fields)
             self.leaves[-1].members = _CountingList(self.leaves[-1].members)
             return state
 

@@ -12,10 +12,14 @@ from cwkit import (CheckResult, Graph, InputError, SizeCapError, TreeDecompositi
                    is_tree, quotient, subdivide, td_to_dot, td_to_json_dict, validate_td,
                    width)
 from cwkit.decomposition import _decompose
-from cwkit.treedecomp import _clique_minor_bound
+from cwkit.graphs import _connected_within
+from cwkit.treedecomp import _clique_minor_bound, _holding, _td_witnesses
 
 from helpers import (clique_data, cycle_data, grid_data, has_minor, naive_validate_td,
                      path_data, perm_treewidth, star_data)
+
+
+SUBTREE_SEED = 2718
 
 
 def G(data):
@@ -157,6 +161,50 @@ class TestValidate:
         got = validate_td(Graph(vs, es), TreeDecomposition(tree, bags)).to_json_dict()
         want = naive_validate_td(vs, es, list(tree.edges), bags)
         assert json.dumps(got) == json.dumps(want)
+
+
+class TestSubtreeCount:
+    """_td_witnesses counts the tree edges each vertex's nodes span; a walk per vertex
+    (_connected_within) is the reference it is graded against."""
+
+    @staticmethod
+    def walked(g, td, holding):
+        return next((v for v in g.vertices if not _connected_within(td.tree, holding[v])), None)
+
+    def test_first_split_matches_a_walk_per_vertex(self):
+        rng = random.Random(SUBTREE_SEED)
+        split = {"bags": 0, "unions": 0}
+        for e in generate_corpus(SUBTREE_SEED, 60, 5, 30):
+            result, cg = _decompose(e)
+            q, _ = quotient(cg.graph, result.partition)
+            tree, bags = result.tree.tree, {t: set(b) for t, b in result.tree.bags.items()}
+            for _ in range(rng.randint(0, 3)):
+                pid = rng.choice(q.vertices)
+                held = [t for t in bags if pid in bags[t]]
+                mutant = rng.choice(("middle", "nowhere", "far"))
+                if mutant == "middle":  # leaves a node whose neighbours still hold it
+                    middle = [t for t in held
+                              if sum(pid in bags[n] for n in tree.neighbors(t)) >= 2]
+                    if middle:
+                        bags[rng.choice(middle)].discard(pid)
+                elif mutant == "nowhere":
+                    for t in held:
+                        bags[t].discard(pid)
+                else:
+                    bags[rng.choice(tree.vertices)].add(pid)
+            td = TreeDecomposition(tree, bags)
+            holding = _holding(td, q.vertices)
+            want = self.walked(q, td, holding)
+            assert _td_witnesses(q, td, holding)[0] == want
+            split["bags"] += want is not None
+            # Unions of the parts' holdings, as color_subtrees passes: not the bags' inverse.
+            groups = Graph(range(4))
+            unions = {c: set().union(*(holding[pid] for pid in q.vertices if rng.random() < 0.3))
+                      for c in groups.vertices}
+            want = self.walked(groups, td, unions)
+            assert _td_witnesses(groups, td, unions)[0] == want
+            split["unions"] += want is not None
+        assert min(split.values()) >= 10, split
 
 
 def valid_decomposition(rng, vs, es, shape, size):
