@@ -20,7 +20,7 @@ from .covers import (ControlDilation, _check_scale, cover_by_components,
                      validate_cover)
 from .decomposition import (_decompose, _decompose_cwx, result_to_dot, result_to_json_dict,
                             verify_result)
-from .errors import ContractError, InputError, ParseError, SizeCapError
+from .errors import ContractError, CwkitError, InputError, ParseError, SizeCapError
 from .expressions import (evaluate, format_expr, normalize, read_cwx,
                           validate_strict, write_cwx)
 from .generators import (build_minor_model, complete_graph, gen_path,
@@ -285,13 +285,7 @@ def cmd_cover_pullback(args) -> int:
 
 
 def cmd_treewidth(args) -> int:
-    if args.quotient and str(args.file).endswith(".cwx"):
-        result, cg = _decompose_cwx(args.file)
-        g, _ = quotient(cg.graph, result.partition)
-    else:
-        g, _ = _load_graph(args.file)
-        if args.quotient:
-            raise InputError("--quotient needs a .cwx input")
+    g, _ = _load_graph(args.file)
     tw = brute_treewidth(g, cap=args.cap)
     _emit(args, {"treewidth": tw, "vertices": len(g)},
           [f"treewidth = {tw}", f"vertices = {len(g)}"])
@@ -368,8 +362,6 @@ _COMMANDS = {
     "treewidth": ("exact treewidth of a small graph", cmd_treewidth, (
         _PRETTY,
         _arg("file", help="graph JSON or .cwx file"),
-        _arg("--quotient", action="store_true",
-             help="use the decomposer's quotient of a .cwx input"),
         _arg("--cap", type=int, default=None, help="size cap override"))),
     "export-dot": ("DOT rendering of a graph JSON or expression file", cmd_export_dot,
                    (_arg("file"),)),
@@ -408,19 +400,9 @@ def main(argv=None) -> int:
     args = _build_parser(command).parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (CwkitError, OSError) as exc:  # an OSError: unreadable input or unwritable --out
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (InputError, ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        # unreadable input or unwritable --out target
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ParseError) else 4 if isinstance(exc, SizeCapError) else 3
 
 
 if __name__ == "__main__":

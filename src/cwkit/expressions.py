@@ -44,15 +44,22 @@ RULE_EMPTY_OPERAND = "EMPTY_OPERAND"
 _ID_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
 
+def _positive(what: str, *values) -> None:
+    """InputError unless each value is an int, not a bool, and at least 1, so that
+    parse reads what format_expr writes of it back as the same value."""
+    for value in values:
+        if type(value) is not int or value < 1:
+            raise InputError(f"{what} must be a positive int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Leaf:
     vertex: str
     color: int
 
     def __post_init__(self):
-        if not isinstance(self.color, int) or self.color < 1:
-            raise InputError(f"leaf colour must be a positive int, got {self.color!r}")
-        if not _ID_RE.fullmatch(str(self.vertex)):
+        _positive("leaf colour", self.color)
+        if type(self.vertex) is not str or not _ID_RE.fullmatch(self.vertex):
             raise InputError(f"invalid vertex id {self.vertex!r}")
 
 
@@ -71,8 +78,7 @@ class Recolor:
     def __post_init__(self):
         if self.old_color == self.new_color:
             raise InputError("recolor colours must differ")
-        if min(self.old_color, self.new_color) < 1:
-            raise InputError("recolor colours must be positive")
+        _positive("recolor colour", self.old_color, self.new_color)
 
 
 @dataclass(frozen=True)
@@ -84,8 +90,7 @@ class Join:
     def __post_init__(self):
         if self.color_a == self.color_b:
             raise InputError("join colours must differ")
-        if min(self.color_a, self.color_b) < 1:
-            raise InputError("join colours must be positive")
+        _positive("join colour", self.color_a, self.color_b)
 
 
 Node = Leaf | Union | Recolor | Join
@@ -99,8 +104,7 @@ class CwExpr:
     root: Node
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
-            raise InputError(f"palette size must be a positive int, got {self.k!r}")
+        _positive("palette size", self.k)
 
 
 LEAF, UNION, RECOLOR, JOIN = range(4)

@@ -1,7 +1,8 @@
 """Tree decompositions, an exact treewidth oracle, and a clique-minor bound.
 
-brute_treewidth, a DP over vertex subsets, is exponential and refuses graphs
-above its size cap.  _clique_minor_bound gives min(tw, 3) in linear time.
+brute_treewidth, the O*(2^n) subset recurrence of Bodlaender, Fomin, Koster,
+Kratsch and Thilikos, is exponential and refuses graphs above its size cap.
+_clique_minor_bound gives min(tw, 3) in linear time.
 """
 
 from __future__ import annotations
@@ -150,11 +151,13 @@ def _holding(td: TreeDecomposition, ids) -> dict:
 # --------------------------------------------------------------- treewidth
 
 def brute_treewidth(g: Graph, cap: int | None = None) -> int:
-    """Exact treewidth by DP over elimination prefixes.
+    """tw(g) = TW(V) by the recurrence of Bodlaender, Fomin, Koster, Kratsch and Thilikos
+    ("On exact algorithms for treewidth", ACM TALG 9(1), 2012), in time O*(2^n):
 
-    For an eliminated set S and next victim v, the bag size contribution is
-    the number of vertices outside S reachable from v through S.  Memoizing
-    over subsets gives O(2^n poly) which is the whole point of the cap.
+        TW(S) = min over v in S of max(TW(S - v), |Q(S - v, v)|),  TW({}) = -1,
+
+    where Q(S, v), the vertices outside S + v that v reaches through S, are v's
+    neighbours once S is eliminated.  The time is the whole point of the cap.
     """
     n = len(g)
     if n == 0:
@@ -163,51 +166,32 @@ def brute_treewidth(g: Graph, cap: int | None = None) -> int:
     if n > cap:
         raise SizeCapError(f"graph has {n} vertices, exact treewidth capped at {cap}")
 
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    adj = [0] * n
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    adj = dict.fromkeys(bit.values(), 0)  # a vertex's bit -> its neighbours' bits
     for u, v in g.edges:
-        adj[idx[u]] |= 1 << idx[v]
-        adj[idx[v]] |= 1 << idx[u]
+        adj[bit[u]] |= bit[v]
+        adj[bit[v]] |= bit[u]
 
-    def back_degree(prefix: int, v: int) -> int:
-        allowed = prefix | (1 << v)
-        comp = 1 << v
-        frontier = comp
+    def around(mask: int) -> int:
+        """The union of the neighbourhoods of mask's members."""
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= adj[low]
+            mask ^= low
+        return out
+
+    def q_size(s: int, v: int) -> int:  # |Q(s, v)|, v a bit outside s
+        reached = frontier = v
         while frontier:
-            reach = 0
-            m = frontier
-            while m:
-                low = m & -m
-                reach |= adj[low.bit_length() - 1]
-                m ^= low
-            frontier = reach & allowed & ~comp
-            comp |= frontier
-        boundary = 0
-        m = comp
-        while m:
-            low = m & -m
-            boundary |= adj[low.bit_length() - 1]
-            m ^= low
-        return bin(boundary & ~allowed).count("1")
+            frontier = around(frontier) & s & ~reached
+            reached |= frontier
+        return (around(reached) & ~(s | v)).bit_count()
 
-    full = (1 << n) - 1
-    dp = {0: -1}
-    subsets = sorted(range(1 << n), key=lambda s: bin(s).count("1"))
-    for s in subsets:
-        if s == 0:
-            continue
-        best = n
-        m = s
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            prev = s ^ low
-            cand = max(dp[prev], back_degree(prev, v))
-            if cand < best:
-                best = cand
-            m ^= low
-        dp[s] = best
-    return dp[full]
+    tw = [-1] * (1 << n)  # by subset; each S - v precedes S
+    for s in range(1, 1 << n):
+        tw[s] = min(max(tw[s ^ v], q_size(s ^ v, v)) for v in adj if s & v)
+    return tw[-1]
 
 
 # ------------------------------------------------------------ minor bound

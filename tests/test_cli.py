@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 try:
     import resource
@@ -288,6 +289,22 @@ class TestCorpus:
         assert out == (tmp_path / "summary.json").read_text(encoding="utf-8")
         code, pretty, _ = run(capsys, *argv, "--pretty")
         assert pretty == f"4/4 instances pass\nwritten to {tmp_path}\n"
+
+    @pytest.mark.parametrize("fails", [("tight_projection_bounds",), ("qi_at_3",),
+                                       ("tight_projection_bounds", "qi_at_3")],
+                             ids=["tight", "qi3", "both"])
+    def test_a_failed_projection_verdict_is_named(self, capsys, tmp_path, monkeypatch, fails):
+        def verdict(name):
+            return SimpleNamespace(ok=name not in fails)
+        monkeypatch.setattr(cli, "_verify_projection", lambda g, p, c: (
+            verdict("tight_projection_bounds"), verdict("qi_at_3"), None))
+        code, out, _ = run(capsys, "corpus", "--seed", "1", "--count", "2",
+                           "--out-dir", str(tmp_path))
+        assert code == 3
+        summary = json.loads(out)
+        assert summary["all_pass"] is False
+        assert [(item["pass"], item["failed"]) for item in summary["instances"]] == [
+            (False, list(fails))] * 2
 
     def test_empty_corpus(self, capsys, tmp_path):
         code, out, _ = run(capsys, "corpus", "--seed", "1", "--count", "0",
@@ -656,16 +673,16 @@ class TestTreewidth:
         assert json.loads(out)["treewidth"] == 1
 
     def test_quotient_flag(self, capsys, k2_file):
-        code, out, _ = run(capsys, "treewidth", k2_file, "--quotient")
+        # treewidth takes no --quotient; the quotient it measured, two parts of
+        # treewidth 1, is measured by decompose --oracle
+        code, out, err = exit_of(main, ["treewidth", k2_file, "--quotient"])
+        assert (code, out) == (("SystemExit", 2), "")
+        assert err.endswith("error: unrecognized arguments: --quotient\n")
+        code, out, _ = run(capsys, "decompose", k2_file, "--oracle")
         assert code == 0
-        assert json.loads(out)["vertices"] == 2
-
-    def test_quotient_needs_cwx(self, capsys, tmp_path):
-        path = tmp_path / "g.json"
-        path.write_text(json.dumps({"vertices": ["a"], "edges": []}))
-        code, _, err = run(capsys, "treewidth", str(path), "--quotient")
-        assert code == 3
-        assert ".cwx" in err
+        obj = json.loads(out)
+        assert len(obj["result"]["parts"]) == 2
+        assert obj["quotient_treewidth"] == 1
 
     def test_cap_exits_4(self, capsys, tmp_path):
         vs = [f"v{i}" for i in range(13)]
@@ -774,14 +791,8 @@ class TestOneFoldPerVerdict:
         code, out, want = run(capsys, "decompose", str(path))
         assert (code, out) == (3, "")
         assert want.startswith("error: expression is not strict: ")
-        for argv in (("qi-check",), ("cover-pullback",), ("treewidth", "--quotient")):
+        for argv in (("qi-check",), ("cover-pullback",), ("decompose", "--oracle")):
             assert run(capsys, argv[0], str(path), *argv[1:]) == (3, "", want), argv
-
-    def test_quotient_reads_a_graph_file_before_rejecting_it(self, capsys, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        code, _, _ = run(capsys, "treewidth", str(path), "--quotient")
-        assert code == 2
 
 
 class TestCertifiedVerdicts:
@@ -962,10 +973,13 @@ class TestParser:
     @pytest.mark.parametrize("argv, rest", [
         (["eval", "F", "--dot"], "--dot"),
         (["export-dot", "F", "--kind", "decomposition"], "--kind decomposition"),
-        (["minor-model", "--oracle"], "--oracle")], ids=["eval", "export-dot", "minor-model"])
+        (["minor-model", "--oracle"], "--oracle"),
+        (["treewidth", "F", "--quotient"], "--quotient")],
+        ids=["eval", "export-dot", "minor-model", "treewidth"])
     def test_a_second_route_to_an_answer_is_an_argparse_error(self, argv, rest):
         # a graph's DOT comes from export-dot, a decomposition's from decompose --dot,
-        # and build_minor_model checks every model it returns
+        # a quotient's treewidth from decompose --oracle, and build_minor_model checks
+        # every model it returns
         code, out, err = exit_of(main, argv)
         assert (code, out) == (("SystemExit", 2), "")
         assert err.endswith(f"error: unrecognized arguments: {rest}\n")
@@ -1100,7 +1114,7 @@ def command_argv(name, files):
         "minor-model": {"--c": FLOATS},
         "cover-pullback": {"--r": FLOATS, "--slope": FLOATS,
                            "--cover": st.just(files["cover"])},
-        "treewidth": {"--quotient": switch, "--cap": SIZES},
+        "treewidth": {"--cap": SIZES},
         "export-dot": {},
     }[name]
     options = st.fixed_dictionaries({flag: SIZES for flag in sizes},
@@ -1139,7 +1153,7 @@ class TestContract:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(mutate_text(rng, rng.choice(texts)))
             for argv in (["eval"], ["decompose"], ["qi-check"], ["cover-pullback"],
-                         ["treewidth", "--quotient"]):
+                         ["decompose", "--oracle"]):
                 code, out, err = exit_of(main, [argv[0], str(path), *argv[1:]])
                 assert code in (0, 2, 3, 4), (path.read_text(encoding="utf-8"), argv, code, err)
                 assert "Traceback" not in err

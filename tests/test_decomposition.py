@@ -280,7 +280,8 @@ class TestVerifyCatchesMutations:
 
 def mutants(result, rng):
     """The result with one planted defect each: a part dropped from one bag, a
-    tree edge rewired, two part colours swapped, and a part split in two."""
+    tree edge rewired, two part colours swapped, a part split in two, a vertex
+    outside the graph added to a part, and a rainbow node outside the tree."""
     bags = dict(result.tree.bags)
     full = [t for t, b in bags.items() if b]
     t = rng.choice(full)
@@ -317,6 +318,13 @@ def mutants(result, rng):
         yield dataclasses.replace(result, partition=Partition(parts), part_colors=colors,
                                   tree=TreeDecomposition(result.tree.tree, bags))
 
+    parts = result.partition.as_dict()
+    first = result.partition.ids[0]
+    parts[first] = [*parts[first], "~outside"]  # no vertex id has a '~'
+    yield dataclasses.replace(result, partition=Partition(parts))
+
+    yield dataclasses.replace(result, rainbow_node=-1)  # the tree numbers its nodes from 0
+
 
 class TestAgainstNaiveVerifier:
     """verify_result's witnesses, byte for byte, against one rescan per question."""
@@ -332,7 +340,7 @@ class TestAgainstNaiveVerifier:
 
     def test_witnesses_match(self):
         rng = random.Random(31)
-        seen_failures = set()
+        seen_failures, witnesses = set(), set()
         for e in self.cases():
             g, result = evaluate(e), decompose(e)
             for candidate in (result, *mutants(result, rng)):
@@ -340,9 +348,13 @@ class TestAgainstNaiveVerifier:
                 got = verify_result(g, candidate).to_json_dict()
                 assert json.dumps(got) == json.dumps(want)
                 seen_failures.update(c["name"] for c in want["checks"] if not c["ok"])
+                witnesses.update(c["witness"] for c in want["checks"] if not c["ok"])
         # the mutants reach every check that can fail on a well-formed result
-        assert seen_failures >= {"part_colors_match", "tree_valid", "bag_subtrees",
-                                 "edges_covered", "rainbow_bag", "color_subtrees"}
+        assert seen_failures >= {"part_colors_match", "parts_dominated", "tree_valid",
+                                 "bag_subtrees", "edges_covered", "rainbow_bag",
+                                 "color_subtrees"}
+        assert "rainbow node -1 not in the tree" in witnesses
+        assert any(w.endswith("has vertices outside the graph") for w in witnesses)
 
     @pytest.mark.parametrize("unplaced, split", [("p", "q"), ("q", "p")])
     def test_first_bag_subtrees_witness(self, unplaced, split):

@@ -49,6 +49,33 @@ class TestAst:
         with pytest.raises(InputError):
             Recolor(0, 1, leaf)
 
+    @pytest.mark.parametrize("make", [
+        lambda: Leaf(5, 1), lambda: Leaf("a", True), lambda: Leaf("a", 1.0),
+        lambda: Recolor(1.0, 2, Leaf("a", 1)), lambda: Recolor(1, "2", Leaf("a", 1)),
+        lambda: Join(True, 2, Leaf("a", 1)), lambda: Join(0, 1, Leaf("a", 1)),
+        lambda: CwExpr(True, Leaf("a", 1)), lambda: CwExpr(0, Leaf("a", 1)),
+        lambda: evaluate(CwExpr(1, Union(Leaf(5, 1), Leaf("5", 1))))],
+        ids=["int id", "bool colour", "float colour", "float recolor", "str recolor",
+             "bool join", "zero join", "bool k", "zero k", "int and str ids"])
+    def test_fields_parse_cannot_read_back_are_refused(self, make):
+        # format_expr would print these as text parse refuses or reads as another node
+        with pytest.raises(InputError):
+            make()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_accepted_nodes_read_back(self, data):
+        k = data.draw(st.sampled_from([2, 3, 7, 10 ** 20]), label="k")
+        color = st.integers(1, min(k, 3)) | st.integers(1, k)
+        pair = st.tuples(color, color).filter(lambda ab: ab[0] != ab[1])
+        leaf = st.builds(Leaf, st.from_regex(r"[A-Za-z0-9_.-]{1,8}", fullmatch=True), color)
+        root = data.draw(st.recursive(leaf, lambda kids: st.one_of(
+            st.builds(Union, kids, kids),
+            st.builds(lambda ab, kid: Recolor(*ab, kid), pair, kids),
+            st.builds(lambda ab, kid: Join(*ab, kid), pair, kids)), max_leaves=8), label="root")
+        e = CwExpr(k, root)
+        assert parse(format_expr(e)) == e
+
     def test_nodes_are_frozen_and_comparable(self):
         assert k2_expr() == k2_expr()
         with pytest.raises(AttributeError):
@@ -147,8 +174,9 @@ def differential_texts():
             digits = [i for i, ch in enumerate(text) if ch.isdigit()]
             at = rng.choice(digits) if digits else 0
             text = text[:at] + rng.choice(DIGIT_RUNS) + text[at:]
-        elif roll < 0.55:
-            text = re.sub(r"k=[0-9]+", "k=1", text, count=1)
+        elif roll < 0.55:  # the header cut to k=1, or to a k of zero, which no parser reads
+            k = "0" if roll < 0.47 else "00" if roll < 0.49 else "1"
+            text = re.sub(r"k=[0-9]+", f"k={k}", text, count=1)
         elif roll < 0.7:  # one colour set to a small value: equal, zero or out of range
             numbers = list(re.finditer(r"(?<=\s)[0-9]+(?=[\s)])", text))
             if numbers:
@@ -187,7 +215,9 @@ class TestParserDifferential:
         for kind in ("leaf", "recolor", "join"):
             assert {f"{kind} colour must be an integer", f"{kind} colour 0 out of range 1..3",
                     f"{kind} colour 9 out of range 1..3"} <= messages, kind
-        assert {"recolor colours must differ", "join colours must differ"} <= messages
+        assert {"recolor colours must differ", "join colours must differ",
+                "palette size k must be >= 1"} <= messages
+        assert all(any(f"cw k={zero}\n" in t for t in texts) for zero in ("0", "00"))
         # each kind of edit reached both parsers, on texts that parse and texts that fail
         for mark in ("\r\n", "\u2028", "0" * 4400, "9" * 4400, "cw k=1\n"):
             kinds = {isinstance(got, str) for t, (got, _) in zip(texts, outcomes) if mark in t}
