@@ -23,8 +23,8 @@ from .expressions import (CwExpr, Join, Leaf, Recolor, Union,
                           write_cwx)
 from .generators import (MinorModel, build_minor_model, complete_graph,
                          gen_path, gen_spider, gen_subdivided_clique,
-                         model_to_json_dict, spider_graph, subdivide,
-                         subdivision_path, validate_minor_model)
+                         model_to_json_dict, subdivide, subdivision_path,
+                         validate_minor_model)
 from .graphs import (INFINITE, ColoredGraph, Graph, Partition, bfs_distances,
                      closed_r_neighborhood, connected_components,
                      graph_from_json_dict, graph_to_dot, graph_to_json_dict,

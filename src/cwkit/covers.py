@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContractError, InputError
-from .graphs import INFINITE, Graph, _close_pair, connected_components, weak_diameter
+from .graphs import (INFINITE, Graph, _close_pair, _is_vertex_id, connected_components,
+                     weak_diameter)
 from .quasiiso import QiMap, _bounds_witness, _fibres
 from .treedecomp import VerificationReport, _verdict
 
@@ -51,8 +52,9 @@ class CoverFamily:
                     raise InputError("cover sets must be nonempty")
         object.__setattr__(self, "collections", canon)
         for what, x in (("scale", self.r), ("diameter bound", self.diameter_bound)):
-            if isinstance(x, float) and math.isnan(x):
-                raise InputError(f"cover {what} must be a number, got NaN")
+            if isinstance(x, bool) or not isinstance(x, (int, float)) or x != x:
+                raise InputError(f"cover {what} must be a number, "
+                                 f"got {'NaN' if x != x else repr(x)}")
         if self.r < 0:
             raise InputError("cover scale must be >= 0")
 
@@ -158,12 +160,6 @@ def _num_to_json(x):
     return x
 
 
-def _num_from_json(x):
-    if x == "infinite":
-        return INFINITE
-    return x
-
-
 def cover_to_json_dict(cf: CoverFamily) -> dict:
     return {
         "n": cf.n,
@@ -175,9 +171,11 @@ def cover_to_json_dict(cf: CoverFamily) -> dict:
 
 def cover_from_json_dict(obj) -> CoverFamily:
     try:
-        collections = tuple(tuple(frozenset(s) for s in coll)
-                            for coll in obj["collections"])
-        return CoverFamily(collections, _num_from_json(obj["r"]),
-                           _num_from_json(obj["bound"]))
+        collections = tuple(tuple(map(frozenset, coll)) for coll in obj["collections"])
+        for v in (v for coll in obj["collections"] for s in coll for v in s):
+            if not _is_vertex_id(v):
+                raise TypeError(f"vertex id {v!r} is a {type(v).__name__}")
+        r, bound = (INFINITE if obj[key] == "infinite" else obj[key] for key in ("r", "bound"))
+        return CoverFamily(collections, r, bound)
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed cover object: {exc}") from exc

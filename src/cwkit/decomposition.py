@@ -98,7 +98,8 @@ def _folded(k: int, fold) -> tuple:
     tree_edges = []
     merge_counter = itertools.count()
 
-    # Each folded value is (state, rainbow node, the rainbow bag's parts by colour).
+    # Each folded value is (state, rainbow node, colour -> the rainbow bag's part of it);
+    # a recolor keeps the least id, which changes only at a join that resets the colour.
     def step(kind, x, y, kids):
         if kind == LEAF:
             st, broken = core.step(kind, x, y, ())
@@ -107,33 +108,23 @@ def _folded(k: int, fold) -> tuple:
             part = st[y][0]
             names[part] = x
             bags.append([part])
-            return st, len(bags) - 1, {y: [part]}
+            return st, len(bags) - 1, {y: part}
         if kind == UNION:
             (left_st, left, rb), (right_st, right, right_rb) = kids
             st, _ = core.step(kind, x, y, (left_st, right_st))  # a union breaks no rule
             q = len(bags)
             tree_edges.extend(((q, left), (q, right)))
-            bag = []  # the left operand's rainbow bag becomes this one's
-            for c in sorted(st):
-                held = rb.get(c) or right_rb[c]
-                if len(held) > 1:
-                    held = [min(held, key=names.get)]
-                rb[c] = held
-                bag.append(held[0])
-            bags.append(bag)
+            rb = right_rb | rb  # a colour both operands hold keeps the left one's part
+            bags.append(list(rb.values()))
             return st, q, rb
         st, rainbow, rb = kids[0]
-        if kind == RECOLOR:
-            if core.step(kind, x, y, (st,))[1]:
-                raise _NotStrict
-            moved = rb.pop(x, None)
-            if moved:
-                rb.setdefault(y, []).extend(moved)
-            return st, rainbow, rb
         colors = (x, y)
         sizes = [len(st.get(c, ())) for c in colors]
         if core.step(kind, x, y, (st,))[1]:
             raise _NotStrict
+        if kind == RECOLOR:
+            rb[y] = min(rb[y], rb.pop(x), key=names.get)
+            return st, rainbow, rb
         # The core fused each of the two colour classes into one part.
         for color, size in zip(colors, sizes):
             if not size:
@@ -146,7 +137,7 @@ def _folded(k: int, fold) -> tuple:
             if size > 1:
                 fused = st[color][0]
                 names[fused] = f"merge({color},{next(merge_counter)})"
-                rb[color] = [fused]
+                rb[color] = fused
         return st, rainbow, rb
 
     final, rainbow, _ = fold(step)

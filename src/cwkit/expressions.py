@@ -52,6 +52,13 @@ def _positive(what: str, *values) -> None:
             raise InputError(f"{what} must be a positive int, got {value!r}")
 
 
+def _nodes(what: str, *values) -> None:
+    """InputError unless each value is a Leaf, Union, Recolor or Join."""
+    for value in values:
+        if not isinstance(value, Node):
+            raise InputError(f"{what} must be an expression node, not {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class Leaf:
     vertex: str
@@ -68,6 +75,9 @@ class Union:
     left: "Node"
     right: "Node"
 
+    def __post_init__(self):
+        _nodes("union operand", self.left, self.right)
+
 
 @dataclass(frozen=True)
 class Recolor:
@@ -79,6 +89,7 @@ class Recolor:
         if self.old_color == self.new_color:
             raise InputError("recolor colours must differ")
         _positive("recolor colour", self.old_color, self.new_color)
+        _nodes("recolor child", self.child)
 
 
 @dataclass(frozen=True)
@@ -91,6 +102,7 @@ class Join:
         if self.color_a == self.color_b:
             raise InputError("join colours must differ")
         _positive("join colour", self.color_a, self.color_b)
+        _nodes("join child", self.child)
 
 
 Node = Leaf | Union | Recolor | Join
@@ -105,6 +117,7 @@ class CwExpr:
 
     def __post_init__(self):
         _positive("palette size", self.k)
+        _nodes("expression root", self.root)
 
 
 LEAF, UNION, RECOLOR, JOIN = range(4)

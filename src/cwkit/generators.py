@@ -177,20 +177,6 @@ def gen_spider(t: int, leg_lengths) -> CwExpr:
     return CwExpr(t + 3, _spider_root("c", legs, t))
 
 
-def spider_graph(t: int, leg_lengths) -> Graph:
-    """The graph gen_spider's output evaluates to (same naming scheme)."""
-    leg_lengths = list(leg_lengths)
-    if t < 3 or len(leg_lengths) != t:
-        raise InputError("bad spider shape")
-    vertices = ["c"]
-    edges = []
-    for ell, n in enumerate(leg_lengths, start=1):
-        seq = ["c"] + [f"{ell}.{m}" for m in range(1, n)] + [str(ell)]
-        vertices.extend(seq[1:])
-        edges.extend(zip(seq, seq[1:]))
-    return Graph(vertices, edges)
-
-
 # ------------------------------------------------------- subdivided cliques
 
 def gen_subdivided_clique(n: int, times: int) -> CwExpr:

@@ -9,9 +9,9 @@ whole graph walks the vertex-keyed adjacency with dict labels, so it costs
 O(explored); one over every vertex walks the integer adjacency into a list.
 The metric checks take a bounded number of searches: weak_diameter stops by
 iFUB's rule or by eccentricity bounds (its docstring has the argument) and
-keeps the whole graph's diameter on the graph, and a family of sets that must
-lie apart is checked by one labelled multi-source BFS (_closest_sets), with
-one bounded BFS per set only to name the first pair that fails (_close_pair).
+keeps the whole graph's diameter on the graph, and set_distance and a family
+of sets that must lie apart take one labelled multi-source BFS (_closest_sets),
+with one bounded BFS per set only to name the first pair that fails (_close_pair).
 Every component search is one DFS, _components_within: connected_components,
 is_connected and the validators' subtree and branch-set checks all use it.
 """
@@ -157,14 +157,11 @@ def _distance_row(g: Graph, sources) -> list:
 
 
 def set_distance(g: Graph, s: Iterable, t: Iterable):
-    """min over a in s, b in t of distance(a, b), 0 when the sets meet: a BFS stopped at t."""
+    """min over a in s, b in t of distance(a, b), 0 when the sets meet: _closest_sets of the two."""
     s, t = set(s), set(t)
     if not s or not t:
         raise InputError("set_distance needs two nonempty sets")
-    for d, layer in _walk(g._adj, _known(g, s), {}):
-        if not t.isdisjoint(layer):
-            return d
-    return INFINITE
+    return _closest_sets(g, [s, t], INFINITE)
 
 
 def _eccentricity_in(adj, a, s: set, dist) -> tuple:
@@ -527,6 +524,11 @@ def graph_to_json_dict(g: Graph, colors: Mapping | None = None) -> dict:
     return obj
 
 
+def _is_vertex_id(x) -> bool:
+    """Whether a JSON value may be a vertex id: true and 1.0 equal 1, and lists do not hash."""
+    return not isinstance(x, (bool, float, list, dict))
+
+
 def graph_from_json_dict(obj: Mapping) -> tuple:
     """Inverse of graph_to_json_dict; returns (graph, colors or None).
 
@@ -548,7 +550,7 @@ def graph_from_json_dict(obj: Mapping) -> tuple:
         raise InputError(f"malformed graph object: vertex ids must be hashable "
                          f"and mutually ordered: {exc}") from None
     for v in (*vertices, *(x for e in edges for x in e)):
-        if isinstance(v, (bool, float)):  # Python's equality would merge true and 1.0 with 1
+        if not _is_vertex_id(v):
             raise InputError(f"malformed graph object: vertex id {v!r} is a {type(v).__name__}")
     if colors is None:
         return g, None

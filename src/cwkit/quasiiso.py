@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 from collections.abc import Mapping
 
 from .errors import InputError
-from .graphs import (Graph, INFINITE, Partition, _distance_row, _positions, quotient,
-                     weak_diameter)
+from .graphs import (Graph, INFINITE, Partition, _distance_row, _is_vertex_id, _positions,
+                     quotient, weak_diameter)
 
 
 @dataclass(frozen=True)
@@ -319,7 +319,7 @@ def qimap_from_json_dict(obj: Mapping, source: Graph, target: Graph) -> QiMap:
     for key, val in raw.items():
         if key not in by_str:
             raise InputError(f"map key {key!r} is not a source vertex")
-        if isinstance(val, (bool, float, list, dict)):  # true and 1.0 would equal 1
+        if not _is_vertex_id(val):
             raise InputError(f"map sends {key!r} to {val!r}, which is not a vertex id")
         mapping[by_str[key]] = to_str.get(str(val), val)
     return QiMap(source, target, mapping, c)

@@ -2,15 +2,16 @@
 
 Everything here is implemented from scratch against the definitions, on
 purpose: expected values come from these, never from the code under test.
-Only the expression node classes and ParseError come from cwkit, so that a
-reference parse can be compared with parse's result and errors directly.
+Only the expression node classes, ParseError and Graph come from cwkit, so
+that a reference parse can be compared with parse's result and errors, and
+a reference graph with evaluate's, directly.
 """
 
 import itertools
 import math
 import re
 
-from cwkit import CwExpr, Join, Leaf, ParseError, Recolor, Union
+from cwkit import CwExpr, Graph, Join, Leaf, ParseError, Recolor, Union
 
 
 def adjacency(vertices, edges):
@@ -594,6 +595,17 @@ def clique_data(n, prefix="k"):
 def star_data(leaves):
     vs = ["s"] + [f"l{i}" for i in range(leaves)]
     return vs, [("s", f"l{i}") for i in range(leaves)]
+
+
+def spider_graph(t, leg_lengths):
+    """The spider gen_spider(t, leg_lengths) names: centre "c", and on leg l the
+    vertices "l.1", "l.2", ... counting from the centre, ending at the tip "l"."""
+    assert len(leg_lengths) == t
+    edges = []
+    for leg, n in enumerate(leg_lengths, start=1):
+        seq = ["c"] + [f"{leg}.{m}" for m in range(1, n)] + [str(leg)]
+        edges += zip(seq, seq[1:])
+    return Graph({v for e in edges for v in e}, edges)
 
 
 def grid_data(rows, cols):

@@ -17,10 +17,10 @@ from cwkit import (ControlDilation, Graph, Partition, QiMap,
                    cover_by_components, decompose, evaluate, gen_path,
                    gen_spider, gen_subdivided_clique, generate_corpus,
                    parse, projection_map, pullback_cover, quotient,
-                   spider_graph, subdivide, subdivision_path,
-                   validate_strict, verify_result, width)
+                   subdivide, subdivision_path, validate_strict,
+                   verify_result, width)
 
-from helpers import floyd_warshall, has_minor
+from helpers import floyd_warshall, has_minor, spider_graph
 
 SEED = 20260815
 COUNT = 520

@@ -655,6 +655,13 @@ class TestCoverPullback:
         assert out == ""
         assert "NaN" in err and "Traceback" not in err
 
+    def test_bool_scale_in_cover_file_exits_3(self, capsys, tmp_path, k2_file):
+        cpath = tmp_path / "cover.json"
+        cpath.write_text(json.dumps({"collections": [[["a"]], [["b"]]], "r": True,
+                                     "bound": 0}))
+        code, out, err = run(capsys, "cover-pullback", k2_file, "--cover", str(cpath))
+        assert (code, out, err) == (3, "", "error: cover scale must be a number, got True\n")
+
 
 class TestTreewidth:
     def test_graph_json(self, capsys, tmp_path):

@@ -241,3 +241,16 @@ class TestInterop:
     def test_malformed_rejected(self):
         with pytest.raises(InputError, match="malformed cover"):
             cover_from_json_dict({"r": 1})
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"collections": [[[true, 1]]], "r": 1, "bound": 2}', "vertex id True is a bool"),
+        ('{"collections": [[[1, true]]], "r": 1, "bound": 2}', "vertex id True is a bool"),
+        ('{"collections": [[[3.0]]], "r": 1, "bound": 2}', "vertex id 3.0 is a float"),
+        ('{"collections": [[["a"]]], "r": true, "bound": 2}', "scale must be a number"),
+        ('{"collections": [[["a"]]], "r": 1, "bound": true}', "bound must be a number"),
+        ('{"collections": [[["a"]]], "r": 1, "bound": "2"}', "bound must be a number"),
+        ('{"collections": [[["a"]]], "r": 1, "bound": null}', "bound must be a number")])
+    def test_json_values_that_are_no_vertex_or_number_are_refused(self, text, message):
+        # true and 3.0 would equal the vertices 1 and 3; "2" and null fail only in validate_cover
+        with pytest.raises(InputError, match=message):
+            cover_from_json_dict(json.loads(text))

@@ -54,11 +54,20 @@ class TestAst:
         lambda: Recolor(1.0, 2, Leaf("a", 1)), lambda: Recolor(1, "2", Leaf("a", 1)),
         lambda: Join(True, 2, Leaf("a", 1)), lambda: Join(0, 1, Leaf("a", 1)),
         lambda: CwExpr(True, Leaf("a", 1)), lambda: CwExpr(0, Leaf("a", 1)),
-        lambda: evaluate(CwExpr(1, Union(Leaf(5, 1), Leaf("5", 1))))],
+        lambda: evaluate(CwExpr(1, Union(Leaf(5, 1), Leaf("5", 1)))),
+        lambda: Union(Leaf("a", 1), "b"), lambda: Union(None, Leaf("a", 1)),
+        lambda: Recolor(1, 2, None), lambda: Join(1, 2, "(v a 1)"),
+        lambda: CwExpr(2, "(v a 1)"), lambda: CwExpr(2, CwExpr(2, Leaf("a", 1))),
+        lambda: format_expr(CwExpr(2, Union(Leaf("a", 1), "b"))),
+        lambda: evaluate(CwExpr(2, Union(Leaf("a", 1), "b")))],
         ids=["int id", "bool colour", "float colour", "float recolor", "str recolor",
-             "bool join", "zero join", "bool k", "zero k", "int and str ids"])
+             "bool join", "zero join", "bool k", "zero k", "int and str ids",
+             "str operand", "None operand", "None recolor child", "text join child",
+             "text root", "expression root", "format_expr of a str operand",
+             "evaluate of a str operand"])
     def test_fields_parse_cannot_read_back_are_refused(self, make):
-        # format_expr would print these as text parse refuses or reads as another node
+        # format_expr would print these as text parse refuses or reads as another
+        # node; a child that is no node would fail there on a missing field
         with pytest.raises(InputError):
             make()
 

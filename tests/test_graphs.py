@@ -106,6 +106,9 @@ class TestDistances:
                 weak_diameter(g, s)
         with pytest.raises(InputError, match="unknown vertex 'zz'"):
             set_distance(g, ["zz"], ["zz"])
+        for t in (["zz"], ["zz", "p2"]):  # either set's unknown vertex is named
+            with pytest.raises(InputError, match="unknown vertex 'zz'"):
+                set_distance(g, ["p0"], t)
 
     def test_members_left_after_the_double_sweep_are_measured(self):
         # two adjacent hubs joined to three independent vertices: both sweeps
