@@ -229,9 +229,8 @@ def cmd_qi_check(args) -> int:
         return 0 if rep.ok else 3
     if not args.file:
         raise InputError("give an expression file, or --map with --source/--target")
-    result, cg = _decompose_cwx(args.file)
-    tight, rep, certificate = _verify_projection(cg.graph, result.partition, args.c,
-                                                 args.exhaustive)
+    partition, cg = _decompose_cwx(args.file, tree=False)
+    tight, rep, certificate = _verify_projection(cg.graph, partition, args.c, args.exhaustive)
     obj = {"c": rep.c, "qi": rep.to_json_dict(),
            "tight_projection_bounds": tight.to_json_dict()}
     if not args.exhaustive:
@@ -255,8 +254,8 @@ def cmd_minor_model(args) -> int:
 
 
 def cmd_cover_pullback(args) -> int:
-    result, cg = _decompose_cwx(args.file)
-    m = projection_map(cg.graph, result.partition)
+    partition, cg = _decompose_cwx(args.file, tree=False)
+    m = projection_map(cg.graph, partition)
     r_target = m.c * args.r + m.c
     if args.cover:
         target_cover = cover_from_json_dict(_load_json(args.cover))

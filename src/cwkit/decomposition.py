@@ -67,35 +67,38 @@ class _NotStrict(ContractError):
     """A broken strict rule, met by a fold step, which cannot name the node's path."""
 
 
-def _decompose(e: CwExpr) -> tuple:
-    """(decompose(e), the coloured graph e denotes), in one fold."""
+def _decompose(e: CwExpr, tree: bool = True) -> tuple:
+    """(decompose(e), the coloured graph e denotes), in one fold; with tree false,
+    (its partition, the graph), built without the tree decomposition."""
     try:
         return _folded(e.k, lambda step: fold_postorder(
-            e.root, lambda node, kids: step(*_fields(node), kids)))
+            e.root, lambda node, kids: step(*_fields(node), kids)), tree)
     except _NotStrict:
         v = validate_strict(e).first()
         why = _RULE_WHY.get(v.rule, "required by the construction")
         raise ContractError(f"expression is not strict: {v} ({why})") from None
 
 
-def _decompose_cwx(path) -> tuple:
-    """_decompose(read_cwx(path)), folded straight from the parser's events; on any
-    error the text is parsed and its AST folded, so the error that wins is theirs."""
+def _decompose_cwx(path, tree: bool = True) -> tuple:
+    """_decompose(read_cwx(path), tree), folded straight from the parser's events; on
+    any error the text is parsed and its AST folded, so the error that wins is theirs."""
     text = read_text(path)
     try:
         body = _Text(text)
-        return _folded(body.k, body.fold)
+        return _folded(body.k, body.fold, tree)
     except CwkitError:
-        return _decompose(parse(text))
+        return _decompose(parse(text), tree)
 
 
-def _folded(k: int, fold) -> tuple:
+def _folded(k: int, fold, tree: bool = True) -> tuple:
     """(the result, the coloured graph) of fold(step), a fold of step(kind, x, y, kids)
-    over an expression on palette k; step raises _NotStrict at a broken strict rule."""
+    over an expression on palette k; step raises _NotStrict at a broken strict rule.
+    With tree false the result is the partition alone: no bag, tree edge or rainbow bag
+    is kept, only what names the parts."""
     core = _Semantics(k)
     names = {}       # part -> part id
     bags = []        # tree node -> parts, resolved to part ids at the end
-    tree_edges = []
+    tree_edges = []  # (a union's node, an operand's node), in the order of the unions
     merge_counter = itertools.count()
 
     # Each folded value is (state, rainbow node, colour -> the rainbow bag's part of it);
@@ -107,11 +110,15 @@ def _folded(k: int, fold) -> tuple:
                 raise _NotStrict
             part = st[y][0]
             names[part] = x
+            if not tree:
+                return st, None, None
             bags.append([part])
             return st, len(bags) - 1, {y: part}
         if kind == UNION:
             (left_st, left, rb), (right_st, right, right_rb) = kids
             st, _ = core.step(kind, x, y, (left_st, right_st))  # a union breaks no rule
+            if not tree:
+                return st, None, None
             q = len(bags)
             tree_edges.extend(((q, left), (q, right)))
             rb = right_rb | rb  # a colour both operands hold keeps the left one's part
@@ -123,7 +130,8 @@ def _folded(k: int, fold) -> tuple:
         if core.step(kind, x, y, (st,))[1]:
             raise _NotStrict
         if kind == RECOLOR:
-            rb[y] = min(rb[y], rb.pop(x), key=names.get)
+            if tree:
+                rb[y] = min(rb[y], rb.pop(x), key=names.get)
             return st, rainbow, rb
         # The core fused each of the two colour classes into one part.
         for color, size in zip(colors, sizes):
@@ -131,13 +139,14 @@ def _folded(k: int, fold) -> tuple:
                 raise ContractError(f"join colour {color} has no parts; strictness should "
                                     "have guaranteed a nonempty class")
         for color in colors:
-            if color not in rb:
+            if tree and color not in rb:
                 raise ContractError(f"rainbow bag lost colour {color} before a join")
         for color, size in zip(colors, sizes):
             if size > 1:
                 fused = st[color][0]
                 names[fused] = f"merge({color},{next(merge_counter)})"
-                rb[color] = fused
+                if tree:
+                    rb[color] = fused
         return st, rainbow, rb
 
     final, rainbow, _ = fold(step)
@@ -150,10 +159,16 @@ def _folded(k: int, fold) -> tuple:
                 raise ContractError("part id collision across union operands")
             parts[pid] = frozenset(core.names[v] for v in part.members)
             part_colors[pid] = color
-    tree = Graph(range(len(bags)), tree_edges)
+    if not tree:
+        return Partition(parts), _graph_of(core, final)
+    adj = [[] for _ in bags]
+    for q, kid in tree_edges:  # kid's own operands come first and its union's node last
+        adj[q].append(kid)
+        adj[kid].append(q)
+    nodes = Graph._built(tuple(range(len(bags))), dict(enumerate(map(tuple, adj))))
     resolved = {t: frozenset(names[_find(p)] for p in bag) for t, bag in enumerate(bags)}
     result = DecompositionResult(Partition(parts), part_colors,
-                                 TreeDecomposition(tree, resolved), rainbow)
+                                 TreeDecomposition(nodes, resolved), rainbow)
     return result, _graph_of(core, final)
 
 

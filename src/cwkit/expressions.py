@@ -622,12 +622,14 @@ def evaluate(e: CwExpr) -> ColoredGraph:
 
 
 def _graph_of(core: _Semantics, state: _State) -> ColoredGraph:
-    """The coloured graph of a fold's final state."""
+    """The coloured graph of a fold's final state, taken as built: its vertex ids are
+    distinct, since no core that merges duplicates (validate_strict's) builds a graph."""
     color = {v: c for c, parts in state.items() for part in parts for v in part.members}
-    colors = {name: color[v] for v, name in enumerate(core.names)}
-    edges = [(core.names[u], core.names[w])
-             for u, near in enumerate(core.adj) for w in near if u < w]
-    return ColoredGraph(Graph(colors, edges), core.k, colors)
+    names, last = core.names, core.last
+    colors = {name: color[v] for v, name in enumerate(names)}
+    vertices = tuple(sorted(colors))
+    adj = {u: tuple(sorted([names[w] for w in core.adj[last[u]]])) for u in vertices}
+    return ColoredGraph(Graph._built(vertices, adj), core.k, colors)
 
 
 # ------------------------------------------------------------- validation

@@ -3,6 +3,10 @@
 Vertex ids are opaque sortable values (strings in practice, small ints for
 tree nodes).  Every iteration order below derives from their total order, so
 identical inputs give byte-identical outputs everywhere in the library.
+Graph(...) checks every edge and sorts; Graph._built takes a graph a fold has
+already built, its vertices sorted and each neighbour tuple sorted, as built.
+The evaluated graph and the quotient tree are built so; whatever a verifier
+does not trust, the quotient included, goes through Graph(...).
 
 Every metric search is one BFS, _walk.  A search that need not reach the
 whole graph walks the vertex-keyed adjacency with dict labels, so it costs
@@ -12,6 +16,7 @@ iFUB's rule or by eccentricity bounds (its docstring has the argument) and
 keeps the whole graph's diameter on the graph, and set_distance and a family
 of sets that must lie apart take one labelled multi-source BFS (_closest_sets),
 with one bounded BFS per set only to name the first pair that fails (_close_pair).
+A diameter bound is first tried by one BFS (_diameter_bound).
 Every component search is one DFS, _components_within: connected_components,
 is_connected and the validators' subtree and branch-set checks all use it.
 """
@@ -31,7 +36,7 @@ INFINITE: float = math.inf
 class Graph:
     """A finite simple undirected graph with sorted adjacency."""
 
-    __slots__ = ("_vertices", "_adj", "_edges", "_hash", "_int_adj", "_diameter")
+    __slots__ = ("_vertices", "_adj", "_edges", "_hash", "_int_adj", "_diameter", "_first_ecc")
 
     def __init__(self, vertices: Iterable, edges: Iterable = ()):
         vs = sorted(set(vertices))
@@ -45,10 +50,19 @@ class Graph:
                 raise InputError(f"edge ({u!r}, {v!r}) has an endpoint outside the vertex set")
             adj[u].add(v)
             adj[v].add(u)
-        self._vertices = tuple(vs)
-        self._adj = {v: tuple(sorted(adj[v])) for v in vs}
-        self._edges = tuple(sorted((u, w) for u in vs for w in adj[u] if u < w))
-        self._hash = self._int_adj = self._diameter = None
+        self._fill(tuple(vs), {v: tuple(sorted(adj[v])) for v in vs})
+
+    @classmethod
+    def _built(cls, vertices: tuple, adj: dict) -> Graph:
+        """The graph on vertices, sorted and distinct, whose adj maps each vertex, in
+        that order, to its sorted neighbour tuple: taken as built, with no check or sort."""
+        return cls.__new__(cls)._fill(vertices, adj)
+
+    def _fill(self, vertices: tuple, adj: dict) -> Graph:
+        self._vertices, self._adj = vertices, adj
+        self._edges = tuple((u, w) for u in vertices for w in adj[u] if u < w)
+        self._hash = self._int_adj = self._diameter = self._first_ecc = None
+        return self
 
     @property
     def vertices(self) -> tuple:
@@ -209,6 +223,18 @@ def weak_diameter(g: Graph, s: Iterable):
         g._diameter = _weak_diameter(g._int_adjacency(), range(n), set(range(n)),
                                      lambda: [None] * n)
     return g._diameter
+
+
+def _diameter_bound(g: Graph, s: set):
+    """weak_diameter(g, s) or more, s a set of vertices of g, in at most one search:
+    2e, with e the eccentricity in s of its least member, as any two members lie
+    within e of it; or the whole graph's diameter once measured.  Over every vertex
+    the search walks the integer adjacency, and its bound is kept on g."""
+    if len(s) < len(g):
+        return 2 * _eccentricity_in(g._adj, min(s), s, {})[1]
+    if g._diameter is None and g._first_ecc is None:
+        g._first_ecc = max(_distance_row(g, [0]))
+    return 2 * g._first_ecc if g._diameter is None else g._diameter
 
 
 def _weak_diameter(adj, members, s: set, fresh):
@@ -525,8 +551,9 @@ def graph_to_json_dict(g: Graph, colors: Mapping | None = None) -> dict:
 
 
 def _is_vertex_id(x) -> bool:
-    """Whether a JSON value may be a vertex id: true and 1.0 equal 1, and lists do not hash."""
-    return not isinstance(x, (bool, float, list, dict))
+    """Whether a JSON value may be a vertex id: true and 1.0 equal 1, lists do not hash,
+    and null is no name."""
+    return not isinstance(x, (bool, float, list, dict, type(None)))
 
 
 def graph_from_json_dict(obj: Mapping) -> tuple:

@@ -18,9 +18,9 @@ except ImportError:  # not on every platform
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cwkit import (Graph, decompose, evaluate, format_expr, gen_path, gen_spider,
-                   gen_subdivided_clique, generate_corpus, graph_to_json_dict, graphs,
-                   quasiiso, quotient, write_cwx)
+from cwkit import (Graph, TreeDecomposition, decompose, evaluate, format_expr, gen_path,
+                   gen_spider, gen_subdivided_clique, generate_corpus, graph_to_json_dict,
+                   graphs, quasiiso, quotient, write_cwx)
 from cwkit import cli
 from cwkit.cli import main
 
@@ -436,9 +436,10 @@ class TestQiCheck:
         assert (code, out) == (3, "")
         assert "not a vertex id" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("value", ["true", "1.0", "false", "2.0"])
+    @pytest.mark.parametrize("value", ["true", "1.0", "false", "2.0", "null"])
     def test_boolean_or_float_map_value_exits_3(self, capsys, tmp_path, value):
-        # Python's equality would merge true and 1.0 with the vertex 1 and pass the map
+        # Python's equality would merge true and 1.0 with the vertex 1 and pass the map;
+        # null names no vertex
         gpath = tmp_path / "g.json"
         gpath.write_text(json.dumps({"vertices": [1, 2], "edges": [[1, 2]]}))
         mpath = tmp_path / "map.json"
@@ -589,9 +590,10 @@ class TestCoverPullback:
         assert "separation" in err
 
     def test_each_whole_graph_is_measured_once(self, capsys, tmp_path, monkeypatch):
-        # the whole quotient and the whole graph are each measured by the cover,
-        # the target check, the source check or the revalidation; one search
-        # of each must serve them all
+        # the whole quotient is measured by the cover and the target check; one
+        # exact measurement must serve both. The whole graph's bounds in the source
+        # check and the revalidation pass at twice its first vertex's eccentricity,
+        # which one search must serve
         e = gen_subdivided_clique(5, 7)
         path = tmp_path / "k5.cwx"
         write_cwx(path, e)
@@ -613,8 +615,17 @@ class TestCoverPullback:
         runs.clear()
         code, out, _ = run(capsys, "cover-pullback", str(path))
         assert code == 0 and json.loads(out)["validation"]["ok"] is True
-        assert {name: runs.count(len(h)) for name, h in whole.items()} == once
-        assert len(runs) == sum(once.values())
+        assert {name: runs.count(len(h)) for name, h in whole.items()} == {**once, "graph": 1}
+        assert len(runs) == once["quotient"] + 1
+
+    @pytest.mark.parametrize("collections", [[["ab"]], [[{"a": 1, "b": 2}]], [{"ab": 1}]])
+    def test_a_set_that_is_no_list_exits_3(self, capsys, tmp_path, k2_file, collections):
+        # read as the set of its characters or keys, each would be the cover {a, b}
+        cpath = tmp_path / "cover.json"
+        cpath.write_text(json.dumps({"collections": collections, "r": 0, "bound": 3}))
+        code, out, err = run(capsys, "cover-pullback", k2_file, "--cover", str(cpath))
+        assert (code, out) == (3, "")
+        assert err == "error: malformed cover object: collections and their sets must be lists\n"
 
     def test_scale_below_one_exits_3(self, capsys, k2_file):
         code, _, err = run(capsys, "cover-pullback", k2_file, "--r", "0.5")
@@ -746,6 +757,7 @@ class TestTreewidth:
         ({"vertices": [0, False], "edges": []}, "vertex id False is a bool"),
         ({"vertices": [1.0, 2], "edges": [[1.0, 2]]}, "vertex id 1.0 is a float"),
         ({"vertices": [1, 2], "edges": [[1, 2.0]]}, "vertex id 2.0 is a float"),
+        ({"vertices": [None], "edges": []}, "vertex id None is a NoneType"),
     ])
     def test_malformed_graph_file_exits_3(self, capsys, tmp_path, graph, why):
         path = tmp_path / "bad.json"
@@ -800,6 +812,20 @@ class TestOneFoldPerVerdict:
         assert want.startswith("error: expression is not strict: ")
         for argv in (("qi-check",), ("cover-pullback",), ("decompose", "--oracle")):
             assert run(capsys, argv[0], str(path), *argv[1:]) == (3, "", want), argv
+
+    def test_only_decompose_builds_the_tree_decomposition(self, capsys, tmp_path, monkeypatch):
+        # qi-check and cover-pullback report on the partition and the graph; the tree
+        # certifies the width bound, which only decompose reports
+        path = tmp_path / "k5.cwx"
+        write_cwx(path, gen_subdivided_clique(5, 7))
+        built, real = [], TreeDecomposition.__init__
+        monkeypatch.setattr(TreeDecomposition, "__init__",
+                            lambda td, *a: built.append(a) or real(td, *a))
+        for argv, trees in ((("qi-check",), 0), (("qi-check", "--exhaustive"), 0),
+                            (("cover-pullback",), 0), (("decompose",), 1)):
+            built.clear()
+            code, _, _ = run(capsys, argv[0], str(path), *argv[1:])
+            assert (code, len(built)) == (0, trees), argv
 
 
 class TestCertifiedVerdicts:

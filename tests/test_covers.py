@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from cwkit import (INFINITE, ContractError, ControlDilation, CoverFamily,
                    Graph, InputError, QiMap, cover_by_components,
-                   cover_from_json_dict, cover_to_json_dict, pullback_cover,
+                   cover_from_json_dict, cover_to_json_dict, graphs, pullback_cover,
                    validate_cover)
 
-from helpers import pair_scan_cover_separation, path_data
+from helpers import naive_weak_diameter, pair_scan_cover_separation, path_data
 
 
 def G(data):
@@ -111,6 +111,50 @@ class TestValidateCover:
         bad = validate_cover(g, cf).check("diameter")
         assert not bad.ok
         assert "weak diameter 2 > bound 1" in bad.witness
+
+    @pytest.mark.parametrize("members, bound, searches", [
+        (("p0", "p1", "p2", "p3", "p4"), 8, 1),  # every vertex: 2e = 8 from p0
+        (("p0", "p2", "p4"), 8, 1),
+        (("p0", "p1", "p2", "p3", "p4"), 5, None),  # 2e = 8 > 5 >= the diameter 4
+        (("p0", "p2", "p4"), 4, None),
+        (("p2",), 0, 1)])
+    def test_twice_the_least_members_eccentricity_passes_a_set(self, monkeypatch, members,
+                                                               bound, searches):
+        # a set passes by one search from its least member when twice that member's
+        # eccentricity in the set is within the bound; otherwise it is measured exactly
+        runs, real = [], graphs._walk
+        monkeypatch.setattr(graphs, "_walk", lambda *a: runs.append(a) or real(*a))
+        g = G(path_data(5))
+        assert validate_cover(g, CoverFamily(((set(members),),), 1, bound)).check("diameter").ok
+        assert len(runs) == searches if searches is not None else len(runs) > 1
+
+    @pytest.mark.parametrize("members, bound, d", [
+        (("p0", "p1", "p2", "p3", "p4"), 3, 4),
+        (("p0", "p1", "p2", "p3", "p4"), -1, 4),
+        (("p1", "p3"), 1, 2),
+        (("p2",), -1, 0)])
+    def test_a_set_over_the_bound_names_its_exact_weak_diameter(self, members, bound, d):
+        g = G(path_data(5))
+        bad = validate_cover(g, CoverFamily(((set(members),),), 1, bound)).check("diameter")
+        assert bad.witness == (f"collection 0: set of size {len(members)} has weak "
+                               f"diameter {d} > bound {bound}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 12), st.sampled_from((0.1, 0.25, 0.5)),
+           st.sampled_from((-1, 0, 1, 2, 2.5, 3, 4, 6, INFINITE)))
+    def test_diameter_matches_floyd_warshall(self, seed, n, density, bound):
+        # the first set, in the family's order, whose weak diameter exceeds the bound
+        # is named with that diameter, disconnected and whole-graph sets included
+        rng = random.Random(seed)
+        vs = [f"v{i}" for i in range(n)]
+        es = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:] if rng.random() < density]
+        sets = [rng.sample(vs, rng.randint(1, n)) for _ in range(rng.randint(1, 4))] + [vs]
+        cf = CoverFamily([sets[i::2] for i in range(2)], 0, bound)
+        got = validate_cover(Graph(vs, es), cf).check("diameter")
+        want = next((f"collection {idx}: set of size {len(s)} has weak diameter {d} > "
+                     f"bound {bound}" for idx, coll in enumerate(cf.collections) for s in coll
+                     if (d := naive_weak_diameter(vs, es, s)) > bound), None)
+        assert (got.ok, got.witness) == (want is None, want)
 
     def test_collections_do_not_constrain_each_other(self):
         g = G(path_data(2))
@@ -249,8 +293,16 @@ class TestInterop:
         ('{"collections": [[["a"]]], "r": true, "bound": 2}', "scale must be a number"),
         ('{"collections": [[["a"]]], "r": 1, "bound": true}', "bound must be a number"),
         ('{"collections": [[["a"]]], "r": 1, "bound": "2"}', "bound must be a number"),
-        ('{"collections": [[["a"]]], "r": 1, "bound": null}', "bound must be a number")])
+        ('{"collections": [[["a"]]], "r": 1, "bound": null}', "bound must be a number"),
+        ('{"collections": [[[null]]], "r": 1, "bound": 2}', "vertex id None is a NoneType"),
+        ('{"collections": [["xy"]], "r": 1, "bound": 2}', "their sets must be lists"),
+        ('{"collections": [[{"x": 1, "y": 2}]], "r": 1, "bound": 2}', "their sets must be lists"),
+        ('{"collections": [{"xy": 1}], "r": 1, "bound": 2}', "their sets must be lists"),
+        ('{"collections": ["xy"], "r": 1, "bound": 2}', "their sets must be lists"),
+        ('{"collections": "xy", "r": 1, "bound": 2}', "their sets must be lists"),
+        ('{"collections": [[["x"], 5]], "r": 1, "bound": 2}', "their sets must be lists")])
     def test_json_values_that_are_no_vertex_or_number_are_refused(self, text, message):
-        # true and 3.0 would equal the vertices 1 and 3; "2" and null fail only in validate_cover
+        # true and 3.0 would equal the vertices 1 and 3; "2" and null fail only in validate_cover;
+        # a string or an object where a list belongs would read as its characters or keys
         with pytest.raises(InputError, match=message):
             cover_from_json_dict(json.loads(text))

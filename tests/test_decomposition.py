@@ -8,7 +8,8 @@ import pytest
 from cwkit import (ColoredGraph, ContractError, DecompositionResult, Graph, InputError,
                    Partition, TreeDecomposition, brute_treewidth, decompose, evaluate, gen_path,
                    gen_spider, gen_subdivided_clique, parse, quotient, random_strict_expr,
-                   result_to_dot, result_to_json_dict, verify_result, width)
+                   result_to_dot, result_to_json_dict, verify_result, width, write_cwx)
+from cwkit.decomposition import _decompose, _decompose_cwx
 
 import random
 
@@ -123,6 +124,20 @@ class TestNonStrictInputs:
     def test_unused_recolor_source(self):
         self.reject("cw k=3\n(recolor 3 1 (v a 1))", "OP2_I_UNUSED")
 
+    @pytest.mark.parametrize("text", [
+        "cw k=1\n(union (v a 1) (v a 1))", "cw k=3\n(recolor 3 1 (v a 1))",
+        "cw k=2\n(join 1 2\n" + K2_TEXT.split("\n", 1)[1].rstrip() + ")"],
+        ids=["duplicate id", "unused recolor source", "join without a new edge"])
+    def test_the_partition_route_raises_alike(self, tmp_path, text):
+        path = tmp_path / "e.cwx"
+        path.write_text(text)
+        with pytest.raises(ContractError) as want:
+            decompose(parse(text))
+        for route in (lambda: _decompose(parse(text), False), lambda: _decompose_cwx(path, False)):
+            with pytest.raises(ContractError) as got:
+                route()
+            assert str(got.value) == str(want.value)
+
     def test_error_explains_the_stake(self):
         with pytest.raises(ContractError, match="keyed by leaf vertex ids"):
             decompose(parse("cw k=1\n(union (v a 1) (v a 1))"))
@@ -150,6 +165,17 @@ class TestCorpusSample:
             g = evaluate(e)
             report = verify_result(g, decompose(e))
             assert report.ok, report.failed()
+
+
+    def test_the_partition_route_gives_the_same_partition_and_graph(self, tmp_path):
+        rng = random.Random(98)
+        for i in range(40):
+            e = random_strict_expr(rng, palette=4, max_leaves=14)
+            path = tmp_path / f"e{i}.cwx"
+            write_cwx(path, e)
+            result, cg = _decompose(e)
+            for partition, got in (_decompose(e, False), _decompose_cwx(path, False)):
+                assert partition == result.partition and got == cg
 
 
 def three_leaf_setup():

@@ -11,8 +11,8 @@ from cwkit import (INFINITE, ColoredGraph, Graph, InputError, Partition,
                    graph_from_json_dict, graph_to_dot,
                    graph_to_json_dict, is_connected, is_dominated, quotient,
                    set_distance, weak_diameter)
-from cwkit import (complete_graph, decompose, evaluate, gen_subdivided_clique,
-                   generate_corpus, graphs, subdivide)
+from cwkit import (complete_graph, decompose, decomposition, evaluate, gen_path, gen_spider,
+                   gen_subdivided_clique, generate_corpus, graphs, subdivide)
 from cwkit.graphs import (_close_pair, _closest_sets, _components_within, _connected_within,
                           _first_close_pair)
 
@@ -75,6 +75,35 @@ class TestGraphBasics:
     def test_duplicate_edges_collapse(self):
         g = Graph(["a", "b"], [("a", "b"), ("b", "a")])
         assert g.num_edges() == 1
+
+
+class TestBuiltGraphs:
+    """The folds take the graphs they build as built, with no check or sort."""
+
+    @staticmethod
+    def expressions():
+        yield from generate_corpus(SEED, COUNT, MAX_K, MAX_LEAVES)
+        for length in (1, 2, 3, 17, 150):
+            yield gen_path("x", "y", length, 4, 3, 2, 1)
+        for legs in ([1, 1, 1], [5, 9, 2, 7], [40, 50, 60]):
+            yield gen_spider(len(legs), legs)
+        for n, times in ((4, 1), (5, 7), (7, 3)):
+            yield gen_subdivided_clique(n, times)
+
+    def test_fold_built_graphs_equal_their_rebuilds(self):
+        # the evaluated graph, both decomposition routes' graphs and the quotient tree,
+        # against the same vertices and edges built by Graph(...) with every check
+        for e in self.expressions():
+            result, cg = decomposition._decompose(e)
+            built = [evaluate(e).graph, cg.graph, decomposition._decompose(e, False)[1].graph,
+                     result.tree.tree]
+            for g in built:
+                h = Graph(g.vertices, g.edges)
+                assert g == h and g.edges == h.edges
+                assert list(g._adj.items()) == list(h._adj.items())
+                assert g._int_adjacency() == h._int_adjacency()
+            g, h = built[0], Graph(built[0].vertices, built[0].edges)
+            assert weak_diameter(g, g.vertices) == weak_diameter(h, h.vertices)
 
 
 class TestDistances:
