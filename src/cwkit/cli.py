@@ -173,8 +173,7 @@ def cmd_generate(args) -> int:
                      args.x_color, args.y_color, args.inner_color)
     elif args.kind == "spider":
         legs = _parse_leg_lengths(args.legs)
-        t = args.t if args.t is not None else len(legs)
-        e = gen_spider(t, legs)
+        e = gen_spider(len(legs), legs)
     else:
         e = gen_subdivided_clique(args.n, args.times)
     _write(format_expr(e), args.out)
@@ -244,8 +243,7 @@ def cmd_qi_check(args) -> int:
 def cmd_minor_model(args) -> int:
     h = complete_graph(args.n)
     host = subdivide(h, args.times)
-    f = QiMap(host, host, {v: v for v in host.vertices}, float(args.c))
-    model = build_minor_model(h, host, f, float(args.c))
+    model = build_minor_model(h, QiMap(host, host, {v: v for v in host.vertices}, float(args.c)))
     _emit(args, model_to_json_dict(model),
           [f"pattern = K_{args.n}, {args.times}-subdivision ({len(host)} vertices)",
            f"branch sets = {len(model.branch_sets)}",
@@ -327,7 +325,6 @@ _COMMANDS = {
         _arg("--y-color", type=int, default=2),
         _arg("--inner-color", type=int, default=1),
         _arg("--legs", default="1,1,1", help="spider: comma-separated leg lengths"),
-        _arg("--t", type=int, default=None, help="spider: leg count"),
         _arg("--n", type=int, default=4, help="clique: branch vertex count"),
         _arg("--times", type=int, default=7, help="clique: subdivisions per edge"))),
     "corpus": ("seeded random expressions plus batch verification", cmd_corpus, (
@@ -384,7 +381,7 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, **names)
     for name, (help_text, handler, arguments) in _COMMANDS.items():
         if only in (None, name):
-            p = sub.add_parser(name, help=help_text)
+            p = sub.add_parser(name, help=help_text, allow_abbrev=False)
             for item in _COMMON + arguments:
                 group = p.add_mutually_exclusive_group() if isinstance(item, list) else p
                 for flags, options in item if isinstance(item, list) else [item]:

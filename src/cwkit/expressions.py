@@ -279,8 +279,6 @@ class _Text:
         shape, message = _SHAPES[op]
         if (True, True) * bool(a) + tuple(type(x) is int for x in rest) != shape:
             raise self.error(message, at, 1)
-        if op == "union":
-            return UNION, None, None, rest
         # An atom is read as (token, event, nth token of the event).
         args = [(a, at, 2), (b, at, 3)] if a else []
         args += [(self.events[x][6], x, 0) if type(x) is int else x for x in rest]

@@ -259,10 +259,7 @@ def _subdivision_structure(source: Graph, pattern: Graph) -> dict:
             seq = [u]
             while cur not in branch:
                 seq.append(cur)
-                nxt = [w for w in source.neighbors(cur) if w != prev]
-                if len(nxt) != 1:
-                    raise InputError(f"interior vertex {cur!r} does not continue a path")
-                prev, cur = cur, nxt[0]
+                prev, cur = cur, next(w for w in source.neighbors(cur) if w != prev)
             seq.append(cur)
             if cur == u:
                 raise InputError(f"subdivided loop at {u!r}")
@@ -280,24 +277,20 @@ def _subdivision_structure(source: Graph, pattern: Graph) -> dict:
     return paths
 
 
-def build_minor_model(h: Graph, g: Graph, f: QiMap, c: float) -> MinorModel:
+def build_minor_model(h: Graph, f: QiMap) -> MinorModel:
     """Pull a model of h through the embedding f of a deep subdivision of h.
 
-    f must run from a (4c(c+1)-1)-or-deeper subdivision of h into g and
-    satisfy the distance bounds at parameter c.  Around every branch vertex
-    a ball of radius c(c+1) is taken; the middle stretch of every
-    subdivision path connects two balls.  Images of those sets, fattened by
-    radius c in g, form the model.  Every separation and incidence fact the
-    construction relies on is asserted numerically and a contract error
-    names the first violated pair.
+    f must run from a (4c(c+1)-1)-or-deeper subdivision of h into the host
+    g = f.target and satisfy the distance bounds at its parameter c = f.c,
+    which must be >= 1.  Around every branch vertex a ball of radius c(c+1)
+    is taken; the middle stretch of every subdivision path connects two
+    balls.  Images of those sets, fattened by radius c in g, form the model.
+    Every separation and incidence fact the construction relies on is
+    asserted numerically and a contract error names the first violated pair.
     """
+    source, g, c = f.source, f.target, f.c
     if c < 1:
         raise InputError("parameter c must be >= 1")
-    if f.target != g:
-        raise InputError("f must map into g")
-    if f.c != c:
-        raise InputError(f"f claims parameter {f.c}, expected {c}")
-    source = f.source
     paths = _subdivision_structure(source, h)
     need = 4 * c * (c + 1)
     need_text = int(need) if need < INFINITE and need == int(need) else need

@@ -451,23 +451,19 @@ class ColoredGraph:
 
 
 class Partition:
-    """A named partition: part ids mapped to disjoint nonempty vertex sets."""
+    """A named partition, from a mapping of part ids to disjoint nonempty vertex sets."""
 
     __slots__ = ("_parts", "_vertex_to_part")
 
-    def __init__(self, parts):
-        if isinstance(parts, Mapping):
-            items = parts.items()
-        else:
-            items = list(parts)
+    def __init__(self, parts: Mapping):
+        if not isinstance(parts, Mapping):
+            raise InputError(f"a partition maps part ids to members, not a {type(parts).__name__}")
         store = {}
         v2p = {}
-        for pid, members in items:
+        for pid, members in parts.items():
             members = frozenset(members)
             if not members:
                 raise InputError(f"part {pid!r} is empty")
-            if pid in store:
-                raise InputError(f"duplicate part id {pid!r}")
             for v in members:
                 if v in v2p:
                     raise InputError(f"vertex {v!r} appears in parts {v2p[v]!r} and {pid!r}")
@@ -563,14 +559,16 @@ def graph_from_json_dict(obj: Mapping) -> tuple:
     keys are strings in JSON, so they name vertices through str(vertex).
     """
     try:
-        vertices = obj["vertices"]
-        edges = [tuple(e) for e in obj["edges"]]
-        colors = obj.get("colors")
+        vertices, edges, colors = obj["vertices"], obj["edges"], obj.get("colors")
     except (AttributeError, KeyError, TypeError) as exc:
         raise InputError(f"malformed graph object: {exc}") from None
+    for key, value in (("vertices", vertices), ("edges", edges)):
+        if not isinstance(value, list):  # a string or an object reads as its characters or keys
+            raise InputError(f"malformed graph object: {key} must be a list, not a "
+                             f"{type(value).__name__}")
     for e in edges:
-        if len(e) != 2:
-            raise InputError(f"malformed graph object: edge {list(e)!r} is not a pair")
+        if not isinstance(e, list) or len(e) != 2:
+            raise InputError(f"malformed graph object: edge {e!r} is not a pair")
     try:
         g = Graph(vertices, edges)
     except TypeError as exc:  # unhashable ids, or ids of kinds that do not sort together
@@ -613,6 +611,6 @@ def _dot(g: Graph, name: str, label) -> str:
     return "\n".join(lines + ["}"]) + "\n"
 
 
-def graph_to_dot(g: Graph, colors: Mapping | None = None, name: str = "G") -> str:
+def graph_to_dot(g: Graph, colors: Mapping | None = None) -> str:
     """GraphViz text for the graph; colour shown in the vertex label."""
-    return _dot(g, name, str if colors is None else lambda v: f"{v}:{colors[v]}")
+    return _dot(g, "G", str if colors is None else lambda v: f"{v}:{colors[v]}")

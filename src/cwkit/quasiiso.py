@@ -286,9 +286,8 @@ def _verify_projection(g: Graph, p: Partition, qi_c=None, exhaustive=False) -> t
     density 0.  Otherwise one scan gives both reports' exact margins.
     """
     d = _part_width(g, p)
-    q, proj = quotient(g, p)
-    m = QiMap(g, q, proj, d + 1 if qi_c is None else float(qi_c))  # built once D is known
-    certificate = _lemma(g, q, proj, m.c, d)
+    m = projection_map(g, p, d + 1 if qi_c is None else float(qi_c))
+    certificate = _lemma(g, m.target, m.mapping, m.c, d)
     if exhaustive or not certificate["applied"]:
         (lo, up, lo_wit, up_wit, _), qi = _window(m, (d + 1, 1, 1, 0), (m.c,) * 4)
         # The pairs x == y, left out of the scan, give margins -1.0 and 0.
@@ -296,7 +295,7 @@ def _verify_projection(g: Graph, p: Partition, qi_c=None, exhaustive=False) -> t
                                   max(-1.0, lo), max(0, up))
         return tight, _qi_report(m, *qi), certificate
     # the scan's own expression at r = 1; with no edge, no pair at a finite distance
-    upper = (1 if q.edges else 0) - m.c * 1 - m.c if g.edges else -INFINITE
+    upper = (1 if m.target.edges else 0) - m.c * 1 - m.c if g.edges else -INFINITE
     tight = PartitionQiReport(d, True, None, True, None, -1 / (d + 1), 0, True)
     qi = QiReport(m.c, True, None, True, None, d / m.c - m.c, upper, 0, True)
     return tight, qi, certificate
@@ -306,7 +305,8 @@ def _verify_projection(g: Graph, p: Partition, qi_c=None, exhaustive=False) -> t
 
 def qimap_from_json_dict(obj: Mapping, source: Graph, target: Graph) -> QiMap:
     try:
-        raw = dict(obj["f"])
+        if not isinstance(raw := obj["f"], dict):  # dict() would read a list of pairs
+            raise TypeError(f"f must be an object, not a {type(raw).__name__}")
         if isinstance(obj["c"], bool) or not isinstance(obj["c"], (int, float)):
             raise TypeError(f"c must be a number, not {obj['c']!r}")  # float() reads true and "2"
         c = float(obj["c"])

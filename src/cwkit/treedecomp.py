@@ -1,7 +1,7 @@
 """Tree decompositions, an exact treewidth oracle, and a clique-minor bound.
 
 brute_treewidth, the O*(2^n) subset recurrence of Bodlaender, Fomin, Koster,
-Kratsch and Thilikos, is exponential and refuses graphs above its size cap.
+Kratsch and Thilikos, is exponential: it refuses graphs above its size cap or ceiling.
 _clique_minor_bound gives min(tw, 3) in linear time.
 """
 
@@ -15,6 +15,8 @@ from .errors import InputError, SizeCapError
 from .graphs import Graph, _components_within, _dot, is_connected
 
 DEFAULT_TREEWIDTH_CAP = 12
+#: brute_treewidth refuses more vertices whatever its cap: its table of 2^20 entries is 8 MiB.
+TREEWIDTH_CEILING = 20
 
 
 class TreeDecomposition:
@@ -157,14 +159,16 @@ def brute_treewidth(g: Graph, cap: int | None = None) -> int:
         TW(S) = min over v in S of max(TW(S - v), |Q(S - v, v)|),  TW({}) = -1,
 
     where Q(S, v), the vertices outside S + v that v reaches through S, are v's
-    neighbours once S is eliminated.  The time is the whole point of the cap.
+    neighbours once S is eliminated.  The time is the whole point of the cap, and the
+    table of 2^n entries that of the ceiling, TREEWIDTH_CEILING, which no cap lifts.
     """
     n = len(g)
     if n == 0:
         raise InputError("treewidth of the empty graph")
     cap = DEFAULT_TREEWIDTH_CAP if cap is None else cap
-    if n > cap:
-        raise SizeCapError(f"graph has {n} vertices, exact treewidth capped at {cap}")
+    limit = min(cap, TREEWIDTH_CEILING)
+    if n > limit:
+        raise SizeCapError(f"graph has {n} vertices, exact treewidth capped at {limit}")
 
     bit = {v: 1 << i for i, v in enumerate(g.vertices)}
     adj = dict.fromkeys(bit.values(), 0)  # a vertex's bit -> its neighbours' bits
@@ -230,5 +234,6 @@ def td_to_json_dict(td: TreeDecomposition) -> dict:
     }
 
 
-def td_to_dot(td: TreeDecomposition, name: str = "decomposition") -> str:
-    return _dot(td.tree, name, lambda t: "{" + ", ".join(str(x) for x in sorted(td.bags[t])) + "}")
+def td_to_dot(td: TreeDecomposition) -> str:
+    return _dot(td.tree, "decomposition",
+                lambda t: "{" + ", ".join(str(x) for x in sorted(td.bags[t])) + "}")

@@ -199,7 +199,7 @@ def test_criterion_5_deep_clique_pipeline(capsys):
             if sep != 4:
                 failures.append(f"balls at {u},{v} separated by {sep}, not 4")
     ident = QiMap(sub, sub, {v: v for v in sub.vertices}, 1.0)
-    model = build_minor_model(k4, sub, ident, 1.0)
+    model = build_minor_model(k4, ident)
     if sorted(len(s) for s in model.branch_sets.values()) != [10] * 4:
         failures.append("branch set sizes changed")
     if sorted(len(s) for s in model.edge_paths.values()) != [7] * 6:

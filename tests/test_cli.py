@@ -253,8 +253,7 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "path", "--length", "0")
         assert code == 3
         assert "error:" in err
-        code, _, _ = run(capsys, "generate", "spider", "--t", "4",
-                         "--legs", "1,1")
+        code, _, _ = run(capsys, "generate", "spider", "--legs", "1,1")
         assert code == 3
 
 
@@ -435,6 +434,20 @@ class TestQiCheck:
                              "--source", str(gpath), "--target", str(gpath))
         assert (code, out) == (3, "")
         assert "not a vertex id" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("f", [["ab", "ba"], [["a", "b"], ["b", "a"]]],
+                             ids=["strings", "pairs"])
+    def test_map_that_is_no_object_exits_3(self, capsys, tmp_path, f):
+        # dict() would read either list as a -> b, b -> a and check that map
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+        mpath = tmp_path / "map.json"
+        mpath.write_text(json.dumps({"f": f, "c": 2}))
+        code, out, err = run(capsys, "qi-check", "--map", str(mpath),
+                             "--source", str(gpath), "--target", str(gpath))
+        assert (code, out) == (3, "")
+        assert err == ("error: malformed quasi-isometry map object: "
+                       "f must be an object, not a list\n")
 
     @pytest.mark.parametrize("value", ["true", "1.0", "false", "2.0", "null"])
     def test_boolean_or_float_map_value_exits_3(self, capsys, tmp_path, value):
@@ -715,6 +728,20 @@ class TestTreewidth:
         assert code == 0
         assert json.loads(out)["treewidth"] == 1
 
+    def test_no_cap_lifts_the_ceiling(self, capsys, tmp_path):
+        # the oracle's table has 2^n entries: 2^48 would fail at once, 2^27 fill 1 GB
+        vs = [f"v{i:02d}" for i in range(48)]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"vertices": vs, "edges": [list(e) for e in zip(vs, vs[1:])]}))
+        code, out, err = run(capsys, "treewidth", str(path), "--cap", "64")
+        assert (code, out) == (4, "")
+        assert err == "error: graph has 48 vertices, exact treewidth capped at 20\n"
+        # decompose --oracle reports its minor bound instead, here on K_4's 44-part quotient
+        cwx = tmp_path / "k4.cwx"
+        assert run(capsys, "generate", "subdivided-clique", "--n", "4", "--out", str(cwx))[0] == 0
+        code, out, _ = run(capsys, "decompose", str(cwx), "--oracle", "--cap", "100")
+        assert code == 0 and json.loads(out)["quotient_treewidth_lower_bound"] == 3
+
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -758,6 +785,11 @@ class TestTreewidth:
         ({"vertices": [1.0, 2], "edges": [[1.0, 2]]}, "vertex id 1.0 is a float"),
         ({"vertices": [1, 2], "edges": [[1, 2.0]]}, "vertex id 2.0 is a float"),
         ({"vertices": [None], "edges": []}, "vertex id None is a NoneType"),
+        # a string or an object would pass as its characters or keys
+        ({"vertices": "ab", "edges": []}, "vertices must be a list, not a str"),
+        ({"vertices": {"a": 1, "b": 2}, "edges": []}, "vertices must be a list, not a dict"),
+        ({"vertices": ["a", "b"], "edges": {"a": "b"}}, "edges must be a list, not a dict"),
+        ({"vertices": ["a", "b"], "edges": ["ab"]}, "edge 'ab' is not a pair"),
     ])
     def test_malformed_graph_file_exits_3(self, capsys, tmp_path, graph, why):
         path = tmp_path / "bad.json"
@@ -1007,12 +1039,14 @@ class TestParser:
         (["eval", "F", "--dot"], "--dot"),
         (["export-dot", "F", "--kind", "decomposition"], "--kind decomposition"),
         (["minor-model", "--oracle"], "--oracle"),
-        (["treewidth", "F", "--quotient"], "--quotient")],
-        ids=["eval", "export-dot", "minor-model", "treewidth"])
+        (["treewidth", "F", "--quotient"], "--quotient"),
+        (["generate", "spider", "--t", "3"], "--t 3")],
+        ids=["eval", "export-dot", "minor-model", "treewidth", "spider"])
     def test_a_second_route_to_an_answer_is_an_argparse_error(self, argv, rest):
         # a graph's DOT comes from export-dot, a decomposition's from decompose --dot,
-        # a quotient's treewidth from decompose --oracle, and build_minor_model checks
-        # every model it returns
+        # a quotient's treewidth from decompose --oracle, build_minor_model checks
+        # every model it returns, and a spider's leg count is the length of --legs (an
+        # option is read by its full name only, so --t is no abbreviation of --times)
         code, out, err = exit_of(main, argv)
         assert (code, out) == (("SystemExit", 2), "")
         assert err.endswith(f"error: unrecognized arguments: {rest}\n")
@@ -1139,7 +1173,7 @@ def command_argv(name, files):
         "decompose": {"--normalize": switch, "--oracle": switch, "--cap": SIZES,
                       "--dot": switch},
         "generate": {"--length": SIZES, "--palette": SIZES, "--x-color": SIZES,
-                     "--y-color": SIZES, "--inner-color": SIZES, "--t": SIZES,
+                     "--y-color": SIZES, "--inner-color": SIZES,
                      "--n": SIZES, "--times": SIZES,
                      "--legs": st.sampled_from(["1,1,1", "", "2,x", "-1,2", "0"])},
         "corpus": {"--pretty": switch},

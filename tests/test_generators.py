@@ -230,7 +230,7 @@ class TestSubdivisionRecognition:
     """build_minor_model leans on recognizing its source as a subdivision."""
 
     def embed(self, pattern, source, c=1.0):
-        return build_minor_model(pattern, source, identity_qi(source, c), c)
+        return build_minor_model(pattern, identity_qi(source, c))
 
     def test_missing_branch_vertex(self):
         with pytest.raises(InputError, match="missing from the subdivision"):
@@ -288,7 +288,7 @@ class TestBuildMinorModel:
     def test_identity_pullback_of_deep_k4(self):
         k4 = complete_graph(4)
         sub = subdivide(k4, 7)
-        model = build_minor_model(k4, sub, identity_qi(sub), 1.0)
+        model = build_minor_model(k4, identity_qi(sub))
         assert sorted(model.branch_sets) == ["1", "2", "3", "4"]
         assert sorted(model.edge_paths) == [
             ("1", "2"), ("1", "3"), ("1", "4"),
@@ -310,7 +310,7 @@ class TestBuildMinorModel:
         k5 = complete_graph(5)
         sub = subdivide(k5, 7)
         assert len(sub) == 75
-        model = build_minor_model(k5, sub, identity_qi(sub), 1.0)
+        model = build_minor_model(k5, identity_qi(sub))
         assert len(model.edge_paths) == 10
         assert all(len(s) == 13 for s in model.branch_sets.values())
 
@@ -318,25 +318,20 @@ class TestBuildMinorModel:
         k4 = complete_graph(4)
         sub = subdivide(k4, 3)
         with pytest.raises(InputError, match="too shallow.*need >= 8"):
-            build_minor_model(k4, sub, identity_qi(sub), 1.0)
+            build_minor_model(k4, identity_qi(sub))
 
     def test_map_contract_checked(self):
         k4 = complete_graph(4)
         sub = subdivide(k4, 7)
         with pytest.raises(InputError, match="must be >= 1"):
-            build_minor_model(k4, sub, identity_qi(sub, 0.5), 0.5)
-        other = complete_graph(3)
-        with pytest.raises(InputError, match="must map into"):
-            build_minor_model(k4, other, identity_qi(sub), 1.0)
-        with pytest.raises(InputError, match="claims parameter"):
-            build_minor_model(k4, sub, identity_qi(sub, 2.0), 1.0)
+            build_minor_model(k4, identity_qi(sub, 0.5))
 
     def test_bound_violations_rejected(self):
         k4 = complete_graph(4)
         sub = subdivide(k4, 7)
         collapse = QiMap(sub, sub, {v: "1" for v in sub.vertices}, 1.0)
         with pytest.raises(InputError, match="violates the distance bounds"):
-            build_minor_model(k4, sub, collapse, 1.0)
+            build_minor_model(k4, collapse)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_separation_matches_the_pair_scan(self, n):
@@ -354,7 +349,7 @@ class TestBuildMinorModel:
                     stretches[(u, v)] = frozenset(seq[int(z):len(seq) - int(z)])
                 want = pair_scan_minor_separation(sub.vertices, sub.edges, balls, stretches, z)
                 try:
-                    build_minor_model(h, sub, identity_qi(sub, c), c)
+                    build_minor_model(h, identity_qi(sub, c))
                     got = None
                 except ContractError as exc:
                     got = str(exc)
@@ -365,7 +360,7 @@ class TestBuildMinorModel:
     def test_json_shape(self):
         k4 = complete_graph(4)
         sub = subdivide(k4, 7)
-        model = build_minor_model(k4, sub, identity_qi(sub), 1.0)
+        model = build_minor_model(k4, identity_qi(sub))
         obj = model_to_json_dict(model)
         assert set(obj) == {"branch_sets", "edge_paths"}
         assert "1--2" in obj["edge_paths"]
@@ -377,7 +372,7 @@ def k4_model():
     """K_4, its 7-subdivision, and the model build_minor_model pulls through the identity."""
     k4 = complete_graph(4)
     sub = subdivide(k4, 7)
-    return k4, sub, build_minor_model(k4, sub, identity_qi(sub), 1.0)
+    return k4, sub, build_minor_model(k4, identity_qi(sub))
 
 
 def mutant(model, branch=None, paths=None):
@@ -401,7 +396,7 @@ class TestValidateMinorModel:
     def test_built_models_pass(self, n, times):
         h = complete_graph(n)
         sub = subdivide(h, times)
-        model = build_minor_model(h, sub, identity_qi(sub), 1.0)
+        model = build_minor_model(h, identity_qi(sub))
         report = validate_minor_model(h, sub, model)
         assert [c.name for c in report.checks] == ["connected", "disjoint", "incident"]
         assert report.ok and reference_witness(h, sub, model) is None
@@ -458,7 +453,7 @@ class TestValidateMinorModel:
         failed = set()
         for h, times in ((complete_graph(3), 8), (complete_graph(4), 7)):
             sub = subdivide(h, times)
-            model = build_minor_model(h, sub, identity_qi(sub), 1.0)
+            model = build_minor_model(h, identity_qi(sub))
             names = [("b", v) for v in model.branch_sets] + [("p", e) for e in model.edge_paths]
             for _ in range(300):
                 sets = {"b": dict(model.branch_sets), "p": dict(model.edge_paths)}
@@ -494,7 +489,7 @@ class TestValidateMinorModel:
 
         monkeypatch.setattr(generators, "closed_r_neighborhood", fatten_without_branch_vertex_1)
         with pytest.raises(ContractError) as exc:
-            build_minor_model(k4, sub, identity_qi(sub), 1.0)
+            build_minor_model(k4, identity_qi(sub))
         assert str(exc.value) == "model set of '1' is disconnected in the host"
 
     def test_validation_grows_linearly(self):
@@ -503,7 +498,7 @@ class TestValidateMinorModel:
         def events_per_unit(n):
             h = complete_graph(n)
             sub = subdivide(h, 8)
-            model = build_minor_model(h, sub, identity_qi(sub), 1.0)
+            model = build_minor_model(h, identity_qi(sub))
             count = [0]
 
             def tracer(frame, event, arg):

@@ -482,6 +482,11 @@ class TestPartition:
         with pytest.raises(InputError):
             Partition({"x": []})
 
+    def test_takes_a_mapping_only(self):
+        # a list of pairs could repeat a part id; a mapping cannot
+        with pytest.raises(InputError, match="^a partition maps part ids to members, not a list$"):
+            Partition([("a", {"x"})])
+
 
 class TestQuotient:
     def test_path_contracts_to_shorter_path(self):
