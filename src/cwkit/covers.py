@@ -12,51 +12,50 @@ projection, and scanned pair by pair otherwise (quasiiso._bounds_witness).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ContractError, InputError
 from .graphs import (INFINITE, Graph, _close_pair, _diameter_bound, _is_vertex_id,
                      connected_components, weak_diameter)
 from .quasiiso import QiMap, _bounds_witness, _fibres
+from .records import Record, _set
 from .treedecomp import VerificationReport, _verdict
 
 
-@dataclass(frozen=True)
-class ControlDilation:
+class ControlDilation(Record):
     """Linear control function r -> slope * r, increasing from zero."""
 
-    slope: float
+    __slots__ = ("slope",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.slope) or self.slope <= 0:
-            raise InputError(f"dilation needs a finite slope > 0, got {self.slope}")
+    def __init__(self, slope: float):
+        if not math.isfinite(slope) or slope <= 0:
+            raise InputError(f"dilation needs a finite slope > 0, got {slope}")
+        _set(self, "slope", slope)
 
     def __call__(self, r):
         return self.slope * r
 
 
-@dataclass(frozen=True)
-class CoverFamily:
+class CoverFamily(Record):
     """Collections of vertex sets, with the scale and bound they claim."""
 
-    collections: tuple
-    r: float
-    diameter_bound: float
+    __slots__ = ("collections", "r", "diameter_bound")
 
-    def __post_init__(self):
+    def __init__(self, collections: tuple, r: float, diameter_bound: float):
         canon = tuple(tuple(sorted((frozenset(s) for s in coll), key=sorted))
-                      for coll in self.collections)
+                      for coll in collections)
         for coll in canon:
             for s in coll:
                 if not s:
                     raise InputError("cover sets must be nonempty")
-        object.__setattr__(self, "collections", canon)
-        for what, x in (("scale", self.r), ("diameter bound", self.diameter_bound)):
+        for what, x in (("scale", r), ("diameter bound", diameter_bound)):
             if isinstance(x, bool) or not isinstance(x, (int, float)) or x != x:
                 raise InputError(f"cover {what} must be a number, "
                                  f"got {'NaN' if x != x else repr(x)}")
-        if self.r < 0:
+        if r < 0:
             raise InputError("cover scale must be >= 0")
+        _set(self, "collections", canon)
+        _set(self, "r", r)
+        _set(self, "diameter_bound", diameter_bound)
 
     @property
     def n(self) -> int:

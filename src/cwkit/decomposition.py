@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from collections.abc import Mapping
 
 from .errors import ContractError, CwkitError
@@ -25,6 +24,7 @@ from .expressions import (LEAF, RECOLOR, UNION, CwExpr, _fields, _find, _graph_o
                           _Semantics, _Text, fold_postorder, parse, read_text,
                           validate_strict)
 from .graphs import ColoredGraph, Graph, Partition, is_dominated, quotient
+from .records import Record, _set
 from .treedecomp import (CheckResult, TreeDecomposition, VerificationReport, _holding,
                          _td_checks, _td_witnesses, _verdict, is_tree, td_to_dot,
                          td_to_json_dict)
@@ -41,14 +41,17 @@ _RULE_WHY = {
 }
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Record):
     """Partition, induced part colours, quotient tree decomposition, rainbow node."""
 
-    partition: Partition
-    part_colors: Mapping
-    tree: TreeDecomposition
-    rainbow_node: int
+    __slots__ = ("partition", "part_colors", "tree", "rainbow_node")
+
+    def __init__(self, partition: Partition, part_colors: Mapping, tree: TreeDecomposition,
+                 rainbow_node: int):
+        _set(self, "partition", partition)
+        _set(self, "part_colors", part_colors)
+        _set(self, "tree", tree)
+        _set(self, "rainbow_node", rainbow_node)
 
 
 def decompose(e: CwExpr) -> DecompositionResult:

@@ -28,10 +28,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import re
-from dataclasses import dataclass
 
 from .errors import InputError, ParseError
 from .graphs import INFINITE, ColoredGraph, Graph
+from .records import Record, _set
 
 # Rule ids reported by validate_strict.
 RULE_DUP_VERTEX = "DUP_VERTEX"
@@ -55,69 +55,128 @@ def _positive(what: str, *values) -> None:
 def _nodes(what: str, *values) -> None:
     """InputError unless each value is a Leaf, Union, Recolor or Join."""
     for value in values:
-        if not isinstance(value, Node):
+        if not isinstance(value, _Node):
             raise InputError(f"{what} must be an expression node, not {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Leaf:
-    vertex: str
-    color: int
+class _Node(Record):
+    """Leaf, Union, Recolor and Join.  == and hash walk the trees with one explicit
+    stack, and the hash is cached; repr shows at most 20 nodes, so none of the three
+    recurses, whatever the depth."""
 
-    def __post_init__(self):
-        _positive("leaf colour", self.color)
-        if type(self.vertex) is not str or not _ID_RE.fullmatch(self.vertex):
-            raise InputError(f"invalid vertex id {self.vertex!r}")
+    __slots__ = ("_hash",)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if type(a) is not type(b) or _fields(a) != _fields(b):
+                    return False
+                stack.extend(zip(_children(a), _children(b)))
+        return True
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return fold_postorder(self, _hashed)
+
+    def __repr__(self) -> str:
+        out, todo, budget = [], [self], 20  # the nodes shown; "..." stands for the rest
+        while todo:
+            item = todo.pop()
+            if type(item) is str:
+                out.append(item)
+            elif budget:
+                budget -= 1
+                pieces = [f"{type(item).__qualname__}("]
+                for i, name in enumerate(item.__slots__):
+                    value = getattr(item, name)
+                    pieces += [", " * bool(i) + f"{name}=",
+                               value if isinstance(value, _Node) else repr(value)]
+                todo += reversed(pieces + [")"])
+            else:
+                out.append("...")
+        return "".join(out)
 
 
-@dataclass(frozen=True)
-class Union:
-    left: "Node"
-    right: "Node"
-
-    def __post_init__(self):
-        _nodes("union operand", self.left, self.right)
+def _hashed(node: _Node, kids: tuple) -> int:
+    """A node's hash, from its fields and its children's hashes, cached on it."""
+    _set(node, "_hash", hash((*_fields(node), *kids)))
+    return node._hash
 
 
-@dataclass(frozen=True)
-class Recolor:
-    old_color: int
-    new_color: int
-    child: "Node"
+class Leaf(_Node):
+    __slots__ = ("vertex", "color")
 
-    def __post_init__(self):
-        if self.old_color == self.new_color:
+    def __init__(self, vertex: str, color: int):
+        _positive("leaf colour", color)
+        if type(vertex) is not str or not _ID_RE.fullmatch(vertex):
+            raise InputError(f"invalid vertex id {vertex!r}")
+        _VERTEX(self, vertex)
+        _COLOR(self, color)
+
+
+class Union(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        _nodes("union operand", left, right)
+        _LEFT(self, left)
+        _RIGHT(self, right)
+
+
+class Recolor(_Node):
+    __slots__ = ("old_color", "new_color", "child")
+
+    def __init__(self, old_color: int, new_color: int, child: Node):
+        if old_color == new_color:
             raise InputError("recolor colours must differ")
-        _positive("recolor colour", self.old_color, self.new_color)
-        _nodes("recolor child", self.child)
+        _positive("recolor colour", old_color, new_color)
+        _nodes("recolor child", child)
+        _OLD_COLOR(self, old_color)
+        _NEW_COLOR(self, new_color)
+        _RECOLOR_CHILD(self, child)
 
 
-@dataclass(frozen=True)
-class Join:
-    color_a: int
-    color_b: int
-    child: "Node"
+class Join(_Node):
+    __slots__ = ("color_a", "color_b", "child")
 
-    def __post_init__(self):
-        if self.color_a == self.color_b:
+    def __init__(self, color_a: int, color_b: int, child: Node):
+        if color_a == color_b:
             raise InputError("join colours must differ")
-        _positive("join colour", self.color_a, self.color_b)
-        _nodes("join child", self.child)
+        _positive("join colour", color_a, color_b)
+        _nodes("join child", child)
+        _COLOR_A(self, color_a)
+        _COLOR_B(self, color_b)
+        _JOIN_CHILD(self, child)
 
 
 Node = Leaf | Union | Recolor | Join
 
+# Each node field's slot setter fills it past the __setattr__ that keeps nodes
+# frozen, and faster than _set does: parse fills a node at every ')' and leaf.
+_VERTEX, _COLOR = Leaf.vertex.__set__, Leaf.color.__set__
+_LEFT, _RIGHT = Union.left.__set__, Union.right.__set__
+_OLD_COLOR, _NEW_COLOR = Recolor.old_color.__set__, Recolor.new_color.__set__
+_COLOR_A, _COLOR_B = Join.color_a.__set__, Join.color_b.__set__
+_RECOLOR_CHILD, _JOIN_CHILD = Recolor.child.__set__, Join.child.__set__
+_new = object.__new__  # a node without __init__, for _node to fill
 
-@dataclass(frozen=True)
-class CwExpr:
+
+class CwExpr(Record):
     """An expression together with its palette size k."""
 
-    k: int
-    root: Node
+    __slots__ = ("k", "root")
 
-    def __post_init__(self):
-        _positive("palette size", self.k)
-        _nodes("expression root", self.root)
+    def __init__(self, k: int, root: Node):
+        _positive("palette size", k)
+        _nodes("expression root", root)
+        _set(self, "k", k)
+        _set(self, "root", root)
 
 
 LEAF, UNION, RECOLOR, JOIN = range(4)
@@ -318,13 +377,18 @@ class _Text:
             elif token == ")":
                 if not stack:
                     raise self.error("unmatched ')'", i)
-                _, op, a, b, *args = frame = stack.pop()
-                x, y = (int(a), int(b)) if a else (0, 0)  # only a recolor or join has colours here
-                if op == "union" and len(args) == 2 and int not in map(type, args):
+                frame = stack.pop()
+                args = frame[4:]
+                if frame[2]:  # only a recolor or join has colours here
+                    x, y = int(frame[2]), int(frame[3])
+                    if (len(args) == 1 and type(args[0]) is not int and x != y
+                            and 0 < x <= k and 0 < y <= k):
+                        value = step(RECOLOR if frame[1] == "recolor" else JOIN, x, y, args)
+                    else:
+                        value = step(*self.fields(frame))
+                elif (frame[1] == "union" and len(args) == 2 and type(args[0]) is not int
+                      and type(args[1]) is not int):
                     value = step(UNION, None, None, args)
-                elif (len(args) == 1 and type(args[0]) is not int and x != y
-                      and 0 < x <= k and 0 < y <= k):
-                    value = step(RECOLOR if op == "recolor" else JOIN, x, y, args)
                 else:
                     value = step(*self.fields(frame))
             elif token == "(":
@@ -347,12 +411,28 @@ class _Text:
 
 
 def _node(kind: int, x, y, kids) -> Node:
-    """The node a fold step makes from its fields and children."""
+    """The node a fold step makes from its fields and children, which are checked
+    already (parse's events check them, and normalize renames checked colours);
+    so it skips __init__ and its checks."""
     if kind == LEAF:
-        return Leaf(x, y)
-    if kind == UNION:
-        return Union(*kids)
-    return (Recolor if kind == RECOLOR else Join)(x, y, kids[0])
+        node = _new(Leaf)
+        _VERTEX(node, x)
+        _COLOR(node, y)
+    elif kind == UNION:
+        node = _new(Union)
+        _LEFT(node, kids[0])
+        _RIGHT(node, kids[1])
+    elif kind == RECOLOR:
+        node = _new(Recolor)
+        _OLD_COLOR(node, x)
+        _NEW_COLOR(node, y)
+        _RECOLOR_CHILD(node, kids[0])
+    else:
+        node = _new(Join)
+        _COLOR_A(node, x)
+        _COLOR_B(node, y)
+        _JOIN_CHILD(node, kids[0])
+    return node
 
 
 def parse(text: str) -> CwExpr:
@@ -632,19 +712,23 @@ def _graph_of(core: _Semantics, state: _State) -> ColoredGraph:
 
 # ------------------------------------------------------------- validation
 
-@dataclass(frozen=True)
-class Violation:
-    path: tuple
-    rule: str
-    message: str
+class Violation(Record):
+    __slots__ = ("path", "rule", "message")
+
+    def __init__(self, path: tuple, rule: str, message: str):
+        _set(self, "path", path)
+        _set(self, "rule", rule)
+        _set(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.rule} at {render_path(self.path)}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple
+class ValidationReport(Record):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple):
+        _set(self, "violations", violations)
 
     @property
     def strict_valid(self) -> bool:

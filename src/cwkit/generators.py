@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from .errors import ContractError, InputError
 from .expressions import CwExpr, Join, Leaf, Recolor, Union
 from .graphs import (INFINITE, Graph, _close_pair, _connected_within, _near_owners,
                      _owners, closed_r_neighborhood)
 from .quasiiso import QiMap, _bounds_witness
+from .records import Record, _set
 from .treedecomp import VerificationReport, _verdict
 
 
@@ -220,18 +220,15 @@ def gen_subdivided_clique(n: int, times: int) -> CwExpr:
 
 # ------------------------------------------------------------ minor models
 
-@dataclass(frozen=True)
-class MinorModel:
+class MinorModel(Record):
     """Disjoint connected branch sets plus one connecting set per edge."""
 
-    branch_sets: Mapping   # pattern vertex -> frozenset of host vertices
-    edge_paths: Mapping    # (u, v) with u < v -> frozenset of host vertices
+    __slots__ = ("branch_sets",  # pattern vertex -> frozenset of host vertices
+                 "edge_paths")   # (u, v) with u < v -> frozenset of host vertices
 
-    def __post_init__(self):
-        object.__setattr__(self, "branch_sets",
-                           {v: frozenset(s) for v, s in dict(self.branch_sets).items()})
-        object.__setattr__(self, "edge_paths",
-                           {tuple(e): frozenset(s) for e, s in dict(self.edge_paths).items()})
+    def __init__(self, branch_sets: Mapping, edge_paths: Mapping):
+        _set(self, "branch_sets", {v: frozenset(s) for v, s in dict(branch_sets).items()})
+        _set(self, "edge_paths", {tuple(e): frozenset(s) for e, s in dict(edge_paths).items()})
 
 
 def _subdivision_structure(source: Graph, pattern: Graph) -> dict:

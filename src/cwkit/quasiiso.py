@@ -20,40 +20,39 @@ projection for qi-check, corpus and check_partqi_tight; _bounds_witness, any map
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from collections.abc import Mapping
 
 from .errors import InputError
 from .graphs import (Graph, INFINITE, Partition, _distance_row, _is_vertex_id, _positions,
                      quotient, weak_diameter)
+from .records import Record, _set
 
 
-@dataclass(frozen=True)
-class QiMap:
+class QiMap(Record):
     """A vertex map between two graphs with a claimed parameter c."""
 
-    source: Graph
-    target: Graph
-    mapping: Mapping
-    c: float
+    __slots__ = ("source", "target", "mapping", "c")
 
-    def __post_init__(self):
-        if not math.isfinite(self.c) or self.c <= 0:
-            raise InputError(f"quasi-isometry parameter must be positive and finite, "
-                             f"got {self.c}")
-        object.__setattr__(self, "mapping", dict(self.mapping))
-        if set(self.mapping) != set(self.source.vertices):
+    def __init__(self, source: Graph, target: Graph, mapping: Mapping, c: float):
+        if not math.isfinite(c) or c <= 0:
+            raise InputError(f"quasi-isometry parameter must be positive and finite, got {c}")
+        mapping = dict(mapping)
+        if set(mapping) != set(source.vertices):
             raise InputError("map must be defined on exactly the source vertices")
-        for v, w in self.mapping.items():
-            if not self.target.has_vertex(w):
+        for v, w in mapping.items():
+            if not target.has_vertex(w):
                 raise InputError(f"map sends {v!r} to unknown target vertex {w!r}")
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "mapping", mapping)
+        _set(self, "c", c)
 
     def __call__(self, v):
         return self.mapping[v]
 
     def with_c(self, c: float) -> "QiMap":
         """The same map reinterpreted at a weaker (larger) parameter."""
-        return replace(self, c=float(c))
+        return QiMap(self.source, self.target, self.mapping, float(c))
 
 
 def projection_map(g: Graph, p: Partition, c: float | None = None) -> QiMap:
@@ -126,23 +125,28 @@ def _window(m: QiMap, *windows) -> tuple:
     return tuple(map(tuple, found))
 
 
-@dataclass(frozen=True)
-class QiReport:
+class QiReport(Record):
     """Outcome of check_qi with the worst slack seen on each bound.
 
     With lower_is_bound, worst_lower_margin is the projection lemma's upper
     bound on that margin, not the margin itself (_verify_projection).
     """
 
-    c: float
-    bounds_ok: bool
-    bounds_witness: tuple | None
-    density_ok: bool
-    density_witness: object
-    worst_lower_margin: float
-    worst_upper_margin: float
-    density_worst: float
-    lower_is_bound: bool = False
+    __slots__ = ("c", "bounds_ok", "bounds_witness", "density_ok", "density_witness",
+                 "worst_lower_margin", "worst_upper_margin", "density_worst", "lower_is_bound")
+
+    def __init__(self, c: float, bounds_ok: bool, bounds_witness: tuple | None,
+                 density_ok: bool, density_witness: object, worst_lower_margin: float,
+                 worst_upper_margin: float, density_worst: float, lower_is_bound: bool = False):
+        _set(self, "c", c)
+        _set(self, "bounds_ok", bounds_ok)
+        _set(self, "bounds_witness", bounds_witness)
+        _set(self, "density_ok", density_ok)
+        _set(self, "density_witness", density_witness)
+        _set(self, "worst_lower_margin", worst_lower_margin)
+        _set(self, "worst_upper_margin", worst_upper_margin)
+        _set(self, "density_worst", density_worst)
+        _set(self, "lower_is_bound", lower_is_bound)
 
     @property
     def ok(self) -> bool:
@@ -227,22 +231,27 @@ def _bounds_witness(m: QiMap):
     return _window(m, (m.c,) * 4)[0][4]
 
 
-@dataclass(frozen=True)
-class PartitionQiReport:
+class PartitionQiReport(Record):
     """Outcome of the tight projection bounds r/(c+1) - 1 <= r' <= r.
 
     With lower_is_bound, worst_lower_margin is the projection lemma's upper
     bound on that margin (_verify_projection).
     """
 
-    c: float
-    lower_ok: bool
-    lower_witness: tuple | None
-    upper_ok: bool
-    upper_witness: tuple | None
-    worst_lower_margin: float
-    worst_upper_margin: float
-    lower_is_bound: bool = False
+    __slots__ = ("c", "lower_ok", "lower_witness", "upper_ok", "upper_witness",
+                 "worst_lower_margin", "worst_upper_margin", "lower_is_bound")
+
+    def __init__(self, c: float, lower_ok: bool, lower_witness: tuple | None, upper_ok: bool,
+                 upper_witness: tuple | None, worst_lower_margin: float,
+                 worst_upper_margin: float, lower_is_bound: bool = False):
+        _set(self, "c", c)
+        _set(self, "lower_ok", lower_ok)
+        _set(self, "lower_witness", lower_witness)
+        _set(self, "upper_ok", upper_ok)
+        _set(self, "upper_witness", upper_witness)
+        _set(self, "worst_lower_margin", worst_lower_margin)
+        _set(self, "worst_upper_margin", worst_upper_margin)
+        _set(self, "lower_is_bound", lower_is_bound)
 
     @property
     def ok(self) -> bool:

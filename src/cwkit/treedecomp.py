@@ -8,11 +8,11 @@ _clique_minor_bound gives min(tw, 3) in linear time.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from collections.abc import Mapping
 
 from .errors import InputError, SizeCapError
 from .graphs import Graph, _components_within, _dot, is_connected
+from .records import Record, _set
 
 DEFAULT_TREEWIDTH_CAP = 12
 #: brute_treewidth refuses more vertices whatever its cap: its table of 2^20 entries is 8 MiB.
@@ -59,19 +59,23 @@ def width(td: TreeDecomposition) -> int:
     return max(len(b) for b in td.bags.values()) - 1
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    witness: str | None = None
+class CheckResult(Record):
+    __slots__ = ("name", "ok", "witness")
+
+    def __init__(self, name: str, ok: bool, witness: str | None = None):
+        _set(self, "name", name)
+        _set(self, "ok", ok)
+        _set(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Named checks, each with its first witness; validate_td, verify_result,
     validate_cover and validate_minor_model all report this way."""
 
-    checks: tuple
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple):
+        _set(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

@@ -6,12 +6,11 @@ with the plain Floyd-Warshall from tests/helpers.py, treewidth with the
 exact oracle, cover properties with raw set arithmetic.
 """
 
-import dataclasses
 import math
 
 import pytest
 
-from cwkit import (ControlDilation, Graph, Partition, QiMap,
+from cwkit import (ControlDilation, DecompositionResult, Graph, Partition, QiMap,
                    TreeDecomposition, brute_treewidth, build_minor_model,
                    check_partqi_tight, check_qi, complete_graph,
                    cover_by_components, decompose, evaluate, gen_path,
@@ -291,7 +290,7 @@ def test_criterion_7_planted_defects_caught(capsys):
     def retree(res, tree=None, bags=None):
         td = TreeDecomposition(tree if tree is not None else res.tree.tree,
                                bags if bags is not None else dict(res.tree.bags))
-        return dataclasses.replace(res, tree=td)
+        return DecompositionResult(res.partition, res.part_colors, td, res.rainbow_node)
 
     pruned = Graph(list(result.tree.tree.vertices),
                    [ed for ed in result.tree.tree.edges if set(ed) != {3, 4}])
@@ -304,12 +303,12 @@ def test_criterion_7_planted_defects_caught(capsys):
     mutations = [
         ("bag element removed", "bag_subtrees", cg, retree(result, bags=stripped)),
         ("part split", "part_colors_match", cg,
-         dataclasses.replace(result, partition=split)),
-        ("colour flipped", "part_colors_match", cg, dataclasses.replace(
-            result, part_colors={"a": 1, "merge(2,0)": 1})),
+         DecompositionResult(split, result.part_colors, result.tree, result.rainbow_node)),
+        ("colour flipped", "part_colors_match", cg, DecompositionResult(
+            result.partition, {"a": 1, "merge(2,0)": 1}, result.tree, result.rainbow_node)),
         ("tree edge removed", "tree_valid", cg, retree(result, tree=pruned)),
         ("rainbow node reassigned", "rainbow_bag", cg,
-         dataclasses.replace(result, rainbow_node=0)),
+         DecompositionResult(result.partition, result.part_colors, result.tree, 0)),
         ("oversized bag", "width_bound", fg, retree(fresult, bags=oversized)),
     ]
 

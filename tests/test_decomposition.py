@@ -1,6 +1,5 @@
 """decompose() hand traces, determinism, and verify_result mutations."""
 
-import dataclasses
 import json
 
 import pytest
@@ -185,7 +184,7 @@ def three_leaf_setup():
 
 def with_bags(result, bags):
     td = TreeDecomposition(result.tree.tree, bags)
-    return dataclasses.replace(result, tree=td)
+    return DecompositionResult(result.partition, result.part_colors, td, result.rainbow_node)
 
 
 class TestVerifyCatchesMutations:
@@ -193,8 +192,8 @@ class TestVerifyCatchesMutations:
 
     def test_dropped_vertex(self):
         g, result = three_leaf_setup()
-        broken = dataclasses.replace(
-            result, partition=Partition({"a": ["a"], "merge(2,0)": ["b"]}))
+        broken = DecompositionResult(Partition({"a": ["a"], "merge(2,0)": ["b"]}),
+                                     result.part_colors, result.tree, result.rainbow_node)
         report = verify_result(g, broken)
         bad = report.check("partition_covers")
         assert not bad.ok and "c" in bad.witness
@@ -204,17 +203,16 @@ class TestVerifyCatchesMutations:
 
     def test_mixed_color_part(self):
         g, result = three_leaf_setup()
-        broken = dataclasses.replace(
-            result,
-            partition=Partition({"a": ["a", "b"], "merge(2,0)": ["c"]}))
+        broken = DecompositionResult(Partition({"a": ["a", "b"], "merge(2,0)": ["c"]}),
+                                     result.part_colors, result.tree, result.rainbow_node)
         report = verify_result(g, broken)
         bad = report.check("parts_monochromatic")
         assert not bad.ok and "colours [1, 2]" in bad.witness
 
     def test_mislabelled_color(self):
         g, result = three_leaf_setup()
-        broken = dataclasses.replace(result,
-                                     part_colors={"a": 1, "merge(2,0)": 1})
+        broken = DecompositionResult(result.partition, {"a": 1, "merge(2,0)": 1},
+                                     result.tree, result.rainbow_node)
         report = verify_result(g, broken)
         bad = report.check("part_colors_match")
         assert not bad.ok and "labelled 1" in bad.witness
@@ -226,8 +224,7 @@ class TestVerifyCatchesMutations:
         path = Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
         g = ColoredGraph(path, 3, {"a": 1, "b": 1, "c": 1, "d": 1})
         tree = Graph([0], [])
-        hand = dataclasses.replace(
-            three_leaf_setup()[1],
+        hand = DecompositionResult(
             partition=Partition({"ends": ["a", "d"], "mid": ["b", "c"]}),
             part_colors={"ends": 1, "mid": 1},
             tree=TreeDecomposition(tree, {0: {"ends", "mid"}}),
@@ -241,9 +238,9 @@ class TestVerifyCatchesMutations:
         g, result = three_leaf_setup()
         nodes = list(result.tree.tree.vertices)
         pruned = [e for e in result.tree.tree.edges if set(e) != {3, 4}]
-        broken = dataclasses.replace(
-            result, tree=TreeDecomposition(Graph(nodes, pruned),
-                                           dict(result.tree.bags)))
+        broken = DecompositionResult(
+            result.partition, result.part_colors,
+            TreeDecomposition(Graph(nodes, pruned), dict(result.tree.bags)), result.rainbow_node)
         report = verify_result(g, broken)
         bad = report.check("tree_valid")
         assert not bad.ok and "not a tree" in bad.witness
@@ -284,7 +281,8 @@ class TestVerifyCatchesMutations:
 
     def test_colorless_rainbow_bag(self):
         g, result = three_leaf_setup()
-        report = verify_result(g, dataclasses.replace(result, rainbow_node=0))
+        report = verify_result(g, DecompositionResult(result.partition, result.part_colors,
+                                                      result.tree, 0))
         bad = report.check("rainbow_bag")
         assert not bad.ok and "colour 2" in bad.witness
         assert len(report.failed()) == 1
@@ -321,14 +319,14 @@ def mutants(result, rng):
         c = rng.choice(tree.vertices)
         if c != a:
             edges.append((a, c))
-        yield dataclasses.replace(result, tree=TreeDecomposition(
-            Graph(tree.vertices, edges), dict(result.tree.bags)))
+        yield DecompositionResult(result.partition, result.part_colors, TreeDecomposition(
+            Graph(tree.vertices, edges), dict(result.tree.bags)), result.rainbow_node)
 
     colors = dict(result.part_colors)
     ids = sorted(colors)
     p, q = rng.choice(ids), rng.choice(ids)
     colors[p], colors[q] = colors[q], colors[p]
-    yield dataclasses.replace(result, part_colors=colors)
+    yield DecompositionResult(result.partition, colors, result.tree, result.rainbow_node)
 
     big = [pid for pid, members in result.partition if len(members) > 1]
     if big:
@@ -341,15 +339,17 @@ def mutants(result, rng):
         colors[f"{pid}~"] = colors[pid]
         bags = {t: b | {f"{pid}~"} if pid in b and rng.random() < 0.5 else b
                 for t, b in result.tree.bags.items()}
-        yield dataclasses.replace(result, partition=Partition(parts), part_colors=colors,
-                                  tree=TreeDecomposition(result.tree.tree, bags))
+        yield DecompositionResult(Partition(parts), colors,
+                                  TreeDecomposition(result.tree.tree, bags), result.rainbow_node)
 
     parts = result.partition.as_dict()
     first = result.partition.ids[0]
     parts[first] = [*parts[first], "~outside"]  # no vertex id has a '~'
-    yield dataclasses.replace(result, partition=Partition(parts))
+    yield DecompositionResult(Partition(parts), result.part_colors, result.tree,
+                              result.rainbow_node)
 
-    yield dataclasses.replace(result, rainbow_node=-1)  # the tree numbers its nodes from 0
+    # the tree numbers its nodes from 0
+    yield DecompositionResult(result.partition, result.part_colors, result.tree, -1)
 
 
 class TestAgainstNaiveVerifier:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cwkit import (CwExpr, InputError, Join, Leaf, ParseError, Recolor, Union,
-                   evaluate, format_expr, normalize, parse, validate_strict)
+                   evaluate, format_expr, gen_path, normalize, parse, validate_strict)
 from cwkit import expressions
 from cwkit.corpus import generate_corpus, random_strict_expr
 from cwkit.decomposition import _decompose
@@ -293,16 +293,26 @@ class TestEvaluation:
 
     def test_deep_expression_no_recursion_limit(self):
         # 1200 nested unions exceed the default interpreter recursion limit,
-        # so this passes only because every tree walk is iterative.  Equality
-        # is compared on canonical text: the dataclass __eq__ itself recurses.
+        # so this passes only because every tree walk is iterative.
         node = Leaf("v0", 1)
         for i in range(1, 1200):
             node = Union(node, Leaf(f"v{i}", 1))
         e = CwExpr(1, node)
         cg = evaluate(e)
         assert len(cg.graph) == 1200
-        text = format_expr(e)
-        assert format_expr(parse(text)) == text
+        assert parse(format_expr(e)) == e
+
+    def test_deep_path_eq_hash_repr_do_not_recurse(self):
+        # gen_path's AST is about three nodes deep per edge: 3,000 levels here.
+        e = gen_path("x", "y", 1000, 4, 1, 2, 3)
+        assert fold_postorder(e.root, lambda node, kids: 1 + max(kids, default=0)) > 2900
+        back = parse(format_expr(e))
+        assert back is not e and back == e and not back != e
+        assert hash(back) == hash(e)
+        assert back != gen_path("x", "y", 1000, 4, 1, 2, 4)
+        text = repr(e)
+        assert len(text) < 2000 and text.startswith("CwExpr(k=4, root=Recolor(")
+        assert "..." in text
 
 
 class _CountingSet(set):
