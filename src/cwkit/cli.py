@@ -3,12 +3,16 @@
 Every subcommand reads files, runs the library, emits JSON (or DOT, or a
 short human summary with --pretty) and exits 0 on success, 2 on malformed
 input files, 3 on violated preconditions or failed verification, 4 when an
-exact oracle refuses to run above its size cap.
+exact oracle refuses to run above its size cap.  main pauses the cyclic garbage
+collector around each subcommand: nothing a command builds forms a reference
+cycle, so reference counting frees it all.  Library calls leave it alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import itertools
 import json
 import math
 import os
@@ -21,8 +25,8 @@ from .covers import (ControlDilation, _check_scale, cover_by_components,
 from .decomposition import (_decompose, _decompose_cwx, result_to_dot, result_to_json_dict,
                             verify_result)
 from .errors import ContractError, CwkitError, InputError, ParseError, SizeCapError
-from .expressions import (evaluate, format_expr, normalize, read_cwx,
-                          validate_strict, write_cwx)
+from .expressions import (_evaluate_text, evaluate, format_expr, normalize, read_cwx,
+                          read_text, validate_strict, write_cwx)
 from .generators import (build_minor_model, complete_graph, gen_path,
                          gen_spider, gen_subdivided_clique, model_to_json_dict,
                          subdivide)
@@ -69,17 +73,33 @@ def _json(obj, newline: str, out: list) -> None:
     if not obj:
         return out.append(opening + closing)
     inner = newline + "  "
-    kinds = set() if kind is dict else set(map(type, obj))
-    scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-    if scalar:  # a list of one scalar type, in one join
-        return out.append(opening + inner + ("," + inner).join(map(scalar, obj)) + newline
-                          + closing)
+    keys = sorted(obj) if kind is dict else ()
+    values = [obj[key] for key in keys] if keys else obj
+    heads = [_SCALARS[str](key) + ": " for key in keys] or itertools.repeat("")
+    texts = _flat(values, inner)
+    if texts is not None:  # one join for the whole container
+        texts = ("," + inner).join(map(str.__add__, heads, texts))
+        return out.append(opening + inner + texts + newline + closing)
     sep = opening + inner
-    for key, value in sorted(obj.items()) if kind is dict else enumerate(obj):
-        out.append(sep + _SCALARS[str](key) + ": " if kind is dict else sep)
+    for head, value in zip(heads, values):
+        out.append(sep + head)
         _json(value, inner, out)
         sep = "," + inner
     out.append(newline + closing)
+
+
+def _flat(values, newline: str):
+    """values' texts after newline if they are scalars, or scalar lists, of one type; or None."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is not list and kind is not tuple:
+        return map(_SCALARS[kind], values) if kind in _SCALARS else None
+    kinds = set(map(type, itertools.chain.from_iterable(values))) or {str}  # all empty: any
+    scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    if scalar is None:
+        return None
+    inner, sep = newline + "  ", "," + newline + "  "
+    return ["[" + inner + sep.join(map(scalar, v)) + newline + "]" if v else "[]" for v in values]
 
 
 def _write(text: str, out) -> None:
@@ -109,7 +129,7 @@ def _load_json(path):
 def _load_graph(path):
     """A (graph, colors-or-None) pair from a .cwx or a graph JSON file."""
     if str(path).endswith(".cwx"):
-        cg = evaluate(read_cwx(path))
+        cg = _evaluate_text(read_text(path))
         return cg.graph, cg.colors
     return graph_from_json_dict(_load_json(path))
 
@@ -391,14 +411,23 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run argv's subcommand with the collector paused, then set back as the caller had it
+    (argparse's parser, a call's one cyclic garbage, is built before).  The switch is
+    process-wide: with two threads in main, one may re-enable it while the other runs,
+    which costs speed, or, in a narrow race, leave it off after both return."""
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = _build_parser(command).parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (CwkitError, OSError) as exc:  # an OSError: unreadable input or unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ParseError) else 4 if isinstance(exc, SizeCapError) else 3
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

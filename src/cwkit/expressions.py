@@ -29,7 +29,7 @@ import heapq
 import itertools
 import re
 
-from .errors import InputError, ParseError
+from .errors import CwkitError, InputError, ParseError
 from .graphs import INFINITE, ColoredGraph, Graph
 from .records import Record, _set
 
@@ -697,6 +697,16 @@ def evaluate(e: CwExpr) -> ColoredGraph:
     core = _Semantics(e.k)
     state = fold_postorder(e.root, lambda node, kids: core.step(*_fields(node), kids)[0])
     return _graph_of(core, state)
+
+
+def _evaluate_text(text: str) -> ColoredGraph:
+    """evaluate(parse(text)) from the parser's events; on an error, from its AST."""
+    try:
+        body = _Text(text)
+        core = _Semantics(body.k)
+        return _graph_of(core, body.fold(lambda *node: core.step(*node)[0]))
+    except CwkitError:
+        return evaluate(parse(text))
 
 
 def _graph_of(core: _Semantics, state: _State) -> ColoredGraph:

@@ -1,13 +1,16 @@
 """End-to-end runs of every subcommand through main(argv)."""
 
 import argparse
+import gc
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import types
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from types import SimpleNamespace
 
 try:
@@ -19,9 +22,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cwkit import (Graph, TreeDecomposition, decompose, evaluate, format_expr, gen_path,
-                   gen_spider, gen_subdivided_clique, generate_corpus, graph_to_json_dict,
-                   graphs, quasiiso, quotient, write_cwx)
-from cwkit import cli
+                   gen_spider, gen_subdivided_clique, generate_corpus, graph_to_dot,
+                   graph_to_json_dict, graphs, quasiiso, quotient, read_cwx, write_cwx)
+from cwkit import cli, expressions
 from cwkit.cli import main
 
 from helpers import one_line_text
@@ -820,6 +823,27 @@ class TestExportDot:
         assert code == 0
         assert '"1" [label="1:1"]' in out and '"2" [label="2:2"]' in out
 
+    def test_cwx_routes_build_no_ast(self, capsys, tmp_path, k2_file, monkeypatch):
+        # export-dot, treewidth and qi-check --source/--target fold a valid file's events
+        # into the graph; an invalid file is parsed, so its error is parse's or evaluate's
+        k5 = tmp_path / "k5.cwx"
+        write_cwx(k5, gen_subdivided_clique(5, 3))
+        mpath = tmp_path / "map.json"
+        mpath.write_text(json.dumps({"f": {"a": "a", "b": "b"}, "c": 1}))
+        nodes, real = [], expressions._node
+        monkeypatch.setattr(expressions, "_node", lambda *a: nodes.append(a) or real(*a))
+        for argv in (["export-dot", str(k5)], ["treewidth", k2_file],
+                     ["qi-check", "--map", str(mpath), "--source", k2_file, "--target", k2_file]):
+            assert (run(capsys, *argv)[0], len(nodes)) == (0, 0), argv
+        cg = evaluate(read_cwx(k5))
+        assert run(capsys, "export-dot", str(k5))[1] == graph_to_dot(cg.graph, cg.colors)
+        dup = tmp_path / "dup.cwx"
+        dup.write_text(DUPLICATE_TEXT)
+        nodes.clear()
+        assert run(capsys, "export-dot", str(dup)) == (
+            3, "", "error: duplicate vertex id 'a' across union operands\n")
+        assert len(nodes) == 6  # its three leaves, two unions and join
+
     def test_out_file(self, capsys, tmp_path, k2_file):
         dest = tmp_path / "g.dot"
         code, out, _ = run(capsys, "export-dot", k2_file, "--out", str(dest))
@@ -951,7 +975,15 @@ JSON_TEXT = st.text(st.sampled_from('az09"\\/[]{}:, \n\t\x00\x1f\x7f\u00e9\u2028
 JSON_SCALARS = (JSON_TEXT | st.integers() | st.integers(-10 ** 40, 10 ** 40) | st.booleans()
                 | st.none() | st.sampled_from([-0.0, 0.0, 1e16, 1e-7, 0.1, -2.5e300])
                 | st.floats(allow_nan=False, allow_infinity=False))
-JSON_VALUES = st.recursive(JSON_SCALARS, lambda kids: (
+# Containers of scalars or of scalar lists, as a decomposition's part colours, parts, bags
+# and edges are: one scalar type throughout, or mixed types, with empty lists among them.
+JSON_ROWS = st.sampled_from([st.integers(), JSON_TEXT, st.booleans(), st.floats(
+    allow_nan=False, allow_infinity=False), JSON_SCALARS]).flatmap(lambda items: (
+        st.dictionaries(JSON_TEXT, items, max_size=4)
+        | st.dictionaries(JSON_TEXT, st.lists(items, max_size=3), max_size=4)
+        | st.lists(st.lists(items, max_size=3) | st.lists(items, max_size=2).map(tuple),
+                   max_size=4)))
+JSON_VALUES = st.recursive(JSON_SCALARS | JSON_ROWS, lambda kids: (
     st.lists(kids, max_size=4) | st.tuples(kids, kids)
     | st.lists(st.sampled_from([1, 2]), max_size=3).map(tuple)  # one scalar type, in a tuple
     | st.dictionaries(JSON_TEXT, kids, max_size=4)), max_leaves=25)
@@ -1277,3 +1309,198 @@ class TestContract:
             if out:
                 applied.add(strict_json(out).get("certificate", {}).get("applied"))
         assert applied == ({None} if exhaustive else {True, False})
+
+
+# ------------------------------------------------------------ the cyclic collector
+
+def made_by_cwkit(obj):
+    """Whether obj is an instance of a cwkit class, a cwkit function or one's frame."""
+    if isinstance(obj, types.FrameType):
+        module = obj.f_globals.get("__name__")
+    elif isinstance(obj, types.FunctionType):
+        module = obj.__module__
+    else:
+        module = type(obj).__module__
+    return str(module).split(".")[0] == "cwkit"
+
+
+def cyclic_garbage(argv):
+    """(exit, the number of objects left for the cyclic collector, those made by cwkit)
+    of main(argv), run with the collector off and every object it finds kept."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = exit_of(main, argv)[0]
+        gc.collect()
+        return code, len(gc.garbage), [repr(o)[:80] for o in gc.garbage if made_by_cwkit(o)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+class Inputs:
+    """Input files of a size n, written once each."""
+
+    def __init__(self, root):
+        self.root = root
+
+    def file(self, name, text):
+        path = self.root / name
+        if not path.exists():
+            path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def path(self, n):  # a one-line path of 10n edges
+        return self.file(f"p{n}.cwx", one_line_text(gen_path("x", "y", 10 * n, 4, 1, 2, 3)))
+
+    def graph(self, n, size=10):  # a path graph on size * n vertices
+        vs = [f"v{i}" for i in range(size * n)]
+        return self.file(f"g{n}-{size}.json", json.dumps(
+            {"vertices": vs, "edges": [list(e) for e in zip(vs, vs[1:])]}))
+
+    def map(self, n):  # the identity on graph(n)
+        vs = [f"v{i}" for i in range(10 * n)]
+        return self.file(f"map{n}.json", json.dumps({"f": {v: v for v in vs}, "c": 1}))
+
+    def cover(self, n):  # one set of every part of path(n)'s quotient
+        ids = sorted(decompose(gen_path("x", "y", 10 * n, 4, 1, 2, 3)).partition.ids)
+        return self.file(f"cover{n}.json", json.dumps(
+            {"collections": [[ids]], "r": 1, "bound": len(ids)}))
+
+    def cut(self, n):  # path(n) without its closing parens: a ParseError at its end
+        text = Path(self.path(n)).read_text(encoding="utf-8")
+        return self.file(f"cut{n}.cwx", text.rstrip().rstrip(")") + "\n")
+
+    def unused(self, n):  # path(n) under a recolor of an unused colour: not strict
+        _, body = Path(self.path(n)).read_text(encoding="utf-8").split("\n", 1)
+        return self.file(f"unused{n}.cwx", f"cw k=5\n(recolor 5 1 {body.strip()})\n")
+
+    def deep(self, n):  # JSON nested past the recursion limit
+        return self.file(f"deep{n}.json", "[" * 50000 * n + "]" * 50000 * n)
+
+
+# route -> (its exit code, its argv at input size n, for the Inputs f and a temporary dir d)
+ROUTES = {
+    "eval": (0, lambda f, d, n: ["eval", f.path(n)]),
+    "eval --pretty": (0, lambda f, d, n: ["eval", f.path(n), "--pretty"]),
+    "decompose": (0, lambda f, d, n: ["decompose", f.path(n)]),
+    "decompose --normalize": (0, lambda f, d, n: ["decompose", f.path(n), "--normalize"]),
+    "decompose --oracle": (0, lambda f, d, n: ["decompose", f.path(n), "--oracle"]),
+    "decompose --dot": (0, lambda f, d, n: ["decompose", f.path(n), "--dot"]),
+    "decompose --pretty": (0, lambda f, d, n: ["decompose", f.path(n), "--pretty"]),
+    "generate path": (0, lambda f, d, n: ["generate", "path", "--length", str(10 * n)]),
+    "generate spider": (0, lambda f, d, n: ["generate", "spider", "--legs", f"{n},{2 * n},3"]),
+    "generate subdivided-clique": (0, lambda f, d, n: ["generate", "subdivided-clique",
+                                                       "--n", "4", "--times", str(2 * n)]),
+    "corpus": (0, lambda f, d, n: ["corpus", "--seed", "5", "--count", str(3 * n),
+                                   "--max-leaves", "12", "--out-dir", str(d / f"c{n}")]),
+    "qi-check": (0, lambda f, d, n: ["qi-check", f.path(n)]),
+    "qi-check --exhaustive --pretty": (0, lambda f, d, n: ["qi-check", f.path(n),
+                                                           "--exhaustive", "--pretty"]),
+    "qi-check --map": (0, lambda f, d, n: ["qi-check", "--map", f.map(n),
+                                           "--source", f.graph(n), "--target", f.graph(n)]),
+    "minor-model": (0, lambda f, d, n: ["minor-model", "--n", "4", "--times", str(8 * n)]),
+    "cover-pullback": (0, lambda f, d, n: ["cover-pullback", f.path(n), "--r", "2"]),
+    "cover-pullback --cover": (0, lambda f, d, n: ["cover-pullback", f.path(n),
+                                                   "--cover", f.cover(n)]),
+    "treewidth": (0, lambda f, d, n: ["treewidth", f.graph(n, 3)]),
+    "treewidth .cwx": (0, lambda f, d, n: ["treewidth", f.file(
+        f"k{n}.cwx", format_expr(gen_path("x", "y", 2 * n, 3, 1, 2, 1)))]),
+    "export-dot": (0, lambda f, d, n: ["export-dot", f.path(n)]),
+    "export-dot .json": (0, lambda f, d, n: ["export-dot", f.graph(n)]),
+    "exit 2: parse error": (2, lambda f, d, n: ["decompose", f.cut(n)]),
+    "exit 2: parse error, eval": (2, lambda f, d, n: ["eval", f.cut(n)]),
+    "exit 2: deep JSON": (2, lambda f, d, n: ["treewidth", f.deep(n)]),
+    "exit 3: not strict": (3, lambda f, d, n: ["decompose", f.unused(n)]),
+    "exit 3: failed check": (3, lambda f, d, n: ["qi-check", f.path(n), "--c", "0.5"]),
+    "exit 3: unreadable file": (3, lambda f, d, n: ["export-dot", str(d / f"none{n}.cwx")]),
+    "exit 3: unwritable --out": (3, lambda f, d, n: ["decompose", f.path(n),
+                                                     "--out", str(d / "no" / "x.json")]),
+    "exit 4: size cap": (4, lambda f, d, n: ["treewidth", f.graph(n), "--cap", "3"]),
+}
+
+
+class TestNoCyclicGarbage:
+    """Reference counting frees all that a command builds: the only objects a call leaves
+    for the cyclic collector are argparse's, as many on an input as on one 4x its size."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_only_argparse_leaves_cycles(self, tmp_path, route):
+        code, argv = ROUTES[route]
+        files = Inputs(tmp_path)
+        cyclic_garbage(argv(files, tmp_path, 1))  # a first call may fill module caches
+        small, big = (cyclic_garbage(argv(files, tmp_path, n)) for n in (1, 4))
+        assert (small[0], big[0]) == (code, code)
+        assert small[2] == big[2] == []
+        assert small[1] == big[1]
+
+    def test_every_subcommand_is_covered(self):
+        assert {route.split()[0] for route in ROUTES if not route.startswith("exit")} == set(
+            COMMANDS)
+
+
+class TestCollectorPause:
+    """main runs the handler with the cyclic collector paused and gives back its state."""
+
+    CASES = {
+        0: ["decompose", "K2"],
+        2: ["eval", "BAD"],
+        3: ["decompose", "UNUSED"],
+        4: ["treewidth", "BIG", "--cap", "3"],
+        ("SystemExit", 2): ["decompose", "K2", "--bogus"],
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("want", CASES, ids=str)
+    def test_main_leaves_the_collector_as_it_was(self, tmp_path, k2_file, enabled, want):
+        files = Inputs(tmp_path)
+        names = {"K2": k2_file, "BAD": files.cut(1), "UNUSED": files.unused(1),
+                 "BIG": files.graph(1)}
+        argv = [names.get(a, a) for a in self.CASES[want]]
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert exit_of(main, argv)[0] == want
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_an_unexpected_exception_restores_it(self, monkeypatch, k2_file, enabled):
+        seen = []
+
+        def handler(args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("boom")
+
+        help_text, _, arguments = cli._COMMANDS["eval"]
+        monkeypatch.setitem(cli._COMMANDS, "eval", (help_text, handler, arguments))
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(RuntimeError, match="boom"):
+                main(["eval", k2_file])
+            assert (seen, gc.isenabled()) == ([False], enabled)
+        finally:
+            gc.enable()
+
+    def test_no_collection_starts_in_a_long_decompose(self, tmp_path):
+        path = tmp_path / "p.cwx"
+        path.write_text(one_line_text(gen_path("x", "y", 2000, 4, 1, 2, 3)))
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            code = main(["decompose", str(path), "--out", str(tmp_path / "p.json")])
+            # read with no allocation: the first one after main may start a collection
+            seen = len(starts)
+        finally:
+            gc.callbacks.remove(count)
+        assert (code, seen) == (0, 0)
