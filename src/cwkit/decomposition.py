@@ -136,14 +136,8 @@ def _folded(k: int, fold, tree: bool = True) -> tuple:
             if tree:
                 rb[y] = min(rb[y], rb.pop(x), key=names.get)
             return st, rainbow, rb
-        # The core fused each of the two colour classes into one part.
-        for color, size in zip(colors, sizes):
-            if not size:
-                raise ContractError(f"join colour {color} has no parts; strictness should "
-                                    "have guaranteed a nonempty class")
-        for color in colors:
-            if tree and color not in rb:
-                raise ContractError(f"rainbow bag lost colour {color} before a join")
+        # The core fused each of the two colour classes, both nonempty as the join added
+        # an edge, into one part; rb holds every colour in use, so both of them.
         for color, size in zip(colors, sizes):
             if size > 1:
                 fused = st[color][0]
@@ -157,9 +151,7 @@ def _folded(k: int, fold, tree: bool = True) -> tuple:
     parts, part_colors = {}, {}
     for color, bucket in final.items():
         for part in bucket:
-            pid = names[part]
-            if pid in parts:
-                raise ContractError("part id collision across union operands")
+            pid = names[part]  # a leaf's id, distinct by DUP_VERTEX, or a merge(...) name
             parts[pid] = frozenset(core.names[v] for v in part.members)
             part_colors[pid] = color
     if not tree:

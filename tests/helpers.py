@@ -372,38 +372,6 @@ def pair_scan_cover_separation(vertices, edges, collections, r):
     return None
 
 
-def pair_scan_minor_separation(vertices, edges, balls, stretches, z):
-    """build_minor_model's first separation failure by a scan of every pair, or None.
-
-    balls maps each branch vertex to its ball, stretches each edge (u, v)
-    to its stretch.  Balls must be 2z apart, stretches too, and a stretch
-    must meet the balls of its ends and lie 2z from every other ball.
-    """
-    dist = bfs_table(vertices, edges)
-
-    def apart(a, b, label_a, label_b):
-        d = min(dist[x].get(y, float("inf")) for x in a for y in b)
-        return f"{label_a} and {label_b} are at distance {d}, need >= {2 * z}" if d < 2 * z \
-            else None
-
-    hv, he = sorted(balls), sorted(stretches)
-    checks = [(balls[v], balls[w], f"ball({v!r})", f"ball({w!r})")
-              for i, v in enumerate(hv) for w in hv[i + 1:]]
-    checks += [(stretches[e], stretches[f], f"stretch{e!r}", f"stretch{f!r}")
-               for i, e in enumerate(he) for f in he[i + 1:]]
-    for args in checks:
-        if (msg := apart(*args)) is not None:
-            return msg
-    for e in he:
-        for v in hv:
-            if v in e:
-                if set(stretches[e]).isdisjoint(balls[v]):
-                    return f"stretch{e!r} misses ball({v!r})"
-            elif (msg := apart(stretches[e], balls[v], f"stretch{e!r}", f"ball({v!r})")):
-                return msg
-    return None
-
-
 def pair_scan_minor_model(edges, h_vertices, h_edges, branch_sets, edge_paths):
     """The first failure of a minor model by the checks of every pair, or None.
 

@@ -258,6 +258,10 @@ class TestGenerate:
         assert "error:" in err
         code, _, _ = run(capsys, "generate", "spider", "--legs", "1,1")
         assert code == 3
+        code, out, err = run(capsys, "generate", "spider", "--legs", "1,x,3")
+        assert (code, out) == (3, "")
+        assert err == ("error: bad leg list '1,x,3': "
+                       "invalid literal for int() with base 10: 'x'\n")
 
 
 class TestCorpus:

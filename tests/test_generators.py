@@ -11,13 +11,12 @@ import pytest
 
 import cwkit.expressions
 from cwkit import (ContractError, CwkitError, Graph, InputError, MinorModel, QiMap,
-                   build_minor_model, closed_r_neighborhood, complete_graph, evaluate,
-                   format_expr, gen_path, gen_spider, gen_subdivided_clique, generators,
-                   model_to_json_dict, normalize, subdivide, subdivision_path,
-                   validate_minor_model, validate_strict)
+                   build_minor_model, complete_graph, evaluate, format_expr, gen_path,
+                   gen_spider, gen_subdivided_clique, generators, model_to_json_dict,
+                   normalize, subdivide, subdivision_path, validate_minor_model,
+                   validate_strict)
 
-from helpers import (has_minor, pair_scan_minor_model, pair_scan_minor_separation,
-                     spider_graph)
+from helpers import has_minor, pair_scan_minor_model, spider_graph
 
 
 def identity_qi(g, c=1.0):
@@ -334,28 +333,17 @@ class TestBuildMinorModel:
             build_minor_model(k4, collapse)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_separation_matches_the_pair_scan(self, n):
-        # a fractional c(c+1) cuts the stretches short of 2c(c+1) apart, so
-        # some of these fail; every failure must name the pair scan's first pair
-        h, failures = complete_graph(n), 0
-        for c in (1.0, 1.2, 1.5, 2.0, 2.5):
-            z = c * (c + 1)
-            for times in (int(4 * z), int(4 * z) + 3):
+    def test_every_c_gives_a_model_the_pair_scan_passes(self, n):
+        # a fractional c(c+1) cuts the stretches at its floor, so two may lie closer
+        # than 2c(c+1); the model is a minor all the same, at every depth from 4c(c+1)
+        h = complete_graph(n)
+        for c in (1.0, 1.1, 1.2, 1.5, 1.7, 2.0, 2.5, 3.0):
+            need = int(4 * c * (c + 1))
+            for times in (need, need + 3, need + 10):
                 sub = subdivide(h, times)
-                balls = {v: closed_r_neighborhood(sub, [v], z) for v in h.vertices}
-                stretches = {}
-                for u, v in h.edges:
-                    seq = subdivision_path(u, v, times)
-                    stretches[(u, v)] = frozenset(seq[int(z):len(seq) - int(z)])
-                want = pair_scan_minor_separation(sub.vertices, sub.edges, balls, stretches, z)
-                try:
-                    build_minor_model(h, identity_qi(sub, c))
-                    got = None
-                except ContractError as exc:
-                    got = str(exc)
-                assert got == want, (c, times)
-                failures += got is not None
-        assert failures > 0 or n == 2
+                model = build_minor_model(h, identity_qi(sub, c))
+                assert reference_witness(h, sub, model) is None, (c, times)
+                assert len(model.edge_paths) == n * (n - 1) // 2
 
     def test_json_shape(self):
         k4 = complete_graph(4)
@@ -445,6 +433,24 @@ class TestValidateMinorModel:
         k4, sub, model = k4_model()
         with pytest.raises(InputError, match="^model mentions unknown vertex 'zz'$"):
             validate_minor_model(k4, sub, mutant(model, {"1": model.branch_sets["1"] | {"zz"}}))
+        with pytest.raises(InputError, match="^model mentions unknown vertex 'zb'$"):
+            validate_minor_model(k4, sub, mutant(model, paths={
+                ("1", "2"): model.edge_paths[("1", "2")] | {"zz", "zb"}}))
+
+    def test_unknown_vertex_check_copies_no_key_set(self):
+        # each model set is tested by membership: a set difference with the host's
+        # keys() would copy its whole vertex set once per set
+        class Adjacency(dict):
+            keys_calls = 0
+
+            def keys(self):
+                Adjacency.keys_calls += 1
+                return super().keys()
+
+        k4, sub, model = k4_model()
+        host = Graph._built(sub.vertices, Adjacency(sub._adj))
+        assert validate_minor_model(k4, host, model).ok
+        assert Adjacency.keys_calls == 0
 
     def test_first_failure_matches_the_pair_scan_on_random_mutants(self):
         # one to three random edits of random sets of deep K_3 and K_4 models:

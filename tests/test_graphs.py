@@ -219,6 +219,8 @@ class TestDistances:
         assert weak_diameter(g, ["p3"]) == 0 and weak_diameter(g, ["p3", "p3"]) == 0
         with pytest.raises(InputError, match="unknown vertex 'zz'"):
             weak_diameter(g, ["zz"])
+        with pytest.raises(InputError, match="^weak_diameter of an empty set$"):
+            weak_diameter(g, [])
 
     def count_searches(self, monkeypatch):
         runs, real = [], graphs._walk
@@ -465,6 +467,8 @@ class TestColoredGraph:
             ColoredGraph(g, 2, {"a": 1, "b": 3})
         with pytest.raises(InputError):
             ColoredGraph(g, 0, {})
+        with pytest.raises(InputError, match="^unknown vertex 'zz'$"):
+            cg.color_of("zz")
 
 
 class TestPartition:
@@ -475,12 +479,18 @@ class TestPartition:
         assert p.part_of("c") == "y"
         assert len(p) == 2
         assert p.vertices == {"a", "b", "c"}
+        with pytest.raises(InputError, match="^unknown part id 'z'$"):
+            p.part("z")
+        with pytest.raises(InputError, match="^vertex 'z' is in no part$"):
+            p.part_of("z")
 
     def test_rejects_overlap_and_empty(self):
         with pytest.raises(InputError):
             Partition({"x": ["a"], "y": ["a"]})
         with pytest.raises(InputError):
             Partition({"x": []})
+        with pytest.raises(InputError, match="^partition must have at least one part$"):
+            Partition({})
 
     def test_takes_a_mapping_only(self):
         # a list of pairs could repeat a part id; a mapping cannot
