@@ -10,9 +10,8 @@ linear clique-minor bound certifies min(tw, 3).
 """
 
 from .corpus import generate_corpus, random_strict_expr
-from .covers import (ControlDilation, CoverFamily, cover_by_components,
-                     cover_from_json_dict, cover_to_json_dict, pullback_cover,
-                     validate_cover)
+from .covers import (CoverFamily, cover_by_components, cover_from_json_dict,
+                     cover_to_json_dict, pullback_cover, validate_cover)
 from .decomposition import (DecompositionResult, decompose, result_to_dot,
                             result_to_json_dict, verify_result)
 from .errors import (ContractError, CwkitError, InputError, ParseError,

@@ -19,9 +19,8 @@ import os
 import sys
 
 from .corpus import generate_corpus
-from .covers import (ControlDilation, _check_scale, cover_by_components,
-                     cover_from_json_dict, cover_to_json_dict, pullback_cover,
-                     validate_cover)
+from .covers import (_check_scale, cover_by_components, cover_from_json_dict,
+                     cover_to_json_dict, pullback_cover, validate_cover)
 from .decomposition import (_decompose, _decompose_cwx, result_to_dot, result_to_json_dict,
                             verify_result)
 from .errors import ContractError, CwkitError, InputError, ParseError, SizeCapError
@@ -274,6 +273,7 @@ def cmd_minor_model(args) -> int:
 def cmd_cover_pullback(args) -> int:
     partition, cg = _decompose_cwx(args.file, tree=False)
     m = projection_map(cg.graph, partition)
+    _check_scale(args.r)
     r_target = m.c * args.r + m.c
     if args.cover:
         target_cover = cover_from_json_dict(_load_json(args.cover))
@@ -286,10 +286,8 @@ def cmd_cover_pullback(args) -> int:
         # sets; a cover file's bound is not trusted, so its sets are measured.
         worst = (max((weak_diameter(m.target, s) for s in target_cover.all_sets()),
                      default=0) if args.cover else target_cover.diameter_bound)
-        _check_scale(args.r)  # r_target is 0 at r = -1
         slope = max(1.0, worst / r_target)
-    dilation = ControlDilation(slope)
-    pulled = pullback_cover(m, target_cover, args.r, dilation)
+    pulled = pullback_cover(m, target_cover, args.r, slope)
     revalidation = validate_cover(cg.graph, pulled)
     obj = {"c": m.c, "scale": args.r, "target_scale": r_target, "slope": slope,
            "cover": cover_to_json_dict(pulled),

@@ -15,7 +15,7 @@ The metric checks take a bounded number of searches: weak_diameter stops by
 iFUB's rule or by eccentricity bounds (its docstring has the argument) and
 keeps the whole graph's diameter on the graph, and set_distance and a family
 of sets that must lie apart take one labelled multi-source BFS (_closest_sets),
-with one bounded BFS per set only to name the first pair that fails (_close_pair).
+which both decides and names the least distance between two of the sets.
 A diameter bound is first tried by one BFS (_diameter_bound).
 Every component search is one DFS, _components_within: connected_components,
 is_connected and the validators' subtree and branch-set checks all use it.
@@ -299,19 +299,6 @@ def _closest_sets(g: Graph, sets, reach):
     return best if best <= reach else INFINITE
 
 
-def _near_owners(g: Graph, s, owners: Mapping, reach) -> dict:
-    """owner -> distance from s to its nearest vertex, for each owner within
-    reach of s; owners maps a vertex to the keys that own it.  One BFS stopped past reach."""
-    near = {}
-    for d, layer in _walk(g._adj, _known(g, s), {}):
-        if d > reach:
-            break
-        for v in layer:
-            for key in owners.get(v, ()):
-                near.setdefault(key, d)
-    return near
-
-
 def _owners(sets) -> dict:
     """Each vertex in one of sets -> the indices of the sets holding it, ascending."""
     owners = {}
@@ -319,25 +306,6 @@ def _owners(sets) -> dict:
         for x in s:
             owners.setdefault(x, []).append(i)
     return owners
-
-
-def _first_close_pair(g: Graph, sets, reach):
-    """(i, j, distance) for the first pair i < j of sets, in order, at most reach
-    apart (an infinite reach takes disconnected pairs too), or None: one bounded BFS per set."""
-    owners = _owners(sets)
-    for i, s in enumerate(sets):
-        near = _near_owners(g, s, owners, reach)
-        for j in range(i + 1, len(sets)):
-            if (d := near.get(j, INFINITE)) <= reach:
-                return i, j, d
-    return None
-
-
-def _close_pair(g: Graph, sets, reach):
-    """_first_close_pair(g, sets, reach), run only once _closest_sets finds a pair."""
-    if len(sets) > 1 and _closest_sets(g, sets, reach) <= reach:
-        return _first_close_pair(g, sets, reach)
-    return None
 
 
 def closed_r_neighborhood(g: Graph, s: Iterable, r) -> frozenset:

@@ -201,14 +201,15 @@ def _lemma(source: Graph, target: Graph, f: Mapping, c, d=None) -> dict:
 
     The premises, checked from scratch: f is "onto", and its source edges
     between two fibres land on exactly the target's edges.  D, the largest
-    weak diameter of a fibre f^-1(w), is measured unless the caller did so
-    on the same sets.  It "applied" if both hold and c >= D + 1 (_bounds_witness).
+    weak diameter of a fibre f^-1(w), is measured on the fibres of two or
+    more vertices unless the caller did so on the same sets.  It "applied"
+    if both hold and c >= D + 1 (_bounds_witness).
     """
     fibres = _fibres(source, f)
     crossing = {(f[u], f[v]) if f[u] < f[v] else (f[v], f[u])
                 for u, v in source.edges if f[u] != f[v]}
     if d is None:
-        d = max((weak_diameter(source, s) for s in fibres.values()), default=0)
+        d = max((weak_diameter(source, s) for s in fibres.values() if len(s) > 1), default=0)
     onto, exact = len(fibres) == len(target), crossing == set(target.edges)
     return {"D": d, "onto": onto, "crossing_edges_exact": exact,
             "c_at_least_D_plus_1": c >= d + 1, "applied": onto and exact and c >= d + 1}

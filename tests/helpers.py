@@ -346,29 +346,20 @@ def naive_closest_sets(vertices, edges, sets):
                 for a in s for b in t), default=float("inf"))
 
 
-def naive_first_close_pair(vertices, edges, sets, reach):
-    """(i, j, distance) of the first pair i < j of sets, in order, at most reach apart, or None."""
-    dist = bfs_table(vertices, edges)
-    for i, s in enumerate(sets):
-        for j in range(i + 1, len(sets)):
-            d = min(dist[a].get(b, float("inf")) for a in s for b in sets[j])
-            if d <= reach:
-                return i, j, d
-    return None
-
-
 def pair_scan_cover_separation(vertices, edges, collections, r):
     """validate_cover's separation witness by a scan of every pair of sets in each
-    collection, in order: the first overlap or pair at distance <= r, or None."""
+    collection: for the first collection whose least distance between two sets
+    is at most r, that distance (0, an overlap, when two sets meet), or None."""
     dist = bfs_table(vertices, edges)
     for idx, coll in enumerate(collections):
-        for i, a in enumerate(coll):
-            for b in coll[i + 1:]:
-                if not set(a).isdisjoint(b):
-                    return f"collection {idx} has overlapping sets"
-                d = min(dist[x].get(y, float("inf")) for x in a for y in b)
-                if d <= r:
-                    return f"collection {idx}: sets at distance {d} <= scale {r}"
+        pairs = [(a, b) for i, a in enumerate(coll) for b in coll[i + 1:]]
+        if not pairs:
+            continue
+        d = min(dist[x].get(y, float("inf")) for a, b in pairs for x in a for y in b)
+        if d == 0:
+            return f"collection {idx} has overlapping sets"
+        if d <= r:
+            return f"collection {idx}: sets at distance {d} <= scale {r}"
     return None
 
 

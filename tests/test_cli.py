@@ -21,10 +21,10 @@ except ImportError:  # not on every platform
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cwkit import (Graph, TreeDecomposition, decompose, evaluate, format_expr, gen_path,
+from cwkit import (CoverFamily, Graph, TreeDecomposition, decompose, evaluate, format_expr, gen_path,
                    gen_spider, gen_subdivided_clique, generate_corpus, graph_to_dot,
                    graph_to_json_dict, graphs, quasiiso, quotient, read_cwx, write_cwx)
-from cwkit import cli, expressions
+from cwkit import cli, covers, expressions
 from cwkit.cli import main
 
 from helpers import one_line_text
@@ -574,6 +574,15 @@ class TestMinorModel:
         assert code == 0 and len(json.loads(out)["edge_paths"]) == 66
         assert calls == []
 
+    def test_one_vertex_fibres_are_not_measured(self, capsys, monkeypatch):
+        # the identity map's fibres are single vertices, of weak diameter 0 by
+        # definition; measuring each took one call per host vertex, 75 here
+        calls, real = [], quasiiso.weak_diameter
+        monkeypatch.setattr(quasiiso, "weak_diameter", lambda g, s: calls.append(s) or real(g, s))
+        code, out, _ = run(capsys, "minor-model", "--n", "5", "--times", "7")
+        assert code == 0 and len(json.loads(out)["edge_paths"]) == 10
+        assert calls == []
+
     def test_overflowing_ball_radius_without_paths(self, capsys):
         # K_1 has no subdivision path, so only the ball radius c(c+1) = inf is left
         code, out, _ = run(capsys, "minor-model", "--n", "1", "--c", "1e308")
@@ -611,9 +620,9 @@ class TestCoverPullback:
 
     def test_each_whole_graph_is_measured_once(self, capsys, tmp_path, monkeypatch):
         # the whole quotient is measured by the cover and the target check; one
-        # exact measurement must serve both. The whole graph's bounds in the source
-        # check and the revalidation pass at twice its first vertex's eccentricity,
-        # which one search must serve
+        # exact measurement must serve both. The whole graph's bound in the one
+        # check of the pulled cover passes at twice its first vertex's
+        # eccentricity, by one search
         e = gen_subdivided_clique(5, 7)
         path = tmp_path / "k5.cwx"
         write_cwx(path, e)
@@ -663,6 +672,49 @@ class TestCoverPullback:
             extra = ["--cover", str(cpath)]
         code, out, err = run(capsys, "cover-pullback", k2_file, "--r", "-1", *extra)
         assert (code, out, err) == (3, "", "error: pullback scale must be >= 1\n")
+
+    @pytest.mark.parametrize("slope", [[], ["--slope", "2"]], ids=["smallest-slope", "slope-2"])
+    @pytest.mark.parametrize("r, message", [("nan", "pullback scale must be finite, got nan"),
+                                            ("-5", "pullback scale must be >= 1")],
+                             ids=["nan", "negative"])
+    def test_a_bad_scale_is_named_as_given(self, capsys, k2_file, slope, r, message):
+        # not the target scale c*r + c formed from it
+        code, out, err = run(capsys, "cover-pullback", k2_file, f"--r={r}", *slope)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    def test_a_bad_scale_is_named_before_a_bad_slope_or_cover(self, capsys, tmp_path,
+                                                               k2_file):
+        cpath = tmp_path / "cover.json"
+        cpath.write_text(json.dumps({"collections": [[["a"]], [["b"]]], "r": True,
+                                     "bound": 0}))
+        for extra in (["--slope", "0"], ["--cover", str(cpath)]):
+            code, out, err = run(capsys, "cover-pullback", k2_file, "--r=0.5", *extra)
+            assert (code, out, err) == (3, "", "error: pullback scale must be >= 1\n")
+
+    def test_the_pulled_cover_is_checked_once(self, capsys, k2_file, monkeypatch):
+        # pullback_cover checks the target cover, the command the cover it returns
+        calls = []
+        for module in (covers, cli):
+            monkeypatch.setattr(module, "validate_cover",
+                                lambda g, cf, real=module.validate_cover:
+                                    calls.append(g) or real(g, cf))
+        code, out, _ = run(capsys, "cover-pullback", k2_file)
+        assert code == 0 and json.loads(out)["validation"]["ok"] is True
+        assert len(calls) == 2
+
+    def test_the_check_does_not_trust_the_pullback(self, capsys, k2_file, monkeypatch):
+        # a pullback that drops a set fails the command's one check of its cover
+        def lossy(*args):
+            cf = real(*args)
+            return CoverFamily((cf.collections[0][1:],), cf.r, cf.diameter_bound)
+
+        real = cli.pullback_cover
+        monkeypatch.setattr(cli, "pullback_cover", lossy)
+        code, out, _ = run(capsys, "cover-pullback", k2_file)
+        validation = json.loads(out)["validation"]
+        assert code == 3 and validation["ok"] is False
+        assert validation["checks"][0] == {"name": "coverage", "ok": False,
+                                           "witness": "uncovered vertices ['a', 'b']"}
 
     def test_bad_slope_exits_3(self, capsys, k2_file):
         code, _, _ = run(capsys, "cover-pullback", k2_file, "--slope", "0")

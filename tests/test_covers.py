@@ -6,8 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cwkit import (INFINITE, ContractError, ControlDilation, CoverFamily,
-                   Graph, InputError, QiMap, cover_by_components,
+from cwkit import (INFINITE, CoverFamily, Graph, InputError, QiMap, cover_by_components,
                    cover_from_json_dict, cover_to_json_dict, graphs, pullback_cover,
                    validate_cover)
 
@@ -24,23 +23,6 @@ def identity_qi(g, c=1.0):
 
 def three_points():
     return Graph(["a", "b", "c"], [])
-
-
-class TestControlDilation:
-    def test_linear_evaluation(self):
-        d = ControlDilation(2.0)
-        assert d(3) == 6.0
-        assert d(0) == 0.0
-
-    def test_slope_must_be_positive(self):
-        for bad in (0, -1.5):
-            with pytest.raises(InputError, match="slope > 0"):
-                ControlDilation(bad)
-
-    def test_slope_must_be_finite(self):
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(InputError, match="finite"):
-                ControlDilation(bad)
 
 
 class TestCoverFamily:
@@ -161,6 +143,15 @@ class TestValidateCover:
         cf = CoverFamily((({"p0"},), ({"p1"},)), 5, 0)
         assert validate_cover(g, cf).ok
 
+    @pytest.mark.parametrize("coll, witness", [
+        ([{"p0"}, {"p2"}, {"p3"}], "collection 0: sets at distance 1 <= scale 2"),
+        ([{"p0"}, {"p2"}, {"p2", "p3"}], "collection 0 has overlapping sets"),
+    ], ids=["nearer-pair", "overlap"])
+    def test_separation_names_the_least_distance(self, coll, witness):
+        # the first pair in order, p0 and p2, is at distance 2; the closest are nearer
+        got = validate_cover(G(path_data(6)), CoverFamily((coll,), 2, INFINITE))
+        assert got.check("separation").witness == witness
+
     def test_unknown_vertex_rejected(self):
         with pytest.raises(InputError, match="unknown vertex"):
             validate_cover(G(path_data(2)), CoverFamily((({"zz"},),), 1, 0))
@@ -201,7 +192,7 @@ class TestPullback:
     def test_identity_on_scattered_points(self):
         g = three_points()
         cover = cover_by_components(g, 0)
-        pulled = pullback_cover(identity_qi(g), cover, 5, ControlDilation(1))
+        pulled = pullback_cover(identity_qi(g), cover, 5, 1)
         assert pulled.r == 5
         # c = slope = 1 makes the claimed bound 2r + r
         assert pulled.diameter_bound == 15
@@ -214,8 +205,8 @@ class TestPullback:
             (({"p0", "p1", "p2"}, {"p9", "p10", "p11"}),
              ({"p3", "p4", "p5", "p6", "p7", "p8"},)),
             1, 5)
-        pulled = pullback_cover(f, cover, 1, ControlDilation(2))
-        # at r = 1 the claimed bound c*d(2c) + c^2 meets the tight one
+        pulled = pullback_cover(f, cover, 1, 2)
+        # at r = 1 the claimed bound c*slope*(2c) + c^2 meets the tight one
         assert pulled.diameter_bound == 20
         assert pulled.n == 1
         assert validate_cover(g, CoverFamily(pulled.collections, 1, 20)).ok
@@ -227,45 +218,44 @@ class TestPullback:
         # target needs full coverage, so b gets its own set; its preimage
         # vanishes rather than appearing empty
         cover = CoverFamily((({"a"}, {"b"}),), 1, 0)
-        pulled = pullback_cover(f, cover, 1, ControlDilation(1))
+        pulled = pullback_cover(f, cover, 1, 1)
         assert [sorted(s) for s in pulled.all_sets()] == [["x"]]
 
     def test_scale_must_be_at_least_one(self):
         g = three_points()
         with pytest.raises(InputError, match=">= 1"):
-            pullback_cover(identity_qi(g), cover_by_components(g, 0), 0.5,
-                           ControlDilation(1))
+            pullback_cover(identity_qi(g), cover_by_components(g, 0), 0.5, 1)
 
     def test_scale_must_be_finite(self):
         g = three_points()
         for bad in (float("nan"), float("inf")):
             with pytest.raises(InputError, match="finite"):
-                pullback_cover(identity_qi(g), cover_by_components(g, 0), bad,
-                               ControlDilation(1))
+                pullback_cover(identity_qi(g), cover_by_components(g, 0), bad, 1)
 
     def test_target_cover_hypotheses_enforced(self):
         g = G(path_data(4))
         f = identity_qi(g)
         missing = CoverFamily((({"p0", "p1", "p2"},),), 1, 3)
         with pytest.raises(InputError, match="coverage"):
-            pullback_cover(f, missing, 1, ControlDilation(5))
+            pullback_cover(f, missing, 1, 5)
         # separation is re-checked at the inflated scale c*r + c = 2
         close = CoverFamily((({"p0"}, {"p2"}, {"p3"}), ({"p1"},)), 1, 3)
         with pytest.raises(InputError, match="separation"):
-            pullback_cover(f, close, 1, ControlDilation(5))
+            pullback_cover(f, close, 1, 5)
 
     def test_map_bounds_enforced(self):
         g = G(path_data(4))
         collapse = QiMap(g, g, {v: "p0" for v in g.vertices}, 1.0)
         with pytest.raises(InputError, match="distance bounds"):
-            pullback_cover(collapse, cover_by_components(g, 1), 1,
-                           ControlDilation(1))
+            pullback_cover(collapse, cover_by_components(g, 1), 1, 1)
 
-    def test_shrinking_dilation_rejected(self):
+    @pytest.mark.parametrize("bad", [0, -1, float("nan"), float("inf")])
+    def test_slope_must_be_finite_and_positive(self, bad):
+        # the slope is checked before the scale, which is bad here too
         g = three_points()
-        cover = cover_by_components(g, 0)
-        with pytest.raises(ContractError, match="monotone"):
-            pullback_cover(identity_qi(g), cover, 5, lambda r: 100 - 9 * r)
+        with pytest.raises(InputError) as info:
+            pullback_cover(identity_qi(g), cover_by_components(g, 0), 0.5, bad)
+        assert str(info.value) == f"dilation needs a finite slope > 0, got {bad}"
 
 
 class TestInterop:

@@ -13,12 +13,11 @@ from cwkit import (INFINITE, ColoredGraph, Graph, InputError, Partition,
                    set_distance, weak_diameter)
 from cwkit import (complete_graph, decompose, decomposition, evaluate, gen_path, gen_spider,
                    gen_subdivided_clique, generate_corpus, graphs, subdivide)
-from cwkit.graphs import (_close_pair, _closest_sets, _components_within, _connected_within,
-                          _first_close_pair)
+from cwkit.graphs import _closest_sets, _components_within, _connected_within
 
 from helpers import (bfs_table, cycle_data, floyd_warshall, naive_closest_sets,
-                     naive_connected, naive_dominated, naive_first_close_pair,
-                     naive_set_distance, naive_weak_diameter, path_data, star_data)
+                     naive_connected, naive_dominated, naive_set_distance,
+                     naive_weak_diameter, path_data, star_data)
 from test_acceptance import COUNT, MAX_K, MAX_LEAVES, SEED
 
 
@@ -345,7 +344,7 @@ class TestDistances:
 
 
 class TestSeparationSearch:
-    """_closest_sets, _first_close_pair and _close_pair against a scan of every pair."""
+    """_closest_sets against a scan of every pair."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 16), st.sampled_from((0.05, 0.15, 0.3, 0.6)),
@@ -361,9 +360,6 @@ class TestSeparationSearch:
         least = naive_closest_sets(vs, es, sets)
         got = _closest_sets(g, sets, reach)
         assert (got, type(got)) == ((least, type(least)) if least <= reach else (INFINITE, float))
-        want = naive_first_close_pair(vs, es, sets, reach)
-        assert _first_close_pair(g, sets, reach) == want
-        assert _close_pair(g, sets, reach) == want
 
     def test_seeded_sweep_matches_the_pair_scan(self):
         # a fixed sweep of small sets and reaches, so that every run meets
@@ -376,24 +372,10 @@ class TestSeparationSearch:
             least = naive_closest_sets(vs, es, sets)
             got = _closest_sets(Graph(vs, es), sets, reach)
             assert got == (least if least <= reach else INFINITE), (seed, sets, reach)
-            want = naive_first_close_pair(vs, es, sets, reach)
-            assert _first_close_pair(Graph(vs, es), sets, reach) == want
-            assert _close_pair(Graph(vs, es), sets, reach) == want
 
     def test_meeting_sets_give_zero(self):
         g = G(path_data(6))
         assert _closest_sets(g, [{"p0"}, {"p4", "p5"}, {"p5"}], 1) == 0
-        assert _first_close_pair(g, [{"p0"}, {"p4", "p5"}, {"p5"}], 1) == (1, 2, 0)
-
-    def test_close_pair_names_a_pair_only_on_a_failure(self, monkeypatch):
-        g = G(path_data(40))
-        named, real = [], graphs._first_close_pair
-        monkeypatch.setattr(graphs, "_first_close_pair",
-                            lambda *a: named.append(a) or real(*a))
-        far = [{"p0"}, {"p10"}, {"p20", "p21"}]
-        assert _close_pair(g, far, 9) is None and named == []
-        assert _close_pair(g, far[:1], 0) is None and named == []  # one set: no search
-        assert _close_pair(g, far, 10) == (0, 1, 10) and len(named) == 1
 
     def test_far_sets_stop_at_half_the_reach(self, monkeypatch):
         g = G(path_data(2001))

@@ -13,10 +13,9 @@ import sys
 import pytest
 
 import cwkit
-from cwkit import (CheckResult, ControlDilation, CoverFamily, CwExpr, DecompositionResult,
-                   Graph, Join, Leaf, MinorModel, Partition, PartitionQiReport, QiMap,
-                   QiReport, Recolor, TreeDecomposition, Union, ValidationReport,
-                   VerificationReport, Violation)
+from cwkit import (CheckResult, CoverFamily, CwExpr, DecompositionResult, Graph, Join,
+                   Leaf, MinorModel, Partition, PartitionQiReport, QiMap, QiReport, Recolor,
+                   TreeDecomposition, Union, ValidationReport, VerificationReport, Violation)
 
 PAIR = "Union(left=Leaf(vertex='a', color=1), right=Leaf(vertex='b', color=2))"
 
@@ -70,8 +69,6 @@ SURFACE = {
                         "PartitionQiReport(c=1, lower_ok=True, lower_witness=None, "
                         "upper_ok=False, upper_witness=('a', 'b', 'dist 1 maps to 2'), "
                         "worst_lower_margin=-0.5, worst_upper_margin=1, lower_is_bound=False)"),
-    ControlDilation: (lambda: ControlDilation(2.5),
-                      ["slope"], {}, True, "ControlDilation(slope=2.5)"),
     CoverFamily: (lambda: CoverFamily([[{3, 1}, {2}]], 1, 4),
                   ["collections", "r", "diameter_bound"], {}, True,
                   "CoverFamily(collections=((frozenset({1, 3}), frozenset({2})),), r=1, "
@@ -89,9 +86,9 @@ SURFACE = {
                  "edge_paths={('x', 'y'): frozenset({3})})"),
 }
 
-ALL = ['CheckResult', 'ColoredGraph', 'ContractError', 'ControlDilation', 'CoverFamily',
-       'CwExpr', 'CwkitError', 'DecompositionResult', 'Graph', 'INFINITE', 'InputError',
-       'Join', 'Leaf', 'MinorModel', 'ParseError', 'Partition', 'PartitionQiReport', 'QiMap',
+ALL = ['CheckResult', 'ColoredGraph', 'ContractError', 'CoverFamily', 'CwExpr',
+       'CwkitError', 'DecompositionResult', 'Graph', 'INFINITE', 'InputError', 'Join',
+       'Leaf', 'MinorModel', 'ParseError', 'Partition', 'PartitionQiReport', 'QiMap',
        'QiReport', 'Recolor', 'SizeCapError', 'TreeDecomposition', 'Union',
        'ValidationReport', 'VerificationReport', 'Violation', 'bfs_distances',
        'brute_treewidth', 'build_minor_model', 'check_partqi_tight', 'check_qi',
