@@ -19,7 +19,7 @@ import os
 import sys
 
 from .corpus import generate_corpus
-from .covers import (_check_scale, cover_by_components, cover_from_json_dict,
+from .covers import (_target_scale, cover_by_components, cover_from_json_dict,
                      cover_to_json_dict, pullback_cover, validate_cover)
 from .decomposition import (_decompose, _decompose_cwx, result_to_dot, result_to_json_dict,
                             verify_result)
@@ -273,8 +273,7 @@ def cmd_minor_model(args) -> int:
 def cmd_cover_pullback(args) -> int:
     partition, cg = _decompose_cwx(args.file, tree=False)
     m = projection_map(cg.graph, partition)
-    _check_scale(args.r)
-    r_target = m.c * args.r + m.c
+    r_target = _target_scale(m.c, args.r)
     if args.cover:
         target_cover = cover_from_json_dict(_load_json(args.cover))
     else:
@@ -282,11 +281,12 @@ def cmd_cover_pullback(args) -> int:
     if args.slope is not None:
         slope = args.slope
     else:
-        # The components cover's bound is the largest weak diameter of its
-        # sets; a cover file's bound is not trusted, so its sets are measured.
+        # the components cover's bound is exact; a cover file's is not trusted: measure its sets
         worst = (max((weak_diameter(m.target, s) for s in target_cover.all_sets()),
                      default=0) if args.cover else target_cover.diameter_bound)
         slope = max(1.0, worst / r_target)
+        if slope * r_target < worst:  # the quotient rounded down: the next float is enough
+            slope = math.nextafter(slope, math.inf)
     pulled = pullback_cover(m, target_cover, args.r, slope)
     revalidation = validate_cover(cg.graph, pulled)
     obj = {"c": m.c, "scale": args.r, "target_scale": r_target, "slope": slope,

@@ -101,19 +101,22 @@ def cover_by_components(g: Graph, r) -> CoverFamily:
     return CoverFamily((tuple(comps),), r, bound)
 
 
-def _check_scale(r) -> None:
-    """InputError unless r is a finite pullback scale >= 1."""
+def _target_scale(c, r):
+    """c*r + c, the target scale at pullback scale r; InputError unless r >= 1, both finite."""
     if not math.isfinite(r):
         raise InputError(f"pullback scale must be finite, got {r}")
     if r < 1:
         raise InputError("pullback scale must be >= 1")
+    if not math.isfinite(r_target := c * r + c):
+        raise InputError(f"target scale c*r + c must be finite, got {r_target} at c={c}")
+    return r_target
 
 
 def pullback_cover(f: QiMap, cover: CoverFamily, r, slope) -> CoverFamily:
     """Pull a cover of f's target back to f's source at scale r.
 
-    The given collections must cover the target at scale c*r + c with every
-    set's weak diameter at most slope*(c*r + c).  Preimages of the sets
+    The given collections must cover the target at scale c*r + c, finite, with
+    every set's weak diameter at most slope*(c*r + c).  Preimages of the sets
     (empty ones dropped) then cover the source at scale r, with the bound
     c*slope*(2*c*r) + c*c*r.  Only the inputs are checked here: once they
     pass, f's bounds carry coverage, separation and each set's diameter to
@@ -122,12 +125,11 @@ def pullback_cover(f: QiMap, cover: CoverFamily, r, slope) -> CoverFamily:
     """
     if not math.isfinite(slope) or slope <= 0:
         raise InputError(f"dilation needs a finite slope > 0, got {slope}")
-    _check_scale(r)
     c = f.c
+    r_target = _target_scale(c, r)
     witness = _bounds_witness(f)
     if witness is not None:
         raise InputError(f"map violates the distance bounds at c={c}: {witness}")
-    r_target = c * r + c
     target_report = validate_cover(
         f.target, CoverFamily(cover.collections, r_target, slope * r_target))
     if not target_report.ok:

@@ -61,10 +61,10 @@ def _nodes(what: str, *values) -> None:
 
 class _Node(Record):
     """Leaf, Union, Recolor and Join.  == and hash walk the trees with one explicit
-    stack, and the hash is cached; repr shows at most 20 nodes, so none of the three
-    recurses, whatever the depth."""
+    stack, and repr shows at most 20 nodes, so none of the three recurses, whatever
+    the depth."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -79,10 +79,7 @@ class _Node(Record):
         return True
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            return fold_postorder(self, _hashed)
+        return fold_postorder(self, lambda node, kids: hash((*_fields(node), *kids)))
 
     def __repr__(self) -> str:
         out, todo, budget = [], [self], 20  # the nodes shown; "..." stands for the rest
@@ -101,12 +98,6 @@ class _Node(Record):
             else:
                 out.append("...")
         return "".join(out)
-
-
-def _hashed(node: _Node, kids: tuple) -> int:
-    """A node's hash, from its fields and its children's hashes, cached on it."""
-    _set(node, "_hash", hash((*_fields(node), *kids)))
-    return node._hash
 
 
 class Leaf(_Node):

@@ -36,7 +36,7 @@ INFINITE: float = math.inf
 class Graph:
     """A finite simple undirected graph with sorted adjacency."""
 
-    __slots__ = ("_vertices", "_adj", "_edges", "_hash", "_int_adj", "_diameter", "_first_ecc")
+    __slots__ = ("_vertices", "_adj", "_edges", "_int_adj", "_diameter")
 
     def __init__(self, vertices: Iterable, edges: Iterable = ()):
         vs = sorted(set(vertices))
@@ -61,7 +61,7 @@ class Graph:
     def _fill(self, vertices: tuple, adj: dict) -> Graph:
         self._vertices, self._adj = vertices, adj
         self._edges = tuple((u, w) for u in vertices for w in adj[u] if u < w)
-        self._hash = self._int_adj = self._diameter = self._first_ecc = None
+        self._int_adj = self._diameter = None
         return self
 
     @property
@@ -113,9 +113,7 @@ class Graph:
         return self._vertices == other._vertices and self._edges == other._edges
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._vertices, self._edges))
-        return self._hash
+        return hash((self._vertices, self._edges))
 
     def __repr__(self) -> str:
         return f"Graph({len(self)} vertices, {len(self._edges)} edges)"
@@ -226,15 +224,12 @@ def weak_diameter(g: Graph, s: Iterable):
 
 
 def _diameter_bound(g: Graph, s: set):
-    """weak_diameter(g, s) or more, s a set of vertices of g, in at most one search:
-    2e, with e the eccentricity in s of its least member, as any two members lie
-    within e of it; or the whole graph's diameter once measured.  Over every vertex
-    the search walks the integer adjacency, and its bound is kept on g."""
-    if len(s) < len(g):
-        return 2 * _eccentricity_in(g._adj, min(s), s, {})[1]
-    if g._diameter is None and g._first_ecc is None:
-        g._first_ecc = max(_distance_row(g, [0]))
-    return 2 * g._first_ecc if g._diameter is None else g._diameter
+    """weak_diameter(g, s) or more, s a set of vertices of g, in at most one search: the
+    whole graph's diameter if s is every vertex and that is measured, else 2e, with e the
+    eccentricity in s of its least member, as any two members lie within e of it."""
+    if len(s) == len(g) and g._diameter is not None:
+        return g._diameter
+    return 2 * _eccentricity_in(g._adj, min(s), s, {})[1]
 
 
 def _weak_diameter(adj, members, s: set, fresh):

@@ -24,7 +24,7 @@ from collections.abc import Mapping
 
 from .errors import InputError
 from .graphs import (Graph, INFINITE, Partition, _distance_row, _is_vertex_id, _positions,
-                     quotient, weak_diameter)
+                     _known, quotient, weak_diameter)
 from .records import Record, _set
 
 
@@ -68,8 +68,9 @@ def projection_map(g: Graph, p: Partition, c: float | None = None) -> QiMap:
 
 
 def _part_width(g: Graph, p: Partition):
-    """D, the largest weak diameter of a part, in p's order; refused if infinite."""
-    d = max(weak_diameter(g, members) for _, members in p)
+    """D, the largest weak diameter of a part, in p's order (a one-vertex part's 0 is not
+    measured, only its vertex looked up); refused if infinite."""
+    d = max(weak_diameter(g, s) if len(s) > 1 else 0 * len(_known(g, s)) for _, s in p)
     if d == INFINITE:
         raise InputError("a part has infinite weak diameter (spans components)")
     return d

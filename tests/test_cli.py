@@ -4,6 +4,7 @@ import argparse
 import gc
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -418,8 +419,9 @@ class TestQiCheck:
         assert run(capsys, *argv, "--exhaustive") == run(capsys, *argv)
 
     def test_weak_diameters_are_measured_once(self, capsys, tmp_path, monkeypatch):
-        e = gen_path("x", "y", 12, 3, 1, 2, 1)
-        path = tmp_path / "p12.cwx"
+        # once per part of two or more vertices; a one-vertex part's is 0, unmeasured
+        e = gen_spider(3, [3, 4, 5])
+        path = tmp_path / "spider.cwx"
         write_cwx(path, e)
         calls = []
         real = quasiiso.weak_diameter
@@ -427,9 +429,9 @@ class TestQiCheck:
                             lambda g, s: calls.append(s) or real(g, s))
         code, out, _ = run(capsys, "qi-check", str(path))
         assert code == 0
-        parts = len(decompose(e).partition)
-        assert parts > 1
-        assert len(calls) == parts
+        sizes = [len(members) for _, members in decompose(e).partition]
+        assert 1 in sizes and max(sizes) > 1
+        assert sorted(map(len, calls)) == sorted(size for size in sizes if size > 1)
         assert json.loads(out)["c"] == json.loads(out)["tight_projection_bounds"]["c"] + 1
 
     def test_map_value_that_is_no_vertex_id_exits_3(self, capsys, tmp_path):
@@ -628,24 +630,55 @@ class TestCoverPullback:
         write_cwx(path, e)
         g = evaluate(e).graph
         whole = {"graph": g, "quotient": quotient(g, decompose(e).partition)[0]}
-        runs, real = [], graphs._walk
+        searches, real = [], graphs._walk
 
-        def walk(adj, layer, dist):  # a search over every vertex labels a list
-            if isinstance(dist, list):
-                runs.append(len(dist))
+        def walk(adj, layer, dist):
+            searches.append((len(adj), dist))
             return real(adj, layer, dist)
+
+        def whole_searches():  # (n, the searches of an n-vertex graph that labelled all n)
+            return [n for n, dist in searches
+                    if n == len(dist) - (dist.count(None) if isinstance(dist, list) else 0)]
 
         monkeypatch.setattr(graphs, "_walk", walk)
         once = {}
         for name, h in whole.items():
-            runs.clear()
+            searches.clear()
             graphs.weak_diameter(Graph(h.vertices, h.edges), h.vertices)
-            once[name] = len(runs)
-        runs.clear()
+            once[name] = len(whole_searches())
+        searches.clear()
         code, out, _ = run(capsys, "cover-pullback", str(path))
         assert code == 0 and json.loads(out)["validation"]["ok"] is True
+        runs = whole_searches()
         assert {name: runs.count(len(h)) for name, h in whole.items()} == {**once, "graph": 1}
         assert len(runs) == once["quotient"] + 1
+
+    @pytest.mark.parametrize("legs_or_length, r, diameter",
+                             [(("spider", "--legs", "1,2,14"), "1.1", 15),
+                              (("path", "--length", "61"), "2.5", 61),
+                              (("spider", "--legs", "1,2,122"), "4", 123)],
+                             ids=["spider-1-2-14", "path-61", "spider-1-2-122"])
+    def test_the_least_slope_is_enough_where_the_quotient_rounds_down(
+            self, capsys, tmp_path, legs_or_length, r, diameter):
+        # diameter / target_scale rounds down here, so that slope times the target scale
+        # is below the quotient's diameter; the next float up is the slope
+        path = str(tmp_path / "g.cwx")
+        assert run(capsys, "generate", *legs_or_length, "--out", path)[0] == 0
+        code, out, err = run(capsys, "cover-pullback", path, "--r", r)
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        t = obj["target_scale"]
+        assert (diameter / t) * t < diameter <= obj["slope"] * t
+        assert obj["slope"] == math.nextafter(diameter / t, math.inf)
+        assert obj["validation"]["ok"] is True
+
+    def test_an_infinite_target_scale_is_named(self, capsys, tmp_path):
+        # --r is finite, c*r + c is not: exit 3, naming the target scale
+        path = str(tmp_path / "k4.cwx")
+        write_cwx(path, gen_subdivided_clique(4, 3))
+        code, out, err = run(capsys, "cover-pullback", path, "--r", "8e307")
+        assert (code, out, err) == (3, "", "error: target scale c*r + c must be finite, "
+                                           "got inf at c=3\n")
 
     @pytest.mark.parametrize("collections", [[["ab"]], [[{"a": 1, "b": 2}]], [{"ab": 1}]])
     def test_a_set_that_is_no_list_exits_3(self, capsys, tmp_path, k2_file, collections):

@@ -232,6 +232,13 @@ class TestPullback:
             with pytest.raises(InputError, match="finite"):
                 pullback_cover(identity_qi(g), cover_by_components(g, 0), bad, 1)
 
+    def test_an_infinite_target_scale_is_refused(self):
+        # r is finite, but c*r + c is not: no cover at an infinite bound comes back
+        g = three_points()
+        with pytest.raises(InputError) as info:
+            pullback_cover(identity_qi(g, c=3.0), cover_by_components(g, 0), 8e307, 1)
+        assert str(info.value) == "target scale c*r + c must be finite, got inf at c=3.0"
+
     def test_target_cover_hypotheses_enforced(self):
         g = G(path_data(4))
         f = identity_qi(g)
