@@ -19,7 +19,7 @@ import os
 import sys
 
 from .corpus import generate_corpus
-from .covers import (_target_scale, cover_by_components, cover_from_json_dict,
+from .covers import (_least_slope, _target_scale, cover_by_components, cover_from_json_dict,
                      cover_to_json_dict, pullback_cover, validate_cover)
 from .decomposition import (_decompose, _decompose_cwx, result_to_dot, result_to_json_dict,
                             verify_result)
@@ -29,7 +29,7 @@ from .expressions import (_evaluate_text, evaluate, format_expr, normalize, read
 from .generators import (build_minor_model, complete_graph, gen_path,
                          gen_spider, gen_subdivided_clique, model_to_json_dict,
                          subdivide)
-from .graphs import graph_from_json_dict, graph_to_dot, graph_to_json_dict, quotient, weak_diameter
+from .graphs import graph_from_json_dict, graph_to_dot, graph_to_json_dict, quotient
 from .quasiiso import (QiMap, _verify_projection, check_qi, projection_map,
                        qimap_from_json_dict)
 from .treedecomp import _clique_minor_bound, brute_treewidth, width
@@ -274,22 +274,12 @@ def cmd_cover_pullback(args) -> int:
     partition, cg = _decompose_cwx(args.file, tree=False)
     m = projection_map(cg.graph, partition)
     r_target = _target_scale(m.c, args.r)
-    if args.cover:
-        target_cover = cover_from_json_dict(_load_json(args.cover))
-    else:
-        target_cover = cover_by_components(m.target, r_target)
-    if args.slope is not None:
-        slope = args.slope
-    else:
-        # the components cover's bound is exact; a cover file's is not trusted: measure its sets
-        worst = (max((weak_diameter(m.target, s) for s in target_cover.all_sets()),
-                     default=0) if args.cover else target_cover.diameter_bound)
-        slope = max(1.0, worst / r_target)
-        if slope * r_target < worst:  # the quotient rounded down: the next float is enough
-            slope = math.nextafter(slope, math.inf)
-    pulled = pullback_cover(m, target_cover, args.r, slope)
+    target_cover = (cover_from_json_dict(_load_json(args.cover)) if args.cover
+                    else cover_by_components(m.target, r_target))
+    pulled = pullback_cover(m, target_cover, args.r)
     revalidation = validate_cover(cg.graph, pulled)
-    obj = {"c": m.c, "scale": args.r, "target_scale": r_target, "slope": slope,
+    obj = {"c": m.c, "scale": args.r, "target_scale": r_target,
+           "slope": _least_slope(target_cover.diameter_bound, r_target),
            "cover": cover_to_json_dict(pulled),
            "validation": revalidation.to_json_dict()}
     _emit(args, obj, [f"c = {m.c}",
@@ -370,8 +360,6 @@ _COMMANDS = {
         _PRETTY,
         _arg("file"),
         _arg("--r", type=float, default=1.0, help="source scale (>= 1)"),
-        _arg("--slope", type=float, default=None,
-             help="target dilation slope (default: smallest adequate)"),
         _arg("--cover", help="target cover JSON (default: by components)"))),
     "treewidth": ("exact treewidth of a small graph", cmd_treewidth, (
         _PRETTY,

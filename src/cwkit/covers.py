@@ -4,16 +4,17 @@ A cover family at scale r groups subsets of a graph's vertices into
 collections; sets in one collection must sit strictly more than r apart,
 and every set must have small weak diameter.  Pulling such a family back
 through a distance-respecting map yields a family of the same shape at a
-linearly rescaled scale and diameter bound.  The pullback checks its inputs:
-the map's distance bounds, certified by the projection lemma in linear time
-when the map is a projection and scanned pair by pair otherwise
-(quasiiso._bounds_witness), and the target cover.  validate_cover is the one
-check of the cover it returns.
+linearly rescaled scale and diameter bound, at the slope the target cover's own
+bound fixes (_least_slope).  The pullback checks its inputs: the map's distance
+bounds, certified by the projection lemma in linear time when the map is a
+projection and scanned pair by pair otherwise (quasiiso._bounds_witness), and
+the target cover.  validate_cover is the one check of the cover it returns.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import InputError
 from .graphs import (INFINITE, Graph, _closest_sets, _diameter_bound, _is_vertex_id,
@@ -95,10 +96,7 @@ def validate_cover(g: Graph, cf: CoverFamily) -> VerificationReport:
 def cover_by_components(g: Graph, r) -> CoverFamily:
     """The one-collection cover by connected components, at scale r."""
     comps = connected_components(g)
-    bound = 0
-    for comp in comps:
-        bound = max(bound, weak_diameter(g, comp))
-    return CoverFamily((tuple(comps),), r, bound)
+    return CoverFamily((tuple(comps),), r, max((weak_diameter(g, s) for s in comps), default=0))
 
 
 def _target_scale(c, r):
@@ -112,23 +110,34 @@ def _target_scale(c, r):
     return r_target
 
 
-def pullback_cover(f: QiMap, cover: CoverFamily, r, slope) -> CoverFamily:
+def _least_slope(bound, r_target):
+    """The least s >= 1 with s * r_target >= bound; InputError if bound is no finite float."""
+    if not abs(bound) <= sys.float_info.max:  # refuses inf, and an int too large for a float
+        raise InputError(f"target cover bound must be a finite float, got {bound}")
+    slope = max(1.0, bound / r_target)
+    if slope * r_target < bound:  # the quotient rounded down: the next float is enough
+        slope = math.nextafter(slope, math.inf)
+    return slope
+
+
+def pullback_cover(f: QiMap, cover: CoverFamily, r) -> CoverFamily:
     """Pull a cover of f's target back to f's source at scale r.
 
     The given collections must cover the target at scale c*r + c, finite, with
-    every set's weak diameter at most slope*(c*r + c).  Preimages of the sets
-    (empty ones dropped) then cover the source at scale r, with the bound
-    c*slope*(2*c*r) + c*c*r.  Only the inputs are checked here: once they
-    pass, f's bounds carry coverage, separation and each set's diameter to
-    the preimages, and validate_cover checks the result without trusting
-    this construction.
+    every set's weak diameter at most slope*(c*r + c), slope the least >= 1 for
+    which that bounds cover.diameter_bound.  Preimages of the sets (empty ones
+    dropped) then cover the source at scale r, with the bound c*slope*(2*c*r) +
+    c*c*r, which must be finite.  Only the inputs are checked here: once they
+    pass, f's bounds carry coverage, separation and each set's diameter to the
+    preimages, and validate_cover checks the result without trusting this.
     """
-    if not math.isfinite(slope) or slope <= 0:
-        raise InputError(f"dilation needs a finite slope > 0, got {slope}")
     c = f.c
     r_target = _target_scale(c, r)
-    witness = _bounds_witness(f)
-    if witness is not None:
+    slope = _least_slope(cover.diameter_bound, r_target)
+    if not math.isfinite(bound := c * (slope * (2 * c * r)) + c * c * r):
+        raise InputError(f"pulled bound c*slope*(2*c*r) + c*c*r must be finite, "
+                         f"got {bound} at c={c}")
+    if (witness := _bounds_witness(f)) is not None:
         raise InputError(f"map violates the distance bounds at c={c}: {witness}")
     target_report = validate_cover(
         f.target, CoverFamily(cover.collections, r_target, slope * r_target))
@@ -142,7 +151,7 @@ def pullback_cover(f: QiMap, cover: CoverFamily, r, slope) -> CoverFamily:
     for coll in cover.collections:
         pres = (frozenset(x for w in s for x in fibres.get(w, ())) for s in coll)
         pulled.append(tuple(pre for pre in pres if pre))
-    return CoverFamily(tuple(pulled), r, c * (slope * (2 * c * r)) + c * c * r)
+    return CoverFamily(tuple(pulled), r, bound)
 
 
 def _num_to_json(x):

@@ -170,6 +170,8 @@ def brute_treewidth(g: Graph, cap: int | None = None) -> int:
     if n == 0:
         raise InputError("treewidth of the empty graph")
     cap = DEFAULT_TREEWIDTH_CAP if cap is None else cap
+    if cap < 0:
+        raise InputError(f"treewidth cap must be >= 0, got {cap}")
     limit = min(cap, TREEWIDTH_CEILING)
     if n > limit:
         raise SizeCapError(f"graph has {n} vertices, exact treewidth capped at {limit}")

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from cwkit import (DecompositionResult, Graph, Partition, QiMap,
+from cwkit import (CoverFamily, DecompositionResult, Graph, Partition, QiMap,
                    TreeDecomposition, brute_treewidth, build_minor_model,
                    check_partqi_tight, check_qi, complete_graph,
                    cover_by_components, decompose, evaluate, gen_path,
@@ -228,7 +228,7 @@ def test_criterion_6_cover_pullbacks(capsys, corpus):
             r_target = 3 * r + 3
             cover = cover_by_components(m.target, r_target)
             slope = max(1, math.ceil(cover.diameter_bound / r_target))
-            pulled = pullback_cover(m, cover, r, slope)
+            pulled = pullback_cover(m, CoverFamily(cover.collections, r_target, slope * r_target), r)
             triples += 1
             want_bound = 3 * slope * (6 * r) + 9 * r
             if pulled.diameter_bound != want_bound:

@@ -190,6 +190,13 @@ class TestDecompose:
         assert obj["quotient_treewidth_lower_bound"] == 1
         assert "complete minor" in obj["oracle_note"]
 
+    def test_oracle_refuses_a_negative_cap(self, capsys, k2_file):
+        code, out, err = run(capsys, "decompose", k2_file, "--oracle", "--cap", "-1")
+        assert (code, out, err) == (3, "", "error: treewidth cap must be >= 0, got -1\n")
+        # a cap of 0 holds no quotient, so the minor bound is printed
+        code, out, _ = run(capsys, "decompose", k2_file, "--oracle", "--cap", "0")
+        assert code == 0 and json.loads(out)["quotient_treewidth_lower_bound"] == 1
+
     def test_oracle_bounds_a_large_quotient_without_a_cap(self, capsys, tmp_path):
         # K_5 at 7 subdivisions has a 72-vertex quotient, above the old minor search's cap
         path = tmp_path / "k5.cwx"
@@ -706,7 +713,7 @@ class TestCoverPullback:
         code, out, err = run(capsys, "cover-pullback", k2_file, "--r", "-1", *extra)
         assert (code, out, err) == (3, "", "error: pullback scale must be >= 1\n")
 
-    @pytest.mark.parametrize("slope", [[], ["--slope", "2"]], ids=["smallest-slope", "slope-2"])
+    @pytest.mark.parametrize("slope", [[]], ids=["smallest-slope"])
     @pytest.mark.parametrize("r, message", [("nan", "pullback scale must be finite, got nan"),
                                             ("-5", "pullback scale must be >= 1")],
                              ids=["nan", "negative"])
@@ -720,9 +727,8 @@ class TestCoverPullback:
         cpath = tmp_path / "cover.json"
         cpath.write_text(json.dumps({"collections": [[["a"]], [["b"]]], "r": True,
                                      "bound": 0}))
-        for extra in (["--slope", "0"], ["--cover", str(cpath)]):
-            code, out, err = run(capsys, "cover-pullback", k2_file, "--r=0.5", *extra)
-            assert (code, out, err) == (3, "", "error: pullback scale must be >= 1\n")
+        code, out, err = run(capsys, "cover-pullback", k2_file, "--r=0.5", "--cover", str(cpath))
+        assert (code, out, err) == (3, "", "error: pullback scale must be >= 1\n")
 
     def test_the_pulled_cover_is_checked_once(self, capsys, k2_file, monkeypatch):
         # pullback_cover checks the target cover, the command the cover it returns
@@ -749,16 +755,84 @@ class TestCoverPullback:
         assert validation["checks"][0] == {"name": "coverage", "ok": False,
                                            "witness": "uncovered vertices ['a', 'b']"}
 
-    def test_bad_slope_exits_3(self, capsys, k2_file):
-        code, _, _ = run(capsys, "cover-pullback", k2_file, "--slope", "0")
-        assert code == 3
-
-    @pytest.mark.parametrize("flag", ["--r", "--slope"])
+    @pytest.mark.parametrize("flag", ["--r"])
     def test_infinite_scale_or_slope_exits_3(self, capsys, k2_file, flag):
         code, out, err = run(capsys, "cover-pullback", k2_file, flag, "inf")
         assert code == 3
         assert out == ""
         assert "finite" in err
+
+    def test_slope_is_an_argparse_error(self, k2_file):
+        # the slope follows the target cover's bound: a looser slope s is the bound s*(c*r + c)
+        code, out, err = exit_of(main, ["cover-pullback", k2_file, "--slope", "2"])
+        assert (code, out) == (("SystemExit", 2), "")
+        assert err.endswith("error: unrecognized arguments: --slope 2\n")
+
+    def test_a_cover_file_bound_sets_the_slope(self, capsys, tmp_path, k2_file):
+        # bound 10 is above the widest set's 1 and c*r + c = 2: slope 10 / 2, and the
+        # pulled bound c*slope*(2*c*r) + c*c*r is 11
+        cpath = tmp_path / "cover.json"
+        cpath.write_text(json.dumps({"collections": [[["a", "b"]]], "r": 0, "bound": 10}))
+        code, out, err = run(capsys, "cover-pullback", k2_file, "--cover", str(cpath))
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert (obj["target_scale"], obj["slope"], obj["cover"]["bound"]) == (2, 5, 11)
+        assert obj["validation"]["ok"] is True
+
+    def test_a_set_wider_than_the_cover_bound_exits_3(self, capsys, tmp_path):
+        # the length-3 path is its own quotient; its one set has weak diameter 3, above
+        # max(bound, c*r + c) = 2
+        path = tmp_path / "p3.cwx"
+        write_cwx(path, gen_path("x", "y", 3, 3, 1, 2, 1))
+        cpath = tmp_path / "cover.json"
+        cpath.write_text(json.dumps({"collections": [[["x", "x-y.1", "x-y.2", "y"]]], "r": 0,
+                                     "bound": 1}))
+        code, out, err = run(capsys, "cover-pullback", str(path), "--cover", str(cpath))
+        assert (code, out, err) == (3, "", "error: cover fails on the target at scale 2.0: "
+                                           "diameter: collection 0: set of size 4 has weak "
+                                           "diameter 3 > bound 2.0\n")
+
+    def test_a_400_digit_cover_bound_exits_3(self, capsys, tmp_path, k2_file):
+        cpath = tmp_path / "cover.json"
+        cpath.write_text('{"collections": [[["a"]], [["b"]]], "r": 0, "bound": 1%s}' % ("0" * 399))
+        code, out, err = run(capsys, "cover-pullback", k2_file, "--cover", str(cpath))
+        assert (code, out) == (3, "")
+        assert err == f"error: target cover bound must be a finite float, got {10 ** 399}\n"
+
+    @pytest.mark.parametrize("kind, r, c", [(["path"], "8e307", 1),
+                                            (["subdivided-clique", "--n", "4", "--times", "3"],
+                                             "1e307", 3)], ids=["path-3", "k4-3"])
+    def test_an_infinite_pulled_bound_exits_3(self, capsys, tmp_path, kind, r, c):
+        # c*r + c is finite here, the pulled bound c*slope*(2*c*r) + c*c*r is not
+        path = str(tmp_path / "g.cwx")
+        assert run(capsys, "generate", *kind, "--out", path)[0] == 0
+        code, out, err = run(capsys, "cover-pullback", path, "--r", r)
+        assert (code, out, err) == (3, "", "error: pulled bound c*slope*(2*c*r) + c*c*r must "
+                                           f"be finite, got inf at c={c}\n")
+
+    def test_a_cover_file_is_measured_by_the_target_check_alone(self, capsys, tmp_path,
+                                                               monkeypatch):
+        # the length-120 path is its own quotient (c = 1, c*r + c = 2), cut in path order
+        # into blocks of 4 that alternate between two collections at bound 3. Nothing is
+        # searched between reading the file and the pullback, whose target check measures
+        # the blocks: 243 searches, where measuring them first as well took 333
+        path = str(tmp_path / "p120.cwx")
+        assert run(capsys, "generate", "path", "--length", "120", "--out", path)[0] == 0
+        order = ["x", *(f"x-y.{i}" for i in range(1, 120)), "y"]
+        blocks = [order[i:i + 4] for i in range(0, len(order), 4)]
+        cpath = tmp_path / "blocks.json"
+        cpath.write_text(json.dumps({"collections": [blocks[0::2], blocks[1::2]], "r": 2,
+                                     "bound": 3}))
+        searches, loaded, walk = [], [], graphs._walk
+        monkeypatch.setattr(graphs, "_walk", lambda *a: searches.append(bool(loaded)) or walk(*a))
+        monkeypatch.setattr(cli, "cover_from_json_dict",
+                            lambda obj, real=cli.cover_from_json_dict: loaded.append(1) or real(obj))
+        monkeypatch.setattr(cli, "pullback_cover",
+                            lambda *a, real=cli.pullback_cover: loaded.clear() or real(*a))
+        code, out, _ = run(capsys, "cover-pullback", path, "--cover", str(cpath))
+        obj = json.loads(out)
+        assert code == 0 and obj["validation"]["ok"] is True and obj["slope"] == 1.5
+        assert (len(searches), sum(searches)) == (243, 0)
 
     @pytest.mark.parametrize("key", ["r", "bound"])
     def test_nan_cover_file_exits_3(self, capsys, tmp_path, k2_file, key):
@@ -819,6 +893,10 @@ class TestTreewidth:
         code, out, _ = run(capsys, "treewidth", str(path), "--cap", "13")
         assert code == 0
         assert json.loads(out)["treewidth"] == 1
+
+    def test_a_negative_cap_exits_3(self, capsys, k2_file):
+        code, out, err = run(capsys, "treewidth", k2_file, "--cap", "-5")
+        assert (code, out, err) == (3, "", "error: treewidth cap must be >= 0, got -5\n")
 
     def test_no_cap_lifts_the_ceiling(self, capsys, tmp_path):
         # the oracle's table has 2^n entries: 2^48 would fail at once, 2^27 fill 1 GB
@@ -1300,8 +1378,7 @@ def command_argv(name, files):
         "corpus": {"--pretty": switch},
         "qi-check": {"--c": FLOATS, "--exhaustive": switch, "--pretty": switch},
         "minor-model": {"--c": FLOATS},
-        "cover-pullback": {"--r": FLOATS, "--slope": FLOATS,
-                           "--cover": st.just(files["cover"])},
+        "cover-pullback": {"--r": FLOATS, "--cover": st.just(files["cover"])},
         "treewidth": {"--cap": SIZES},
         "export-dot": {},
     }[name]

@@ -192,7 +192,7 @@ class TestPullback:
     def test_identity_on_scattered_points(self):
         g = three_points()
         cover = cover_by_components(g, 0)
-        pulled = pullback_cover(identity_qi(g), cover, 5, 1)
+        pulled = pullback_cover(identity_qi(g), cover, 5)
         assert pulled.r == 5
         # c = slope = 1 makes the claimed bound 2r + r
         assert pulled.diameter_bound == 15
@@ -204,8 +204,8 @@ class TestPullback:
         cover = CoverFamily(
             (({"p0", "p1", "p2"}, {"p9", "p10", "p11"}),
              ({"p3", "p4", "p5", "p6", "p7", "p8"},)),
-            1, 5)
-        pulled = pullback_cover(f, cover, 1, 2)
+            1, 8)
+        pulled = pullback_cover(f, cover, 1)
         # at r = 1 the claimed bound c*slope*(2c) + c^2 meets the tight one
         assert pulled.diameter_bound == 20
         assert pulled.n == 1
@@ -218,51 +218,69 @@ class TestPullback:
         # target needs full coverage, so b gets its own set; its preimage
         # vanishes rather than appearing empty
         cover = CoverFamily((({"a"}, {"b"}),), 1, 0)
-        pulled = pullback_cover(f, cover, 1, 1)
+        pulled = pullback_cover(f, cover, 1)
         assert [sorted(s) for s in pulled.all_sets()] == [["x"]]
 
     def test_scale_must_be_at_least_one(self):
         g = three_points()
         with pytest.raises(InputError, match=">= 1"):
-            pullback_cover(identity_qi(g), cover_by_components(g, 0), 0.5, 1)
+            pullback_cover(identity_qi(g), cover_by_components(g, 0), 0.5)
 
     def test_scale_must_be_finite(self):
         g = three_points()
         for bad in (float("nan"), float("inf")):
             with pytest.raises(InputError, match="finite"):
-                pullback_cover(identity_qi(g), cover_by_components(g, 0), bad, 1)
+                pullback_cover(identity_qi(g), cover_by_components(g, 0), bad)
 
     def test_an_infinite_target_scale_is_refused(self):
         # r is finite, but c*r + c is not: no cover at an infinite bound comes back
         g = three_points()
         with pytest.raises(InputError) as info:
-            pullback_cover(identity_qi(g, c=3.0), cover_by_components(g, 0), 8e307, 1)
+            pullback_cover(identity_qi(g, c=3.0), cover_by_components(g, 0), 8e307)
         assert str(info.value) == "target scale c*r + c must be finite, got inf at c=3.0"
 
     def test_target_cover_hypotheses_enforced(self):
         g = G(path_data(4))
         f = identity_qi(g)
-        missing = CoverFamily((({"p0", "p1", "p2"},),), 1, 3)
+        missing = CoverFamily((({"p0", "p1", "p2"},),), 1, 10)
         with pytest.raises(InputError, match="coverage"):
-            pullback_cover(f, missing, 1, 5)
+            pullback_cover(f, missing, 1)
         # separation is re-checked at the inflated scale c*r + c = 2
-        close = CoverFamily((({"p0"}, {"p2"}, {"p3"}), ({"p1"},)), 1, 3)
+        close = CoverFamily((({"p0"}, {"p2"}, {"p3"}), ({"p1"},)), 1, 10)
         with pytest.raises(InputError, match="separation"):
-            pullback_cover(f, close, 1, 5)
+            pullback_cover(f, close, 1)
 
     def test_map_bounds_enforced(self):
         g = G(path_data(4))
         collapse = QiMap(g, g, {v: "p0" for v in g.vertices}, 1.0)
         with pytest.raises(InputError, match="distance bounds"):
-            pullback_cover(collapse, cover_by_components(g, 1), 1, 1)
+            pullback_cover(collapse, cover_by_components(g, 1), 1)
 
-    @pytest.mark.parametrize("bad", [0, -1, float("nan"), float("inf")])
-    def test_slope_must_be_finite_and_positive(self, bad):
-        # the slope is checked before the scale, which is bad here too
+    @pytest.mark.parametrize("bound", [INFINITE, 10 ** 400], ids=["infinite", "400-digit"])
+    def test_a_bound_that_is_no_finite_float_is_refused(self, bound):
+        # the slope is derived from the cover's bound, and a float slope needs a float bound
         g = three_points()
+        cover = CoverFamily((({"a"}, {"b"}, {"c"}),), 0, bound)
         with pytest.raises(InputError) as info:
-            pullback_cover(identity_qi(g), cover_by_components(g, 0), 0.5, bad)
-        assert str(info.value) == f"dilation needs a finite slope > 0, got {bad}"
+            pullback_cover(identity_qi(g), cover, 1)
+        assert str(info.value) == f"target cover bound must be a finite float, got {bound}"
+
+    def test_the_slope_follows_the_cover_bound(self):
+        # bound 12 at c*r + c = 2 is slope 6, so the pulled bound is 6*2 + 1
+        g = G(path_data(4))
+        pulled = pullback_cover(identity_qi(g), CoverFamily((({"p0", "p1", "p2", "p3"},),),
+                                                            1, 12), 1)
+        assert pulled.diameter_bound == 13
+
+    def test_an_infinite_pulled_bound_is_refused_before_any_search(self, monkeypatch):
+        # c*r + c = 1.6e308 is finite, c*slope*(2*c*r) + c*c*r is not
+        g = three_points()
+        cover = cover_by_components(g, 0)
+        monkeypatch.setattr(graphs, "_walk", lambda *args: pytest.fail("searched"))
+        with pytest.raises(InputError) as info:
+            pullback_cover(identity_qi(g), cover, 8e307)
+        assert str(info.value) == ("pulled bound c*slope*(2*c*r) + c*c*r must be finite, "
+                                   "got inf at c=1.0")
 
 
 class TestInterop:

@@ -261,6 +261,13 @@ class TestBruteTreewidth:
         with pytest.raises(SizeCapError):
             brute_treewidth(G(path_data(5)), cap=4)
 
+    def test_a_negative_cap_is_refused(self):
+        with pytest.raises(InputError) as info:
+            brute_treewidth(G(path_data(2)), cap=-1)
+        assert str(info.value) == "treewidth cap must be >= 0, got -1"
+        with pytest.raises(SizeCapError):  # a cap of 0 holds no graph, but is a cap
+            brute_treewidth(G(path_data(2)), cap=0)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_matches_elimination_order_oracle(self, seed):
