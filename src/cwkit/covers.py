@@ -40,8 +40,8 @@ class CoverFamily(Record):
             if isinstance(x, bool) or not isinstance(x, (int, float)) or x != x:
                 raise InputError(f"cover {what} must be a number, "
                                  f"got {'NaN' if x != x else repr(x)}")
-        if r < 0:
-            raise InputError("cover scale must be >= 0")
+            if x < 0:
+                raise InputError(f"cover {what} must be >= 0, got {x}")
         _set(self, "collections", canon)
         _set(self, "r", r)
         _set(self, "diameter_bound", diameter_bound)

@@ -11,7 +11,7 @@ Grammar (parenthesized prefix form, whitespace-insensitive):
     join    := "(join" INT INT expr ")"
 
 Vertex ids match [A-Za-z0-9_.-]+.  The canonical printer writes one node per
-line with two-space indentation and parse(format_expr(e)) == e holds exactly.
+line, indented two spaces a level up to depth 32; parse(format_expr(e)) == e.
 
 The semantics is one step, _Semantics.step(kind, x, y, kids), folded over an
 AST or over a text's events, which complete nodes in the same postorder;
@@ -434,16 +434,20 @@ def parse(text: str) -> CwExpr:
 
 # --------------------------------------------------------------- printing
 
-def format_expr(e: CwExpr) -> str:
-    """Canonical text: header, one node per line, two-space indent.
+_DEEPER = {"  " * d: "  " * min(d + 1, 32) for d in range(33)}  # parent's indent -> child's
 
-    One preorder pass writes each line once; a node's ')' goes on the line
-    of its last descendant, so each child carries the count still to close.
+
+def format_expr(e: CwExpr) -> str:
+    """Canonical text: header, one node per line, indented by 2*min(depth, 32) spaces.
+
+    The cap keeps the text linear in size.  One preorder pass writes each line
+    once; a node's ')' goes on the line of its last descendant, so each child
+    carries the count still to close.
     """
     lines = []
-    stack = [(e.root, 0, 0)]  # (node, depth, parens to close after it)
+    stack = [(e.root, "", 0)]  # (node, indent, parens to close after it)
     while stack:
-        node, depth, closes = stack.pop()
+        node, indent, closes = stack.pop()
         if isinstance(node, Leaf):
             head = f"(v {node.vertex} {node.color}){')' * closes}"
         elif isinstance(node, Union):
@@ -452,9 +456,9 @@ def format_expr(e: CwExpr) -> str:
             head = f"(recolor {node.old_color} {node.new_color}"
         else:
             head = f"(join {node.color_a} {node.color_b}"
-        lines.append("  " * depth + head)
+        lines.append(indent + head)
         for i, kid in enumerate(reversed(_children(node))):
-            stack.append((kid, depth + 1, 0 if i else closes + 1))
+            stack.append((kid, _DEEPER[indent], 0 if i else closes + 1))
     return f"cw k={e.k}\n" + "\n".join(lines) + "\n"
 
 

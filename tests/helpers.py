@@ -721,3 +721,18 @@ def one_line_text(e):
             out.append(f"(join {node.color_a} {node.color_b} ")
             todo += [")", node.child]
     return "".join(out) + "\n"
+
+
+def legacy_layout(text):
+    """Canonical text re-indented by each line's full depth, as format_expr once wrote it.
+
+    A line's depth is the count of '(' still open before it; vertex ids hold no
+    parentheses, so the count is exact.
+    """
+    head, *body = text.splitlines()
+    out, depth = [head], 0
+    for line in body:
+        line = line.lstrip(" ")
+        out.append("  " * depth + line)
+        depth += line.count("(") - line.count(")")
+    return "\n".join(out) + "\n"

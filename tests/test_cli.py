@@ -257,7 +257,7 @@ class TestGenerate:
         assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
         with open(dest) as f:
             header = f.readline()
-        dest.unlink()  # about 48 MB of indented text
+        dest.unlink()  # about 0.6 MB of text
         assert header == "cw k=1000000000000\n"
 
     def test_bad_parameters_exit_3(self, capsys):
@@ -851,6 +851,12 @@ class TestCoverPullback:
                                      "bound": 0}))
         code, out, err = run(capsys, "cover-pullback", k2_file, "--cover", str(cpath))
         assert (code, out, err) == (3, "", "error: cover scale must be a number, got True\n")
+
+    def test_negative_bound_in_cover_file_exits_3(self, capsys, tmp_path, k2_file):
+        cpath = tmp_path / "cover.json"
+        cpath.write_text(json.dumps({"collections": [[["a", "b"]]], "r": 1, "bound": -5}))
+        code, out, err = run(capsys, "cover-pullback", k2_file, "--cover", str(cpath))
+        assert (code, out, err) == (3, "", "error: cover diameter bound must be >= 0, got -5\n")
 
 
 class TestTreewidth:

@@ -42,6 +42,15 @@ class TestCoverFamily:
         with pytest.raises(InputError, match="scale"):
             CoverFamily(([["a"]],), -1, 0)
 
+    def test_rejects_a_negative_bound(self):
+        # no set meets a negative bound, and pullback_cover would silently raise it
+        # to its least slope times c*r + c
+        with pytest.raises(InputError) as info:
+            CoverFamily(([["a", "b"]],), 1, -5)
+        assert str(info.value) == "cover diameter bound must be >= 0, got -5"
+        with pytest.raises(InputError, match="diameter bound must be >= 0"):
+            cover_from_json_dict({"collections": [[["a"]]], "r": 1, "bound": -0.5})
+
     def test_rejects_nan_scale_and_bound(self):
         nan = float("nan")
         with pytest.raises(InputError, match="scale must be a number"):
@@ -112,9 +121,9 @@ class TestValidateCover:
 
     @pytest.mark.parametrize("members, bound, d", [
         (("p0", "p1", "p2", "p3", "p4"), 3, 4),
-        (("p0", "p1", "p2", "p3", "p4"), -1, 4),
+        (("p0", "p1", "p2", "p3", "p4"), 0, 4),
         (("p1", "p3"), 1, 2),
-        (("p2",), -1, 0)])
+        (("p3", "p4"), 0, 1)])
     def test_a_set_over_the_bound_names_its_exact_weak_diameter(self, members, bound, d):
         g = G(path_data(5))
         bad = validate_cover(g, CoverFamily(((set(members),),), 1, bound)).check("diameter")
@@ -123,7 +132,7 @@ class TestValidateCover:
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 12), st.sampled_from((0.1, 0.25, 0.5)),
-           st.sampled_from((-1, 0, 1, 2, 2.5, 3, 4, 6, INFINITE)))
+           st.sampled_from((0, 0.5, 1, 2, 2.5, 3, 4, 6, INFINITE)))
     def test_diameter_matches_floyd_warshall(self, seed, n, density, bound):
         # the first set, in the family's order, whose weak diameter exceeds the bound
         # is named with that diameter, disconnected and whole-graph sets included

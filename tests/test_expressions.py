@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cwkit import (CwExpr, InputError, Join, Leaf, ParseError, Recolor, Union,
-                   evaluate, format_expr, gen_path, normalize, parse, validate_strict)
+                   evaluate, format_expr, gen_path, gen_subdivided_clique, normalize, parse,
+                   validate_strict)
 from cwkit import expressions
 from cwkit.corpus import generate_corpus, random_strict_expr
 from cwkit.decomposition import _decompose
@@ -258,6 +259,49 @@ class TestPrinter:
         rng = random.Random(seed)
         e = random_strict_expr(rng, rng.randint(1, 6), 10)
         assert parse(format_expr(e)) == e
+
+    def test_indent_stops_growing_at_depth_32(self):
+        node = Leaf("a", 1)
+        for _ in range(34):
+            node = Recolor(1, 2, node)
+        e = CwExpr(2, node)
+        want = ("cw k=2\n" + "".join(" " * min(2 * d, 64) + "(recolor 1 2\n" for d in range(34))
+                + " " * 64 + "(v a 1)" + ")" * 34 + "\n")
+        text = format_expr(e)
+        assert text == want
+        assert parse(text) == e
+
+    @pytest.mark.parametrize("build", [lambda: gen_path("x", "y", 300, 4, 1, 2, 3),
+                                       lambda: gen_subdivided_clique(12, 48)],
+                             ids=["path-300", "clique-12-48"])
+    def test_each_line_is_indented_by_its_depth_capped_at_32(self, build):
+        e = build()
+        depths, todo = [], [(e.root, 0)]  # preorder, as the lines come
+        while todo:
+            node, depth = todo.pop()
+            depths.append(depth)
+            kids = ((node.right, node.left) if isinstance(node, Union) else
+                    () if isinstance(node, Leaf) else (node.child,))
+            todo += [(kid, depth + 1) for kid in kids]
+        text = format_expr(e)
+        lines = text.splitlines()[1:]
+        assert max(depths) > 32
+        assert [len(line) - len(line.lstrip(" ")) for line in lines] == [
+            2 * min(d, 32) for d in depths]
+        assert format_expr(parse(text)) == text
+
+    def test_text_takes_linear_memory(self):
+        # the text is linear in the number of nodes, so twice the length about doubles the peak
+        def peak(length):
+            e = gen_path("x", "y", length, 4, 1, 2, 3)
+            tracemalloc.start()
+            try:
+                format_expr(e)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(600) < 2.5 * peak(300)
 
 
 class TestEvaluation:

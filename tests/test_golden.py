@@ -43,7 +43,8 @@ from cwkit import (CwExpr, CwkitError, Graph, InputError, Join, Leaf, Partition,
                    result_to_json_dict, validate_strict, verify_result, write_cwx)
 from cwkit.cli import main
 
-from helpers import naive_distance_pairs, one_line_text, random_graph_data, random_groups
+from helpers import (legacy_layout, naive_distance_pairs, one_line_text, random_graph_data,
+                     random_groups)
 from test_acceptance import (COUNT, MAX_K, MAX_LEAVES, SEED, clique_cases,
                              path_cases, spider_cases)
 from test_generators import build, wide_sweep
@@ -206,7 +207,7 @@ def text_mutants(seed=TEXT_SEED, count=TEXT_COUNT):
     """Seeded mutations of corpus and generator texts; some are flattened to one line."""
     sweeps = list(path_cases()) + list(spider_cases()) + list(clique_cases())
     exprs = generate_corpus(SEED, COUNT, MAX_K, MAX_LEAVES)[::5] + [c[1] for c in sweeps]
-    texts = [format_expr(e) for e in exprs]
+    texts = [legacy_layout(format_expr(e)) for e in exprs]
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -245,14 +246,14 @@ def test_generator_outputs_match_golden():
     sweeps = list(path_cases()) + list(spider_cases()) + list(clique_cases())
     exprs = [case[1] for case in sweeps]
     got = pipeline_digests(exprs, "sweep")
-    got["sweep_format"] = digest(format_expr(e) for e in exprs)
+    got["sweep_format"] = digest(legacy_layout(format_expr(e)) for e in exprs)
     assert got == {k: v for k, v in GOLDEN.items() if k.startswith("sweep_")}
 
 
 def test_wide_generator_sweep_matches_golden():
     outcomes = [build(builder, args) for builder, args in wide_sweep()]
     assert len(outcomes) == 5544
-    got = digest(o if isinstance(o, list) else format_expr(o) for o in outcomes)
+    got = digest(o if isinstance(o, list) else legacy_layout(format_expr(o)) for o in outcomes)
     assert got == GOLDEN["wide_sweep_format"]
 
 
@@ -273,7 +274,22 @@ def test_parse_outcomes_match_golden():
     outcomes = [parse_outcome(t) for t in texts]
     assert sum(isinstance(o, str) for o in outcomes) > len(texts) // 10
     assert len({o[1] for o in outcomes if isinstance(o, list)}) > 10
-    assert digest(outcomes) == GOLDEN["text_parse"]
+    assert digest(legacy_layout(o) if isinstance(o, str) else o
+                  for o in outcomes) == GOLDEN["text_parse"]
+
+
+def test_legacy_layout_keeps_text_at_most_32_deep_and_restores_deeper_indents():
+    # the golden digests read format_expr's text through legacy_layout; on text at
+    # most 32 deep, as every corpus expression is, it changes no byte
+    for e in generate_corpus(1, 200, 6, 40):
+        text = format_expr(e)
+        assert legacy_layout(text) == text
+    node = Leaf("a", 1)
+    for _ in range(34):
+        node = Recolor(1, 2, node)
+    assert legacy_layout(format_expr(CwExpr(2, node))) == (
+        "cw k=2\n" + "".join("  " * d + "(recolor 1 2\n" for d in range(34))
+        + "  " * 34 + "(v a 1)" + ")" * 34 + "\n")
 
 
 def test_duplicate_id_takes_the_right_operands_colour():
@@ -305,8 +321,8 @@ def core_peak(length) -> int:
 
 
 def test_core_memory_grows_linearly():
-    # Built as ASTs, never as text: the canonical text itself grows quadratically
-    # with depth.  Twice the length should cost about twice the memory.
+    # Built as ASTs, never as text, so that only the core is measured.  Twice the
+    # length should cost about twice the memory.
     small, large = core_peak(1000), core_peak(2000)
     assert large < 3 * small, (small, large)
 
