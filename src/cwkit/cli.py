@@ -276,6 +276,9 @@ def cmd_cover_pullback(args) -> int:
     r_target = _target_scale(m.c, args.r)
     target_cover = (cover_from_json_dict(_load_json(args.cover)) if args.cover
                     else cover_by_components(m.target, r_target))
+    if target_cover.r < r_target:  # a cover file's: the components cover is at r_target
+        raise InputError(f"cover file scale {target_cover.r} is below the target scale "
+                         f"c*r + c = {r_target}")
     pulled = pullback_cover(m, target_cover, args.r)
     revalidation = validate_cover(cg.graph, pulled)
     obj = {"c": m.c, "scale": args.r, "target_scale": r_target,

@@ -9,6 +9,8 @@ bound fixes (_least_slope).  The pullback checks its inputs: the map's distance
 bounds, certified by the projection lemma in linear time when the map is a
 projection and scanned pair by pair otherwise (quasiiso._bounds_witness), and
 the target cover.  validate_cover is the one check of the cover it returns.
+The pullback needs a checked bound on the target sets, not their exact width,
+so cover_by_components claims each component's one-search bound.
 """
 
 from __future__ import annotations
@@ -94,9 +96,11 @@ def validate_cover(g: Graph, cf: CoverFamily) -> VerificationReport:
 
 
 def cover_by_components(g: Graph, r) -> CoverFamily:
-    """The one-collection cover by connected components, at scale r."""
+    """The one-collection cover by connected components, at scale r, bounded by 2e, e the
+    eccentricity of a component's least member (_diameter_bound): within twice the widest
+    one's weak diameter, and passed by the same search in validate_cover."""
     comps = connected_components(g)
-    return CoverFamily((tuple(comps),), r, max((weak_diameter(g, s) for s in comps), default=0))
+    return CoverFamily((tuple(comps),), r, max((_diameter_bound(g, s) for s in comps), default=0))
 
 
 def _target_scale(c, r):

@@ -8,15 +8,14 @@ already built, its vertices sorted and each neighbour tuple sorted, as built.
 The evaluated graph and the quotient tree are built so; whatever a verifier
 does not trust, the quotient included, goes through Graph(...).
 
-Every metric search is one BFS, _walk.  A search that need not reach the
-whole graph walks the vertex-keyed adjacency with dict labels, so it costs
-O(explored); one over every vertex walks the integer adjacency into a list.
-The metric checks take a bounded number of searches: weak_diameter stops by
-iFUB's rule or by eccentricity bounds (its docstring has the argument) and
-keeps the whole graph's diameter on the graph, and set_distance and a family
-of sets that must lie apart take one labelled multi-source BFS (_closest_sets),
-which both decides and names the least distance between two of the sets.
-A diameter bound is first tried by one BFS (_diameter_bound).
+Every metric search is one BFS, _walk.  A set search walks the vertex-keyed
+adjacency with dict labels, so it costs O(explored); only the pair scan's
+rows (_distance_row) walk the integer adjacency into a list.  The metric
+checks take a bounded number of searches: weak_diameter stops by iFUB's rule
+or by eccentricity bounds (its docstring has the argument), and set_distance
+and a family of sets that must lie apart take one labelled multi-source BFS
+(_closest_sets), which both decides and names the least distance between
+two of the sets.  _diameter_bound bounds a set's width by one BFS.
 Every component search is one DFS, _components_within: connected_components,
 is_connected and the validators' subtree and branch-set checks all use it.
 """
@@ -36,7 +35,7 @@ INFINITE: float = math.inf
 class Graph:
     """A finite simple undirected graph with sorted adjacency."""
 
-    __slots__ = ("_vertices", "_adj", "_edges", "_int_adj", "_diameter")
+    __slots__ = ("_vertices", "_adj", "_edges", "_int_adj")
 
     def __init__(self, vertices: Iterable, edges: Iterable = ()):
         vs = sorted(set(vertices))
@@ -61,7 +60,7 @@ class Graph:
     def _fill(self, vertices: tuple, adj: dict) -> Graph:
         self._vertices, self._adj = vertices, adj
         self._edges = tuple((u, w) for u in vertices for w in adj[u] if u < w)
-        self._int_adj = self._diameter = None
+        self._int_adj = None
         return self
 
     @property
@@ -176,9 +175,9 @@ def set_distance(g: Graph, s: Iterable, t: Iterable):
     return _closest_sets(g, [s, t], INFINITE)
 
 
-def _eccentricity_in(adj, a, s: set, dist) -> tuple:
-    """(dist, max distance from a to s or INFINITE), labelling dist by a BFS stopped once s is."""
-    left = len(s)
+def _eccentricity_in(adj, a, s: set) -> tuple:
+    """(labels, max distance from a to s or INFINITE), by a BFS from a stopped once s is."""
+    left, dist = len(s), {}
     for d, layer in _walk(adj, [a], dist):
         left -= len(s.intersection(layer))
         if not left:
@@ -189,10 +188,9 @@ def _eccentricity_in(adj, a, s: set, dist) -> tuple:
 def weak_diameter(g: Graph, s: Iterable):
     """max over pairs in s of their distance measured in the whole graph.
 
-    Exact.  A one-member set is 0 with no search.  The diameter of the whole
-    vertex set is measured once per graph and kept on it, like the integer
-    adjacency.  Each BFS stops once s is labelled, so a dominated part costs
-    local work.  Below, ecc(w) is max over x in s of dist(w, x).
+    Exact.  A one-member set is 0 with no search.  Each BFS stops once s is
+    labelled, so a dominated part costs local work.  Below, ecc(w) is max
+    over x in s of dist(w, x).
 
     The search starts as iFUB (Crescenzi et al., TCS 514, 2013): a double
     sweep gives a lower bound best, and its middle is a centre u with
@@ -212,38 +210,28 @@ def weak_diameter(g: Graph, s: Iterable):
     s = set(s)
     if not s:
         raise InputError("weak_diameter of an empty set")
-    members, n = _known(g, sorted(s)), len(g)
-    if len(s) == 1:
-        return 0
-    if len(s) < n:
-        return _weak_diameter(g._adj, members, s, dict)
-    if g._diameter is None:  # every vertex: their indices, on the integer adjacency
-        g._diameter = _weak_diameter(g._int_adjacency(), range(n), set(range(n)),
-                                     lambda: [None] * n)
-    return g._diameter
+    members = _known(g, sorted(s))
+    return 0 if len(s) == 1 else _weak_diameter(g._adj, members, s)
 
 
-def _diameter_bound(g: Graph, s: set):
-    """weak_diameter(g, s) or more, s a set of vertices of g, in at most one search: the
-    whole graph's diameter if s is every vertex and that is measured, else 2e, with e the
-    eccentricity in s of its least member, as any two members lie within e of it."""
-    if len(s) == len(g) and g._diameter is not None:
-        return g._diameter
-    return 2 * _eccentricity_in(g._adj, min(s), s, {})[1]
+def _diameter_bound(g: Graph, s):
+    """weak_diameter(g, s) or more, s a nonempty set of vertices of g, by one search: 2e,
+    with e the eccentricity in s of its least member, as any two members lie within e of
+    it.  So it is at most twice the weak diameter."""
+    return 2 * _eccentricity_in(g._adj, min(s), s)[1]
 
 
-def _weak_diameter(adj, members, s: set, fresh):
-    """weak_diameter of the set s of 2 or more members, sorted in members, over
-    adj; fresh() makes each BFS's labels."""
-    da, ea = _eccentricity_in(adj, members[0], s, fresh())
+def _weak_diameter(adj, members, s: set):
+    """weak_diameter of the set s of 2 or more members, sorted in members, over adj."""
+    da, ea = _eccentricity_in(adj, members[0], s)
     if ea == INFINITE or len(s) <= 2:
         return ea
     # b, the member farthest from the first, has eccentricity at least ea
-    db, best = _eccentricity_in(adj, max(members, key=da.__getitem__), s, fresh())
-    eb, u, label = best, max(members, key=db.__getitem__), getattr(db, "get", db.__getitem__)
+    db, best = _eccentricity_in(adj, max(members, key=da.__getitem__), s)
+    eb, u = best, max(members, key=db.__getitem__)
     for _ in range(best - best // 2):  # walk back from the far end to the middle
-        u = next(w for w in adj[u] if label(w) == db[u] - 1)
-    du, eu = _eccentricity_in(adj, u, s, fresh())
+        u = next(w for w in adj[u] if db.get(w) == db[u] - 1)
+    du, eu = _eccentricity_in(adj, u, s)
     if best >= 2 * eu:
         return best
     lo, hi = {}, {}
@@ -254,7 +242,7 @@ def _weak_diameter(adj, members, s: set, fresh):
     while left:  # ties by du: 41 BFS runs in all on subdivide(K_12, 48), 102 without
         v = (max(left, key=lambda w: (hi[w], du[w])) if by_hi
              else min(left, key=lambda w: (lo[w], du[w])))
-        dv, e = _eccentricity_in(adj, v, s, fresh())
+        dv, e = _eccentricity_in(adj, v, s)
         best, by_hi = max(best, e), not by_hi
         for w in left:
             lo[w], hi[w] = max(lo[w], e - dv[w], dv[w]), min(hi[w], e + dv[w])

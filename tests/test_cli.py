@@ -22,9 +22,9 @@ except ImportError:  # not on every platform
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cwkit import (CoverFamily, Graph, TreeDecomposition, decompose, evaluate, format_expr, gen_path,
-                   gen_spider, gen_subdivided_clique, generate_corpus, graph_to_dot,
-                   graph_to_json_dict, graphs, quasiiso, quotient, read_cwx, write_cwx)
+from cwkit import (CoverFamily, CwExpr, Join, TreeDecomposition, decompose, evaluate,
+                   format_expr, gen_path, gen_spider, gen_subdivided_clique, generate_corpus,
+                   graph_to_dot, graph_to_json_dict, graphs, quasiiso, read_cwx, write_cwx)
 from cwkit import cli, covers, expressions
 from cwkit.cli import main
 
@@ -609,7 +609,7 @@ class TestCoverPullback:
         assert obj["validation"]["ok"] is True
 
     def test_custom_target_cover(self, capsys, tmp_path, k2_file):
-        cover = {"collections": [[["a"]], [["b"]]], "r": 0, "bound": 0}
+        cover = {"collections": [[["a"]], [["b"]]], "r": 2, "bound": 0}
         cpath = tmp_path / "cover.json"
         cpath.write_text(json.dumps(cover))
         code, out, _ = run(capsys, "cover-pullback", k2_file,
@@ -619,7 +619,7 @@ class TestCoverPullback:
 
     def test_separation_checked_at_inflated_scale(self, capsys, tmp_path,
                                                   k2_file):
-        cover = {"collections": [[["a"], ["b"]]], "r": 0, "bound": 0}
+        cover = {"collections": [[["a"], ["b"]]], "r": 2, "bound": 0}
         cpath = tmp_path / "cover.json"
         cpath.write_text(json.dumps(cover))
         code, _, err = run(capsys, "cover-pullback", k2_file,
@@ -627,38 +627,53 @@ class TestCoverPullback:
         assert code == 3
         assert "separation" in err
 
-    def test_each_whole_graph_is_measured_once(self, capsys, tmp_path, monkeypatch):
-        # the whole quotient is measured by the cover and the target check; one
-        # exact measurement must serve both. The whole graph's bound in the one
-        # check of the pulled cover passes at twice its first vertex's
-        # eccentricity, by one search
-        e = gen_subdivided_clique(5, 7)
-        path = tmp_path / "k5.cwx"
-        write_cwx(path, e)
-        g = evaluate(e).graph
-        whole = {"graph": g, "quotient": quotient(g, decompose(e).partition)[0]}
-        searches, real = [], graphs._walk
+    @staticmethod
+    def count_searches(monkeypatch):
+        """The graphs._walk searches run, and the _weak_diameter calls whose set is every
+        vertex of its graph."""
+        searches, whole, walk, measure = [], [], graphs._walk, graphs._weak_diameter
 
-        def walk(adj, layer, dist):
-            searches.append((len(adj), dist))
-            return real(adj, layer, dist)
+        def weak_diameter(adj, members, s):
+            if len(s) == len(adj):
+                whole.append(s)
+            return measure(adj, members, s)
 
-        def whole_searches():  # (n, the searches of an n-vertex graph that labelled all n)
-            return [n for n, dist in searches
-                    if n == len(dist) - (dist.count(None) if isinstance(dist, list) else 0)]
+        monkeypatch.setattr(graphs, "_walk", lambda *a: searches.append(1) or walk(*a))
+        monkeypatch.setattr(graphs, "_weak_diameter", weak_diameter)
+        return searches, whole
 
-        monkeypatch.setattr(graphs, "_walk", walk)
-        once = {}
-        for name, h in whole.items():
+    def test_subdivided_cliques_take_the_same_searches_at_every_n(self, capsys, tmp_path,
+                                                                   monkeypatch):
+        # the components cover and both checks pass the quotient and the graph by one
+        # search from a least vertex each; measuring the quotient exactly ran 3n + 7
+        # searches, 31, 55 and 79 here, and measured every vertex of the quotient
+        searches, whole = self.count_searches(monkeypatch)
+        counts = []
+        for n in (8, 16, 24):
+            path = tmp_path / f"k{n}.cwx"
+            write_cwx(path, gen_subdivided_clique(n, 48))
             searches.clear()
-            graphs.weak_diameter(Graph(h.vertices, h.edges), h.vertices)
-            once[name] = len(whole_searches())
-        searches.clear()
-        code, out, _ = run(capsys, "cover-pullback", str(path))
-        assert code == 0 and json.loads(out)["validation"]["ok"] is True
-        runs = whole_searches()
-        assert {name: runs.count(len(h)) for name, h in whole.items()} == {**once, "graph": 1}
-        assert len(runs) == once["quotient"] + 1
+            code, out, _ = run(capsys, "cover-pullback", str(path), "--r", "2")
+            assert code == 0 and json.loads(out)["validation"]["ok"] is True
+            counts.append(len(searches))
+        assert counts == [counts[0]] * 3, counts
+        assert whole == []
+
+    def test_closed_paths_take_the_same_searches_at_every_length(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        # every vertex of a cycle is as eccentric as any other, so its exact diameter
+        # took about one search per vertex: L + 7 in all
+        searches, whole = self.count_searches(monkeypatch)
+        counts = []
+        for length in (200, 800):
+            path = tmp_path / f"cycle{length}.cwx"
+            write_cwx(path, CwExpr(4, Join(1, 2, gen_path("x", "y", length, 4, 1, 2, 3).root)))
+            searches.clear()
+            code, out, _ = run(capsys, "cover-pullback", str(path))
+            assert code == 0 and json.loads(out)["validation"]["ok"] is True
+            counts.append(len(searches))
+        assert counts[0] == counts[1], counts
+        assert whole == []
 
     @pytest.mark.parametrize("legs_or_length, r, diameter",
                              [(("spider", "--legs", "1,2,14"), "1.1", 15),
@@ -667,11 +682,14 @@ class TestCoverPullback:
                              ids=["spider-1-2-14", "path-61", "spider-1-2-122"])
     def test_the_least_slope_is_enough_where_the_quotient_rounds_down(
             self, capsys, tmp_path, legs_or_length, r, diameter):
+        # a cover file bounds the connected quotient by its weak diameter, and
         # diameter / target_scale rounds down here, so that slope times the target scale
-        # is below the quotient's diameter; the next float up is the slope
+        # is below the diameter; the next float up is the slope
         path = str(tmp_path / "g.cwx")
         assert run(capsys, "generate", *legs_or_length, "--out", path)[0] == 0
-        code, out, err = run(capsys, "cover-pullback", path, "--r", r)
+        cpath, ids = tmp_path / "cover.json", list(decompose(read_cwx(path)).partition.ids)
+        cpath.write_text(json.dumps({"collections": [[ids]], "r": "infinite", "bound": diameter}))
+        code, out, err = run(capsys, "cover-pullback", path, "--r", r, "--cover", str(cpath))
         assert (code, err) == (0, "")
         obj = json.loads(out)
         t = obj["target_scale"]
@@ -772,7 +790,7 @@ class TestCoverPullback:
         # bound 10 is above the widest set's 1 and c*r + c = 2: slope 10 / 2, and the
         # pulled bound c*slope*(2*c*r) + c*c*r is 11
         cpath = tmp_path / "cover.json"
-        cpath.write_text(json.dumps({"collections": [[["a", "b"]]], "r": 0, "bound": 10}))
+        cpath.write_text(json.dumps({"collections": [[["a", "b"]]], "r": 2, "bound": 10}))
         code, out, err = run(capsys, "cover-pullback", k2_file, "--cover", str(cpath))
         assert (code, err) == (0, "")
         obj = json.loads(out)
@@ -785,7 +803,7 @@ class TestCoverPullback:
         path = tmp_path / "p3.cwx"
         write_cwx(path, gen_path("x", "y", 3, 3, 1, 2, 1))
         cpath = tmp_path / "cover.json"
-        cpath.write_text(json.dumps({"collections": [[["x", "x-y.1", "x-y.2", "y"]]], "r": 0,
+        cpath.write_text(json.dumps({"collections": [[["x", "x-y.1", "x-y.2", "y"]]], "r": 2,
                                      "bound": 1}))
         code, out, err = run(capsys, "cover-pullback", str(path), "--cover", str(cpath))
         assert (code, out, err) == (3, "", "error: cover fails on the target at scale 2.0: "
@@ -794,7 +812,7 @@ class TestCoverPullback:
 
     def test_a_400_digit_cover_bound_exits_3(self, capsys, tmp_path, k2_file):
         cpath = tmp_path / "cover.json"
-        cpath.write_text('{"collections": [[["a"]], [["b"]]], "r": 0, "bound": 1%s}' % ("0" * 399))
+        cpath.write_text('{"collections": [[["a"]], [["b"]]], "r": 2, "bound": 1%s}' % ("0" * 399))
         code, out, err = run(capsys, "cover-pullback", k2_file, "--cover", str(cpath))
         assert (code, out) == (3, "")
         assert err == f"error: target cover bound must be a finite float, got {10 ** 399}\n"
@@ -851,6 +869,26 @@ class TestCoverPullback:
                                      "bound": 0}))
         code, out, err = run(capsys, "cover-pullback", k2_file, "--cover", str(cpath))
         assert (code, out, err) == (3, "", "error: cover scale must be a number, got True\n")
+
+    @pytest.mark.parametrize("scale", [0, 1.5])
+    def test_a_cover_file_below_the_target_scale_exits_3(self, capsys, tmp_path, k2_file,
+                                                         scale):
+        # its sets were claimed apart only at that scale, and the pullback needs c*r + c
+        cpath = tmp_path / "cover.json"
+        cpath.write_text(json.dumps({"collections": [[["a", "b"]]], "r": scale, "bound": 1}))
+        code, out, err = run(capsys, "cover-pullback", k2_file, "--cover", str(cpath))
+        assert (code, out, err) == (3, "", f"error: cover file scale {scale} is below the "
+                                           "target scale c*r + c = 2.0\n")
+
+    def test_a_cover_file_at_or_above_the_target_scale_keeps_its_output(self, capsys,
+                                                                         tmp_path, k2_file):
+        outputs = []
+        for scale in (2, 100, "infinite"):
+            cpath = tmp_path / "cover.json"
+            cpath.write_text(json.dumps({"collections": [[["a", "b"]]], "r": scale,
+                                         "bound": 1}))
+            outputs.append(run(capsys, "cover-pullback", k2_file, "--cover", str(cpath)))
+        assert outputs[0][0] == 0 and outputs == [outputs[0]] * 3
 
     def test_negative_bound_in_cover_file_exits_3(self, capsys, tmp_path, k2_file):
         cpath = tmp_path / "cover.json"
@@ -1541,7 +1579,7 @@ class Inputs:
     def cover(self, n):  # one set of every part of path(n)'s quotient
         ids = sorted(decompose(gen_path("x", "y", 10 * n, 4, 1, 2, 3)).partition.ids)
         return self.file(f"cover{n}.json", json.dumps(
-            {"collections": [[ids]], "r": 1, "bound": len(ids)}))
+            {"collections": [[ids]], "r": 2, "bound": len(ids)}))
 
     def cut(self, n):  # path(n) without its closing parens: a ParseError at its end
         text = Path(self.path(n)).read_text(encoding="utf-8")

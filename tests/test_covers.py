@@ -10,7 +10,7 @@ from cwkit import (INFINITE, CoverFamily, Graph, InputError, QiMap, cover_by_com
                    cover_from_json_dict, cover_to_json_dict, graphs, pullback_cover,
                    validate_cover)
 
-from helpers import naive_weak_diameter, pair_scan_cover_separation, path_data
+from helpers import floyd_warshall, naive_weak_diameter, pair_scan_cover_separation, path_data
 
 
 def G(data):
@@ -183,18 +183,31 @@ class TestValidateCover:
 
 
 class TestCoverByComponents:
-    def test_components_are_infinitely_separated(self):
-        g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 14), st.sampled_from((0.05, 0.15, 0.4)))
+    def test_components_are_infinitely_separated(self, seed, n, density):
+        # sparse draws leave several components, one-vertex ones among them; each is
+        # bounded by twice its least member's eccentricity, at most twice its weak diameter
+        rng = random.Random(seed)
+        vs = [f"v{i}" for i in range(n)]
+        es = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:] if rng.random() < density]
+        g, dist = Graph(vs, es), floyd_warshall(vs, es)
+        comps = {frozenset(dist[v]) for v in vs}
         cf = cover_by_components(g, 100)
-        assert cf.n == 0
-        assert cf.diameter_bound == 1
+        assert cf.n == 0 and cf.r == 100
+        assert sorted(map(sorted, cf.all_sets())) == sorted(map(sorted, comps))
+        exact = max(naive_weak_diameter(vs, es, comp) for comp in comps)
+        assert cf.diameter_bound == max(2 * max(dist[min(comp)].values()) for comp in comps)
+        assert exact <= cf.diameter_bound <= 2 * exact
         assert validate_cover(g, cf).ok
 
     def test_connected_graph_gives_one_set(self):
-        g = G(path_data(4))
-        cf = cover_by_components(g, 2)
+        # the path's least member is an end, of eccentricity 3: twice the exact weak diameter
+        vs, es = path_data(4)
+        cf = cover_by_components(Graph(vs, es), 2)
         assert [sorted(s) for s in cf.all_sets()] == [["p0", "p1", "p2", "p3"]]
-        assert cf.diameter_bound == 3
+        assert cf.diameter_bound == 2 * max(floyd_warshall(vs, es)["p0"].values()) == 6
+        assert cf.diameter_bound == 2 * naive_weak_diameter(vs, es, vs)
 
 
 class TestPullback:

@@ -39,12 +39,12 @@ import pytest
 
 from cwkit import (CwExpr, CwkitError, Graph, InputError, Join, Leaf, Partition, Recolor,
                    Union, check_partqi_tight, decompose, evaluate, format_expr, gen_path,
-                   generate_corpus, graph_to_json_dict, normalize, parse, read_cwx,
+                   generate_corpus, graph_to_json_dict, normalize, parse, quotient, read_cwx,
                    result_to_json_dict, validate_strict, verify_result, write_cwx)
 from cwkit.cli import main
 
-from helpers import (legacy_layout, naive_distance_pairs, one_line_text, random_graph_data,
-                     random_groups)
+from helpers import (floyd_warshall, legacy_layout, naive_distance_pairs, naive_weak_diameter,
+                     one_line_text, random_graph_data, random_groups)
 from test_acceptance import (COUNT, MAX_K, MAX_LEAVES, SEED, clique_cases,
                              path_cases, spider_cases)
 from test_generators import build, wide_sweep
@@ -481,9 +481,28 @@ def test_qi_check_random_maps_match_golden(tmp_path):
     assert got == METRIC_GOLDEN["qi_check_random_maps"]
 
 
-def test_cover_pullback_output_matches_golden(metric_files):
-    runs = [cli("cover-pullback", f, *extra) for f in metric_files
-            for extra in ((), ("--r", "2"))]
+def exact_components_cover(path, out):
+    """Write to out a cover file of path's quotient by its components, at the widest one's
+    exact weak diameter (Floyd-Warshall): the bound the default cover claimed when the
+    cover_pullback digest was recorded.  Components lie infinitely far apart."""
+    e = read_cwx(path)
+    q, _ = quotient(evaluate(e).graph, decompose(e).partition)
+    dist = floyd_warshall(q.vertices, q.edges)
+    comps = {frozenset(dist[v]) for v in q.vertices}
+    bound = max(naive_weak_diameter(q.vertices, q.edges, comp) for comp in comps)
+    out.write_text(json.dumps({"collections": [[sorted(comp) for comp in comps]],
+                               "r": "infinite", "bound": bound}))
+    return out
+
+
+def test_cover_pullback_output_matches_golden(metric_files, tmp_path):
+    # the digest was recorded when the default cover claimed the exact weak diameter; a
+    # cover file at that bound gives the same bytes, where the default's 2e may not
+    runs = []
+    for i, f in enumerate(metric_files):
+        cover = exact_components_cover(f, tmp_path / f"cover{i}.json")
+        runs += [cli("cover-pullback", f, "--cover", cover, *extra)
+                 for extra in ((), ("--r", "2"))]
     assert digest(runs) == METRIC_GOLDEN["cover_pullback"]
 
 
