@@ -2,8 +2,8 @@
 
 Every subcommand reads files, runs the library, emits JSON (or DOT, or a
 short human summary with --pretty) and exits 0 on success, 2 on malformed
-input files, 3 on violated preconditions or failed verification, 4 when an
-exact oracle refuses to run above its size cap.  main pauses the cyclic garbage
+input files, 3 on violated preconditions or failed verification, 4 above a size
+cap: an exact oracle's, or the build ceiling.  main pauses the cyclic garbage
 collector around each subcommand: nothing a command builds forms a reference
 cycle, so reference counting frees it all.  Library calls leave it alone.
 """
@@ -125,6 +125,19 @@ def _load_json(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
+BUILD_CEILING = 10 ** 6  # vertices plus edges; a path at the ceiling peaks near 0.7 GB
+
+
+def _check_size(route: str, size: int) -> None:  # before generate, minor-model or corpus builds
+    if size > BUILD_CEILING:
+        raise SizeCapError(f"{route} would build {size} vertices and edges, capped at "
+                           f"{BUILD_CEILING}")
+
+
+def _clique_size(n: int, times: int) -> int:  # K_n subdivided times times; n < 0 builds none
+    return n + n * max(n - 1, 0) // 2 * (2 * times + 1)
+
+
 def _load_graph(path):
     """A (graph, colors-or-None) pair from a .cwx or a graph JSON file."""
     if str(path).endswith(".cwx"):
@@ -150,6 +163,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if args.dot and (args.oracle or args.cap is not None):  # DOT has no place for a treewidth
+        raise InputError(f"argument {'--oracle' if args.oracle else '--cap'}: "
+                         "not allowed with argument --dot")
     if args.normalize:
         result, cg = _decompose(normalize(read_cwx(args.file)))
     else:
@@ -188,18 +204,23 @@ def _parse_leg_lengths(text: str):
 
 def cmd_generate(args) -> int:
     if args.kind == "path":
+        _check_size("path", 2 * args.length + 1)
         e = gen_path(args.x, args.y, args.length, args.palette,
                      args.x_color, args.y_color, args.inner_color)
     elif args.kind == "spider":
         legs = _parse_leg_lengths(args.legs)
+        _check_size("spider", 1 + 2 * sum(legs))
         e = gen_spider(len(legs), legs)
     else:
+        _check_size("subdivided clique", _clique_size(args.n, args.times))
         e = gen_subdivided_clique(args.n, args.times)
     _write(format_expr(e), args.out)
     return 0
 
 
 def cmd_corpus(args) -> int:
+    # every expression's leaves, and K_L, the densest graph one of them may evaluate to
+    _check_size("corpus", args.count * args.max_leaves + _clique_size(args.max_leaves, 0))
     exprs = generate_corpus(args.seed, args.count, args.max_k, args.max_leaves)
     os.makedirs(args.out_dir, exist_ok=True)
     instances = []
@@ -260,6 +281,7 @@ def cmd_qi_check(args) -> int:
 
 
 def cmd_minor_model(args) -> int:
+    _check_size("subdivided clique", _clique_size(args.n, args.times))
     h = complete_graph(args.n)
     host = subdivide(h, args.times)
     model = build_minor_model(h, QiMap(host, host, {v: v for v in host.vertices}, float(args.c)))

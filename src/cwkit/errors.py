@@ -18,7 +18,7 @@ class ContractError(CwkitError, RuntimeError):
 
 
 class SizeCapError(CwkitError, RuntimeError):
-    """An exact oracle was asked to run above its configured size cap."""
+    """An exact oracle was asked to run, or the CLI to build, above a size cap."""
 
 
 class ParseError(CwkitError, ValueError):

@@ -107,6 +107,8 @@ def gen_path(x, y, length: int, palette: int, x_color: int, y_color: int,
                          "and interior")
     if x == y:
         raise InputError("path endpoints must differ")
+    for end in (x, y):  # a bad id is named as given, not inside an interior name made from it
+        Leaf(end, 1)
     seq = subdivision_path(x, y, length - 1)
     return CwExpr(palette, _path_node(seq, x_color, y_color, inner_color))
 

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -176,10 +177,16 @@ class TestDecompose:
         assert code == 0
         assert json.loads(out)["verification"]["ok"] is True
 
-    def test_oracle_treewidth(self, capsys, k2_file):
+    def test_oracle_treewidth(self, capsys, tmp_path, k2_file):
         code, out, _ = run(capsys, "decompose", k2_file, "--oracle")
         assert code == 0
         assert json.loads(out)["quotient_treewidth"] == 1
+        # the default length-3 path's 4-part quotient is a path, of treewidth 1
+        path = str(tmp_path / "p3.cwx")
+        assert run(capsys, "generate", "path", "--length", "3", "--out", path)[0] == 0
+        code, out, _ = run(capsys, "decompose", path, "--oracle")
+        obj = json.loads(out)
+        assert (code, len(obj["result"]["parts"]), obj["quotient_treewidth"]) == (0, 4, 1)
 
     def test_oracle_falls_back_to_minor_bound(self, capsys, k2_file):
         code, out, _ = run(capsys, "decompose", k2_file, "--oracle",
@@ -214,27 +221,83 @@ class TestDecompose:
         assert code == 0
         assert out.startswith("graph decomposition {")
 
+    @pytest.mark.parametrize("extra, flag", [(["--oracle"], "--oracle"), (["--cap", "3"], "--cap"),
+                                             (["--oracle", "--cap", "30"], "--oracle")],
+                             ids=["oracle", "cap", "both"])
+    def test_dot_refuses_the_treewidth_options(self, capsys, k2_file, extra, flag):
+        # DOT has no place for a treewidth, so the oracle's answer would be dropped
+        code, out, err = run(capsys, "decompose", k2_file, "--dot", *extra)
+        assert (code, out, err) == (3, "", f"error: argument {flag}: not allowed with "
+                                           "argument --dot\n")
+
+    def test_a_long_legged_spider_verifies(self, capsys, tmp_path):
+        # a spider's recolors move each leg's parts into colours the rainbow bag already
+        # holds; decompose re-verifies the bag it keeps, one part of each colour
+        path = str(tmp_path / "spider.cwx")
+        assert run(capsys, "generate", "spider", "--legs", "40,50,60", "--out", path)[0] == 0
+        code, out, _ = run(capsys, "decompose", path)
+        assert code == 0 and json.loads(out)["verification"]["ok"] is True
+
+    @pytest.fixture
+    def p300(self, capsys, tmp_path):
+        """A 300-edge path's canonical text file, and one of the same body on one line."""
+        canonical, line = tmp_path / "p300.cwx", tmp_path / "p300-line.cwx"
+        assert run(capsys, "generate", "path", "--length", "300", "--palette", "4", "--x-color",
+                   "3", "--inner-color", "1", "--out", str(canonical))[0] == 0
+        header, body = canonical.read_text(encoding="utf-8").split("\n", 1)
+        line.write_text(f"{header}\n{' '.join(body.split())} \n", encoding="utf-8")
+        return canonical, line
+
+    def test_canonical_and_one_line_text_print_the_same_json(self, capsys, p300):
+        # parse reads one-line text: the canonical text (89 KB, its indent capped at depth
+        # 32) and the one line (14 KB) decompose to the same bytes.  cwkit writes indented
+        # JSON itself: the running interpreter's json module must give the same bytes.
+        canonical, line = p300
+        code, out, err = run(capsys, "decompose", str(canonical))
+        assert (code, err) == (0, "")
+        assert run(capsys, "decompose", str(line)) == (0, out, "")
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+    def test_a_folded_file_is_parsed_again_for_its_error(self, capsys, tmp_path, p300):
+        # decompose folds a file's text without an AST; an error re-parses it, so the one
+        # line cut before its closing parens exits 2 and a recolor of an unused colour 3
+        cut = tmp_path / "p300-cut.cwx"
+        cut.write_text(p300[1].read_text(encoding="utf-8").rstrip(") \n") + "\n")
+        code, out, err = run(capsys, "decompose", str(cut))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        unused = tmp_path / "unused.cwx"
+        unused.write_text("cw k=3\n(recolor 3 1 (v a 1))\n")
+        code, out, err = run(capsys, "decompose", str(unused))
+        assert (code, out) == (3, "") and "expression is not strict" in err
+
 
 class TestGenerate:
-    def test_path_round_trips_through_eval(self, capsys, tmp_path):
+    # the generators build strict expressions by construction
+    @pytest.mark.parametrize("options, vertices", [
+        (["--length", "5"], 6),
+        (["--length", "200", "--palette", "4", "--x-color", "3", "--inner-color", "1"], 201)],
+        ids=["5", "200"])
+    def test_path_round_trips_through_eval(self, capsys, tmp_path, options, vertices):
         dest = tmp_path / "path.cwx"
-        code, _, _ = run(capsys, "generate", "path", "--length", "5",
+        code, _, _ = run(capsys, "generate", "path", *options, "--out", str(dest))
+        assert code == 0
+        code, out, _ = run(capsys, "eval", str(dest))
+        assert code == 0
+        obj = json.loads(out)
+        assert len(obj["graph"]["vertices"]) == vertices
+        assert obj["validation"]["strict_valid"] is True
+
+    @pytest.mark.parametrize("legs, vertices", [("2,2,2", 7), ("1,1,1", 4)])
+    def test_spider(self, capsys, tmp_path, legs, vertices):
+        dest = tmp_path / "spider.cwx"
+        code, _, _ = run(capsys, "generate", "spider", "--legs", legs,
                          "--out", str(dest))
         assert code == 0
         code, out, _ = run(capsys, "eval", str(dest))
         assert code == 0
         obj = json.loads(out)
-        assert len(obj["graph"]["vertices"]) == 6
+        assert len(obj["graph"]["vertices"]) == vertices
         assert obj["validation"]["strict_valid"] is True
-
-    def test_spider(self, capsys, tmp_path):
-        dest = tmp_path / "spider.cwx"
-        code, _, _ = run(capsys, "generate", "spider", "--legs", "2,2,2",
-                         "--out", str(dest))
-        assert code == 0
-        code, out, _ = run(capsys, "eval", str(dest))
-        assert code == 0
-        assert len(json.loads(out)["graph"]["vertices"]) == 7
 
     def test_subdivided_clique(self, capsys, tmp_path):
         dest = tmp_path / "clique.cwx"
@@ -244,8 +307,23 @@ class TestGenerate:
         code, out, _ = run(capsys, "eval", str(dest))
         assert len(json.loads(out)["graph"]["vertices"]) == 10
 
+    def test_canonical_text_grows_linearly(self, capsys, tmp_path):
+        # 2,000 edges write about 0.6 MB; an indent that grew with the depth wrote 48 MB
+        dest = tmp_path / "p2000.cwx"
+        assert run(capsys, "generate", "path", "--length", "2000", "--palette", "4",
+                   "--out", str(dest))[0] == 0
+        assert dest.stat().st_size <= 700_000
+
+    @pytest.mark.parametrize("length", ["1", "2", "3"])
+    def test_a_bad_endpoint_id_is_named_as_given(self, capsys, length):
+        # the interior names are made from both ends: 'a-a b.1' is not the one to blame
+        code, out, err = run(capsys, "generate", "path", "--x", "a", "--y", "a b",
+                             "--length", length)
+        assert (code, out, err) == (3, "", "error: invalid vertex id 'a b'\n")
+
     @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
     def test_a_huge_palette_needs_no_memory_of_its_size(self, tmp_path):
+        # the palette size changes only numbers in the output, and it is no size
         dest = tmp_path / "big.cwx"
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         limit = 512 << 20
@@ -320,6 +398,13 @@ class TestCorpus:
         assert [(item["pass"], item["failed"]) for item in summary["instances"]] == [
             (False, list(fails))] * 2
 
+    def test_stdout_is_the_summary_it_writes(self, capsys, tmp_path):
+        # each instance passes the same projection verdict as qi-check
+        code, out, _ = run(capsys, "corpus", "--seed", "1", "--count", "20",
+                           "--out-dir", str(tmp_path))
+        assert code == 0 and json.loads(out)["all_pass"] is True
+        assert out == (tmp_path / "summary.json").read_text(encoding="utf-8")
+
     def test_empty_corpus(self, capsys, tmp_path):
         code, out, _ = run(capsys, "corpus", "--seed", "1", "--count", "0",
                            "--out-dir", str(tmp_path / "none"))
@@ -344,6 +429,20 @@ class TestQiCheck:
         assert obj.pop("certificate")["applied"] is False
         assert obj == json.loads(run(capsys, "qi-check", k2_file, "--c", "0.5", "--exhaustive")[1])
         assert obj["qi"]["distance_bounds"]["witness"]
+
+    def test_a_subdivided_k5_passes_by_the_certificate_and_by_the_scan(self, capsys, tmp_path):
+        # qi-check certifies by the projection lemma; --exhaustive runs the exact pair scan
+        path = str(tmp_path / "k5.cwx")
+        assert run(capsys, "generate", "subdivided-clique", "--n", "5", "--times", "7",
+                   "--out", path)[0] == 0
+        runs = [run(capsys, "qi-check", path, *extra) for extra in ((), ("--exhaustive",))]
+        assert [code for code, _, _ in runs] == [0, 0]
+        certified, exhaustive = (json.loads(out) for _, out, _ in runs)
+        for obj in (certified, exhaustive):
+            assert obj["qi"]["ok"] is True and obj["tight_projection_bounds"]["ok"] is True
+        assert certified["certificate"]["applied"] is True
+        assert "worst_lower_margin" not in certified["qi"]["distance_bounds"]
+        assert "worst_lower_margin" in exhaustive["qi"]["distance_bounds"]
 
     def test_explicit_map(self, capsys, tmp_path):
         graph = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
@@ -531,12 +630,21 @@ class TestMinorModel:
         assert len(obj["branch_sets"]) == 4
         assert len(obj["edge_paths"]) == 6
 
-    def test_large_host_without_a_cap(self, capsys):
-        # the host has 5 + 10 * 8 = 85 vertices, above the old minor search's cap;
-        # build_minor_model checks its model against the definition of a minor
-        code, out, err = run(capsys, "minor-model", "--n", "5", "--times", "8")
-        assert (code, err) == (0, "")
-        assert len(json.loads(out)["edge_paths"]) == 10
+    @pytest.mark.parametrize("argv, paths", [(["--n", "5", "--times", "8"], 10),
+                                             (["--n", "7", "--times", "8"], 21),
+                                             (["--n", "5", "--times", "15", "--c", "1.5"], 10),
+                                             (["--n", "12", "--times", "48"], 66)],
+                             ids=["k5", "k7", "k5-c1.5", "k12"])
+    def test_large_host_without_a_cap(self, capsys, argv, paths):
+        # K_5's host has 5 + 10 * 8 = 85 vertices, above the old minor search's cap;
+        # build_minor_model checks its model against the definition of a minor.  A
+        # fractional c(c+1) cuts the stretches at its floor; the model is still checked in
+        # the host only, so c = 1.5 gives a model of K_5.  The searches are bounded in
+        # number: K_12 at 48 subdivisions takes well under the minute allowed here
+        start = time.perf_counter()
+        code, out, err = run(capsys, "minor-model", *argv)
+        assert time.perf_counter() - start < 60
+        assert (code, err) == (0, "") and len(json.loads(out)["edge_paths"]) == paths
 
     def test_shallow_subdivision_exits_3(self, capsys):
         code, _, err = run(capsys, "minor-model", "--n", "4", "--times", "3")
@@ -659,6 +767,16 @@ class TestCoverPullback:
         assert counts == [counts[0]] * 3, counts
         assert whole == []
 
+    @pytest.mark.parametrize("n, times", [(5, 7), (12, 48)], ids=["k5", "k12"])
+    def test_a_subdivided_clique_validates_within_a_minute(self, capsys, tmp_path, n, times):
+        path = str(tmp_path / "k.cwx")
+        assert run(capsys, "generate", "subdivided-clique", "--n", str(n), "--times", str(times),
+                   "--out", path)[0] == 0
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "cover-pullback", path)
+        assert time.perf_counter() - start < 60
+        assert code == 0 and json.loads(out)["validation"]["ok"] is True
+
     def test_closed_paths_take_the_same_searches_at_every_length(self, capsys, tmp_path,
                                                                   monkeypatch):
         # every vertex of a cycle is as eccentric as any other, so its exact diameter
@@ -696,6 +814,10 @@ class TestCoverPullback:
         assert (diameter / t) * t < diameter <= obj["slope"] * t
         assert obj["slope"] == math.nextafter(diameter / t, math.inf)
         assert obj["validation"]["ok"] is True
+        # the default components cover validates too; the spider's bound 30 over the
+        # target scale 6.300000000000001 rounds down as well
+        code, out, _ = run(capsys, "cover-pullback", path, "--r", r)
+        assert code == 0 and json.loads(out)["validation"]["ok"] is True
 
     def test_an_infinite_target_scale_is_named(self, capsys, tmp_path):
         # --r is finite, c*r + c is not: exit 3, naming the target scale
@@ -1283,7 +1405,7 @@ class TestParser:
         (["export-dot", "F", "--kind", "decomposition"], "--kind decomposition"),
         (["minor-model", "--oracle"], "--oracle"),
         (["treewidth", "F", "--quotient"], "--quotient"),
-        (["generate", "spider", "--t", "3"], "--t 3")],
+        (["generate", "spider", "--legs", "1,1,1", "--t", "3"], "--t 3")],
         ids=["eval", "export-dot", "minor-model", "treewidth", "spider"])
     def test_a_second_route_to_an_answer_is_an_argparse_error(self, argv, rest):
         # a graph's DOT comes from export-dot, a decomposition's from decompose --dot,
@@ -1321,17 +1443,6 @@ class TestParser:
         exit_of(main, argv)
         named = argv[:1] if argv and argv[0] in COMMANDS else []
         assert added == (named or list(COMMANDS))
-
-    def test_console_script_reads_sys_argv(self, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-        for argv in (["qi-check", "-h"], ["generate", "path", "--length", "3"]):
-            done = subprocess.run([sys.executable, "-m", "cwkit.cli", *argv], env=env,
-                                  capture_output=True, text=True, timeout=60)
-            code, out, err = exit_of(main, argv)
-            code = code[1] if isinstance(code, tuple) else code
-            assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
-            assert out
 
 
 FLOAT_EDGES = ("nan", "inf", "-inf", "-1", "0", "0.5", "1", "2.5", "1e154", "1e308", "5e-324")

@@ -1,89 +1,66 @@
-"""cwkit run as `python -m cwkit.cli` in a child process, which reads sys.argv as the
-installed console script does.  Each test is one check of the command line, with its
-command and its assertion."""
+"""cwkit run as `python -m cwkit.cli` in a child process, for the checks that need a fresh
+interpreter: the entry point reads sys.argv as the installed console script does, and an
+address-space limit binds a whole process.  Every other command-line check calls cli.main
+in-process (test_cli.py); test_records.py holds the one on what importing the CLI loads."""
 
-import json
 import os
 import subprocess
 import sys
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import pytest
 
 from cwkit import cli
+from cwkit.cli import main
+
+from test_cli import exit_of
 
 ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
 
 
-def cwkit(*argv, timeout=60):
-    """(exit code, stdout, stderr) of one cwkit call in a child process."""
+def cwkit(*argv, limit=None):
+    """(exit code, stdout, stderr) of one cwkit call in a child process, whose address
+    space is limit bytes if a limit is given."""
+    cap = limit and (lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     done = subprocess.run([sys.executable, "-m", "cwkit.cli", *map(str, argv)], env=ENV,
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True, timeout=120, preexec_fn=cap)
     return done.returncode, done.stdout, done.stderr
 
 
-@pytest.fixture(scope="module")
-def generate(tmp_path_factory):
-    """generate(*kind): the file `cwkit generate *kind` writes, made once per kind."""
-    root, made = tmp_path_factory.mktemp("console"), {}
-
-    def make(*kind):
-        if kind not in made:
-            made[kind] = root / f"g{len(made)}.cwx"
-            assert cwkit("generate", *kind, "--out", made[kind])[0] == 0
-        return made[kind]
-    return make
+def test_console_script_reads_sys_argv(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["qi-check", "-h"], ["generate", "path", "--length", "3"]):
+        code, out, err = exit_of(main, argv)
+        code = code[1] if isinstance(code, tuple) else code
+        assert cwkit(*argv) == (code, out, err)
+        assert out
 
 
-@pytest.fixture
-def p3(generate):
-    """The default length-3 path, its own 4-part quotient."""
-    return generate("path", "--length", "3")
+# argv -> what it would build; built, each printed a MemoryError traceback under the limit
+# and exited 1, and with no limit it would take the host's memory first
+ABOVE_THE_CEILING = {
+    "path": (["generate", "path", "--length", "10000000000"], "path", 2 * 10 ** 10 + 1),
+    "spider": (["generate", "spider", "--legs", "1,1,9999999999"], "spider", 2 * 10 ** 10 + 3),
+    "subdivided-clique": (["generate", "subdivided-clique", "--n", "100000", "--times", "0"],
+                          "subdivided clique", 5000050000),
+    "minor-model": (["minor-model", "--n", "100000", "--times", "0"], "subdivided clique",
+                    5000050000),
+    "corpus": (["corpus", "--seed", "1", "--count", "1", "--max-leaves", "10000000000"],
+               "corpus", 10 ** 10 + 10 ** 10 + 10 ** 10 * (10 ** 10 - 1) // 2),
+}
 
 
-def validates(*argv, timeout=60):
-    code, out, _ = cwkit("cover-pullback", *argv, timeout=timeout)
-    return code == 0 and json.loads(out)["validation"]["ok"] is True
-
-
-class TestCoverPullback:
-    def test_a_bool_cover_scale_exits_3(self, p3, tmp_path):
-        # the sets are the part ids of the path's quotient
-        cover = tmp_path / "bool-r.json"
-        cover.write_text('{"collections": [[["x", "x-y.1", "x-y.2", "y"]]], "r": true, '
-                         '"bound": 3}')
-        assert cwkit("cover-pullback", p3, "--cover", cover)[0] == 3
-
-    def test_a_string_cover_set_exits_3(self, tmp_path):
-        # the string "xy" is not the set {x, y}
-        path = tmp_path / "xy.cwx"
-        path.write_text("cw k=2\n(join 1 2 (union (v x 1) (v y 2)))\n")
-        cover = tmp_path / "xy-cover.json"
-        cover.write_text('{"collections": [["xy"]], "r": 1, "bound": 9}')
-        assert cwkit("cover-pullback", path, "--cover", cover)[0] == 3
-
-    def test_a_subdivided_k5_validates(self, generate):
-        assert validates(generate("subdivided-clique", "--n", "5", "--times", "7"))
-
-    def test_slope_is_an_argparse_error(self, p3):
-        assert cwkit("cover-pullback", p3, "--slope", "2")[0] == 2
-
-    def test_a_nan_scale_is_named(self, p3):
-        code, _, err = cwkit("cover-pullback", p3, "--r=nan")
-        assert code == 3 and "pullback scale must be finite" in err
-
-    def test_a_spider_validates_where_its_slope_rounds_down(self, generate):
-        # the default cover's bound 30 over the target scale 6.300000000000001 rounds down
-        assert validates(generate("spider", "--legs", "1,2,14"), "--r", "1.1")
-
-    def test_an_infinite_target_scale_is_named(self, generate):
-        path = generate("subdivided-clique", "--n", "4", "--times", "3")
-        code, _, err = cwkit("cover-pullback", path, "--r", "8e307")
-        assert (code, err) == (3, "error: target scale c*r + c must be finite, got inf at c=3\n")
-
-    def test_an_infinite_pulled_bound_is_named(self, p3):
-        code, _, err = cwkit("cover-pullback", p3, "--r", "8e307")
-        assert (code, err) == (3, "error: pulled bound c*slope*(2*c*r) + c*c*r must be finite, "
-                                  "got inf at c=1\n")
-
-    def test_a_subdivided_k12_validates_within_a_minute(self, generate):
-        assert validates(generate("subdivided-clique", "--n", "12", "--times", "48"))
+@pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+@pytest.mark.parametrize("argv, route, size", ABOVE_THE_CEILING.values(),
+                         ids=list(ABOVE_THE_CEILING))
+def test_a_size_above_the_ceiling_exits_4_before_it_is_built(tmp_path, argv, route, size):
+    # the size is the vertices plus edges the options ask for, known before any is built
+    out_dir = tmp_path / "corpus"
+    extra = ["--out-dir", out_dir] if argv[0] == "corpus" else []
+    assert cwkit(*argv, *extra, limit=1 << 30) == (
+        4, "", f"error: {route} would build {size} vertices and edges, capped at 1000000\n")
+    assert not out_dir.exists()
